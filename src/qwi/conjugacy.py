@@ -184,33 +184,21 @@ class Conjugator:
 # construction
 # ---------------------------------------------------------------------------
 
-def _items(f: PLMap) -> list[tuple]:
-    out = [("fix", lo, hi) for lo, hi in f.fixed_items()]
-    out += [("mov", iv.lo, iv.hi, s) for iv, s in f.signed_support()]
-    out.sort(key=lambda it: _k(it[1]))
-    return out
-
-
-def _k(x: ExtRat):
-    if not is_finite(x):
-        return (x.sign, Fraction(0))
-    return (0, x)
-
-
 def conjugating_witness(f: PLMap, g: PLMap) -> Optional[Conjugator]:
     """An exact h with h∘f∘h⁻¹ = g, or None when the patterns differ."""
     if not pattern_iso(pattern_of(f), pattern_of(g)):
         return None
-    items_f, items_g = _items(f), _items(g)
-    assert len(items_f) == len(items_g)
+    regions_f, regions_g = f.regions(), g.regions()
+    if len(regions_f) != len(regions_g):
+        raise ConjugacyError("isomorphic patterns with different region counts")
     segs: list[Segment] = []
-    for it_f, it_g in zip(items_f, items_g):
-        assert it_f[0] == it_g[0]
-        if it_f[0] == "fix":
-            segs.append(_fixed_seg(it_f[1], it_f[2], it_g[1], it_g[2]))
+    for rf, rg in zip(regions_f, regions_g):
+        if rf[0] != rg[0] or rf[3:] != rg[3:]:
+            raise ConjugacyError(f"regions {rf} and {rg} do not align under pattern iso")
+        if rf[0] == "fix":
+            segs.append(_fixed_seg(rf[1], rf[2], rg[1], rg[2]))
         else:
-            assert it_f[3] == it_g[3], "parities must align under pattern iso"
-            segs.append(_orbital_seg(f, g, it_f[1], it_f[2], it_g[1], it_g[2], it_f[3]))
+            segs.append(_orbital_seg(f, g, rf[1], rf[2], rg[1], rg[2], rf[3]))
     return Conjugator(segs)
 
 

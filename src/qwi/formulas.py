@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import count
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 
 class FormulaError(ValueError):
@@ -211,13 +211,6 @@ def free_vars(phi: Formula) -> set[str]:
     raise FormulaError(f"unknown node {phi!r}")
 
 
-_FRESH = count()
-
-
-def fresh_var(base: str) -> str:
-    return f"{base}_{next(_FRESH)}"
-
-
 def _subst_term(t: Term, mapping: dict[str, Term]) -> Term:
     if isinstance(t, GVar):
         return mapping.get(t.name, t)
@@ -247,12 +240,6 @@ def substitute(phi: Formula, mapping: dict[str, Union[str, Term]]) -> Formula:
             out[k] = GVar(v) if isinstance(v, str) else v
         return out
 
-    def img_vars() -> set[str]:
-        out: set[str] = set()
-        for v in mapping.values():
-            out |= {v} if isinstance(v, str) else term_vars(v)
-        return out
-
     if isinstance(phi, Less):
         return Less(var_image(phi.x), var_image(phi.y))
     if isinstance(phi, EqPt):
@@ -278,7 +265,10 @@ def substitute(phi: Formula, mapping: dict[str, Union[str, Term]]) -> Formula:
             clash |= {v} if isinstance(v, str) else term_vars(v)
         var, body = phi.var, phi.body
         if var in clash:
-            nv = fresh_var(var)
+            nv = var + "'"
+            avoid = clash | free_vars(body) | set(sub_map)
+            while nv in avoid:
+                nv += "'"
             body = substitute(body, {var: nv})
             var = nv
         return type(phi)(var, substitute(body, sub_map))
@@ -296,6 +286,56 @@ def alpha_rename(phi: Formula, old: str, new: str) -> Formula:
     if isinstance(phi, _BINARY):
         return type(phi)(alpha_rename(phi.a, old, new), alpha_rename(phi.b, old, new))
     return phi
+
+
+# ---------------------------------------------------------------------------
+# the evaluator skeleton
+# ---------------------------------------------------------------------------
+
+_MISSING = object()
+
+
+class Evaluator:
+    """The tree walk that every evaluator of formulas shares.
+
+    The connectives are decided here, once.  A quantifier binds its variable
+    to each candidate in turn, runs the body, stops at the first candidate
+    that settles the quantifier, and restores the variable's old binding.
+    A subclass supplies the rest: `atom(phi)` decides an atomic formula, and
+    `quantifier(phi)` returns None when phi is not a quantifier, else
+    (want, env, candidates), where `want` is True for ∃ and False for ∀ and
+    `env` is the dict that the variable is bound in.
+    """
+
+    def run(self, phi: Formula) -> bool:
+        t = type(phi)
+        if t is Not:
+            return not self.run(phi.sub)
+        if t is And:
+            return self.run(phi.a) and self.run(phi.b)
+        if t is Or:
+            return self.run(phi.a) or self.run(phi.b)
+        if t is Implies:
+            return (not self.run(phi.a)) or self.run(phi.b)
+        if t is Iff:
+            return self.run(phi.a) == self.run(phi.b)
+        bound = self.quantifier(phi)
+        if bound is None:
+            return self.atom(phi)
+        want, env, candidates = bound
+        var = phi.var
+        prev = env.get(var, _MISSING)
+        try:
+            for c in candidates:
+                env[var] = c
+                if self.run(phi.body) == want:
+                    return want
+        finally:
+            if prev is _MISSING:
+                env.pop(var, None)
+            else:
+                env[var] = prev
+        return not want
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +364,28 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
+#: Deepest nesting a parsed formula may have.  Every walker over formulas
+#: recurses once per level, so deeper input is refused, not evaluated.
+MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, text: str, lang: str):
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
         self.lang = lang  # "wmso" | "group"
+        self.depth = 0
+
+    def nested(self, parse):
+        """parse() one nesting level deeper, refusing to go below MAX_DEPTH."""
+        if self.depth >= MAX_DEPTH:
+            raise FormulaError(f"formula nested deeper than {MAX_DEPTH} levels")
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
 
     def peek(self) -> Optional[tuple[str, str, int]]:
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -354,7 +410,7 @@ class _Parser:
         if t and t[0] == "id" and len(t[1]) >= 2 and t[1][0] in "AE" and t[1] != "in":
             kind, name, _ = self.next()
             q, var = t[1][0], t[1][1:]
-            body = self.formula()
+            body = self.nested(self.formula)
             return self._make_quant(q, var, body)
         return self.iff()
 
@@ -371,14 +427,14 @@ class _Parser:
         a = self.implies()
         if self.peek() and self.peek()[1] == "<->":
             self.next()
-            return Iff(a, self.iff())
+            return Iff(a, self.nested(self.iff))
         return a
 
     def implies(self) -> Formula:
         a = self.disj()
         if self.peek() and self.peek()[1] == "->":
             self.next()
-            return Implies(a, self.implies())
+            return Implies(a, self.nested(self.implies))
         return a
 
     def disj(self) -> Formula:
@@ -399,14 +455,14 @@ class _Parser:
         t = self.peek()
         if t and t[1] == "~":
             self.next()
-            return Not(self.unary())
+            return Not(self.nested(self.unary))
         if t and t[0] == "id" and len(t[1]) >= 2 and t[1][0] in "AE" and t[1] != "in":
             return self.formula()
         if t and t[1] == "(":
             save = self.i
             self.next()
             try:
-                inner = self.formula()
+                inner = self.nested(self.formula)
                 self.expect(")")
                 return inner
             except FormulaError:
@@ -500,7 +556,7 @@ class _Parser:
         if t[1] == "1":
             return One()
         if t[1] == "(":
-            inner = self.term()
+            inner = self.nested(self.term)
             self.expect(")")
             return inner
         if t[0] == "id":
@@ -522,17 +578,32 @@ class _Parser:
 
 
 def parse_wmso(text: str) -> Formula:
-    p = _Parser(text, "wmso")
-    out = p.formula()
-    p.done()
-    return out
+    return _parse(text, "wmso")
 
 
 def parse_group(text: str) -> Formula:
-    p = _Parser(text, "group")
+    return _parse(text, "group")
+
+
+def _parse(text: str, lang: str) -> Formula:
+    p = _Parser(text, lang)
     out = p.formula()
     p.done()
+    if _depth(out) > MAX_DEPTH:  # long flat chains of & | * ^-1 nest without parentheses
+        raise FormulaError(f"formula nested deeper than {MAX_DEPTH} levels")
     return out
+
+
+def _depth(phi) -> int:
+    """Height of a formula or term tree, found without recursion."""
+    height, stack = 0, [(phi, 1)]
+    while stack:
+        node, d = stack.pop()
+        height = max(height, d)
+        for v in vars(node).values():
+            if not isinstance(v, str):
+                stack.extend((c, d + 1) for c in (v if isinstance(v, tuple) else (v,)))
+    return height
 
 
 # ---------------------------------------------------------------------------
@@ -650,44 +721,41 @@ MACROS: dict[str, tuple[list[str], Formula]] = {
 }
 
 
-def _instantiate(name: str, args: tuple[Term, ...]) -> Formula:
-    params, body = MACROS[name]
-    # refresh every bound variable of the schema, then plug in the arguments
-    refreshed = _refresh_bound(body)
-    return substitute(refreshed, dict(zip(params, args)))
-
-
-def _refresh_bound(phi: Formula) -> Formula:
+def _refresh_bound(phi: Formula, names: Iterator[int]) -> Formula:
+    """Rename every bound variable v to v_n, with n drawn from `names`, so
+    that one call's counter makes the names both distinct and repeatable."""
     if isinstance(phi, _QUANTS):
-        nv = fresh_var(phi.var)
-        return type(phi)(nv, _refresh_bound(substitute(phi.body, {phi.var: nv})))
+        nv = f"{phi.var}_{next(names)}"
+        return type(phi)(nv, _refresh_bound(substitute(phi.body, {phi.var: nv}), names))
     if isinstance(phi, Not):
-        return Not(_refresh_bound(phi.sub))
+        return Not(_refresh_bound(phi.sub, names))
     if isinstance(phi, _BINARY):
-        return type(phi)(_refresh_bound(phi.a), _refresh_bound(phi.b))
+        return type(phi)(_refresh_bound(phi.a, names), _refresh_bound(phi.b, names))
     return phi
 
 
 def expand(phi: Formula, depth: int) -> Formula:
     """Replace defined atoms by their schemas, `depth` times."""
+    names = count()
     for _ in range(depth):
-        phi, changed = _expand_once(phi)
+        phi, changed = _expand_once(phi, names)
         if not changed:
             break
     return phi
 
 
-def _expand_once(phi: Formula) -> tuple[Formula, bool]:
+def _expand_once(phi: Formula, names: Iterator[int]) -> tuple[Formula, bool]:
     if isinstance(phi, GAtom) and phi.name in MACROS:
-        return _instantiate(phi.name, phi.args), True
+        params, body = MACROS[phi.name]
+        return substitute(_refresh_bound(body, names), dict(zip(params, phi.args))), True
     if isinstance(phi, Not):
-        s, ch = _expand_once(phi.sub)
+        s, ch = _expand_once(phi.sub, names)
         return Not(s), ch
     if isinstance(phi, _BINARY):
-        a, ca = _expand_once(phi.a)
-        b, cb = _expand_once(phi.b)
+        a, ca = _expand_once(phi.a, names)
+        b, cb = _expand_once(phi.b, names)
         return type(phi)(a, b), ca or cb
     if isinstance(phi, _QUANTS):
-        b, ch = _expand_once(phi.body)
+        b, ch = _expand_once(phi.body, names)
         return type(phi)(phi.var, b), ch
     return phi, False

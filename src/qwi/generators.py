@@ -1,4 +1,4 @@
-"""Seeded random generators for maps and patterns.
+"""Seeded random generators for maps.
 
 Everything downstream (suites, discrepancy search, property tests) draws
 from here, so one seed fixes every case list.
@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from .numbers import QInterval, is_finite
 from .plmap import PLMap
-from .patterns import OrbitalPattern, enumerate_patterns
 
 
 def gen_plmap(seed: int, complexity: int) -> PLMap:
@@ -79,8 +78,3 @@ def make_bump(iv: QInterval, up: bool = True) -> PLMap:
                               [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(1)])
     return f if up else f.inverse()
 
-
-def gen_pattern(seed: int, max_core: int = 4, max_tail: int = 2) -> OrbitalPattern:
-    rnd = random.Random(f"pattern:{seed}")
-    pool = list(enumerate_patterns(max_core, max_tail))
-    return rnd.choice(pool)

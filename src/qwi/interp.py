@@ -15,22 +15,20 @@ direct evaluator uses, with every atom decided by the semantic oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from itertools import count
+from typing import Iterator, Optional, Union
 
 from .numbers import NEG_INF, POS_INF, QInterval, is_finite
 from .plmap import PLMap
 from .formulas import (
-    And, EqPt, Exists, ExistsPt, ExistsSet, Forall, ForallPt, ForallSet,
-    Formula, GAtom, GVar, Iff, Implies, Inv, Less, Mem, Mul,
-    Not, One, Or, Term, TermEq, fresh_var, free_vars, parse_group, substitute,
+    _BINARY, And, EqPt, Evaluator, Exists, ExistsPt, ExistsSet, Forall,
+    ForallPt, ForallSet, Formula, GAtom, GVar, Implies, Inv, Less, Mem, Mul,
+    Not, One, Term, TermEq, _refresh_bound, free_vars, parse_group, substitute,
 )
 from .generators import make_bump
 from . import predicates as P
 from .wmso import Assignment, decide, point_candidates, set_candidates
-
-_BINARY = (And, Or, Implies, Iff)
 
 
 class InterpError(ValueError):
@@ -40,14 +38,6 @@ class InterpError(ValueError):
 # ---------------------------------------------------------------------------
 # encodings
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Encoding:
-    kind: str                # "point" | "finset"
-    value: Union[Fraction, tuple[Fraction, ...]]
-    element: PLMap
-    side: Optional[str] = None  # "left" | "right" for points
-
 
 def encode_rational(q: Fraction, side: str = "right") -> PLMap:
     q = Fraction(q)
@@ -97,33 +87,19 @@ def decode(f: PLMap) -> Union[Fraction, tuple[Fraction, ...]]:
     raise InterpError("element encodes neither a rational nor a finite set")
 
 
-def point_encoding(q: Fraction, side: str = "right") -> Encoding:
-    return Encoding("point", Fraction(q), encode_rational(q, side), side)
-
-
-def finset_encoding(S, alt: bool = False) -> Encoding:
-    enc = encode_finite_set_alt if alt else encode_finite_set
-    return Encoding("finset", tuple(sorted(set(map(Fraction, S)))), enc(S))
-
-
 # ---------------------------------------------------------------------------
 # translation
 # ---------------------------------------------------------------------------
 
 ORIENTATION_VAR = "p"
 
-_LESS_PARAMS = ["lhs", "rhs", "ori"]
+# The order schema: x < y iff some codesame-representatives on the
+# orientation parameter's side are in strict support containment.
 _LESS_BODY = parse_group(
     "Elf Elg (codesame(lf,lhs) & codesame(lg,rhs)"
     " & (cont(lf,ori) | cont(ori,lf)) & (cont(lg,ori) | cont(ori,lg))"
     " & cont(lg,lf) & ~codesame(lf,lg))"
 )
-
-
-def less_formula() -> Formula:
-    """The order schema: x < y iff some codesame-representatives on the
-    orientation parameter's side are in strict support containment."""
-    return _LESS_BODY
 
 
 def _pt_var(x: str) -> str:
@@ -135,31 +111,33 @@ def _set_var(X: str) -> str:
 
 
 def translate(phi: Formula) -> Formula:
-    """Compile a closed order-formula to the group language."""
+    """Compile a closed order-formula to the group language.
+
+    Fresh variable names are numbered per call, so equal input gives equal
+    output."""
     if free_vars(phi):
         raise InterpError(f"translate expects a sentence, got free {sorted(free_vars(phi))}")
-    body = _tr(phi)
+    body = _tr(phi, count())
     return Exists(
         ORIENTATION_VAR,
         And(GAtom("cof", (GVar(ORIENTATION_VAR),)), body),
     )
 
 
-def _tr(phi: Formula) -> Formula:
+def _tr(phi: Formula, names: Iterator[int]) -> Formula:
     if isinstance(phi, Less):
-        inst = substitute(
-            _refresh(less_formula()),
+        return substitute(
+            _refresh_bound(_LESS_BODY, names),
             {
                 "lhs": GVar(_pt_var(phi.x)),
                 "rhs": GVar(_pt_var(phi.y)),
                 "ori": GVar(ORIENTATION_VAR),
             },
         )
-        return inst
     if isinstance(phi, EqPt):
         return GAtom("codesame", (GVar(_pt_var(phi.x)), GVar(_pt_var(phi.y))))
     if isinstance(phi, Mem):
-        w = fresh_var("fm")
+        w = f"fm_{next(names)}"
         fx = GVar(_pt_var(phi.x))
         return Exists(
             w,
@@ -169,27 +147,22 @@ def _tr(phi: Formula) -> Formula:
             ),
         )
     if isinstance(phi, Not):
-        return Not(_tr(phi.sub))
+        return Not(_tr(phi.sub, names))
     if isinstance(phi, _BINARY):
-        return type(phi)(_tr(phi.a), _tr(phi.b))
+        return type(phi)(_tr(phi.a, names), _tr(phi.b, names))
     if isinstance(phi, ExistsPt):
         v = _pt_var(phi.var)
-        return Exists(v, And(GAtom("rational", (GVar(v),)), _tr(phi.body)))
+        return Exists(v, And(GAtom("rational", (GVar(v),)), _tr(phi.body, names)))
     if isinstance(phi, ForallPt):
         v = _pt_var(phi.var)
-        return Forall(v, Implies(GAtom("rational", (GVar(v),)), _tr(phi.body)))
+        return Forall(v, Implies(GAtom("rational", (GVar(v),)), _tr(phi.body, names)))
     if isinstance(phi, ExistsSet):
         v = _set_var(phi.var)
-        return Exists(v, And(GAtom("finrational", (GVar(v),)), _tr(phi.body)))
+        return Exists(v, And(GAtom("finrational", (GVar(v),)), _tr(phi.body, names)))
     if isinstance(phi, ForallSet):
         v = _set_var(phi.var)
-        return Forall(v, Implies(GAtom("finrational", (GVar(v),)), _tr(phi.body)))
+        return Forall(v, Implies(GAtom("finrational", (GVar(v),)), _tr(phi.body, names)))
     raise InterpError(f"not an order-structure formula: {phi!r}")
-
-
-def _refresh(phi: Formula) -> Formula:
-    from .formulas import _refresh_bound
-    return _refresh_bound(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -238,22 +211,46 @@ def _coded_depth(phi: Formula) -> int:
     return 0
 
 
-class _Pullback:
+_ORACLES = {
+    "comp": P.comp_sem, "apart": P.apart_sem, "bump": P.bump_sem,
+    "orbital": P.orbital_sem, "disj": P.disj_sem, "restr": P.restr_sem,
+    "cont": P.cont_sem, "coterm": P.coterm_sem, "cof": P.cof_sem,
+    "codesame": P.codesame_sem, "oppsupport": P.oppsupport_sem,
+    "rational": P.rational_sem, "finrational": P.finrational_sem,
+    "sameset": P.sameset_sem,
+}
+
+
+class _Pullback(Evaluator):
+    """Evaluator of compiled sentences.  A coded variable is bound to the
+    value it codes, in the assignment that the candidate lists read, and is
+    encoded when an atom first needs its element; every other variable is
+    bound to its element in `env`."""
+
     def __init__(self, cap: int, orientation: Optional[str]):
         self.cap = cap
         self.orientation = orientation
+        self.a = Assignment()
         self.env: dict[str, PLMap] = {}
-        self.points: dict[str, Fraction] = {}
-        self.sets: dict[str, tuple[Fraction, ...]] = {}
+        self.encoded: dict[str, tuple] = {}  # var -> (value, its encoding)
 
-    def assignment(self) -> Assignment:
-        return Assignment(dict(self.points), dict(self.sets))
+    def element(self, name: str) -> PLMap:
+        if name in self.env:
+            return self.env[name]
+        if name in self.a.points:
+            value, encode = self.a.points[name], encode_rational
+        elif name in self.a.sets:
+            value, encode = self.a.sets[name], encode_finite_set
+        else:
+            raise InterpError(f"unbound group variable {name}")
+        known = self.encoded.get(name)
+        if known is None or known[0] is not value:
+            known = self.encoded[name] = (value, encode(value))
+        return known[1]
 
     def term(self, t: Term) -> PLMap:
         if isinstance(t, GVar):
-            if t.name not in self.env:
-                raise InterpError(f"unbound group variable {t.name}")
-            return self.env[t.name]
+            return self.element(t.name)
         if isinstance(t, One):
             return PLMap.identity()
         if isinstance(t, Mul):
@@ -265,38 +262,16 @@ class _Pullback:
     def atom(self, phi: Formula) -> bool:
         if isinstance(phi, TermEq):
             return self.term(phi.t) == self.term(phi.u)
-        assert isinstance(phi, GAtom)
-        args = [self.term(a) for a in phi.args]
-        oracle = {
-            "comp": P.comp_sem, "apart": P.apart_sem, "bump": P.bump_sem,
-            "orbital": P.orbital_sem, "disj": P.disj_sem, "restr": P.restr_sem,
-            "cont": P.cont_sem, "coterm": P.coterm_sem, "cof": P.cof_sem,
-            "codesame": P.codesame_sem, "oppsupport": P.oppsupport_sem,
-            "rational": P.rational_sem, "finrational": P.finrational_sem,
-            "sameset": P.sameset_sem,
-        }.get(phi.name)
+        if not isinstance(phi, GAtom):
+            raise InterpError(f"node outside the translated fragment: {phi!r}")
+        oracle = _ORACLES.get(phi.name)
         if oracle is None:
             raise InterpError(f"atom {phi.name} is outside the translated fragment")
-        return oracle(*args)
+        return oracle(*[self.term(a) for a in phi.args])
 
-    def run(self, phi: Formula) -> bool:
-        if isinstance(phi, (TermEq, GAtom)):
-            return self.atom(phi)
-        if isinstance(phi, Not):
-            return not self.run(phi.sub)
-        if isinstance(phi, And):
-            return self.run(phi.a) and self.run(phi.b)
-        if isinstance(phi, Or):
-            return self.run(phi.a) or self.run(phi.b)
-        if isinstance(phi, Implies):
-            return (not self.run(phi.a)) or self.run(phi.b)
-        if isinstance(phi, Iff):
-            return self.run(phi.a) == self.run(phi.b)
-        if isinstance(phi, (Exists, Forall)):
-            return self.quant(phi)
-        raise InterpError(f"node outside the translated fragment: {phi!r}")
-
-    def quant(self, phi: Union[Exists, Forall]) -> bool:
+    def quantifier(self, phi: Formula):
+        if not isinstance(phi, (Exists, Forall)):
+            return None
         want = isinstance(phi, Exists)
         v = phi.var
         body = phi.body
@@ -305,29 +280,18 @@ class _Pullback:
         guards = _conjuncts(guard_host) if ok_shape else []
 
         # orientation prefix ∃p(cof(p) ∧ …)
-        if want and any(
-            g == GAtom("cof", (GVar(v),)) for g in guards
-        ):
+        if want and GAtom("cof", (GVar(v),)) in guards:
             sides = {"right": [QInterval(Fraction(0), POS_INF)],
                      "left": [QInterval(NEG_INF, Fraction(0))]}
             ivs = sides[self.orientation] if self.orientation else (
                 sides["right"] + sides["left"]
             )
-            return self._try(phi, v, [make_bump(iv) for iv in ivs], want,
-                             track=None)
+            return want, self.env, [make_bump(iv) for iv in ivs]
         for g in guards:
             if g == GAtom("rational", (GVar(v),)):
-                cands = [
-                    (q, encode_rational(q, "right"))
-                    for q in point_candidates(self.assignment())
-                ]
-                return self._try(phi, v, cands, want, track="point")
+                return want, self.a.points, point_candidates(self.a)
             if g == GAtom("finrational", (GVar(v),)):
-                cands = [
-                    (s, encode_finite_set(s))
-                    for s in set_candidates(self.assignment(), self.cap)
-                ]
-                return self._try(phi, v, cands, want, track="set")
+                return want, self.a.sets, set_candidates(self.a, self.cap)
         # derived existentials: membership witness and order representatives
         # (their guards may sit under further nested existentials)
         inner = body
@@ -338,49 +302,18 @@ class _Pullback:
                 isinstance(g, GAtom) and g.name == "oppsupport"
                 and len(g.args) == 2 and g.args[1] == GVar(v)
             ):
-                f = self.term(g.args[0])
-                cands = [self._mirror(f)]
-                return self._try(phi, v, cands, want, track=None)
+                return want, self.env, [P.mirror_bump(self.term(g.args[0]))]
             if (
                 isinstance(g, GAtom) and g.name == "codesame"
                 and g.args[0] == GVar(v)
             ):
-                f = self.term(g.args[1])
-                q = P.cof_endpoint(f)
-                cands = [encode_rational(q, "right"), encode_rational(q, "left")]
-                return self._try(phi, v, cands, want, track=None)
+                q = P.cof_endpoint(self.term(g.args[1]))
+                return want, self.env, [encode_rational(q, "right"),
+                                        encode_rational(q, "left")]
         raise InterpError(
             f"quantifier over {v} lacks a recognized coding guard "
             f"(outside the translated fragment)"
         )
-
-    @staticmethod
-    def _mirror(f: PLMap) -> PLMap:
-        (iv, _), = f.signed_support()
-        q = P.cof_endpoint(f)
-        if is_finite(iv.lo):
-            return make_bump(QInterval(NEG_INF, q))
-        return make_bump(QInterval(q, POS_INF))
-
-    def _try(self, phi, v, cands, want: bool, track: Optional[str]) -> bool:
-        for cand in cands:
-            if track is None:
-                val, elem = None, cand
-            else:
-                val, elem = cand
-            self.env[v] = elem
-            if track == "point":
-                self.points[v] = val
-            elif track == "set":
-                self.sets[v] = tuple(val)
-            try:
-                if self.run(phi.body) == want:
-                    return want
-            finally:
-                self.env.pop(v, None)
-                self.points.pop(v, None)
-                self.sets.pop(v, None)
-        return not want
 
 
 def pullback_eval(psi: Formula, cap: Optional[int] = None,

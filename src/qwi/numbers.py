@@ -12,7 +12,8 @@ from typing import Iterable, Sequence, Union
 
 
 class _Infinity:
-    """Signed infinity, comparable with Fraction/int from either side."""
+    """Signed infinity, comparable with Fraction/int from either side, so
+    that `sorted`, `min` and `max` order extended rationals with no key."""
 
     __slots__ = ("sign",)
 
@@ -74,10 +75,6 @@ def parse_ext(text: str) -> ExtRat:
     if t == "-inf":
         return NEG_INF
     return parse_rational(t)
-
-
-def format_rational(q: Fraction) -> str:
-    return str(q)
 
 
 def format_ext(x: ExtRat) -> str:
@@ -193,10 +190,8 @@ class IntervalSet:
 
 
 def _normalize(raw: Iterable[QInterval]) -> tuple[QInterval, ...]:
-    ivs = sorted(
-        (iv for iv in raw if not iv.is_empty()),
-        key=lambda iv: (_key(iv.lo), _key(iv.hi)),
-    )
+    ivs = sorted((iv for iv in raw if not iv.is_empty()),
+                 key=lambda iv: (iv.lo, iv.hi))
     out: list[QInterval] = []
     for iv in ivs:
         if out and iv.lo < out[-1].hi:
@@ -206,12 +201,3 @@ def _normalize(raw: Iterable[QInterval]) -> tuple[QInterval, ...]:
             out.append(iv)
     return tuple(out)
 
-
-def _key(x: ExtRat):
-    if isinstance(x, _Infinity):
-        return (x.sign, Fraction(0))
-    return (0, x)
-
-
-def intervals_normalize(raw: Sequence[QInterval]) -> IntervalSet:
-    return IntervalSet(raw)

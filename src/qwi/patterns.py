@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Iterator, Optional, Sequence, Union
 
@@ -153,10 +152,6 @@ class OrbitalPattern:
     core: tuple[Block, ...]
     right_tail: Optional[tuple[Block, ...]]
 
-    def blocks(self) -> tuple[Block, ...]:
-        """Core blocks only; tails are accessed separately."""
-        return self.core
-
     def __repr__(self):
         return format_pattern(self)
 
@@ -229,11 +224,6 @@ def validate_pattern(p: OrbitalPattern) -> None:
 # ---------------------------------------------------------------------------
 # canonical form and isomorphism
 # ---------------------------------------------------------------------------
-
-def _merge_fixed(a: Fixed, b: Fixed) -> Fixed:
-    """The single region obtained when a and b are forced together."""
-    return Fixed(fixed_kind(a.has_min, b.has_max))
-
 
 def _collapse_trivial_tails(p: OrbitalPattern) -> OrbitalPattern:
     """A tail word without any Moving block denotes one big fixed region
@@ -311,22 +301,11 @@ def _fixed_block(lo, hi) -> Fixed:
 
 def pattern_of(f: PLMap) -> OrbitalPattern:
     """Finite orbital pattern of an executable element (never has tails)."""
-    items: list[tuple] = [("fix", lo, hi) for lo, hi in f.fixed_items()]
-    items += [("mov", iv.lo, iv.hi, s) for iv, s in f.signed_support()]
-    items.sort(key=lambda it: _pos_key(it[1]))
-    blocks: list[Block] = []
-    for it in items:
-        if it[0] == "fix":
-            blocks.append(_fixed_block(it[1], it[2]))
-        else:
-            blocks.append(Moving(it[3], _boundary_kind(it[1]), _boundary_kind(it[2])))
-    return make_pattern(blocks)
-
-
-def _pos_key(x):
-    if not is_finite(x):
-        return (x.sign, Fraction(0))
-    return (0, x)
+    return make_pattern([
+        _fixed_block(r[1], r[2]) if r[0] == "fix"
+        else Moving(r[3], _boundary_kind(r[1]), _boundary_kind(r[2]))
+        for r in f.regions()
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +350,8 @@ def remove_moving(blocks: Sequence[Block], i: int) -> tuple[Block, ...]:
 
     Its points merge with the neighbouring fixed regions into one region.
     """
-    m = blocks[i]
-    assert isinstance(m, Moving)
+    if not isinstance(blocks[i], Moving):
+        raise PatternError(f"block {i} is {blocks[i]}, not a moving block")
     left = blocks[i - 1] if i > 0 else None
     right = blocks[i + 1] if i + 1 < len(blocks) else None
     has_min = left.has_min if isinstance(left, Fixed) else False
@@ -403,20 +382,22 @@ def has_inf_orbitals(p: OrbitalPattern) -> bool:
 # Lemma 2.1-style decomposition of ω-tail patterns
 # ---------------------------------------------------------------------------
 
+_MIRROR_KIND = {MINUS_INF: PLUS_INF, PLUS_INF: MINUS_INF,
+                RATIONAL: RATIONAL, IRRATIONAL: IRRATIONAL}
+
+
+def _mirror_block(b: Block) -> Block:
+    if isinstance(b, Fixed):
+        return Fixed(fixed_kind(b.has_max, b.has_min))
+    return Moving(b.parity, _MIRROR_KIND[b.right], _MIRROR_KIND[b.left])
+
+
 def mirror_pattern(p: OrbitalPattern) -> OrbitalPattern:
     """Order-reversal of the pattern (parities kept as labels)."""
-    def mb(b: Block) -> Block:
-        if isinstance(b, Fixed):
-            return Fixed(fixed_kind(b.has_max, b.has_min))
-        swap = {MINUS_INF: PLUS_INF, PLUS_INF: MINUS_INF,
-                RATIONAL: RATIONAL, IRRATIONAL: IRRATIONAL}
-        return Moving(b.parity, swap[b.right], swap[b.left])
-
     def mw(word):
-        return None if word is None else tuple(mb(b) for b in reversed(word))
+        return None if word is None else tuple(map(_mirror_block, reversed(word)))
 
-    return OrbitalPattern(mw(p.right_tail), tuple(mb(b) for b in reversed(p.core)),
-                          mw(p.left_tail))
+    return OrbitalPattern(mw(p.right_tail), mw(p.core), mw(p.left_tail))
 
 
 def lemma21_decompose(p: OrbitalPattern) -> Optional[tuple[Moving, OrbitalPattern, OrbitalPattern]]:
@@ -437,13 +418,7 @@ def lemma21_decompose(p: OrbitalPattern) -> Optional[tuple[Moving, OrbitalPatter
     if res is None:
         return None
     g1, g2, g = res
-    return (_mirror_moving(g1), mirror_pattern(g2), mirror_pattern(g))
-
-
-def _mirror_moving(m: Moving) -> Moving:
-    swap = {MINUS_INF: PLUS_INF, PLUS_INF: MINUS_INF,
-            RATIONAL: RATIONAL, IRRATIONAL: IRRATIONAL}
-    return Moving(m.parity, swap[m.right], swap[m.left])
+    return (_mirror_block(g1), mirror_pattern(g2), mirror_pattern(g))
 
 
 def _decompose_right(word: tuple[Block, ...]) -> Optional[tuple[Moving, OrbitalPattern, OrbitalPattern]]:

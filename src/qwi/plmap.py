@@ -115,9 +115,7 @@ class PLMap:
 
     def piece_domains(self) -> list[tuple[ExtRat, ExtRat]]:
         """Closed domain [lo, hi] of each piece (extended endpoints)."""
-        los: list[ExtRat] = [NEG_INF] + list(self.cuts)
-        his: list[ExtRat] = list(self.cuts) + [POS_INF]
-        return list(zip(los, his))
+        return list(_domains(self.cuts))
 
     # -- group operations --------------------------------------------------
 
@@ -127,7 +125,7 @@ class PLMap:
         cand.update(other.apply_inverse(b) for b in self.cuts)
         cuts = sorted(cand)
         pieces: list[Piece] = []
-        for lo, hi in _regions(cuts):
+        for lo, hi in _domains(cuts):
             x = _sample(lo, hi)
             mg, cg = other.pieces[other.piece_index(x)]
             mf, cf = self.pieces[self.piece_index(other.apply(x))]
@@ -164,7 +162,15 @@ class PLMap:
         (interval endpoints may be infinite; the identity yields the single
         interval (-inf, inf)).
         """
-        items: list[tuple[ExtRat, ExtRat]] = []  # closed [lo, hi], lo <= hi
+        items = self.fixed_items()
+        points = tuple(lo for lo, hi in items if lo == hi)
+        intervals = tuple(it for it in items if it[0] != it[1])
+        return points, intervals
+
+    def fixed_items(self) -> list[tuple[ExtRat, ExtRat]]:
+        """All maximal closed fixed regions [lo, hi] (lo == hi for an
+        isolated fixed point), left to right."""
+        items: list[tuple[ExtRat, ExtRat]] = []
         for (m, c), (lo, hi) in zip(self.pieces, self.piece_domains()):
             if m == 1:
                 if c == 0:
@@ -176,42 +182,38 @@ class PLMap:
         merged: list[tuple[ExtRat, ExtRat]] = []
         for lo, hi in items:
             if merged and lo <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], hi, key=_ext_key))
+                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
             else:
                 merged.append((lo, hi))
-        points = tuple(lo for lo, hi in merged if lo == hi)
-        intervals = tuple(it for it in merged if it[0] != it[1])
-        return points, intervals
+        return merged
 
-    def fixed_items(self) -> list[tuple[ExtRat, ExtRat]]:
-        """All maximal fixed regions (points as degenerate intervals), sorted."""
-        points, intervals = self.fixed_structure()
-        return sorted(
-            [(p, p) for p in points] + list(intervals),
-            key=lambda it: _ext_key(it[0]),
-        )
+    def regions(self) -> list[tuple]:
+        """The line cut into fixed regions and orbitals, left to right.
+
+        A maximal fixed region is ("fix", lo, hi), closed, with lo == hi for
+        an isolated fixed point.  Each orbital between two fixed neighbours
+        is ("mov", lo, hi, sign), open, where sign is that of f(x) - x on it.
+        """
+        out: list[tuple] = []
+        prev: ExtRat = NEG_INF
+        for lo, hi in self.fixed_items() + [(POS_INF, None)]:
+            if prev < lo:
+                x = pick_fresh(QInterval(prev, lo))
+                d = self.apply(x) - x
+                if d == 0:
+                    raise PLMapError(f"fixed point {x} inside the orbital ({prev}, {lo})")
+                out.append(("mov", prev, lo, 1 if d > 0 else -1))
+            out.append(("fix", lo, hi))
+            prev = hi
+        out.pop()  # the (POS_INF, None) sentinel
+        return out
 
     def support(self) -> IntervalSet:
         return IntervalSet([iv for iv, _ in self.signed_support()])
 
     def signed_support(self) -> list[tuple[QInterval, int]]:
         """Open components of {x : f(x) != x}, each with its displacement sign."""
-        items = self.fixed_items()
-        gaps: list[QInterval] = []
-        prev: ExtRat = NEG_INF
-        for lo, hi in items:
-            gaps.append(QInterval(prev, lo))
-            prev = hi
-        gaps.append(QInterval(prev, POS_INF))
-        out = []
-        for g in gaps:
-            if g.is_empty():
-                continue
-            x = pick_fresh(g)
-            d = self.apply(x) - x
-            assert d != 0
-            out.append((g, 1 if d > 0 else -1))
-        return out
+        return [(QInterval(r[1], r[2]), r[3]) for r in self.regions() if r[0] == "mov"]
 
     # -- text format -------------------------------------------------------
 
@@ -229,7 +231,7 @@ class PLMap:
         return format_pl(self)
 
 
-def _regions(cuts: Sequence[Fraction]) -> Iterable[tuple[ExtRat, ExtRat]]:
+def _domains(cuts: Sequence[Fraction]) -> Iterable[tuple[ExtRat, ExtRat]]:
     los: list[ExtRat] = [NEG_INF] + list(cuts)
     his: list[ExtRat] = list(cuts) + [POS_INF]
     return zip(los, his)
@@ -237,12 +239,6 @@ def _regions(cuts: Sequence[Fraction]) -> Iterable[tuple[ExtRat, ExtRat]]:
 
 def _sample(lo: ExtRat, hi: ExtRat) -> Fraction:
     return pick_fresh(QInterval(lo, hi))
-
-
-def _ext_key(x: ExtRat):
-    if not is_finite(x):
-        return (x.sign, Fraction(0))
-    return (0, x)
 
 
 def compose(f: PLMap, g: PLMap) -> PLMap:

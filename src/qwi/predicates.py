@@ -185,24 +185,28 @@ def sameset_sem(f: PLMap, g: PLMap) -> bool:
     return fixed_point_set(f) == fixed_point_set(g)
 
 
+def mirror_bump(f: PLMap) -> PLMap:
+    """The canonical bump on the other side of the cofinal f's endpoint q:
+    supported on (-inf, q) when supp(f) = (q, inf), and on (q, inf) when
+    supp(f) = (-inf, q).  Raises ValueError unless f is cofinal."""
+    q = cof_endpoint(f)
+    (iv, _), = f.signed_support()
+    return make_bump(QInterval(NEG_INF, q) if is_finite(iv.lo) else QInterval(q, POS_INF))
+
+
 def member_sem(f: PLMap, g: PLMap) -> bool:
     """The rational encoded by f belongs to the finite set encoded by g.
 
-    Constructs the mirror bump f' on the complementary side of f's endpoint,
-    so that f·f' has support ℚ∖{q}; membership is then support containment
-    of g in f·f'.
+    With f' the mirror bump on the other side of f's endpoint q, f·f' has
+    support ℚ∖{q}; membership is then support containment of g in f·f'.
     """
     if not rational_sem(f):
         raise ValueError("first argument must encode a rational (cofinal bump)")
     if not finrational_sem(g):
         raise ValueError("second argument must encode a finite set")
-    q = cof_endpoint(f)
-    (iv, _), = f.signed_support()
-    if is_finite(iv.lo):
-        fp = make_bump(QInterval(NEG_INF, q))
-    else:
-        fp = make_bump(QInterval(q, POS_INF))
-    assert oppsupport_sem(f, fp)
+    fp = mirror_bump(f)
+    if not oppsupport_sem(f, fp):
+        raise ValueError(f"mirror bump {fp} does not oppose {f}")
     return cont_sem(g, f.compose(fp))
 
 

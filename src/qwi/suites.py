@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .numbers import QInterval, NEG_INF, POS_INF, is_finite
+from .numbers import is_finite
 from .plmap import PLMap, format_pl
 from .patterns import (
     canonical_pattern, classify_cofinal, enumerate_patterns, format_pattern,
@@ -23,7 +23,7 @@ from .patterns import (
     pattern_of,
 )
 from .conjugacy import conjugating_witness, verify_conjugator
-from .generators import gen_plmap_rnd, make_bump
+from .generators import gen_plmap_rnd
 from . import predicates as P
 from .interp import pullback_eval, translate
 from .formulas import parse_wmso, qdepth
@@ -156,11 +156,7 @@ def _suite_predicates(seed: int, cases: int):
         if P.coterm_sem(y) != (P.bump_sem(y) and y.support().is_full_line()):
             bad("coterm disagrees with full-line bump test")
         if P.cof_sem(y):
-            a = P.cof_endpoint(y)
-            (iv, _), = y.signed_support()
-            other = (QInterval(NEG_INF, a) if is_finite(iv.lo)
-                     else QInterval(a, POS_INF))
-            mirror = make_bump(other)
+            mirror = P.mirror_bump(y)
             if not P.oppsupport_sem(y, mirror):
                 bad("cofinal element fails oppsupport with its mirror")
             if not P.codesame_sem(y, mirror):

@@ -20,8 +20,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .numbers import NEG_INF, POS_INF, QInterval, pick_fresh
 from .formulas import (
-    And, EqPt, ExistsPt, ExistsSet, ForallPt, ForallSet, Formula, FormulaError,
-    Iff, Implies, Less, Mem, Not, Or, free_vars, qdepth,
+    EqPt, Evaluator, ExistsPt, ExistsSet, ForallPt, ForallSet, Formula,
+    FormulaError, Less, Mem, free_vars, qdepth,
 )
 
 
@@ -100,94 +100,44 @@ def set_candidates(a: Assignment, cap: int) -> Iterator[tuple[Fraction, ...]]:
 def eval(phi: Formula, a: Assignment, cap: int) -> bool:  # noqa: A001
     if cap < qdepth(phi):
         raise FormulaError(f"cap {cap} below quantifier depth {qdepth(phi)}")
-    return _Eval(dict(a.points), dict(a.sets), cap).run(phi)
+    return _Eval(a, cap).run(phi)
 
 
-class _Eval:
-    """Evaluator over a mutable environment (bindings are pushed and popped
-    around quantifier recursion instead of copying assignments)."""
+class _Eval(Evaluator):
+    """Evaluator over a private copy of the assignment: bindings are pushed
+    into and popped from its dicts around quantifier recursion."""
 
-    __slots__ = ("points", "sets", "cap")
-
-    def __init__(self, points: dict, sets: dict, cap: int):
-        self.points = points
-        self.sets = sets
+    def __init__(self, a: Assignment, cap: int):
+        self.a = Assignment(dict(a.points), dict(a.sets))
         self.cap = cap
 
-    def landmarks(self) -> list[Fraction]:
-        marks = set(self.points.values())
-        for s in self.sets.values():
-            marks.update(s)
-        return sorted(marks)
-
-    def run(self, phi: Formula) -> bool:
+    def atom(self, phi: Formula) -> bool:
         t = type(phi)
         if t is Less:
             return self.pt(phi.x) < self.pt(phi.y)
         if t is EqPt:
             return self.pt(phi.x) == self.pt(phi.y)
         if t is Mem:
-            if phi.X not in self.sets:
+            if phi.X not in self.a.sets:
                 raise FormulaError(f"unbound set variable {phi.X}")
-            return self.pt(phi.x) in self.sets[phi.X]
-        if t is Not:
-            return not self.run(phi.sub)
-        if t is And:
-            return self.run(phi.a) and self.run(phi.b)
-        if t is Or:
-            return self.run(phi.a) or self.run(phi.b)
-        if t is Implies:
-            return (not self.run(phi.a)) or self.run(phi.b)
-        if t is Iff:
-            return self.run(phi.a) == self.run(phi.b)
-        if t is ExistsPt or t is ForallPt:
-            marks = self.landmarks()
-            cands = marks + [_fresh(g) for g in gaps_of(marks)]
-            want = t is ExistsPt
-            prev = self.points.get(phi.var, _MISSING)
-            try:
-                for q in cands:
-                    self.points[phi.var] = q
-                    if self.run(phi.body) == want:
-                        return want
-            finally:
-                _restore(self.points, phi.var, prev)
-            return not want
-        if t is ExistsSet or t is ForallSet:
-            want = t is ExistsSet
-            prev = self.sets.get(phi.var, _MISSING)
-            marks = self.landmarks()
-            gaps = gaps_of(marks)
-            mults = sorted(product(range(self.cap + 1), repeat=len(gaps)), key=sum)
-            try:
-                for mult in mults:
-                    extra: list[Fraction] = []
-                    for g, k in zip(gaps, mult):
-                        extra.extend(fresh_chain(g, k))
-                    for r in range(len(marks) + 1):
-                        for base in combinations(marks, r):
-                            self.sets[phi.var] = tuple(sorted(base + tuple(extra)))
-                            if self.run(phi.body) == want:
-                                return want
-            finally:
-                _restore(self.sets, phi.var, prev)
-            return not want
+            return self.pt(phi.x) in self.a.sets[phi.X]
         raise FormulaError(f"not a formula over (Q,<): {phi!r}")
 
+    def quantifier(self, phi: Formula):
+        t = type(phi)
+        if t is ExistsPt or t is ForallPt:
+            return t is ExistsPt, self.a.points, point_candidates(self.a)
+        if t is ExistsSet or t is ForallSet:
+            return t is ExistsSet, self.a.sets, self.set_candidates()
+        return None
+
+    def set_candidates(self) -> Iterator[tuple[Fraction, ...]]:
+        return set_candidates(self.a, self.cap)
+
     def pt(self, x: str) -> Fraction:
-        if x not in self.points:
+        if x not in self.a.points:
             raise FormulaError(f"unbound point variable {x}")
-        return self.points[x]
-
-
-_MISSING = object()
-
-
-def _restore(env: dict, var: str, prev):
-    if prev is _MISSING:
-        env.pop(var, None)
-    else:
-        env[var] = prev
+        return self.a.points[x]
 
 
 def decide(phi: Formula) -> bool:
@@ -212,30 +162,14 @@ def brute_eval(phi: Formula, a: Assignment, pool: Sequence[Fraction]) -> bool:
     with `eval` on the corpus is evidence for the cap rule, since that is the
     only place the two differ.
     """
-    ev = _Brute(dict(a.points), dict(a.sets), tuple(sorted(set(pool))))
-    return ev.run(phi)
+    return _Brute(a, pool).run(phi)
 
 
 class _Brute(_Eval):
-    __slots__ = ("pool",)
-
-    def __init__(self, points: dict, sets: dict, pool: tuple[Fraction, ...]):
-        super().__init__(points, sets, cap=0)
+    def __init__(self, a: Assignment, pool: Sequence[Fraction]):
+        super().__init__(a, cap=0)
         self.pool = pool
 
-    def run(self, phi: Formula) -> bool:
-        t = type(phi)
-        if t is ExistsSet or t is ForallSet:
-            want = t is ExistsSet
-            prev = self.sets.get(phi.var, _MISSING)
-            universe = sorted(set(self.pool) | set(self.landmarks()))
-            try:
-                for r in range(len(universe) + 1):
-                    for s in combinations(universe, r):
-                        self.sets[phi.var] = s
-                        if self.run(phi.body) == want:
-                            return want
-            finally:
-                _restore(self.sets, phi.var, prev)
-            return not want
-        return super().run(phi)
+    def set_candidates(self) -> Iterator[tuple[Fraction, ...]]:
+        universe = sorted(set(self.pool) | set(self.a.landmarks()))
+        return (s for r in range(len(universe) + 1) for s in combinations(universe, r))

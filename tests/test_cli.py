@@ -51,6 +51,17 @@ def test_eval(tmp_path, capsys):
     assert main(["eval", open_f]) == 2  # unbound variables
 
 
+def test_eval_rejects_deep_nesting(tmp_path, capsys):
+    parens = write(tmp_path, "parens.wmso", "(" * 3000 + "x < y" + ")" * 3000)
+    assert main(["eval", parens, "--assign", "x=0,y=1"]) == 2
+    assert "nested deeper" in capsys.readouterr().err
+    chain = write(tmp_path, "chain.wmso", " & ".join(["x < y"] * 3000))
+    assert main(["eval", chain, "--assign", "x=0,y=1"]) == 2
+    assert "nested deeper" in capsys.readouterr().err
+    shallow = write(tmp_path, "shallow.wmso", "~" * 90 + "(x < y)")
+    assert main(["eval", shallow, "--assign", "x=0,y=1"]) == 0
+
+
 def test_eval_cap_too_small(tmp_path):
     f = write(tmp_path, "f.wmso", "EX Ax (x in X)")
     assert main(["eval", f, "--cap", "1"]) == 2

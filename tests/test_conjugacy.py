@@ -114,3 +114,24 @@ def test_seeded_sweep():
         g = gen_plmap_rnd(rnd, 5)
         check_pair(f, g)
         check_pair(f, f.conjugate_by(g))
+
+
+def test_verifier_rejects_perturbed_windows_and_wrong_targets():
+    rnd = random.Random("conjugacy-test:verifier")
+    perturbed = wrong_targets = 0
+    for _ in range(40):
+        f = gen_plmap_rnd(rnd, 4)
+        g = f.conjugate_by(gen_plmap_rnd(rnd, 4))
+        other = f.conjugate_by(gen_plmap_rnd(rnd, 4))
+        w = conjugating_witness(f, g)
+        assert verify_conjugator(w, f, g)
+        if other != g:
+            assert not verify_conjugator(w, f, other)
+            wrong_targets += 1
+        seg = next((s for s in w.segments if getattr(s, "windows", None)), None)
+        if seg is not None:
+            lo, hi, m, c = seg.windows[0]
+            seg.windows[0] = (lo, hi, m, c + Fraction(1, 7))
+            assert not verify_conjugator(w, f, g)
+            perturbed += 1
+    assert perturbed >= 10 and wrong_targets >= 10

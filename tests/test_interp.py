@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from qwi import predicates as P
 from qwi.corpus import load_corpus
-from qwi.formulas import Exists, GAtom, parse_wmso, print_group, qdepth
+from qwi.formulas import Exists, GAtom, expand, parse_wmso, print_group, qdepth
 from qwi.interp import (
     InterpError, decode, encode_finite_set, encode_finite_set_alt,
     encode_rational, less_p, pullback_eval, roundtrip_check, translate,
@@ -84,6 +84,15 @@ def test_translate_shape():
         translate(parse_wmso("x < y"))  # open formulas are not sentences
 
 
+def test_translate_is_deterministic():
+    phi = parse_wmso("Ax Ay (x < y -> Ez (x < z & z < y))")
+    first = print_group(translate(phi))
+    assert "Elf_0 (Elg_1 (" in first and "Elf_4 (Elg_5 (" in first
+    assert print_group(translate(phi)) == first
+    expanded = print_group(expand(translate(phi), 1))
+    assert print_group(expand(translate(phi), 1)) == expanded
+
+
 def test_translate_uses_membership_schema():
     psi = translate(parse_wmso("Ex EX (x in X)"))
     text = print_group(psi)
@@ -103,6 +112,7 @@ def test_pullback_rejects_foreign_formulas():
     ("EX Ax (x in X)", False),
     ("Ex EX (x in X)", True),
     ("Ax Ay (x < y -> Ez (x < z & z < y))", True),
+    ("Ex ((Ex (x = x)) & x = x)", True),  # the inner x shadows the outer one
 ])
 def test_roundtrip_examples(text, expected):
     phi = parse_wmso(text)

@@ -20,6 +20,22 @@ def test_infinity_order():
     assert is_finite(Fraction(0))
 
 
+ext_rationals = st.one_of(rationals, st.integers(-50, 50),
+                          st.sampled_from([NEG_INF, POS_INF]))
+
+
+@given(st.lists(ext_rationals, max_size=12))
+def test_extended_rationals_sort_without_a_key(xs):
+    # the (sign, value) key that the order used to need
+    def key(x):
+        return (x.sign, 0) if x is NEG_INF or x is POS_INF else (0, x)
+
+    assert [key(x) for x in sorted(xs)] == sorted(map(key, xs))
+    if xs:
+        assert key(max(xs)) == max(map(key, xs))
+        assert key(min(xs)) == min(map(key, xs))
+
+
 @given(rationals)
 def test_rational_parse_format_roundtrip(q):
     assert parse_rational(str(q)) == q

@@ -12,7 +12,7 @@ from qwi.patterns import (
     Fixed, Moving, PatternError,
     canonical_pattern, classify_cofinal, enumerate_patterns, format_pattern,
     has_inf_orbitals, make_pattern, mirror_pattern, orbitals_of, parse_pattern,
-    pattern_iso, pattern_of,
+    pattern_iso, pattern_of, remove_moving,
 )
 
 plmaps = st.builds(gen_plmap, st.integers(0, 10**6), st.integers(0, 6))
@@ -61,6 +61,13 @@ def test_pattern_of_examples():
                                  Fixed(MIN_ONLY)])
     half = pattern_of(make_bump(QInterval(Fraction(0), POS_INF)))
     assert half == make_pattern([Fixed(MAX_ONLY), Moving(1, RATIONAL, PLUS_INF)])
+
+
+def test_remove_moving_rejects_a_fixed_block():
+    blocks = (Fixed(NO_MIN_NO_MAX), Moving(1, IRRATIONAL, PLUS_INF))
+    assert remove_moving(blocks, 1) == (Fixed(NO_MIN_NO_MAX),)
+    with pytest.raises(PatternError):
+        remove_moving(blocks, 0)
 
 
 def test_orbitals_of():
