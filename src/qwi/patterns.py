@@ -388,6 +388,8 @@ _MIRROR_KIND = {MINUS_INF: PLUS_INF, PLUS_INF: MINUS_INF,
 
 def _mirror_block(b: Block) -> Block:
     if isinstance(b, Fixed):
+        if b.kind in (EMPTY, SINGLETON):
+            return b
         return Fixed(fixed_kind(b.has_max, b.has_min))
     return Moving(b.parity, _MIRROR_KIND[b.right], _MIRROR_KIND[b.left])
 

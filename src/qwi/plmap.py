@@ -34,11 +34,15 @@ class PLMapError(ValueError):
 class PLMap:
     """An order-automorphism of ℚ given by `len(cuts)+1` affine pieces."""
 
-    __slots__ = ("cuts", "pieces")
+    __slots__ = ("cuts", "pieces", "_image_cuts")
 
     def __init__(self, cuts: Sequence[Fraction], pieces: Sequence[Piece]):
-        cuts = tuple(Fraction(c) for c in cuts)
-        pieces = tuple((Fraction(m), Fraction(c)) for m, c in pieces)
+        cuts = tuple(c if type(c) is Fraction else Fraction(c) for c in cuts)
+        pieces = tuple(
+            (m if type(m) is Fraction else Fraction(m),
+             c if type(c) is Fraction else Fraction(c))
+            for m, c in pieces
+        )
         if len(pieces) != len(cuts) + 1:
             raise PLMapError(
                 f"{len(cuts)} cuts need {len(cuts) + 1} pieces, got {len(pieces)}"
@@ -64,6 +68,7 @@ class PLMap:
             cpieces.append(p)
         self.cuts = tuple(ccuts)
         self.pieces = tuple(cpieces)
+        self._image_cuts: tuple[Fraction, ...] | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -99,17 +104,25 @@ class PLMap:
     def piece_index(self, q: Fraction) -> int:
         return bisect_right(self.cuts, q)
 
+    @property
+    def image_cuts(self) -> tuple[Fraction, ...]:
+        """The images f(b) of the cuts, computed on first use."""
+        if self._image_cuts is None:
+            self._image_cuts = tuple(m * b + c for b, (m, c) in zip(self.cuts, self.pieces))
+        return self._image_cuts
+
     def apply(self, q: Fraction) -> Fraction:
-        q = Fraction(q)
+        if type(q) is not Fraction:
+            q = Fraction(q)
         m, c = self.pieces[self.piece_index(q)]
         return m * q + c
 
     __call__ = apply
 
     def apply_inverse(self, q: Fraction) -> Fraction:
-        q = Fraction(q)
-        image_cuts = [self.apply(b) for b in self.cuts]
-        i = bisect_right(image_cuts, q)
+        if type(q) is not Fraction:
+            q = Fraction(q)
+        i = bisect_right(self.image_cuts, q)
         m, c = self.pieces[i]
         return (q - c) / m
 
@@ -120,22 +133,40 @@ class PLMap:
     # -- group operations --------------------------------------------------
 
     def compose(self, other: "PLMap") -> "PLMap":
-        """self ∘ other, i.e. x ↦ self(other(x))."""
-        cand = set(other.cuts)
-        cand.update(other.apply_inverse(b) for b in self.cuts)
-        cuts = sorted(cand)
+        """self ∘ other, i.e. x ↦ self(other(x)), by one merge in O(k_f + k_g).
+
+        With f = self and g = other, walk the cuts b of g, in the order of
+        their images g(b), together with the cuts y of f.  A cut of g stays
+        as it is; a cut y of f becomes g⁻¹(y) = (y − c_g)/m_g on the current
+        piece (m_g, c_g) of g; where g(b) == y the two are one cut.  Between
+        cuts the piece is (m_f·m_g, m_f·c_g + c_f).
+        """
+        gcuts, gimages, gpieces = other.cuts, other.image_cuts, other.pieces
+        fcuts, fpieces = self.cuts, self.pieces
+        ng, nf = len(gcuts), len(fcuts)
+        i = j = 0
+        cuts: list[Fraction] = []
         pieces: list[Piece] = []
-        for lo, hi in _domains(cuts):
-            x = _sample(lo, hi)
-            mg, cg = other.pieces[other.piece_index(x)]
-            mf, cf = self.pieces[self.piece_index(other.apply(x))]
+        while True:
+            mg, cg = gpieces[i]
+            mf, cf = fpieces[j]
             pieces.append((mf * mg, mf * cg + cf))
-        return PLMap(cuts, pieces)
+            if i < ng and (j == nf or gimages[i] <= fcuts[j]):
+                if j < nf and gimages[i] == fcuts[j]:
+                    j += 1
+                cuts.append(gcuts[i])
+                i += 1
+            elif j < nf:
+                cuts.append((fcuts[j] - cg) / mg)
+                j += 1
+            else:
+                return PLMap(cuts, pieces)
 
     def inverse(self) -> "PLMap":
-        cuts = [self.apply(b) for b in self.cuts]
-        pieces = [(1 / m, -c / m) for m, c in self.pieces]
-        return PLMap(cuts, pieces)
+        inv = PLMap(self.image_cuts, [(1 / m, -c / m) for m, c in self.pieces])
+        # distinct pieces have distinct inverses, so no cut was merged away
+        inv._image_cuts = self.cuts
+        return inv
 
     def conjugate_by(self, g: "PLMap") -> "PLMap":
         """g ∘ self ∘ g⁻¹."""
@@ -235,10 +266,6 @@ def _domains(cuts: Sequence[Fraction]) -> Iterable[tuple[ExtRat, ExtRat]]:
     los: list[ExtRat] = [NEG_INF] + list(cuts)
     his: list[ExtRat] = list(cuts) + [POS_INF]
     return zip(los, his)
-
-
-def _sample(lo: ExtRat, hi: ExtRat) -> Fraction:
-    return pick_fresh(QInterval(lo, hi))
 
 
 def compose(f: PLMap, g: PLMap) -> PLMap:

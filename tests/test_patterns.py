@@ -118,6 +118,11 @@ def test_mirror_is_involutive_on_samples():
                        pattern_of(make_bump(QInterval(NEG_INF, Fraction(0)))))
 
 
+def test_mirror_is_an_involution_on_enumerated_patterns():
+    for p in enumerate_patterns(4, 2):
+        assert mirror_pattern(mirror_pattern(p)) == p, format_pattern(p)
+
+
 def test_classify_cofinal_examples():
     right_rat = pattern_of(make_bump(QInterval(Fraction(0), POS_INF)))
     assert classify_cofinal(right_rat) == (1, "right", "rational")

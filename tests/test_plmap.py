@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qwi.generators import gen_plmap, make_bump
 from qwi.numbers import NEG_INF, POS_INF, QInterval
@@ -19,6 +19,13 @@ def maps(draw_seed, complexity=5):
 
 
 plmaps = st.builds(gen_plmap, seeds, st.integers(0, 6))
+
+# G_SHARED maps its cuts -1 and 1/2 onto the cuts 0 and 1 of F_SHARED, and
+# H_SHARED maps its one cut 0 onto 1, so F_SHARED after either of them takes
+# the merge's shared-cut branch.
+F_SHARED = parse_pl("pl cuts=[0,1] pieces=[(1,0),(2,0),(1,1)]")
+G_SHARED = parse_pl("pl cuts=[-1,1/2] pieces=[(1,1),(2/3,2/3),(1,1/2)]")
+H_SHARED = parse_pl("pl cuts=[0] pieces=[(1,1),(2,1)]")
 
 
 def test_constructor_rejects_bad_data():
@@ -64,13 +71,26 @@ def test_apply_is_strictly_increasing(f, a, b):
 
 
 @given(plmaps, plmaps, rationals)
+@example(F_SHARED, G_SHARED, Fraction(0))
+@example(F_SHARED, H_SHARED, Fraction(0))
+@example(F_SHARED, F_SHARED.inverse(), Fraction(0))
+@example(G_SHARED, G_SHARED.inverse(), Fraction(0))
 def test_compose_is_pointwise(f, g, q):
-    assert f.compose(g).apply(q) == f.apply(g.apply(q))
-    assert compose(f, g) == f.compose(g)
+    h = f.compose(g)
+    # every cut of either map and of the product, the midpoints between
+    # them and a point beyond each end
+    pts = sorted({q, *f.cuts, *g.cuts, *(g.apply_inverse(y) for y in f.cuts)})
+    pts += [(a + b) / 2 for a, b in zip(pts, pts[1:])] + [pts[0] - 1, pts[-1] + 1]
+    for x in pts:
+        assert h.apply(x) == f.apply(g.apply(x))
+    assert parse_pl(format_pl(h)) == h
+    assert compose(f, g) == h
 
 
 @given(plmaps, plmaps, plmaps)
 @settings(max_examples=40)
+@example(F_SHARED, G_SHARED, H_SHARED)
+@example(G_SHARED, H_SHARED, F_SHARED)
 def test_group_laws(f, g, h):
     e = PLMap.identity()
     assert f.compose(g).compose(h) == f.compose(g.compose(h))
@@ -128,6 +148,21 @@ def test_displacement_signs(f):
 @given(plmaps)
 def test_format_parse_roundtrip(f):
     assert parse_pl(format_pl(f)) == f
+
+
+@given(plmaps)
+@example(F_SHARED)
+def test_image_cut_cache_is_invisible(f):
+    images = tuple(f.apply(b) for b in f.cuts)
+    inv = f.inverse()  # fills the caches of f and of its inverse
+    assert inv.cuts == images
+    for b, y in zip(f.cuts, images):
+        assert f.apply_inverse(y) == b
+        assert inv.apply_inverse(b) == y
+    for m in (f, inv):
+        fresh = parse_pl(format_pl(m))
+        assert m == fresh and fresh == m
+        assert hash(m) == hash(fresh)
 
 
 def test_parse_rejects_noncanonical():
