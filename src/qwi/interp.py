@@ -225,28 +225,37 @@ class _Pullback(Evaluator):
     """Evaluator of compiled sentences.  A coded variable is bound to the
     value it codes, in the assignment that the candidate lists read, and is
     encoded when an atom first needs its element; every other variable is
-    bound to its element in `env`."""
+    bound to its element in `env`.
+
+    Every element the evaluator builds is kept in `coded` for the length of
+    the call, keyed by what it codes, so a value met again is the same map
+    and its support is walked once."""
 
     def __init__(self, cap: int, orientation: Optional[str]):
         self.cap = cap
         self.orientation = orientation
         self.a = Assignment()
         self.env: dict[str, PLMap] = {}
-        self.encoded: dict[str, tuple] = {}  # var -> (value, its encoding)
+        self.coded: dict[tuple, PLMap] = {}
+
+    def code(self, key: tuple, make, *args) -> PLMap:
+        f = self.coded.get(key)
+        if f is None:
+            f = self.coded[key] = make(*args)
+        return f
+
+    def rational(self, q: Fraction, side: str = "right") -> PLMap:
+        return self.code((side, q), encode_rational, q, side)
 
     def element(self, name: str) -> PLMap:
         if name in self.env:
             return self.env[name]
         if name in self.a.points:
-            value, encode = self.a.points[name], encode_rational
-        elif name in self.a.sets:
-            value, encode = self.a.sets[name], encode_finite_set
-        else:
-            raise InterpError(f"unbound group variable {name}")
-        known = self.encoded.get(name)
-        if known is None or known[0] is not value:
-            known = self.encoded[name] = (value, encode(value))
-        return known[1]
+            return self.rational(self.a.points[name])
+        if name in self.a.sets:
+            s = self.a.sets[name]
+            return self.code(("set", s), encode_finite_set, s)
+        raise InterpError(f"unbound group variable {name}")
 
     def term(self, t: Term) -> PLMap:
         if isinstance(t, GVar):
@@ -286,7 +295,7 @@ class _Pullback(Evaluator):
             ivs = sides[self.orientation] if self.orientation else (
                 sides["right"] + sides["left"]
             )
-            return want, self.env, [make_bump(iv) for iv in ivs]
+            return want, self.env, [self.code(("bump", iv), make_bump, iv) for iv in ivs]
         for g in guards:
             if g == GAtom("rational", (GVar(v),)):
                 return want, self.a.points, point_candidates(self.a)
@@ -302,14 +311,15 @@ class _Pullback(Evaluator):
                 isinstance(g, GAtom) and g.name == "oppsupport"
                 and len(g.args) == 2 and g.args[1] == GVar(v)
             ):
-                return want, self.env, [P.mirror_bump(self.term(g.args[0]))]
+                f = self.term(g.args[0])
+                return want, self.env, [self.code(("mirror", f), P.mirror_bump, f)]
             if (
                 isinstance(g, GAtom) and g.name == "codesame"
                 and g.args[0] == GVar(v)
             ):
                 q = P.cof_endpoint(self.term(g.args[1]))
-                return want, self.env, [encode_rational(q, "right"),
-                                        encode_rational(q, "left")]
+                return want, self.env, [self.rational(q, "right"),
+                                        self.rational(q, "left")]
         raise InterpError(
             f"quantifier over {v} lacks a recognized coding guard "
             f"(outside the translated fragment)"

@@ -34,7 +34,7 @@ class PLMapError(ValueError):
 class PLMap:
     """An order-automorphism of ℚ given by `len(cuts)+1` affine pieces."""
 
-    __slots__ = ("cuts", "pieces", "_image_cuts")
+    __slots__ = ("cuts", "pieces", "image_cuts", "_regions")
 
     def __init__(self, cuts: Sequence[Fraction], pieces: Sequence[Piece]):
         cuts = tuple(c if type(c) is Fraction else Fraction(c) for c in cuts)
@@ -53,22 +53,29 @@ class PLMap:
         for m, _ in pieces:
             if m <= 0:
                 raise PLMapError(f"non-positive slope {m} (not order-preserving)")
+        images: list[Fraction] = []
         for i, b in enumerate(cuts):
             ml, cl = pieces[i]
             mr, cr = pieces[i + 1]
-            if ml * b + cl != mr * b + cr:
+            y = ml * b + cl
+            if y != mr * b + cr:
                 raise PLMapError(f"discontinuous at cut {b}")
+            images.append(y)
         # canonical form: merge equal adjacent pieces
         ccuts: list[Fraction] = []
+        cimages: list[Fraction] = []
         cpieces: list[Piece] = [pieces[0]]
-        for b, p in zip(cuts, pieces[1:]):
+        for b, y, p in zip(cuts, images, pieces[1:]):
             if p == cpieces[-1]:
                 continue
             ccuts.append(b)
+            cimages.append(y)
             cpieces.append(p)
         self.cuts = tuple(ccuts)
         self.pieces = tuple(cpieces)
-        self._image_cuts: tuple[Fraction, ...] | None = None
+        #: the images f(b) of the cuts, kept from the continuity check
+        self.image_cuts = tuple(cimages)
+        self._regions: tuple[tuple, ...] | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -103,13 +110,6 @@ class PLMap:
 
     def piece_index(self, q: Fraction) -> int:
         return bisect_right(self.cuts, q)
-
-    @property
-    def image_cuts(self) -> tuple[Fraction, ...]:
-        """The images f(b) of the cuts, computed on first use."""
-        if self._image_cuts is None:
-            self._image_cuts = tuple(m * b + c for b, (m, c) in zip(self.cuts, self.pieces))
-        return self._image_cuts
 
     def apply(self, q: Fraction) -> Fraction:
         if type(q) is not Fraction:
@@ -163,26 +163,28 @@ class PLMap:
                 return PLMap(cuts, pieces)
 
     def inverse(self) -> "PLMap":
-        inv = PLMap(self.image_cuts, [(1 / m, -c / m) for m, c in self.pieces])
-        # distinct pieces have distinct inverses, so no cut was merged away
-        inv._image_cuts = self.cuts
-        return inv
+        return PLMap(self.image_cuts, [(1 / m, -c / m) for m, c in self.pieces])
 
     def conjugate_by(self, g: "PLMap") -> "PLMap":
         """g ∘ self ∘ g⁻¹."""
         return g.compose(self).compose(g.inverse())
 
     def __pow__(self, n: int) -> "PLMap":
+        """Square and multiply: for n > 0, bit_length(n) - 1 squarings and
+        popcount(n) - 1 further products (f ** 1 composes nothing)."""
         if n < 0:
             return self.inverse() ** (-n)
-        out = PLMap.identity()
+        if n == 0:
+            return PLMap.identity()
+        out: PLMap | None = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                out = out.compose(base)
-            base = base.compose(base)
+                out = base if out is None else out.compose(base)
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base.compose(base)
 
     # -- fixed points and support ------------------------------------------
 
@@ -201,33 +203,35 @@ class PLMap:
     def fixed_items(self) -> list[tuple[ExtRat, ExtRat]]:
         """All maximal closed fixed regions [lo, hi] (lo == hi for an
         isolated fixed point), left to right."""
-        items: list[tuple[ExtRat, ExtRat]] = []
-        for (m, c), (lo, hi) in zip(self.pieces, self.piece_domains()):
-            if m == 1:
-                if c == 0:
-                    items.append((lo, hi))
-                continue
-            x = c / (1 - m)
-            if lo <= x <= hi:
-                items.append((x, x))
-        merged: list[tuple[ExtRat, ExtRat]] = []
-        for lo, hi in items:
-            if merged and lo <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-            else:
-                merged.append((lo, hi))
-        return merged
+        return [(r[1], r[2]) for r in self.regions() if r[0] == "fix"]
 
-    def regions(self) -> list[tuple]:
+    def regions(self) -> tuple[tuple, ...]:
         """The line cut into fixed regions and orbitals, left to right.
 
         A maximal fixed region is ("fix", lo, hi), closed, with lo == hi for
         an isolated fixed point.  Each orbital between two fixed neighbours
         is ("mov", lo, hi, sign), open, where sign is that of f(x) - x on it.
+        The walk runs once per map; later calls return the same tuple.
         """
+        if self._regions is not None:
+            return self._regions
+        fixed: list[tuple[ExtRat, ExtRat]] = []
+        for (m, c), (lo, hi) in zip(self.pieces, _domains(self.cuts)):
+            if m == 1:
+                if c != 0:
+                    continue
+            else:
+                x = c / (1 - m)
+                if not lo <= x <= hi:
+                    continue
+                lo = hi = x
+            if fixed and lo <= fixed[-1][1]:
+                fixed[-1] = (fixed[-1][0], max(fixed[-1][1], hi))
+            else:
+                fixed.append((lo, hi))
         out: list[tuple] = []
         prev: ExtRat = NEG_INF
-        for lo, hi in self.fixed_items() + [(POS_INF, None)]:
+        for lo, hi in fixed + [(POS_INF, None)]:
             if prev < lo:
                 x = pick_fresh(QInterval(prev, lo))
                 d = self.apply(x) - x
@@ -237,7 +241,8 @@ class PLMap:
             out.append(("fix", lo, hi))
             prev = hi
         out.pop()  # the (POS_INF, None) sentinel
-        return out
+        self._regions = tuple(out)
+        return self._regions
 
     def support(self) -> IntervalSet:
         return IntervalSet([iv for iv, _ in self.signed_support()])

@@ -110,7 +110,8 @@ def restr_witness(x: PLMap, y: PLMap) -> Optional[PLMap]:
     """z with disj(x, z) and x·z = y, or None when restr_sem fails."""
     if not restr_sem(x, y):
         return None
-    rest = [iv for iv, _ in y.signed_support() if not x.support().intersects(IntervalSet([iv]))]
+    sx = x.support()
+    rest = [iv for iv, _ in y.signed_support() if not sx.intersects(IntervalSet([iv]))]
     return restrict_map(y, rest)
 
 
@@ -123,36 +124,46 @@ def coterm_sem(f: PLMap) -> bool:
     return f.support().is_full_line()
 
 
+def _cofinal_support(f: PLMap) -> Optional[QInterval]:
+    """The one support component of f when f is cofinal, else None.  The
+    cofinal oracles below read f's signed support only through this."""
+    comps = f.signed_support()
+    if len(comps) != 1:
+        return None
+    iv = comps[0][0]
+    return iv if is_finite(iv.lo) != is_finite(iv.hi) else None
+
+
+def _endpoint(iv: QInterval) -> Fraction:
+    """The finite end of a half-bounded interval."""
+    return iv.lo if is_finite(iv.lo) else iv.hi
+
+
 def cof_sem(f: PLMap) -> bool:
     """A bump whose support is bounded on exactly one side."""
-    if not bump_sem(f):
-        return False
-    (iv, _), = f.signed_support()
-    return is_finite(iv.lo) != is_finite(iv.hi)
+    return _cofinal_support(f) is not None
 
 
 def cof_endpoint(f: PLMap) -> Fraction:
     """The finite support endpoint of a cofinal element."""
-    if not cof_sem(f):
+    iv = _cofinal_support(f)
+    if iv is None:
         raise ValueError("not a cofinal element")
-    (iv, _), = f.signed_support()
-    return iv.lo if is_finite(iv.lo) else iv.hi
+    return _endpoint(iv)
 
 
 def codesame_sem(f: PLMap, g: PLMap) -> bool:
     """Both cofinal, encoding the same endpoint (either side)."""
-    return cof_sem(f) and cof_sem(g) and cof_endpoint(f) == cof_endpoint(g)
+    ivf, ivg = _cofinal_support(f), _cofinal_support(g)
+    return ivf is not None and ivg is not None and _endpoint(ivf) == _endpoint(ivg)
 
 
 def oppsupport_sem(f: PLMap, g: PLMap) -> bool:
     """Supports are exactly (-inf, a) and (a, inf) for one common a."""
-    if not (cof_sem(f) and cof_sem(g)):
+    ivf, ivg = _cofinal_support(f), _cofinal_support(g)
+    if ivf is None or ivg is None or is_finite(ivf.lo) == is_finite(ivg.lo):
         return False
-    (ivf, _), = f.signed_support()
-    (ivg, _), = g.signed_support()
-    if is_finite(ivf.lo) == is_finite(ivg.lo):
-        return False
-    return cof_endpoint(f) == cof_endpoint(g)
+    return _endpoint(ivf) == _endpoint(ivg)
 
 
 def rational_sem(f: PLMap) -> bool:
@@ -189,8 +200,10 @@ def mirror_bump(f: PLMap) -> PLMap:
     """The canonical bump on the other side of the cofinal f's endpoint q:
     supported on (-inf, q) when supp(f) = (q, inf), and on (q, inf) when
     supp(f) = (-inf, q).  Raises ValueError unless f is cofinal."""
-    q = cof_endpoint(f)
-    (iv, _), = f.signed_support()
+    iv = _cofinal_support(f)
+    if iv is None:
+        raise ValueError("not a cofinal element")
+    q = _endpoint(iv)
     return make_bump(QInterval(NEG_INF, q) if is_finite(iv.lo) else QInterval(q, POS_INF))
 
 

@@ -7,8 +7,14 @@ compare the new point against landmarks, so the gap a point falls in
 determines everything.  Set quantifiers range over subsets of the landmarks
 extended by up to `cap` fresh points per gap; the cap is the number of
 points the remaining quantifier prefix could individually interrogate.
-The cap rule is validated empirically (cap-stability probes and agreement
-with a brute-force subset enumerator), not assumed.
+
+The cap rule is unsound from quantifier depth 4 on.  "Some finite set has
+at least 7 elements" can be written with one set quantifier and three
+nested point quantifiers; it is true, but `decide` answers False, because
+with cap 4 no set candidate has more than 4 points in a gap.  The
+cap-stability probes and the brute-force subset enumerator both miss it
+(see ROADMAP.md, Open item 1, for the complete automaton procedure that
+is to replace this rule).
 """
 
 from __future__ import annotations
@@ -141,7 +147,11 @@ class _Eval(Evaluator):
 
 
 def decide(phi: Formula) -> bool:
-    """Truth value of a closed formula in (ℚ,<)."""
+    """Truth value of a closed formula in (ℚ,<).
+
+    Unsound from quantifier depth 4 on, where the cap rule may miss a
+    witness set: the "at least 7 elements" sentence of ROADMAP.md, Open
+    item 1, is true, and this returns False."""
     if free_vars(phi):
         raise FormulaError(f"formula has free variables {sorted(free_vars(phi))}")
     return eval(phi, EMPTY, max(qdepth(phi), 1))

@@ -129,6 +129,17 @@ def test_orientation_robustness_on_sample():
             pullback_eval(psi, orientation="left")
 
 
+def test_pullback_does_not_depend_on_call_history():
+    compiled = [translate(parse_wmso(text)) for _, text, _ in load_corpus()[:8]]
+    right_first = [(pullback_eval(psi, orientation="right"),
+                    pullback_eval(psi, orientation="left")) for psi in compiled]
+    left_first = [(pullback_eval(psi, orientation="left"),
+                   pullback_eval(psi, orientation="right"))[::-1] for psi in compiled]
+    assert left_first == right_first
+    assert [pullback_eval(psi) for psi in compiled] == \
+        [pullback_eval(psi) for psi in compiled]
+
+
 def test_roundtrip_full_corpus_spot_checks():
     entries = load_corpus()
     for truth, text, note in entries[:6]:

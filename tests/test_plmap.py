@@ -107,6 +107,22 @@ def test_powers(f):
     assert f ** -2 == (f ** 2).inverse()
 
 
+def test_powers_compose_only_what_square_and_multiply_needs(monkeypatch):
+    needed = {0: 0, 1: 0, 2: 1, 3: 2, 4: 2, 5: 3, -2: 1}
+    wants = {}
+    for n in needed:
+        wants[n] = PLMap.identity()
+        for _ in range(abs(n)):
+            wants[n] = wants[n].compose(F_SHARED if n > 0 else F_SHARED.inverse())
+    calls = []
+    compose_ = PLMap.compose
+    monkeypatch.setattr(PLMap, "compose", lambda f, g: calls.append(1) or compose_(f, g))
+    for n, count in needed.items():
+        calls.clear()
+        assert F_SHARED ** n == wants[n]
+        assert len(calls) == count, n
+
+
 @given(plmaps, plmaps)
 @settings(max_examples=40)
 def test_conjugate(f, g):
@@ -154,8 +170,9 @@ def test_format_parse_roundtrip(f):
 @example(F_SHARED)
 def test_image_cut_cache_is_invisible(f):
     images = tuple(f.apply(b) for b in f.cuts)
-    inv = f.inverse()  # fills the caches of f and of its inverse
-    assert inv.cuts == images
+    assert f.image_cuts == images  # kept from the constructor's continuity check
+    inv = f.inverse()
+    assert inv.cuts == images and inv.image_cuts == f.cuts
     for b, y in zip(f.cuts, images):
         assert f.apply_inverse(y) == b
         assert inv.apply_inverse(b) == y
@@ -163,6 +180,22 @@ def test_image_cut_cache_is_invisible(f):
         fresh = parse_pl(format_pl(m))
         assert m == fresh and fresh == m
         assert hash(m) == hash(fresh)
+
+
+@given(plmaps, plmaps)
+@example(F_SHARED, G_SHARED)
+def test_region_cache_is_invisible(f, g):
+    def fresh(m):
+        return parse_pl(format_pl(m))
+
+    walked = f.regions()
+    assert type(walked) is tuple and walked == fresh(f).regions()
+    assert f.regions() is walked  # walked once, then shared
+    f.compose(g), g.compose(f), f.inverse(), f.signed_support(), f.support()  # use f
+    assert f.regions() == fresh(f).regions() == walked
+    assert f.fixed_structure() == fresh(f).fixed_structure()
+    assert f == fresh(f) and fresh(f) == f
+    assert hash(f) == hash(fresh(f))
 
 
 def test_parse_rejects_noncanonical():
