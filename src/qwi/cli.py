@@ -12,7 +12,7 @@ import sys
 from .numbers import parse_rational
 from .plmap import PLMap, format_pl, parse_pl
 from . import predicates as P
-from .formulas import expand, parse_wmso, print_group, qdepth
+from .formulas import ATOM_ARITY, expand, parse_wmso, print_group, qdepth
 from .wmso import Assignment, decide, eval as wmso_eval
 from .interp import (
     encode_finite_set, encode_rational, pullback_eval, translate,
@@ -24,24 +24,9 @@ class CliError(Exception):
     pass
 
 
-# predicate name -> (arity, oracle)
-_PREDICATES = {
-    "comp": (1, P.comp_sem),
-    "bump": (1, P.bump_sem),
-    "coterm": (1, P.coterm_sem),
-    "cof": (1, P.cof_sem),
-    "rational": (1, P.rational_sem),
-    "finrational": (1, P.finrational_sem),
-    "apart": (2, P.apart_sem),
-    "disj": (2, P.disj_sem),
-    "orbital": (2, P.orbital_sem),
-    "restr": (2, P.restr_sem),
-    "cont": (2, P.cont_sem),
-    "codesame": (2, P.codesame_sem),
-    "oppsupport": (2, P.oppsupport_sem),
-    "sameset": (2, P.sameset_sem),
-    "member": (2, P.member_sem),
-}
+# the predicates `qwi check` decides: every oracle, and membership
+_PREDICATES = {**P.ORACLES, "member": P.member_sem}
+_ARITY = {**ATOM_ARITY, "member": 2}
 
 
 def _read_pl(path: str) -> PLMap:
@@ -53,7 +38,7 @@ def _cmd_check(args) -> int:
     if args.predicate not in _PREDICATES:
         raise CliError(f"unknown predicate {args.predicate!r}; "
                        f"expected one of {sorted(_PREDICATES)}")
-    arity, fn = _PREDICATES[args.predicate]
+    arity, fn = _ARITY[args.predicate], _PREDICATES[args.predicate]
     files = [args.plfile] + ([args.plfile2] if args.plfile2 else [])
     if len(files) != arity:
         raise CliError(f"{args.predicate} takes {arity} map argument(s), "
@@ -132,8 +117,7 @@ def _cmd_roundtrip(args) -> int:
     for text in _sentences(args.wmso_file):
         phi = parse_wmso(text)
         direct = decide(phi)
-        cap = args.cap
-        back = pullback_eval(translate(phi), cap=cap)
+        back = pullback_eval(translate(phi))
         ok = direct == back
         failures += not ok
         print(f"{'ok' if ok else 'MISMATCH'}\tdirect={direct}\t"
@@ -192,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roundtrip", help="verify direct truth against the pullback")
     p.add_argument("wmso_file")
-    p.add_argument("--cap", type=int, default=None)
     p.set_defaults(fn=_cmd_roundtrip)
 
     p = sub.add_parser("encode-rational", help="print the map coding a rational")

@@ -8,9 +8,17 @@ set is the value.  `translate` compiles a formula structurally; the order
 atom needs an orientation parameter p — the group cannot distinguish (ℚ,<)
 from (ℚ,>), so the compiled sentence is prefixed ∃p(cof(p) ∧ …) and x < y
 becomes strict support containment between codesame-representatives lying
-on p's side.  `pullback_eval` evaluates compiled formulas by letting the
-coded quantifiers range over encodings of the same candidate families the
-direct evaluator uses, with every atom decided by the semantic oracles.
+on p's side.
+
+Every quantifier of a compiled sentence has one shape: ∃v(G ∧ body) or
+∀v(G → body), where the guard G is a single atom that mentions v.  The
+guard says what v ranges over: cof(p) the orientation, rational(f_x) and
+finrational(g_X) the coded points and sets, oppsupport(f_x, w) the mirror
+witness of a membership, and codesame(l, f_x) a representative of a point.
+`pullback_eval` reads the guard alone to pick the candidates, which are
+encodings of the same families the direct evaluator uses; every atom is
+decided by the semantic oracles.  The shape is plain syntax, so it survives
+`print_group` and `parse_group`.
 """
 
 from __future__ import annotations
@@ -96,9 +104,9 @@ ORIENTATION_VAR = "p"
 # The order schema: x < y iff some codesame-representatives on the
 # orientation parameter's side are in strict support containment.
 _LESS_BODY = parse_group(
-    "Elf Elg (codesame(lf,lhs) & codesame(lg,rhs)"
-    " & (cont(lf,ori) | cont(ori,lf)) & (cont(lg,ori) | cont(ori,lg))"
-    " & cont(lg,lf) & ~codesame(lf,lg))"
+    "Elf (codesame(lf,lhs) & Elg (codesame(lg,rhs)"
+    " & ((cont(lf,ori) | cont(ori,lf)) & (cont(lg,ori) | cont(ori,lg))"
+    " & cont(lg,lf) & ~codesame(lf,lg))))"
 )
 
 
@@ -110,6 +118,21 @@ def _set_var(X: str) -> str:
     return f"g_{X}"
 
 
+# The one quantifier shape of compiled sentences: ∃v(G ∧ body), ∀v(G → body).
+_SHAPE = {Exists: And, Forall: Implies}
+
+
+def _guarded(quant, v: str, guard: GAtom, body: Formula) -> Formula:
+    return quant(v, _SHAPE[quant](guard, body))
+
+
+# WMSO quantifier -> (group quantifier, variable naming, guard)
+_CODED = {
+    ExistsPt: (Exists, _pt_var, "rational"), ForallPt: (Forall, _pt_var, "rational"),
+    ExistsSet: (Exists, _set_var, "finrational"), ForallSet: (Forall, _set_var, "finrational"),
+}
+
+
 def translate(phi: Formula) -> Formula:
     """Compile a closed order-formula to the group language.
 
@@ -117,11 +140,8 @@ def translate(phi: Formula) -> Formula:
     output."""
     if free_vars(phi):
         raise InterpError(f"translate expects a sentence, got free {sorted(free_vars(phi))}")
-    body = _tr(phi, count())
-    return Exists(
-        ORIENTATION_VAR,
-        And(GAtom("cof", (GVar(ORIENTATION_VAR),)), body),
-    )
+    p = ORIENTATION_VAR
+    return _guarded(Exists, p, GAtom("cof", (GVar(p),)), _tr(phi, count()))
 
 
 def _tr(phi: Formula, names: Iterator[int]) -> Formula:
@@ -139,29 +159,16 @@ def _tr(phi: Formula, names: Iterator[int]) -> Formula:
     if isinstance(phi, Mem):
         w = f"fm_{next(names)}"
         fx = GVar(_pt_var(phi.x))
-        return Exists(
-            w,
-            And(
-                GAtom("oppsupport", (fx, GVar(w))),
-                GAtom("cont", (GVar(_set_var(phi.X)), Mul(fx, GVar(w)))),
-            ),
-        )
+        return _guarded(Exists, w, GAtom("oppsupport", (fx, GVar(w))),
+                        GAtom("cont", (GVar(_set_var(phi.X)), Mul(fx, GVar(w)))))
     if isinstance(phi, Not):
         return Not(_tr(phi.sub, names))
     if isinstance(phi, _BINARY):
         return type(phi)(_tr(phi.a, names), _tr(phi.b, names))
-    if isinstance(phi, ExistsPt):
-        v = _pt_var(phi.var)
-        return Exists(v, And(GAtom("rational", (GVar(v),)), _tr(phi.body, names)))
-    if isinstance(phi, ForallPt):
-        v = _pt_var(phi.var)
-        return Forall(v, Implies(GAtom("rational", (GVar(v),)), _tr(phi.body, names)))
-    if isinstance(phi, ExistsSet):
-        v = _set_var(phi.var)
-        return Exists(v, And(GAtom("finrational", (GVar(v),)), _tr(phi.body, names)))
-    if isinstance(phi, ForallSet):
-        v = _set_var(phi.var)
-        return Forall(v, Implies(GAtom("finrational", (GVar(v),)), _tr(phi.body, names)))
+    if type(phi) in _CODED:
+        quant, name, guard = _CODED[type(phi)]
+        v = name(phi.var)
+        return _guarded(quant, v, GAtom(guard, (GVar(v),)), _tr(phi.body, names))
     raise InterpError(f"not an order-structure formula: {phi!r}")
 
 
@@ -186,24 +193,22 @@ def less_p(f: PLMap, g: PLMap, p: PLMap) -> bool:
 # pull-back evaluation
 # ---------------------------------------------------------------------------
 
-def _conjuncts(phi: Formula) -> list[Formula]:
-    if isinstance(phi, And):
-        return _conjuncts(phi.a) + _conjuncts(phi.b)
-    return [phi]
+def _guard(phi: Formula) -> Optional[GAtom]:
+    """The guard G of a quantifier ∃v(G ∧ body) or ∀v(G → body), the shape
+    `translate` emits; None for any other formula."""
+    shape = _SHAPE.get(type(phi))
+    if shape is None or not isinstance(phi.body, shape):
+        return None
+    g = phi.body.a
+    return g if isinstance(g, GAtom) and GVar(phi.var) in g.args else None
 
 
 def _coded_depth(phi: Formula) -> int:
-    """Nesting depth of the rational/finrational-coded quantifiers."""
+    """Nesting depth of the rational/finrational-guarded quantifiers."""
     if isinstance(phi, (Exists, Forall)):
-        body = phi.body
-        inner = body.b if isinstance(body, (And, Implies)) else body
-        guard = body.a if isinstance(body, (And, Implies)) else None
-        coded = (
-            isinstance(guard, GAtom)
-            and guard.name in ("rational", "finrational", "cof")
-            and guard.args == (GVar(phi.var),)
-        )
-        return (1 if coded and guard.name != "cof" else 0) + _coded_depth(inner if coded else body)
+        g = _guard(phi)
+        coded = g is not None and g.name in ("rational", "finrational")
+        return coded + _coded_depth(phi.body)
     if isinstance(phi, Not):
         return _coded_depth(phi.sub)
     if isinstance(phi, _BINARY):
@@ -211,14 +216,8 @@ def _coded_depth(phi: Formula) -> int:
     return 0
 
 
-_ORACLES = {
-    "comp": P.comp_sem, "apart": P.apart_sem, "bump": P.bump_sem,
-    "orbital": P.orbital_sem, "disj": P.disj_sem, "restr": P.restr_sem,
-    "cont": P.cont_sem, "coterm": P.coterm_sem, "cof": P.cof_sem,
-    "codesame": P.codesame_sem, "oppsupport": P.oppsupport_sem,
-    "rational": P.rational_sem, "finrational": P.finrational_sem,
-    "sameset": P.sameset_sem,
-}
+_SIDES = {"right": (QInterval(Fraction(0), POS_INF),),
+          "left": (QInterval(NEG_INF, Fraction(0)),)}
 
 
 class _Pullback(Evaluator):
@@ -273,75 +272,50 @@ class _Pullback(Evaluator):
             return self.term(phi.t) == self.term(phi.u)
         if not isinstance(phi, GAtom):
             raise InterpError(f"node outside the translated fragment: {phi!r}")
-        oracle = _ORACLES.get(phi.name)
+        oracle = P.ORACLES.get(phi.name)
         if oracle is None:
             raise InterpError(f"atom {phi.name} is outside the translated fragment")
         return oracle(*[self.term(a) for a in phi.args])
 
     def quantifier(self, phi: Formula):
-        if not isinstance(phi, (Exists, Forall)):
+        if type(phi) not in _SHAPE:
             return None
         want = isinstance(phi, Exists)
-        v = phi.var
-        body = phi.body
-        guard_host = body.a if isinstance(body, (And, Implies)) else body
-        ok_shape = (want and isinstance(body, And)) or (not want and isinstance(body, Implies))
-        guards = _conjuncts(guard_host) if ok_shape else []
-
-        # orientation prefix ∃p(cof(p) ∧ …)
-        if want and GAtom("cof", (GVar(v),)) in guards:
-            sides = {"right": [QInterval(Fraction(0), POS_INF)],
-                     "left": [QInterval(NEG_INF, Fraction(0))]}
-            ivs = sides[self.orientation] if self.orientation else (
-                sides["right"] + sides["left"]
-            )
+        g = _guard(phi)
+        name = g.name if g is not None else None
+        if name == "cof":  # the orientation parameter
+            ivs = _SIDES[self.orientation] if self.orientation else (
+                _SIDES["right"] + _SIDES["left"])
             return want, self.env, [self.code(("bump", iv), make_bump, iv) for iv in ivs]
-        for g in guards:
-            if g == GAtom("rational", (GVar(v),)):
-                return want, self.a.points, point_candidates(self.a)
-            if g == GAtom("finrational", (GVar(v),)):
-                return want, self.a.sets, set_candidates(self.a, self.cap)
-        # derived existentials: membership witness and order representatives
-        # (their guards may sit under further nested existentials)
-        inner = body
-        while isinstance(inner, Exists):
-            inner = inner.body
-        for g in _conjuncts(inner) if isinstance(inner, And) else []:
-            if (
-                isinstance(g, GAtom) and g.name == "oppsupport"
-                and len(g.args) == 2 and g.args[1] == GVar(v)
-            ):
-                f = self.term(g.args[0])
-                return want, self.env, [self.code(("mirror", f), P.mirror_bump, f)]
-            if (
-                isinstance(g, GAtom) and g.name == "codesame"
-                and g.args[0] == GVar(v)
-            ):
-                q = P.cof_endpoint(self.term(g.args[1]))
-                return want, self.env, [self.rational(q, "right"),
-                                        self.rational(q, "left")]
+        if name == "rational":
+            return want, self.a.points, point_candidates(self.a)
+        if name == "finrational":
+            return want, self.a.sets, set_candidates(self.a, self.cap)
+        if name == "oppsupport":  # the mirror witness of a membership
+            f = self.term(g.args[0])
+            return want, self.env, [self.code(("mirror", f), P.mirror_bump, f)]
+        if name == "codesame":  # both representatives of a coded point
+            q = P.cof_endpoint(self.term(g.args[1]))
+            return want, self.env, [self.rational(q, "right"), self.rational(q, "left")]
         raise InterpError(
-            f"quantifier over {v} lacks a recognized coding guard "
+            f"quantifier over {phi.var} lacks a leading coding guard "
             f"(outside the translated fragment)"
         )
 
 
-def pullback_eval(psi: Formula, cap: Optional[int] = None,
-                  orientation: Optional[str] = None) -> bool:
+def pullback_eval(psi: Formula, orientation: Optional[str] = None) -> bool:
     """Evaluate a compiled sentence over coded candidates.
 
-    With orientation=None the ∃p prefix ranges over both sides; fixing
-    "left"/"right" pins the parameter for robustness experiments.
+    Set quantifiers add up to `max(coded depth, 1)` fresh points per gap,
+    the cap `decide` uses.  With orientation=None the ∃p prefix ranges over
+    both sides; fixing "left"/"right" pins the parameter for robustness
+    experiments.
     """
     if free_vars(psi):
         raise InterpError(f"compiled sentence has free variables {sorted(free_vars(psi))}")
-    if cap is None:
-        cap = max(_coded_depth(psi), 1)
-    return _Pullback(cap, orientation).run(psi)
+    return _Pullback(max(_coded_depth(psi), 1), orientation).run(psi)
 
 
-def roundtrip_check(phi: Formula, cap: Optional[int] = None) -> bool:
+def roundtrip_check(phi: Formula) -> bool:
     """decide(φ) versus pullback_eval(translate(φ)) — true iff they agree."""
-    direct = decide(phi)
-    compiled = translate(phi)
-    return direct == pullback_eval(compiled, cap=cap)
+    return decide(phi) == pullback_eval(translate(phi))

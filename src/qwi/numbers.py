@@ -68,15 +68,6 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"bad rational literal {text!r}: {exc}") from None
 
 
-def parse_ext(text: str) -> ExtRat:
-    t = text.strip()
-    if t == "inf" or t == "+inf":
-        return POS_INF
-    if t == "-inf":
-        return NEG_INF
-    return parse_rational(t)
-
-
 def format_ext(x: ExtRat) -> str:
     return repr(x) if isinstance(x, _Infinity) else str(x)
 
@@ -93,9 +84,6 @@ class QInterval:
 
     def contains(self, q: Fraction) -> bool:
         return self.lo < q < self.hi
-
-    def is_bounded(self) -> bool:
-        return is_finite(self.lo) and is_finite(self.hi)
 
     def __repr__(self):
         return f"({format_ext(self.lo)},{format_ext(self.hi)})"

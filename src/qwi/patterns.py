@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional, Sequence, Union
 
-from .numbers import NEG_INF, POS_INF, QInterval, is_finite
+from .numbers import NEG_INF, POS_INF, is_finite
 from .plmap import PLMap
 
 # boundary kinds
@@ -73,12 +73,6 @@ class Fixed:
 
 
 Block = Union[Moving, Fixed]
-
-
-@dataclass(frozen=True)
-class Orbital:
-    interval: QInterval
-    parity: int
 
 
 def fixed_kind(has_min: bool, has_max: bool) -> str:
@@ -279,11 +273,6 @@ def pattern_iso(p: OrbitalPattern, q: OrbitalPattern) -> bool:
 # ---------------------------------------------------------------------------
 # patterns of executable maps
 # ---------------------------------------------------------------------------
-
-def orbitals_of(f: PLMap) -> list[Orbital]:
-    """Non-trivial orbitals of f in increasing order."""
-    return [Orbital(iv, s) for iv, s in f.signed_support()]
-
 
 def _boundary_kind(x) -> str:
     if x is NEG_INF:

@@ -34,7 +34,7 @@ class PLMapError(ValueError):
 class PLMap:
     """An order-automorphism of ℚ given by `len(cuts)+1` affine pieces."""
 
-    __slots__ = ("cuts", "pieces", "image_cuts", "_regions")
+    __slots__ = ("cuts", "pieces", "image_cuts", "_regions", "_signed", "_support")
 
     def __init__(self, cuts: Sequence[Fraction], pieces: Sequence[Piece]):
         cuts = tuple(c if type(c) is Fraction else Fraction(c) for c in cuts)
@@ -76,6 +76,8 @@ class PLMap:
         #: the images f(b) of the cuts, kept from the continuity check
         self.image_cuts = tuple(cimages)
         self._regions: tuple[tuple, ...] | None = None
+        self._signed: tuple[tuple[QInterval, int], ...] | None = None
+        self._support: IntervalSet | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -245,11 +247,18 @@ class PLMap:
         return self._regions
 
     def support(self) -> IntervalSet:
-        return IntervalSet([iv for iv, _ in self.signed_support()])
+        """{x : f(x) != x}, built once per map."""
+        if self._support is None:
+            self._support = IntervalSet([iv for iv, _ in self.signed_support()])
+        return self._support
 
-    def signed_support(self) -> list[tuple[QInterval, int]]:
-        """Open components of {x : f(x) != x}, each with its displacement sign."""
-        return [(QInterval(r[1], r[2]), r[3]) for r in self.regions() if r[0] == "mov"]
+    def signed_support(self) -> tuple[tuple[QInterval, int], ...]:
+        """Open components of {x : f(x) != x}, left to right, each with its
+        displacement sign; built once per map from its regions."""
+        if self._signed is None:
+            self._signed = tuple((QInterval(r[1], r[2]), r[3])
+                                 for r in self.regions() if r[0] == "mov")
+        return self._signed
 
     # -- text format -------------------------------------------------------
 

@@ -196,6 +196,17 @@ def sameset_sem(f: PLMap, g: PLMap) -> bool:
     return fixed_point_set(f) == fixed_point_set(g)
 
 
+#: The oracle of every predicate of the group language that has one.
+ORACLES = {
+    "comp": comp_sem, "apart": apart_sem, "bump": bump_sem,
+    "orbital": orbital_sem, "disj": disj_sem, "restr": restr_sem,
+    "cont": cont_sem, "coterm": coterm_sem, "cof": cof_sem,
+    "codesame": codesame_sem, "oppsupport": oppsupport_sem,
+    "rational": rational_sem, "finrational": finrational_sem,
+    "sameset": sameset_sem,
+}
+
+
 def mirror_bump(f: PLMap) -> PLMap:
     """The canonical bump on the other side of the cofinal f's endpoint q:
     supported on (-inf, q) when supp(f) = (q, inf), and on (q, inf) when

@@ -1,3 +1,4 @@
+import ast
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,21 @@ def test_check_errors(tmp_path, capsys):
     assert main(["check", "nosuch", f]) == 2
     assert main(["check", "disj", f]) == 2  # arity mismatch
     assert main(["check", "cof", str(tmp_path / "missing.pl")]) == 2
+
+
+def test_check_rejects_wrong_arity_for_every_predicate(tmp_path, capsys):
+    unary = {"comp", "bump", "coterm", "cof", "rational", "finrational"}
+    binary = {"apart", "disj", "orbital", "restr", "cont", "codesame",
+              "oppsupport", "sameset", "member"}
+    f = write(tmp_path, "f.pl", "pl cuts=[0] pieces=[(1,0),(2,0)]")
+    assert main(["check", "nosuch", f]) == 2
+    listed = capsys.readouterr().err.split("expected one of ")[1]
+    assert sorted(unary | binary) == ast.literal_eval(listed.strip())
+    for name in sorted(unary | binary):
+        arity = 1 if name in unary else 2
+        wrong = [f, f] if arity == 1 else [f]
+        assert main(["check", name, *wrong]) == 2, name
+        assert f"takes {arity} map argument(s)" in capsys.readouterr().err
 
 
 def test_eval(tmp_path, capsys):

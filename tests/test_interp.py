@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from qwi import predicates as P
 from qwi.corpus import load_corpus
-from qwi.formulas import Exists, GAtom, expand, parse_wmso, print_group, qdepth
+from qwi.formulas import (
+    Exists, GAtom, expand, parse_group, parse_wmso, print_group, qdepth,
+)
 from qwi.interp import (
     InterpError, decode, encode_finite_set, encode_finite_set_alt,
     encode_rational, less_p, pullback_eval, roundtrip_check, translate,
@@ -87,7 +89,8 @@ def test_translate_shape():
 def test_translate_is_deterministic():
     phi = parse_wmso("Ax Ay (x < y -> Ez (x < z & z < y))")
     first = print_group(translate(phi))
-    assert "Elf_0 (Elg_1 (" in first and "Elf_4 (Elg_5 (" in first
+    assert "Elf_0 (codesame(lf_0,f_x) & (Elg_1 (codesame(lg_1,f_y)" in first
+    assert "Elf_4 (codesame(lf_4,f_z) & (Elg_5 (codesame(lg_5,f_y)" in first
     assert print_group(translate(phi)) == first
     expanded = print_group(expand(translate(phi), 1))
     assert print_group(expand(translate(phi), 1)) == expanded
@@ -101,9 +104,23 @@ def test_translate_uses_membership_schema():
 
 
 def test_pullback_rejects_foreign_formulas():
-    from qwi.formulas import parse_group
-    with pytest.raises(InterpError):
-        pullback_eval(parse_group("Ax comp(x)"))
+    for text in [
+        "Ax comp(x)",
+        "Ep (cof(p) & Ex ((rational(x) & comp(x)) & x = x))",  # the guard must lead alone
+        "Ep (cof(p) & Ex (cof(p) & x = x))",                   # and must mention x
+        "Ep (cof(p) & Ax (rational(x) & x = x))",              # a ∀ guard implies its body
+    ]:
+        with pytest.raises(InterpError):
+            pullback_eval(parse_group(text))
+
+
+def test_compiled_corpus_survives_print_and_parse():
+    for truth, text, _ in load_corpus():
+        psi = translate(parse_wmso(text))
+        parsed = parse_group(print_group(psi))
+        assert parsed == psi, text
+        assert pullback_eval(parsed, orientation="right") == truth, text
+        assert pullback_eval(parsed, orientation="left") == truth, text
 
 
 @pytest.mark.parametrize("text,expected", [

@@ -11,7 +11,7 @@ from qwi.patterns import (
     NO_MIN_NO_MAX, PLUS_INF, RATIONAL, SINGLETON,
     Fixed, Moving, PatternError,
     canonical_pattern, classify_cofinal, enumerate_patterns, format_pattern,
-    has_inf_orbitals, make_pattern, mirror_pattern, orbitals_of, parse_pattern,
+    has_inf_orbitals, make_pattern, mirror_pattern, parse_pattern,
     pattern_iso, pattern_of, remove_moving,
 )
 
@@ -73,11 +73,10 @@ def test_remove_moving_rejects_a_fixed_block():
 def test_orbitals_of():
     f = make_bump(QInterval(Fraction(0), Fraction(1))).compose(
         make_bump(QInterval(Fraction(2), Fraction(3)), up=False))
-    obs = orbitals_of(f)
-    assert [(o.interval, o.parity) for o in obs] == [
+    assert f.signed_support() == (
         (QInterval(Fraction(0), Fraction(1)), 1),
         (QInterval(Fraction(2), Fraction(3)), -1),
-    ]
+    )
 
 
 @given(plmaps, plmaps)

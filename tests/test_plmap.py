@@ -191,8 +191,14 @@ def test_region_cache_is_invisible(f, g):
     walked = f.regions()
     assert type(walked) is tuple and walked == fresh(f).regions()
     assert f.regions() is walked  # walked once, then shared
-    f.compose(g), g.compose(f), f.inverse(), f.signed_support(), f.support()  # use f
+    signed, support = f.signed_support(), f.support()
+    assert type(signed) is tuple and signed == fresh(f).signed_support()
+    assert support == fresh(f).support()
+    assert f.signed_support() is signed and f.support() is support
+    f.compose(g), g.compose(f), f.inverse()  # use f
     assert f.regions() == fresh(f).regions() == walked
+    assert f.signed_support() == fresh(f).signed_support() == signed
+    assert f.support() == fresh(f).support() == support
     assert f.fixed_structure() == fresh(f).fixed_structure()
     assert f == fresh(f) and fresh(f) == f
     assert hash(f) == hash(fresh(f))
