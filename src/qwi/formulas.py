@@ -159,7 +159,7 @@ ATOM_ARITY = {
     "comp": 1, "bump": 1, "coterm": 1, "cof": 1, "inf": 1,
     "rational": 1, "finrational": 1,
     "apart": 2, "orbital": 2, "disj": 2, "restr": 2, "cont": 2,
-    "codesame": 2, "oppsupport": 2, "gauge": 2, "sameset": 2,
+    "codesame": 2, "oppsupport": 2, "sameset": 2,
 }
 
 _QUANTS = (ExistsPt, ForallPt, ExistsSet, ForallSet, Exists, Forall)
@@ -695,7 +695,7 @@ def _schema(params: list[str], text: str) -> tuple[list[str], Formula]:
 
 
 #: Defining schemas for the atoms that have them.  The remaining atoms
-#: (comp, apart, bump, orbital, disj, gauge, codesame, rational) are
+#: (comp, apart, bump, orbital, disj, codesame, rational) are
 #: primitive from the expansion's point of view.
 MACROS: dict[str, tuple[list[str], Formula]] = {
     "restr": _schema(["x", "y"], "Ez (disj(x,z) & y = x*z)"),

@@ -227,8 +227,8 @@ class _Pullback(Evaluator):
     bound to its element in `env`.
 
     Every element the evaluator builds is kept in `coded` for the length of
-    the call, keyed by what it codes, so a value met again is the same map
-    and its support is walked once."""
+    the call, keyed by what it codes (a product by its two factors), so a
+    value met again is the same map and its support is walked once."""
 
     def __init__(self, cap: int, orientation: Optional[str]):
         self.cap = cap
@@ -262,7 +262,8 @@ class _Pullback(Evaluator):
         if isinstance(t, One):
             return PLMap.identity()
         if isinstance(t, Mul):
-            return self.term(t.t).compose(self.term(t.u))
+            a, b = self.term(t.t), self.term(t.u)
+            return self.code(("mul", a, b), a.compose, b)
         if isinstance(t, Inv):
             return self.term(t.t).inverse()
         raise InterpError(f"bad term {t!r}")

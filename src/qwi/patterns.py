@@ -326,40 +326,6 @@ def classify_cofinal(p: OrbitalPattern) -> Optional[tuple[int, str, str]]:
     return None
 
 
-# ---------------------------------------------------------------------------
-# restrictions: dropping orbitals from a pattern
-# ---------------------------------------------------------------------------
-
-def moving_indices(blocks: Sequence[Block]) -> list[int]:
-    return [i for i, b in enumerate(blocks) if isinstance(b, Moving)]
-
-
-def remove_moving(blocks: Sequence[Block], i: int) -> tuple[Block, ...]:
-    """Pattern blocks after the i-th block (a Moving one) becomes fixed.
-
-    Its points merge with the neighbouring fixed regions into one region.
-    """
-    if not isinstance(blocks[i], Moving):
-        raise PatternError(f"block {i} is {blocks[i]}, not a moving block")
-    left = blocks[i - 1] if i > 0 else None
-    right = blocks[i + 1] if i + 1 < len(blocks) else None
-    has_min = left.has_min if isinstance(left, Fixed) else False
-    has_max = right.has_max if isinstance(right, Fixed) else False
-    merged = Fixed(fixed_kind(has_min, has_max))
-    lo = i - 1 if left is not None else i
-    hi = i + 2 if right is not None else i + 1
-    return tuple(blocks[:lo]) + (merged,) + tuple(blocks[hi:])
-
-
-def restrict_core(blocks: Sequence[Block], keep: Sequence[int]) -> tuple[Block, ...]:
-    """Keep only the Moving blocks with the given indices; the rest of the
-    line becomes fixed."""
-    out = tuple(blocks)
-    for i in sorted(set(moving_indices(blocks)) - set(keep), reverse=True):
-        out = remove_moving(out, i)
-    return out
-
-
 def has_inf_orbitals(p: OrbitalPattern) -> bool:
     for word in (p.left_tail, p.right_tail):
         if word is not None and any(isinstance(b, Moving) for b in word):
@@ -450,38 +416,20 @@ def _merged_segment(seg: Sequence[Block]) -> Fixed:
 # the `inf` formula at pattern level
 # ---------------------------------------------------------------------------
 
-def inf_formula_holds(p: OrbitalPattern, search_bound: int = 8) -> bool:
+def inf_formula_holds(p: OrbitalPattern) -> bool:
     """Does p admit a restriction y with orbital y1 such that y ≅ y minus y1?
 
-    Restrictions are searched in order of increasing size; for ω-tail
-    patterns the thinned tail-shift witness is produced by
-    `lemma21_decompose`, for finite patterns the search is exhaustive.
+    For ω-tail patterns the thinned tail-shift witness is produced by
+    `lemma21_decompose`.  For a pattern with finitely many orbitals the
+    answer is False: a restriction y with k ≥ 1 orbitals and y minus one
+    orbital are tail-free patterns with k and k − 1 moving blocks, and a
+    tail-free pattern is its own canonical form, so they are never
+    isomorphic.
     """
-    if has_inf_orbitals(p):
-        res = lemma21_decompose(p)
-        if res is not None:
-            g1, g2, g = res
-            if pattern_iso(g, g2):
-                return True
+    if not has_inf_orbitals(p):
         return False
-    c = canonical_pattern(p)
-    mov = moving_indices(c.core)
-    subsets = _subsets_by_size(mov, search_bound)
-    for keep in subsets:
-        if not keep:
-            continue
-        y = restrict_core(c.core, keep)
-        for i in moving_indices(y):
-            y2 = remove_moving(y, i)
-            if pattern_iso(make_pattern(y), make_pattern(y2)):
-                return True
-    return False
-
-
-def _subsets_by_size(items: list[int], bound: int) -> Iterator[tuple[int, ...]]:
-    from itertools import combinations
-    for k in range(1, min(len(items), bound) + 1):
-        yield from combinations(items, k)
+    res = lemma21_decompose(p)
+    return res is not None and pattern_iso(res[2], res[1])
 
 
 # ---------------------------------------------------------------------------
@@ -535,15 +483,27 @@ def enumerate_tail_words(max_len: int) -> Iterator[tuple[Block, ...]]:
 
 def enumerate_patterns(core_max: int, tail_max: int) -> Iterator[OrbitalPattern]:
     """Exhaustive valid patterns: every core alone, and every core with each
-    valid single- or double-tail attachment."""
+    valid single- or double-tail attachment, then the tail-only patterns.
+
+    For a nonempty core the valid (left tail, core, right tail) triples are
+    a product of the left tails valid against the core alone and the right
+    tails valid against it; they are yielded in the order of the triple loop
+    over left tail, then right tail.  This is exact because every core from
+    `enumerate_cores` is valid on its own, so None is a safe partner on
+    either side; every check of `validate_pattern` reads either the left
+    tail and the core or the core and the right tail; and
+    `_collapse_trivial_tails` rewrites only the core's end block on its own
+    side, keeping the has_min/has_max flag that the adjacency check on the
+    other side reads.  With an empty core the two tails face each other, so
+    the tail-only patterns are filtered pair by pair.
+    """
     tails = [None] + list(enumerate_tail_words(tail_max))
-    cores = list(enumerate_cores(core_max))
-    for core in cores:
-        for lt in tails:
-            for rt in tails:
-                p = OrbitalPattern(lt, core, rt)
-                if pattern_is_valid(p):
-                    yield p
+    for core in enumerate_cores(core_max):
+        lefts = [lt for lt in tails if pattern_is_valid(OrbitalPattern(lt, core, None))]
+        rights = [rt for rt in tails if pattern_is_valid(OrbitalPattern(None, core, rt))]
+        for lt in lefts:
+            for rt in rights:
+                yield OrbitalPattern(lt, core, rt)
     # tail-only patterns
     for lt in tails:
         for rt in tails:

@@ -65,6 +65,12 @@ def test_parse_group_terms_and_atoms():
         parse_group("x < y")  # order atom is not group syntax
 
 
+def test_gauge_is_not_group_syntax():
+    # no oracle decides it, so the parser refuses it like any unknown atom
+    with pytest.raises(FormulaError):
+        parse_group("gauge(f,g)")
+
+
 def test_print_parse_roundtrip_examples():
     texts = [
         "Ax Ey (x < y)",
@@ -151,8 +157,7 @@ def test_expand_replaces_defined_atoms():
             if hasattr(psi, attr):
                 yield from atoms(getattr(psi, attr))
     assert set(atoms(expand(deep, 10))) <= {
-        "comp", "apart", "bump", "orbital", "disj", "gauge", "codesame",
-        "rational",
+        "comp", "apart", "bump", "orbital", "disj", "codesame", "rational",
     }
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,16 +7,33 @@ from hypothesis import given, settings, strategies as st
 from qwi.generators import gen_plmap, make_bump
 from qwi.numbers import NEG_INF, POS_INF, QInterval
 from qwi.plmap import PLMap
+from qwi import patterns
 from qwi.patterns import (
     EMPTY, IRRATIONAL, MAX_ONLY, MIN_AND_MAX, MIN_ONLY, MINUS_INF,
     NO_MIN_NO_MAX, PLUS_INF, RATIONAL, SINGLETON,
-    Fixed, Moving, PatternError,
-    canonical_pattern, classify_cofinal, enumerate_patterns, format_pattern,
-    has_inf_orbitals, make_pattern, mirror_pattern, parse_pattern,
-    pattern_iso, pattern_of, remove_moving,
+    Fixed, Moving, OrbitalPattern, PatternError,
+    canonical_pattern, classify_cofinal, enumerate_cores, enumerate_patterns,
+    enumerate_tail_words, fixed_kind, format_pattern, has_inf_orbitals,
+    inf_formula_holds, make_pattern, mirror_pattern, parse_pattern,
+    pattern_is_valid, pattern_iso, pattern_of,
 )
 
 plmaps = st.builds(gen_plmap, st.integers(0, 10**6), st.integers(0, 6))
+
+
+def remove_moving(blocks, i):
+    """Pattern blocks after the i-th block (a Moving one) becomes fixed:
+    its points merge with the neighbouring fixed regions into one region."""
+    if not isinstance(blocks[i], Moving):
+        raise PatternError(f"block {i} is {blocks[i]}, not a moving block")
+    left = blocks[i - 1] if i > 0 else None
+    right = blocks[i + 1] if i + 1 < len(blocks) else None
+    has_min = left.has_min if isinstance(left, Fixed) else False
+    has_max = right.has_max if isinstance(right, Fixed) else False
+    merged = Fixed(fixed_kind(has_min, has_max))
+    lo = i - 1 if left is not None else i
+    hi = i + 2 if right is not None else i + 1
+    return tuple(blocks[:lo]) + (merged,) + tuple(blocks[hi:])
 
 
 def test_block_validation():
@@ -175,3 +193,50 @@ def test_enumeration_yields_valid_unique_canonical_patterns():
         seen.add(format_pattern(canonical_pattern(p)))
     assert n > 0
     assert len(seen) <= n
+
+
+def _triple_loop(core_max, tail_max):
+    """The enumeration as a plain filter over every (left tail, core,
+    right tail) triple, then over every tail-only pair."""
+    tails = [None] + list(enumerate_tail_words(tail_max))
+    out = [p for core in enumerate_cores(core_max) for lt in tails for rt in tails
+           if pattern_is_valid(p := OrbitalPattern(lt, core, rt))]
+    out += [p for lt in tails for rt in tails if lt is not None or rt is not None
+            if pattern_is_valid(p := OrbitalPattern(lt, (), rt))]
+    return out
+
+
+@pytest.mark.parametrize("core_max,tail_max", [(2, 1), (3, 2), (4, 2)])
+def test_seam_product_matches_the_triple_loop(core_max, tail_max, monkeypatch):
+    calls = [0]
+
+    def counting(p):
+        calls[0] += 1
+        return pattern_is_valid(p)
+
+    monkeypatch.setattr(patterns, "pattern_is_valid", counting)
+    assert list(enumerate_patterns(core_max, tail_max)) == _triple_loop(core_max, tail_max)
+    # each core filters each side's tails once; only the tail-only pairs
+    # are filtered as pairs
+    tails = 1 + len(list(enumerate_tail_words(tail_max)))
+    cores = len(list(enumerate_cores(core_max)))
+    assert calls[0] <= cores * 2 * tails + tails ** 2
+
+
+def test_no_finite_restriction_is_isomorphic_to_itself_minus_an_orbital():
+    """The restriction search behind `inf` on tail-free patterns: keep a set
+    of orbitals, drop one more, compare.  It finds no isomorphic pair."""
+    finite = {format_pattern(c): c for c in map(canonical_pattern, enumerate_patterns(4, 2))
+              if c.left_tail is None and c.right_tail is None}
+    assert finite
+    for c in finite.values():
+        mov = [i for i, b in enumerate(c.core) if isinstance(b, Moving)]
+        for k in range(1, len(mov) + 1):
+            for keep in combinations(mov, k):
+                y = c.core
+                for i in reversed([i for i in mov if i not in keep]):
+                    y = remove_moving(y, i)
+                for i, b in enumerate(y):
+                    if isinstance(b, Moving):
+                        assert not pattern_iso(make_pattern(y), make_pattern(remove_moving(y, i)))
+        assert inf_formula_holds(c) is False, format_pattern(c)
