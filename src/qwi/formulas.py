@@ -275,19 +275,6 @@ def substitute(phi: Formula, mapping: dict[str, Union[str, Term]]) -> Formula:
     raise FormulaError(f"unknown node {phi!r}")
 
 
-def alpha_rename(phi: Formula, old: str, new: str) -> Formula:
-    """Rename the outermost binder of `old` to `new` (capture-avoiding)."""
-    if isinstance(phi, _QUANTS) and phi.var == old:
-        return type(phi)(new, substitute(phi.body, {old: new}))
-    if isinstance(phi, _QUANTS):
-        return type(phi)(phi.var, alpha_rename(phi.body, old, new))
-    if isinstance(phi, Not):
-        return Not(alpha_rename(phi.sub, old, new))
-    if isinstance(phi, _BINARY):
-        return type(phi)(alpha_rename(phi.a, old, new), alpha_rename(phi.b, old, new))
-    return phi
-
-
 # ---------------------------------------------------------------------------
 # the evaluator skeleton
 # ---------------------------------------------------------------------------
@@ -695,8 +682,8 @@ def _schema(params: list[str], text: str) -> tuple[list[str], Formula]:
 
 
 #: Defining schemas for the atoms that have them.  The remaining atoms
-#: (comp, apart, bump, orbital, disj, codesame, rational) are
-#: primitive from the expansion's point of view.
+#: (comp, apart, bump, orbital, disj, rational) are primitive from the
+#: expansion's point of view.
 MACROS: dict[str, tuple[list[str], Formula]] = {
     "restr": _schema(["x", "y"], "Ez (disj(x,z) & y = x*z)"),
     "cont": _schema(["x", "y"], "Az (disj(y,z) -> disj(x,z))"),
@@ -706,6 +693,11 @@ MACROS: dict[str, tuple[list[str], Formula]] = {
         ["x", "y"],
         "cof(x) & cof(y) & disj(x,y) & Az (~(z = 1) -> ~(disj(x,z) & disj(y,z)))",
     ),
+    # both supports are half-lines, so the literal cont has gap-bump witnesses
+    "codesame": _schema(
+        ["x", "y"],
+        "cof(x) & cof(y) & ((cont(x,y) & cont(y,x)) | oppsupport(x,y))",
+    ),
     "inf": _schema(
         ["x"],
         "Ey Ey1 Ey2 Ew (restr(y,x) & orbital(y1,y) & y = y1*y2 & y2 = w*y*w^-1)",
@@ -713,7 +705,7 @@ MACROS: dict[str, tuple[list[str], Formula]] = {
     "finrational": _schema(
         ["x"],
         "comp(x) & ~inf(x) & Ay (disj(x,y) -> y = 1)"
-        " & Ay Az ((oppsupport(y,z) & cont(x, y*z)) -> rational(y))",
+        " & Ay ((cof(y) & codesame(y, x*y*x^-1)) -> rational(y))",
     ),
     "sameset": _schema(
         ["x", "y"], "finrational(x) & finrational(y) & cont(x,y) & cont(y,x)"

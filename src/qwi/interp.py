@@ -4,17 +4,19 @@ first-order theory of its automorphism group.
 Rationals are coded by cofinal bumps (the finite support endpoint is the
 value; the two one-sided codings of the same value are identified by
 codesame), finite sets by positive dense-support elements whose fixed-point
-set is the value.  `translate` compiles a formula structurally; the order
-atom needs an orientation parameter p — the group cannot distinguish (ℚ,<)
-from (ℚ,>), so the compiled sentence is prefixed ∃p(cof(p) ∧ …) and x < y
-becomes strict support containment between codesame-representatives lying
-on p's side.
+set is the value.  `translate` compiles a formula structurally.  Membership
+is conjugation: g_X fixes the point coded by f_x exactly when g_X·f_x·g_X⁻¹,
+whose support is g_X(supp f_x), codes the same point, so x ∈ X becomes the
+one atom codesame(f_x, g_X·f_x·g_X⁻¹).  The order atom needs an orientation
+parameter p — the group cannot distinguish (ℚ,<) from (ℚ,>), so the compiled
+sentence is prefixed ∃p(cof(p) ∧ …) and x < y becomes strict support
+containment between codesame-representatives lying on p's side.
 
 Every quantifier of a compiled sentence has one shape: ∃v(G ∧ body) or
 ∀v(G → body), where the guard G is a single atom that mentions v.  The
-guard says what v ranges over: cof(p) the orientation, rational(f_x) and
-finrational(g_X) the coded points and sets, oppsupport(f_x, w) the mirror
-witness of a membership, and codesame(l, f_x) a representative of a point.
+guard says what v ranges over, and there are four kinds: cof(p) the
+orientation, rational(f_x) and finrational(g_X) the coded points and sets,
+and codesame(l, f_x) a representative of a point.
 `pullback_eval` reads the guard alone to pick the candidates, which are
 encodings of the same families the direct evaluator uses; every atom is
 decided by the semantic oracles.  The shape is plain syntax, so it survives
@@ -156,11 +158,9 @@ def _tr(phi: Formula, names: Iterator[int]) -> Formula:
         )
     if isinstance(phi, EqPt):
         return GAtom("codesame", (GVar(_pt_var(phi.x)), GVar(_pt_var(phi.y))))
-    if isinstance(phi, Mem):
-        w = f"fm_{next(names)}"
-        fx = GVar(_pt_var(phi.x))
-        return _guarded(Exists, w, GAtom("oppsupport", (fx, GVar(w))),
-                        GAtom("cont", (GVar(_set_var(phi.X)), Mul(fx, GVar(w)))))
+    if isinstance(phi, Mem):  # g_X fixes x iff it conjugates f_x to a code of x
+        fx, gX = GVar(_pt_var(phi.x)), GVar(_set_var(phi.X))
+        return GAtom("codesame", (fx, Mul(Mul(gX, fx), Inv(gX))))
     if isinstance(phi, Not):
         return Not(_tr(phi.sub, names))
     if isinstance(phi, _BINARY):
@@ -227,8 +227,9 @@ class _Pullback(Evaluator):
     bound to its element in `env`.
 
     Every element the evaluator builds is kept in `coded` for the length of
-    the call, keyed by what it codes (a product by its two factors), so a
-    value met again is the same map and its support is walked once."""
+    the call, keyed by what it codes (a product by its two factors, an
+    inverse by its argument), so a value met again is the same map and its
+    support is walked once."""
 
     def __init__(self, cap: int, orientation: Optional[str]):
         self.cap = cap
@@ -265,7 +266,8 @@ class _Pullback(Evaluator):
             a, b = self.term(t.t), self.term(t.u)
             return self.code(("mul", a, b), a.compose, b)
         if isinstance(t, Inv):
-            return self.term(t.t).inverse()
+            a = self.term(t.t)
+            return self.code(("inv", a), a.inverse)
         raise InterpError(f"bad term {t!r}")
 
     def atom(self, phi: Formula) -> bool:
@@ -292,9 +294,6 @@ class _Pullback(Evaluator):
             return want, self.a.points, point_candidates(self.a)
         if name == "finrational":
             return want, self.a.sets, set_candidates(self.a, self.cap)
-        if name == "oppsupport":  # the mirror witness of a membership
-            f = self.term(g.args[0])
-            return want, self.env, [self.code(("mirror", f), P.mirror_bump, f)]
         if name == "codesame":  # both representatives of a coded point
             q = P.cof_endpoint(self.term(g.args[1]))
             return want, self.env, [self.rational(q, "right"), self.rational(q, "left")]

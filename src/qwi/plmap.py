@@ -19,7 +19,6 @@ from .numbers import (
     ExtRat,
     IntervalSet,
     QInterval,
-    is_finite,
     parse_rational,
     pick_fresh,
 )
@@ -290,33 +289,6 @@ def compose(f: PLMap, g: PLMap) -> PLMap:
 def conjugate(f: PLMap, g: PLMap) -> PLMap:
     """g ∘ f ∘ g⁻¹ (the conjugate of f by g)."""
     return f.conjugate_by(g)
-
-
-# -- comparability with the identity (shared by predicates) ----------------
-
-def displacement_signs(f: PLMap) -> set[int]:
-    """Signs (-1, 0, +1) attained by f(x) - x over all of ℚ."""
-    signs: set[int] = set()
-    for (m, c), (lo, hi) in zip(f.pieces, f.piece_domains()):
-        # d(x) = (m-1)x + c is affine; its sign range on [lo, hi] is
-        # determined by the (limit) values at the two ends.
-        for end in (lo, hi):
-            if is_finite(end):
-                d = (m - 1) * end + c
-                signs.add(0 if d == 0 else (1 if d > 0 else -1))
-            else:
-                s = m - 1 if m != 1 else c
-                if end is NEG_INF:
-                    s = -s if m != 1 else c
-                if s == 0:
-                    signs.add(0)
-                else:
-                    signs.add(1 if s > 0 else -1)
-        if m != 1:
-            x = c / (1 - m)
-            if lo <= x <= hi:
-                signs.add(0)
-    return signs
 
 
 # -- text format -----------------------------------------------------------

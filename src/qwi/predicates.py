@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .numbers import NEG_INF, POS_INF, IntervalSet, QInterval, is_finite, pick_fresh
-from .plmap import PLMap, displacement_signs
+from .plmap import PLMap
 from .generators import gen_plmap_rnd, make_bump
 
 
@@ -63,8 +63,7 @@ def restrict_map(y: PLMap, comps: list[QInterval]) -> PLMap:
 
 def comp_sem(f: PLMap) -> bool:
     """f is comparable with the identity: f(x) >= x everywhere or <= everywhere."""
-    signs = displacement_signs(f)
-    return not ({1, -1} <= signs)
+    return len({s for _, s in f.signed_support()}) < 2
 
 
 def apart_sem(f: PLMap, g: PLMap) -> bool:
@@ -207,31 +206,18 @@ ORACLES = {
 }
 
 
-def mirror_bump(f: PLMap) -> PLMap:
-    """The canonical bump on the other side of the cofinal f's endpoint q:
-    supported on (-inf, q) when supp(f) = (q, inf), and on (q, inf) when
-    supp(f) = (-inf, q).  Raises ValueError unless f is cofinal."""
-    iv = _cofinal_support(f)
-    if iv is None:
-        raise ValueError("not a cofinal element")
-    q = _endpoint(iv)
-    return make_bump(QInterval(NEG_INF, q) if is_finite(iv.lo) else QInterval(q, POS_INF))
-
-
 def member_sem(f: PLMap, g: PLMap) -> bool:
-    """The rational encoded by f belongs to the finite set encoded by g.
+    """The rational q encoded by f belongs to the finite set encoded by g.
 
-    With f' the mirror bump on the other side of f's endpoint q, f·f' has
-    support ℚ∖{q}; membership is then support containment of g in f·f'.
+    This is membership by conjugation, the atom `translate` emits for x ∈ X:
+    g·f·g⁻¹ is cofinal with support g(supp f), whose endpoint is g(q), so it
+    codes the same point as f exactly when g fixes q.
     """
     if not rational_sem(f):
         raise ValueError("first argument must encode a rational (cofinal bump)")
     if not finrational_sem(g):
         raise ValueError("second argument must encode a finite set")
-    fp = mirror_bump(f)
-    if not oppsupport_sem(f, fp):
-        raise ValueError(f"mirror bump {fp} does not oppose {f}")
-    return cont_sem(g, f.compose(fp))
+    return codesame_sem(f, g.compose(f).compose(g.inverse()))
 
 
 # ---------------------------------------------------------------------------

@@ -155,12 +155,6 @@ def _suite_predicates(seed: int, cases: int):
                 bad("orbital is not a contained restriction", f"iv={iv}")
         if P.coterm_sem(y) != (P.bump_sem(y) and y.support().is_full_line()):
             bad("coterm disagrees with full-line bump test")
-        if P.cof_sem(y):
-            mirror = P.mirror_bump(y)
-            if not P.oppsupport_sem(y, mirror):
-                bad("cofinal element fails oppsupport with its mirror")
-            if not P.codesame_sem(y, mirror):
-                bad("mirror encodes a different endpoint")
         z = gen_plmap_rnd(rnd, 6)
         if P.apart_sem(y, z) and not (y.support().is_empty() or
                                       z.support().is_empty()) \

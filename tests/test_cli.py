@@ -55,6 +55,23 @@ def test_check_rejects_wrong_arity_for_every_predicate(tmp_path, capsys):
         assert f"takes {arity} map argument(s)" in capsys.readouterr().err
 
 
+def test_check_member(tmp_path, capsys):
+    def encoded(*argv):
+        assert main(list(argv)) == 0
+        return capsys.readouterr().out
+    g = write(tmp_path, "g.pl", encoded("encode-set", "-1,1/2,3"))
+    inside = write(tmp_path, "in.pl", encoded("encode-rational", "1/2"))
+    outside = write(tmp_path, "out.pl", encoded("encode-rational", "0", "--side", "left"))
+    assert main(["check", "member", inside, g]) == 0
+    assert capsys.readouterr().out.strip() == "true"
+    assert main(["check", "member", outside, g]) == 1
+    assert capsys.readouterr().out.strip() == "false"
+    ident = write(tmp_path, "id.pl", "pl id")
+    assert main(["check", "member", ident, g]) == 2  # not a cofinal bump
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_eval(tmp_path, capsys):
     dense = write(tmp_path, "dense.wmso", "Ax Ay (x < y -> Ez (x < z & z < y))")
     assert main(["eval", dense]) == 0

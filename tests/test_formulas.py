@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from qwi.formulas import (
     And, EqPt, Exists, ExistsPt, ExistsSet, Forall, ForallPt, ForallSet,
     FormulaError, GAtom, GVar, Iff, Implies, Inv, Less, MACROS, Mem, Mul,
-    Not, One, Or, TermEq, alpha_rename, expand, free_vars, parse_group,
+    Not, One, Or, TermEq, expand, free_vars, parse_group,
     parse_wmso, print_group, print_term, print_wmso, qdepth, substitute,
 )
 
@@ -125,14 +125,10 @@ def test_substitute_terms():
     assert out == GAtom("disj", (Mul(GVar("w"), GVar("v")), GVar("z")))
 
 
-def test_alpha_rename():
-    phi = ExistsPt("x", Less("x", "y"))
-    assert alpha_rename(phi, "x", "u") == ExistsPt("u", Less("u", "y"))
-
-
 @pytest.mark.parametrize("name,arity", [
     ("restr", 2), ("cont", 2), ("coterm", 1), ("cof", 1),
-    ("oppsupport", 2), ("inf", 1), ("finrational", 1), ("sameset", 2),
+    ("oppsupport", 2), ("codesame", 2), ("inf", 1), ("finrational", 1),
+    ("sameset", 2),
 ])
 def test_macro_schemas_are_wellformed(name, arity):
     params, body = MACROS[name]
@@ -157,7 +153,7 @@ def test_expand_replaces_defined_atoms():
             if hasattr(psi, attr):
                 yield from atoms(getattr(psi, attr))
     assert set(atoms(expand(deep, 10))) <= {
-        "comp", "apart", "bump", "orbital", "disj", "codesame", "rational",
+        "comp", "apart", "bump", "orbital", "disj", "rational",
     }
 
 

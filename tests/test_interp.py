@@ -96,11 +96,24 @@ def test_translate_is_deterministic():
     assert print_group(expand(translate(phi), 1)) == expanded
 
 
+def _atoms(psi):
+    if isinstance(psi, GAtom):
+        yield psi.name
+    for attr in ("a", "b", "sub", "body"):
+        if hasattr(psi, attr):
+            yield from _atoms(getattr(psi, attr))
+
+
 def test_translate_uses_membership_schema():
     psi = translate(parse_wmso("Ex EX (x in X)"))
     text = print_group(psi)
     assert "finrational(" in text
-    assert "oppsupport(" in text and "cont(" in text
+    assert "codesame(f_x,(g_X*f_x)*g_X^-1)" in text
+    assert "oppsupport(" not in text and "fm_" not in text
+    # every compiled atom has a schema or is primitive
+    assert set(_atoms(expand(psi, 12))) <= {
+        "comp", "apart", "bump", "orbital", "disj", "rational",
+    }
 
 
 def test_pullback_rejects_foreign_formulas():
@@ -109,6 +122,7 @@ def test_pullback_rejects_foreign_formulas():
         "Ep (cof(p) & Ex ((rational(x) & comp(x)) & x = x))",  # the guard must lead alone
         "Ep (cof(p) & Ex (cof(p) & x = x))",                   # and must mention x
         "Ep (cof(p) & Ax (rational(x) & x = x))",              # a ∀ guard implies its body
+        "Ep (cof(p) & Ew (oppsupport(p,w) & cof(w)))",         # not a guard kind
     ]:
         with pytest.raises(InterpError):
             pullback_eval(parse_group(text))

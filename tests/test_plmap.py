@@ -4,11 +4,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qwi.generators import gen_plmap, make_bump
-from qwi.numbers import NEG_INF, POS_INF, QInterval
+from qwi.numbers import NEG_INF, POS_INF, QInterval, is_finite
 from qwi.plmap import (
-    PLMap, PLMapError, compose, conjugate, displacement_signs, format_pl,
-    parse_pl,
+    PLMap, PLMapError, compose, conjugate, format_pl, parse_pl,
 )
+from qwi.predicates import comp_sem
 
 rationals = st.fractions(max_denominator=20)
 seeds = st.integers(0, 10**6)
@@ -153,12 +153,40 @@ def test_signed_support_signs(f):
         assert (f.apply(x) - x > 0) == (sign == 1)
 
 
+def displacement_signs(f: PLMap) -> set[int]:
+    """Signs (-1, 0, +1) attained by f(x) - x over all of ℚ, read off the
+    pieces without the region walk: the reference for `comp_sem`."""
+    signs: set[int] = set()
+    for (m, c), (lo, hi) in zip(f.pieces, f.piece_domains()):
+        # d(x) = (m-1)x + c is affine; its sign range on [lo, hi] is
+        # determined by the (limit) values at the two ends.
+        for end in (lo, hi):
+            if is_finite(end):
+                d = (m - 1) * end + c
+                signs.add(0 if d == 0 else (1 if d > 0 else -1))
+            else:
+                s = m - 1 if m != 1 else c
+                if end is NEG_INF:
+                    s = -s if m != 1 else c
+                if s == 0:
+                    signs.add(0)
+                else:
+                    signs.add(1 if s > 0 else -1)
+        if m != 1:
+            x = c / (1 - m)
+            if lo <= x <= hi:
+                signs.add(0)
+    return signs
+
+
 @given(plmaps)
 def test_displacement_signs(f):
     signs = displacement_signs(f)
     assert signs <= {-1, 0, 1}
     assert (0 in signs) == bool(f.fixed_items()) or f.is_identity()
     assert ({1, -1} & signs) == {s for _, s in f.signed_support()}
+    # comp_sem reads the cached region walk; the piece scan is independent
+    assert comp_sem(f) == (not ({1, -1} <= signs))
 
 
 @given(plmaps)

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qwi import predicates as P
+from qwi.formulas import MACROS, And, GAtom, Or
 from qwi.generators import gen_plmap, make_bump
 from qwi.numbers import NEG_INF, POS_INF, QInterval
 from qwi.plmap import PLMap
@@ -118,6 +120,50 @@ def test_member():
         P.member_sem(PLMap.translation(1), g)  # not a cofinal bump
     with pytest.raises(ValueError):
         P.member_sem(encode_rational(Fraction(0)), bump(0, 1))
+
+
+# the literal macros, each read with an empty pool (only constructive witnesses)
+_LITERAL = {"cof": P._cof_literal, "cont": P._cont_literal,
+            "oppsupport": P._oppsupport_literal}
+
+
+def _literal(phi, env):
+    if isinstance(phi, And):
+        return _literal(phi.a, env) and _literal(phi.b, env)
+    if isinstance(phi, Or):
+        return _literal(phi.a, env) or _literal(phi.b, env)
+    assert isinstance(phi, GAtom), phi
+    return _LITERAL[phi.name](*[env[a.name] for a in phi.args], [])
+
+
+def test_codesame_schema_read_literally_decides_membership():
+    """On criterion 6's grid, the codesame schema of MACROS read literally
+    at (f, g·f·g⁻¹) agrees with codesame_sem and with set membership: both
+    supports are half-lines, so the literal cont is not vacuous.  Across
+    point codes on either side it holds exactly for equal points."""
+    from qwi.interp import encode_finite_set, encode_finite_set_alt, encode_rational
+    params, body = MACROS["codesame"]
+    base = [Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 2),
+            Fraction(1), Fraction(2)]
+    pool = base + [Fraction(-3), Fraction(-1, 2), Fraction(1, 4),
+                   Fraction(3, 2), Fraction(3), Fraction(5)]
+    cases = 0
+    for r in range(len(base) + 1):
+        for S in combinations(base, r):
+            for enc in (encode_finite_set, encode_finite_set_alt):
+                g = enc(S)
+                g_inv = g.inverse()
+                for q, side in product(pool, ("left", "right")):
+                    f = encode_rational(q, side)
+                    conj = g.compose(f).compose(g_inv)
+                    lit = _literal(body, dict(zip(params, (f, conj))))
+                    assert lit == P.codesame_sem(f, conj) == (q in S), (S, q, side)
+                    cases += 1
+    assert cases == 3072
+    codes = [(q, encode_rational(q, side)) for q, side in product(pool, ("left", "right"))]
+    for (p, f), (q, h) in product(codes, codes):
+        lit = _literal(body, dict(zip(params, (f, h))))
+        assert lit == P.codesame_sem(f, h) == (p == q), (f, h)
 
 
 @given(plmaps)
