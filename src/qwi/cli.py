@@ -12,7 +12,7 @@ import sys
 from .numbers import parse_rational
 from .plmap import PLMap, format_pl, parse_pl
 from . import predicates as P
-from .formulas import ATOM_ARITY, expand, parse_wmso, print_group, qdepth
+from .formulas import ATOM_ARITY, expand, parse_wmso, print_group
 from .wmso import Assignment, decide, eval as wmso_eval
 from .interp import (
     encode_finite_set, encode_rational, pullback_eval, translate,
@@ -85,8 +85,7 @@ def _cmd_eval(args) -> int:
     with open(args.formula_file) as fh:
         phi = parse_wmso(fh.read())
     a = _parse_assignment(args.assign) if args.assign else Assignment()
-    cap = args.cap if args.cap is not None else max(qdepth(phi), 1)
-    value = wmso_eval(phi, a, cap)
+    value = wmso_eval(phi, a)
     print("true" if value else "false")
     return 0 if value else 1
 
@@ -161,9 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("plfile2", nargs="?")
     p.set_defaults(fn=_cmd_check)
 
-    p = sub.add_parser("eval", help="evaluate a WMSO formula over (Q,<)")
+    p = sub.add_parser("eval", help="evaluate a WMSO formula over (Q,<), exactly")
     p.add_argument("formula_file")
-    p.add_argument("--cap", type=int, default=None)
     p.add_argument("--assign", default=None,
                    help="e.g. x=1/2,X={0,1}")
     p.set_defaults(fn=_cmd_eval)

@@ -16,11 +16,17 @@ Every quantifier of a compiled sentence has one shape: ∃v(G ∧ body) or
 ∀v(G → body), where the guard G is a single atom that mentions v.  The
 guard says what v ranges over, and there are four kinds: cof(p) the
 orientation, rational(f_x) and finrational(g_X) the coded points and sets,
-and codesame(l, f_x) a representative of a point.
-`pullback_eval` reads the guard alone to pick the candidates, which are
-encodings of the same families the direct evaluator uses; every atom is
-decided by the semantic oracles.  The shape is plain syntax, so it survives
-`print_group` and `parse_group`.
+and codesame(l, f_x) a representative of a point.  The shape is plain
+syntax, so it survives `print_group` and `parse_group`.
+
+`pullback_eval` reads the guard to pick the candidates, and every atom is
+decided by the semantic oracles.  A point ranges over the landmarks plus
+one fresh point per gap.  A set ranges over one set per reachable end state
+of the automaton (`wmso.automaton`) of the quantifier's body, decompiled
+back to an order formula by the inverse of the compiler, with the landmarks
+read in the direction of the orientation parameter.  Each family is
+complete for the order side, so the round-trip checks the group side
+against a decision procedure that shares no enumerator with it.
 """
 
 from __future__ import annotations
@@ -29,16 +35,19 @@ from fractions import Fraction
 from itertools import count
 from typing import Iterator, Optional, Union
 
-from .numbers import NEG_INF, POS_INF, QInterval, is_finite
+from .numbers import NEG_INF, POS_INF, QInterval, is_finite, pick_fresh
 from .plmap import PLMap
 from .formulas import (
     _BINARY, And, EqPt, Evaluator, Exists, ExistsPt, ExistsSet, Forall,
-    ForallPt, ForallSet, Formula, GAtom, GVar, Implies, Inv, Less, Mem, Mul,
-    Not, One, Term, TermEq, _refresh_bound, free_vars, parse_group, substitute,
+    ForallPt, ForallSet, Formula, GAtom, GVar, Iff, Implies, Inv, Less, Mem,
+    Mul, Not, One, Or, Term, TermEq, _refresh_bound, free_vars, parse_group,
+    substitute,
 )
 from .generators import make_bump
 from . import predicates as P
-from .wmso import Assignment, decide, point_candidates, set_candidates
+from .wmso import (
+    Assignment, Dfa, automaton, decide, gaps_of, landmark_word, point_candidates,
+)
 
 
 class InterpError(ValueError):
@@ -176,6 +185,13 @@ def _tr(phi: Formula, names: Iterator[int]) -> Formula:
 # the order oracle
 # ---------------------------------------------------------------------------
 
+def _rightward(p: PLMap) -> bool:
+    """Whether the orientation parameter p reads ℚ left to right: its
+    unbounded side is rightward."""
+    (ivp, _), = p.signed_support()
+    return is_finite(ivp.lo)
+
+
 def less_p(f: PLMap, g: PLMap, p: PLMap) -> bool:
     """endpoint(f) < endpoint(g), with "less" read in the orientation for
     which p's unbounded side is rightward."""
@@ -183,10 +199,52 @@ def less_p(f: PLMap, g: PLMap, p: PLMap) -> bool:
         raise InterpError("less_p needs two rational-coding elements")
     if not P.cof_sem(p):
         raise InterpError("orientation parameter must be cofinal")
-    (ivp, _), = p.signed_support()
-    rightward = is_finite(ivp.lo)
     a, b = P.cof_endpoint(f), P.cof_endpoint(g)
-    return a < b if rightward else b < a
+    return a < b if _rightward(p) else b < a
+
+
+# ---------------------------------------------------------------------------
+# decompilation
+# ---------------------------------------------------------------------------
+
+# (group quantifier, guard) -> WMSO quantifier: the inverse of _CODED
+_DECODED = {(quant, guard): wmso for wmso, (quant, _, guard) in _CODED.items()}
+
+
+def _decompile(psi: Formula) -> Formula:
+    """The order formula that `_tr` compiles to psi, with the compiled
+    variable names kept: f_x stays f_x, and g_X stays g_X.  Every other
+    shape raises InterpError.  Each atom and quantifier is accepted only if
+    compiling it back, with the two-letter prefix of each name stripped,
+    gives psi again."""
+    match psi:
+        case Not(sub):
+            return Not(_decompile(sub))
+        case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
+            return type(psi)(_decompile(a), _decompile(b))
+        case (Exists(v, And(GAtom(guard, (GVar(w),)), body))
+              | Forall(v, Implies(GAtom(guard, (GVar(w),)), body))) if (
+                v == w and (type(psi), guard) in _DECODED):
+            quant = _DECODED[type(psi), guard]
+            if _CODED[quant][1](v[2:]) == v:
+                return quant(v, _decompile(body))
+        case GAtom("codesame", (GVar(x), GVar(y))):
+            return _decompiled_atom(psi, EqPt(x, y))
+        case GAtom("codesame", (GVar(x), Mul(Mul(GVar(X), _), _))):
+            return _decompiled_atom(psi, Mem(x, X))
+        case Exists(lf, And(GAtom("codesame", (_, GVar(x))),
+                            Exists(lg, And(GAtom("codesame", (_, GVar(y))), _)))):
+            return _decompiled_atom(psi, Less(x, y), lf[3:], lg[3:])
+    raise InterpError(f"not a compiled order formula: {psi!r}")
+
+
+def _decompiled_atom(psi: Formula, atom: Formula, *numbers: str) -> Formula:
+    """`atom`, over compiled names, if `_tr` compiles it to psi when the
+    bound names of the order schema carry `numbers`."""
+    plain = type(atom)(*(v[2:] for v in vars(atom).values()))
+    if _tr(plain, iter(numbers)) != psi:
+        raise InterpError(f"not a compiled order atom: {psi!r}")
+    return atom
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +261,13 @@ def _guard(phi: Formula) -> Optional[GAtom]:
     return g if isinstance(g, GAtom) and GVar(phi.var) in g.args else None
 
 
-def _coded_depth(phi: Formula) -> int:
-    """Nesting depth of the rational/finrational-guarded quantifiers."""
-    if isinstance(phi, (Exists, Forall)):
-        g = _guard(phi)
-        coded = g is not None and g.name in ("rational", "finrational")
-        return coded + _coded_depth(phi.body)
-    if isinstance(phi, Not):
-        return _coded_depth(phi.sub)
-    if isinstance(phi, _BINARY):
-        return max(_coded_depth(phi.a), _coded_depth(phi.b))
-    return 0
+def _spread(gap: QInterval, k: int) -> list[Fraction]:
+    """k distinct increasing rationals inside an open gap."""
+    out, iv = [], gap
+    for _ in range(k):
+        out.append(pick_fresh(iv))
+        iv = QInterval(out[-1], gap.hi)
+    return out
 
 
 _SIDES = {"right": (QInterval(Fraction(0), POS_INF),),
@@ -229,14 +283,15 @@ class _Pullback(Evaluator):
     Every element the evaluator builds is kept in `coded` for the length of
     the call, keyed by what it codes (a product by its two factors, an
     inverse by its argument), so a value met again is the same map and its
-    support is walked once."""
+    support is walked once.  The automaton of each set quantifier's body is
+    kept in `automata`, keyed by the quantifier node, for the same span."""
 
-    def __init__(self, cap: int, orientation: Optional[str]):
-        self.cap = cap
+    def __init__(self, orientation: Optional[str]):
         self.orientation = orientation
         self.a = Assignment()
         self.env: dict[str, PLMap] = {}
         self.coded: dict[tuple, PLMap] = {}
+        self.automata: dict[int, Dfa] = {}
 
     def code(self, key: tuple, make, *args) -> PLMap:
         f = self.coded.get(key)
@@ -293,7 +348,7 @@ class _Pullback(Evaluator):
         if name == "rational":
             return want, self.a.points, point_candidates(self.a)
         if name == "finrational":
-            return want, self.a.sets, set_candidates(self.a, self.cap)
+            return want, self.a.sets, self.set_candidates(phi, want)
         if name == "codesame":  # both representatives of a coded point
             q = P.cof_endpoint(self.term(g.args[1]))
             return want, self.env, [self.rational(q, "right"), self.rational(q, "left")]
@@ -302,18 +357,86 @@ class _Pullback(Evaluator):
             f"(outside the translated fragment)"
         )
 
+    def set_candidates(self, phi: Formula, want: bool) -> list[tuple[Fraction, ...]]:
+        """One set per reachable end state of the body's automaton.
+
+        The landmarks of the body's other variables are read in the
+        direction of the orientation parameter, the order `less_p` uses.  A
+        breadth-first search over (landmarks read, state) inserts a fresh
+        point of the set before the next landmark, or reads that landmark
+        with or without it, and keeps the first, so shortest, way to each
+        end state.  Two sets that end in the same state satisfy the body
+        alike (Myhill–Nerode), so the family is complete for the order
+        side.  Sets that end where the automaton settles the quantifier come
+        first."""
+        dfa = self.automata.get(id(phi))
+        if dfa is None:
+            dfa = self.automata[id(phi)] = automaton(_decompile(phi.body.b))
+        if ORIENTATION_VAR not in self.env:
+            raise InterpError(f"set quantifier over {phi.var} outside the orientation prefix")
+        where: dict[str, tuple[Fraction, ...]] = {}
+        for v in dfa.vars:
+            if v == phi.var:
+                continue
+            if v in dfa.points and v in self.a.points:
+                where[v] = (self.a.points[v],)
+            elif v not in dfa.points and v in self.a.sets:
+                where[v] = self.a.sets[v]
+            else:
+                raise InterpError(f"unbound coded variable {v}")
+        right = _rightward(self.env[ORIENTATION_VAR])
+        marks, letters = landmark_word(dfa, where, descending=not right)
+        n, bit, delta = len(marks), dfa.bit(phi.var), dfa.delta
+        # node (i, q): i landmarks read, in state q; back[node] is the node
+        # it was first reached from and whether that move took a landmark
+        back: dict[tuple[int, int], Optional[tuple]] = {(0, 0): None}
+        order = [(0, 0)]
+        for node in order:  # grows while it is walked
+            i, q = node
+            moves = [((i, delta[q][bit]), False)]
+            if i < n:
+                moves += [((i + 1, delta[q][letters[i]]), False),
+                          ((i + 1, delta[q][letters[i] | bit]), True)]
+            for nxt, took in moves:
+                if nxt not in back:
+                    back[nxt] = (node, took)
+                    order.append(nxt)
+        gaps = gaps_of(sorted(marks))
+        out = []
+        for end in order:
+            if end[0] != n:
+                continue
+            members, fresh, node = [], [0] * (n + 1), end
+            while back[node] is not None:
+                prev, took = back[node]
+                if prev[0] == node[0]:  # a fresh point before landmark prev[0]
+                    fresh[prev[0] if right else n - prev[0]] += 1
+                elif took:
+                    members.append(marks[prev[0]])
+                node = prev
+            for gap, k in zip(gaps, fresh):
+                members.extend(_spread(gap, k))
+            out.append((dfa.accept[end[1]] != want, tuple(sorted(members))))
+        out.sort(key=lambda c: c[0])
+        return [members for _, members in out]
+
 
 def pullback_eval(psi: Formula, orientation: Optional[str] = None) -> bool:
     """Evaluate a compiled sentence over coded candidates.
 
-    Set quantifiers add up to `max(coded depth, 1)` fresh points per gap,
-    the cap `decide` uses.  With orientation=None the ∃p prefix ranges over
+    The orientation parameter ranges over a right and a left cofinal bump,
+    a point quantifier over the landmarks plus one fresh point per gap, and
+    a set quantifier over one set per reachable end state of the automaton
+    of its body, decompiled back to an order formula (see
+    `_Pullback.set_candidates`).  All three families are complete, so the
+    answer is exact whenever the oracles decide the compiled atoms as the
+    order side means them.  With orientation=None the ∃p prefix ranges over
     both sides; fixing "left"/"right" pins the parameter for robustness
     experiments.
     """
     if free_vars(psi):
         raise InterpError(f"compiled sentence has free variables {sorted(free_vars(psi))}")
-    return _Pullback(max(_coded_depth(psi), 1), orientation).run(psi)
+    return _Pullback(orientation).run(psi)
 
 
 def roundtrip_check(phi: Formula) -> bool:

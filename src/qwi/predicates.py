@@ -16,6 +16,7 @@ from typing import Optional
 
 from .numbers import NEG_INF, POS_INF, IntervalSet, QInterval, is_finite, pick_fresh
 from .plmap import PLMap
+from .formulas import MACROS, And, Or
 from .generators import gen_plmap_rnd, make_bump
 
 
@@ -283,7 +284,41 @@ def _oppsupport_literal(f: PLMap, g: PLMap, pool: list[PLMap]) -> bool:
     return True
 
 
-_LITERALS = {"cont", "coterm", "cof", "oppsupport"}
+def _codesame_literal(f: PLMap, g: PLMap, pool: list[PLMap]) -> bool:
+    # the codesame schema of formulas.MACROS, its atoms read literally
+    params, body = MACROS["codesame"]
+    return _read_literally(body, dict(zip(params, (f, g))), pool)
+
+
+def _read_literally(phi, env: dict[str, PLMap], pool: list[PLMap]) -> bool:
+    if isinstance(phi, And):
+        return _read_literally(phi.a, env, pool) and _read_literally(phi.b, env, pool)
+    if isinstance(phi, Or):
+        return _read_literally(phi.a, env, pool) or _read_literally(phi.b, env, pool)
+    return _LITERAL_ATOMS[phi.name](*[env[a.name] for a in phi.args], pool)
+
+
+_LITERAL_ATOMS = {"cof": _cof_literal, "cont": _cont_literal, "oppsupport": _oppsupport_literal}
+
+
+def _coded_pair(rnd: random.Random) -> tuple[PLMap, PLMap]:
+    """A point code f and either another point code or g·f·g⁻¹ for a
+    finite-set code g: the pairs the interpretation's codesame atoms meet."""
+    from .interp import encode_finite_set, encode_rational  # interp imports this module
+
+    def rat() -> Fraction:
+        return Fraction(rnd.randint(-8, 8), rnd.randint(1, 3))
+    q = rat()
+    f = encode_rational(q, rnd.choice(("left", "right")))
+    if rnd.random() < 0.5:
+        p = q if rnd.random() < 0.5 else rat()
+        return f, encode_rational(p, rnd.choice(("left", "right")))
+    S = [rat() for _ in range(rnd.randint(0, 4))] + ([q] if rnd.random() < 0.5 else [])
+    g = encode_finite_set(S)
+    return f, g.compose(f).compose(g.inverse())
+
+
+_LITERALS = {"cont", "coterm", "cof", "oppsupport", "codesame"}
 
 
 def discrepancy_search(macro: str, trials: int, seed: int) -> list[tuple]:
@@ -293,7 +328,8 @@ def discrepancy_search(macro: str, trials: int, seed: int) -> list[tuple]:
     refutation or witness from the pool proves the two disagree.  The cont
     macro is expected to diverge: a dense-support y has no disjoint
     non-identity partner, so the literal ∀z clause is vacuously true no
-    matter what x does.
+    matter what x does.  The codesame schema is read on the interpretation's
+    own elements (`_coded_pair`), where both supports are half-lines.
     """
     if macro not in _LITERALS:
         raise ValueError(f"unknown macro {macro!r}; expected one of {sorted(_LITERALS)}")
@@ -301,6 +337,12 @@ def discrepancy_search(macro: str, trials: int, seed: int) -> list[tuple]:
     found = []
     for _ in range(trials):
         pool = [gen_plmap_rnd(rnd, 4) for _ in range(8)]
+        if macro == "codesame":
+            f, g = _coded_pair(rnd)
+            lit, sem = _codesame_literal(f, g, pool), codesame_sem(f, g)
+            if lit != sem:
+                found.append((f, g, lit, sem))
+            continue
         f = gen_plmap_rnd(rnd, 4)
         if macro == "cont":
             g = gen_plmap_rnd(rnd, 4)

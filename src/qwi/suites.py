@@ -3,9 +3,10 @@
 Each suite re-checks one layer's invariants at desk scale: group laws and
 support covariance, the orbital-pattern conjugacy criterion with verified
 witnesses, predicate-oracle coherence, the tail decomposition, the pattern
-level `inf` formula, the eight cofinal classes, the WMSO engine against its
-brute-force reference, the interpretation round-trip, and the literal-macro
-discrepancy report.  Every suite is deterministic under its seed.
+level `inf` formula, the eight cofinal classes, the WMSO automaton against
+its brute-force reference, the interpretation round-trip, and the
+literal-macro discrepancy report.  Every suite is deterministic under its
+seed.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .conjugacy import conjugating_witness, verify_conjugator
 from .generators import gen_plmap_rnd
 from . import predicates as P
 from .interp import pullback_eval, translate
-from .formulas import parse_wmso, qdepth
-from .wmso import Assignment, brute_eval, decide, stability_probe
+from .formulas import parse_wmso
+from .wmso import Assignment, brute_eval, decide
 from . import corpus as corpus_mod
 
 
@@ -249,25 +250,21 @@ def _suite_classes8(seed: int, cases: int):
 
 
 # ---------------------------------------------------------------------------
-# wmso: corpus truth, cap stability, brute-force agreement
+# wmso: corpus truth and brute-force agreement
 # ---------------------------------------------------------------------------
 
 def _suite_wmso(seed: int, cases: int):
     failures = []
+    # seven points reach "some finite set has at least 7 elements"
     pool = [Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 2),
-            Fraction(1), Fraction(3)]
+            Fraction(1), Fraction(2), Fraction(3)]
     entries = corpus_mod.load_corpus()
     for truth, text, note in entries:
         phi = parse_wmso(text)
-        d = qdepth(phi)
         got = decide(phi)
         if got != truth:
             failures.append(f"{text!r}: decided {got}, recorded {truth}")
-            continue
-        probe = stability_probe(phi, [max(d, 1), max(d, 1) + 1, max(d, 1) + 2])
-        if len(set(probe)) != 1 or probe[0] != truth:
-            failures.append(f"{text!r}: cap instability {probe}")
-        if d <= 3 and brute_eval(phi, Assignment(), pool) != truth:
+        if brute_eval(phi, Assignment(), pool) != truth:
             failures.append(f"{text!r}: brute-force enumerator disagrees")
     return len(entries), failures, []
 
@@ -313,7 +310,7 @@ def _suite_discrepancy(seed: int, cases: int):
                  "(expected, documented)")
     if not hits:
         failures.append("seeded search found no cont divergence")
-    for macro in ("coterm", "cof", "oppsupport"):
+    for macro in ("coterm", "cof", "oppsupport", "codesame"):
         bad = P.discrepancy_search(macro, cases, seed)
         if bad:
             failures.append(f"{macro}: literal macro diverges from oracle "
@@ -321,7 +318,7 @@ def _suite_discrepancy(seed: int, cases: int):
         else:
             notes.append(f"{macro}: literal and oracle agree on "
                          f"{cases} seeded instances")
-    total = 3 * cases + max(cases // 4, 50) + 1
+    total = 4 * cases + max(cases // 4, 50) + 1
     return total, failures, notes
 
 

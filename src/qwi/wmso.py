@@ -1,33 +1,46 @@
-"""Ground-truth semantics for the monadic second-order logic of (ℚ,<)
-with set quantifiers ranging over finite sets only.
+"""Decision procedure for the monadic second-order logic of (ℚ,<) with set
+quantifiers ranging over finite sets only (WMSO).
 
-Point quantifiers are decided by testing each landmark (a rational already
-named by the assignment) plus one fresh point per gap: atoms can only
-compare the new point against landmarks, so the gap a point falls in
-determines everything.  Set quantifiers range over subsets of the landmarks
-extended by up to `cap` fresh points per gap; the cap is the number of
-points the remaining quantifier prefix could individually interrogate.
+A finite configuration, the values of finitely many point and set
+variables, is determined up to an automorphism of (ℚ,<) by the word of its
+landmarks read left to right, where the letter at a landmark is the set of
+variables sitting there.  Truth depends only on that word.  Because ℚ is
+dense and unbounded, a quantified point can sit on any landmark or in any
+gap, and a quantified finite set can take any landmarks plus any number of
+fresh points in any gaps.  So WMSO over (ℚ,<) is WS1S over these words
+(Büchi 1960, Elgot 1961, Trakhtenbrot 1962), and `automaton` builds the
+classical automaton of a formula (Henriksen et al., "MONA", TACAS 1995):
 
-The cap rule is unsound from quantifier depth 4 on.  "Some finite set has
-at least 7 elements" can be written with one set quantifier and three
-nested point quantifiers; it is true, but `decide` answers False, because
-with cap 4 no set candidate has more than 4 points in a gap.  The
-cap-stability probes and the brute-force subset enumerator both miss it
-(see ROADMAP.md, Open item 1, for the complete automaton procedure that
-is to replace this rule).
+- a letter is a bitmask over the formula's free variables, and the empty
+  letter, a point that no variable names, loops on every state;
+- an atom is a DFA of at most four states;
+- &, |, -> and <-> are products, and ~ is complement;
+- ∃x intersects with "x occurs exactly once" and projects x away, ∃X only
+  projects; a letter that the projection empties is an ε-move, which the
+  subset construction closes over.
+
+Every product and projection is minimised.  An automaton is meant only for
+well-formed words, where each free point variable occurs exactly once; what
+it does on other words is unspecified.  `decide` and `eval` are exact on
+every formula.  Their cost is the limit: a state has one transition per
+letter, so time and table size grow as 2^k in the number k of free
+variables of a subformula (a chain of 12 point variables takes about a
+second on a 2-CPU host).  `brute_eval` is an independent reference that
+enumerates candidates instead and shares no code with the automaton.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
-from typing import Iterable, Iterator, Sequence
+from itertools import combinations
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .numbers import NEG_INF, POS_INF, QInterval, pick_fresh
 from .formulas import (
-    EqPt, Evaluator, ExistsPt, ExistsSet, ForallPt, ForallSet, Formula,
-    FormulaError, Less, Mem, free_vars, qdepth,
+    And, EqPt, Evaluator, ExistsPt, ExistsSet, ForallPt, ForallSet, Formula,
+    FormulaError, Iff, Implies, Less, Mem, Not, Or, free_vars,
 )
 
 
@@ -57,65 +70,233 @@ def gaps_of(landmarks: Sequence[Fraction]) -> list[QInterval]:
     return [QInterval(lo, hi) for lo, hi in zip(ends, ends[1:])]
 
 
-_FRESH_CACHE: dict[QInterval, Fraction] = {}
-_CHAIN_CACHE: dict[tuple[QInterval, int], tuple[Fraction, ...]] = {}
-
-
-def _fresh(gap: QInterval) -> Fraction:
-    x = _FRESH_CACHE.get(gap)
-    if x is None:
-        x = _FRESH_CACHE[gap] = pick_fresh(gap)
-    return x
-
-
-def fresh_chain(gap: QInterval, k: int) -> tuple[Fraction, ...]:
-    """k distinct increasing fresh rationals inside an open gap."""
-    key = (gap, k)
-    out = _CHAIN_CACHE.get(key)
-    if out is None:
-        acc: list[Fraction] = []
-        iv = gap
-        for _ in range(k):
-            x = _fresh(iv)
-            acc.append(x)
-            iv = QInterval(x, gap.hi)
-        out = _CHAIN_CACHE[key] = tuple(acc)
-    return out
-
-
 def point_candidates(a: Assignment) -> list[Fraction]:
+    """The landmarks and one fresh point per gap: a complete family for a
+    point quantifier, since an atom only compares the point to landmarks."""
     marks = a.landmarks()
-    return marks + [_fresh(g) for g in gaps_of(marks)]
+    return marks + [pick_fresh(g) for g in gaps_of(marks)]
 
 
-def set_candidates(a: Assignment, cap: int) -> Iterator[tuple[Fraction, ...]]:
-    marks = a.landmarks()
-    gaps = gaps_of(marks)
-    # try candidates with few fresh points first: existential witnesses are
-    # usually landmark subsets, so this ordering lets any/all short-circuit
-    mults = sorted(product(range(cap + 1), repeat=len(gaps)), key=sum)
-    for mult in mults:
-        extra: list[Fraction] = []
-        for g, k in zip(gaps, mult):
-            extra.extend(fresh_chain(g, k))
-        for r in range(len(marks) + 1):
-            for base in combinations(marks, r):
-                yield tuple(sorted(base + tuple(extra)))
+# ---------------------------------------------------------------------------
+# automata
+# ---------------------------------------------------------------------------
+
+class Dfa(NamedTuple):
+    """A complete deterministic automaton whose initial state is 0.
+
+    A letter is a bitmask over `vars`: bit i says that vars[i] sits at the
+    position.  `delta[s][letter]` is the successor of state s, `accept[s]`
+    says whether s accepts, and `points` names the point variables."""
+
+    vars: tuple[str, ...]
+    points: frozenset[str]
+    delta: tuple[tuple[int, ...], ...]
+    accept: tuple[bool, ...]
+
+    def bit(self, var: str) -> int:
+        """The letter of `var` alone; 0 when `var` is not free."""
+        return 1 << self.vars.index(var) if var in self.vars else 0
+
+    def run(self, word: Iterable[int]) -> int:
+        """The state the word leads to from the initial state."""
+        delta, state = self.delta, 0
+        for letter in word:
+            state = delta[state][letter]
+        return state
 
 
-def eval(phi: Formula, a: Assignment, cap: int) -> bool:  # noqa: A001
-    if cap < qdepth(phi):
-        raise FormulaError(f"cap {cap} below quantifier depth {qdepth(phi)}")
-    return _Eval(a, cap).run(phi)
+def _explore(vars: tuple[str, ...], points: frozenset[str], start: Hashable,
+             step: Callable[[Hashable, int], Hashable],
+             accepting: Callable[[Hashable], bool]) -> Dfa:
+    """The minimal DFA over the states reachable from `start`, where
+    step(state, letter) is a state's successor."""
+    index = {start: 0}
+    order = [start]
+    delta = []
+    for s in order:  # grows while it is walked
+        row = []
+        for letter in range(1 << len(vars)):
+            t = step(s, letter)
+            if t not in index:
+                index[t] = len(order)
+                order.append(t)
+            row.append(index[t])
+        delta.append(row)
+    return _minimise(vars, points, delta, [accepting(s) for s in order])
 
 
-class _Eval(Evaluator):
+def _minimise(vars, points, delta, accept) -> Dfa:
+    """Moore's partition refinement over reachable states.  Classes are
+    numbered in order of their first state, so state 0 stays initial."""
+    cls = [int(a) for a in accept]
+    while True:
+        ids: dict[tuple, int] = {}
+        new = [ids.setdefault((cls[s], tuple(cls[t] for t in row)), len(ids))
+               for s, row in enumerate(delta)]
+        if len(ids) == len(set(cls)):
+            break
+        cls = new
+    first: dict[int, int] = {}
+    for s, c in enumerate(new):
+        first.setdefault(c, s)
+    return Dfa(vars, points,
+               tuple(tuple(new[t] for t in delta[s]) for s in first.values()),
+               tuple(accept[s] for s in first.values()))
+
+
+def _pattern(vars: tuple[str, ...], points: frozenset[str], watch: int,
+             wants: Sequence[int]) -> Dfa:
+    """The words whose letters that meet `watch` are exactly `wants`, in
+    order; other letters are free."""
+    dead = len(wants) + 1
+
+    def step(i, a):
+        if not a & watch:
+            return i
+        return i + 1 if i < len(wants) and a == wants[i] else dead
+    return _explore(vars, points, 0, step, lambda i: i == len(wants))
+
+
+def _atom(phi: Formula) -> Dfa:
+    t = type(phi)
+    if t is Mem:  # x occurs once, on a letter that carries X
+        vars = tuple(dict.fromkeys((phi.x, phi.X)))
+        return _pattern(vars, frozenset({phi.x}), 1, [(1 << len(vars)) - 1])
+    if t is Less or t is EqPt:
+        vars = tuple(dict.fromkeys((phi.x, phi.y)))
+        bx, by = 1 << vars.index(phi.x), 1 << vars.index(phi.y)
+        wants = [bx, by] if t is Less else [bx | by]
+        return _pattern(vars, frozenset(vars), bx | by, wants)
+    raise FormulaError(f"not a formula over (Q,<): {phi!r}")
+
+
+def _complement(a: Dfa) -> Dfa:
+    return Dfa(a.vars, a.points, a.delta, tuple(not x for x in a.accept))
+
+
+def _product(a: Dfa, b: Dfa, op: Callable[[bool, bool], bool]) -> Dfa:
+    vars = tuple(sorted(set(a.vars) | set(b.vars)))
+
+    def restrict(d: Dfa) -> list[int]:
+        """Each letter over `vars`, read over d's variables."""
+        at = [vars.index(v) for v in d.vars]
+        return [sum(1 << i for i, j in enumerate(at) if letter >> j & 1)
+                for letter in range(1 << len(vars))]
+    ra, rb = restrict(a), restrict(b)
+    return _explore(vars, a.points | b.points, (0, 0),
+                    lambda s, x: (a.delta[s[0]][ra[x]], b.delta[s[1]][rb[x]]),
+                    lambda s: op(a.accept[s[0]], b.accept[s[1]]))
+
+
+def _project(a: Dfa, var: str) -> Dfa:
+    """∃var over a: the subset construction, with the letter of `var` alone
+    as an ε-move."""
+    i = a.vars.index(var)
+    eps, low = 1 << i, (1 << i) - 1
+    delta = a.delta
+
+    def close(states: Iterable[int]) -> frozenset[int]:
+        seen = set(states)
+        todo = list(seen)
+        while todo:
+            t = delta[todo.pop()][eps]
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+        return frozenset(seen)
+
+    def step(S, b):
+        x = (b & low) | (b & ~low) << 1  # b with a 0 inserted at bit i
+        return close([delta[s][x] for s in S] + [delta[s][x | eps] for s in S])
+    return _explore(a.vars[:i] + a.vars[i + 1:], a.points - {var}, close([0]),
+                    step, lambda S: any(a.accept[s] for s in S))
+
+
+def _exists(var: str, point: bool, body: Dfa) -> Dfa:
+    if var not in body.vars:  # ℚ is nonempty, and ∅ is a finite set
+        return body
+    if point:
+        body = _product(body, _pattern((var,), frozenset({var}), 1, [1]), operator.and_)
+    return _project(body, var)
+
+
+_CONNECTIVES = {And: operator.and_, Or: operator.or_, Implies: operator.le, Iff: operator.eq}
+
+
+def automaton(phi: Formula) -> Dfa:
+    """The minimal DFA of phi over the landmark words of its free variables."""
+    t = type(phi)
+    if t is Not:
+        return _complement(automaton(phi.sub))
+    if t in _CONNECTIVES:
+        return _product(automaton(phi.a), automaton(phi.b), _CONNECTIVES[t])
+    if t is ExistsPt or t is ExistsSet:
+        return _exists(phi.var, t is ExistsPt, automaton(phi.body))
+    if t is ForallPt or t is ForallSet:
+        inner = _complement(automaton(phi.body))
+        return _complement(_exists(phi.var, t is ForallPt, inner))
+    return _atom(phi)
+
+
+def landmark_word(dfa: Dfa, where: Mapping[str, Iterable[Fraction]],
+                  descending: bool = False) -> tuple[list[Fraction], list[int]]:
+    """The landmarks of the variables of `dfa` that `where` places (a
+    variable's positions), in order, and the letter at each."""
+    at: dict[Fraction, int] = {}
+    for i, v in enumerate(dfa.vars):
+        for q in where.get(v, ()):
+            at[q] = at.get(q, 0) | 1 << i
+    marks = sorted(at, reverse=descending)
+    return marks, [at[q] for q in marks]
+
+
+def decide(phi: Formula) -> bool:
+    """Truth value of a closed formula in (ℚ,<): whether the initial state
+    of its automaton accepts.  Exact on every sentence."""
+    if free_vars(phi):
+        raise FormulaError(f"formula has free variables {sorted(free_vars(phi))}")
+    return automaton(phi).accept[0]
+
+
+def eval(phi: Formula, a: Assignment) -> bool:  # noqa: A001
+    """Truth value of phi under an assignment of its free variables: the
+    automaton of phi run on the assignment's landmark word."""
+    dfa = automaton(phi)
+    where: dict[str, tuple[Fraction, ...]] = {}
+    for v in dfa.vars:
+        if v in dfa.points:
+            if v not in a.points:
+                raise FormulaError(f"unbound point variable {v}")
+            where[v] = (a.points[v],)
+        elif v in a.sets:
+            where[v] = a.sets[v]
+        else:
+            raise FormulaError(f"unbound set variable {v}")
+    return dfa.accept[dfa.run(landmark_word(dfa, where)[1])]
+
+
+# ---------------------------------------------------------------------------
+# the independent reference
+# ---------------------------------------------------------------------------
+
+def brute_eval(phi: Formula, a: Assignment, pool: Sequence[Fraction]) -> bool:
+    """Reference evaluator by enumeration.
+
+    Point quantifiers range over the landmarks plus one fresh point per gap,
+    which is complete.  Set quantifiers range over ALL subsets of the fixed
+    pool together with the current landmarks, which is complete only when
+    the pool has enough points for the sentence (seven suffice for "some
+    finite set has at least 7 elements")."""
+    return _Brute(a, pool).run(phi)
+
+
+class _Brute(Evaluator):
     """Evaluator over a private copy of the assignment: bindings are pushed
     into and popped from its dicts around quantifier recursion."""
 
-    def __init__(self, a: Assignment, cap: int):
+    def __init__(self, a: Assignment, pool: Sequence[Fraction]):
         self.a = Assignment(dict(a.points), dict(a.sets))
-        self.cap = cap
+        self.pool = pool
 
     def atom(self, phi: Formula) -> bool:
         t = type(phi)
@@ -134,52 +315,14 @@ class _Eval(Evaluator):
         if t is ExistsPt or t is ForallPt:
             return t is ExistsPt, self.a.points, point_candidates(self.a)
         if t is ExistsSet or t is ForallSet:
-            return t is ExistsSet, self.a.sets, self.set_candidates()
+            return t is ExistsSet, self.a.sets, self.subsets()
         return None
 
-    def set_candidates(self) -> Iterator[tuple[Fraction, ...]]:
-        return set_candidates(self.a, self.cap)
+    def subsets(self) -> Iterator[tuple[Fraction, ...]]:
+        universe = sorted(set(self.pool) | set(self.a.landmarks()))
+        return (s for r in range(len(universe) + 1) for s in combinations(universe, r))
 
     def pt(self, x: str) -> Fraction:
         if x not in self.a.points:
             raise FormulaError(f"unbound point variable {x}")
         return self.a.points[x]
-
-
-def decide(phi: Formula) -> bool:
-    """Truth value of a closed formula in (ℚ,<).
-
-    Unsound from quantifier depth 4 on, where the cap rule may miss a
-    witness set: the "at least 7 elements" sentence of ROADMAP.md, Open
-    item 1, is true, and this returns False."""
-    if free_vars(phi):
-        raise FormulaError(f"formula has free variables {sorted(free_vars(phi))}")
-    return eval(phi, EMPTY, max(qdepth(phi), 1))
-
-
-def stability_probe(phi: Formula, caps: Sequence[int]) -> list[bool]:
-    if free_vars(phi):
-        raise FormulaError(f"formula has free variables {sorted(free_vars(phi))}")
-    return [eval(phi, EMPTY, c) for c in caps]
-
-
-def brute_eval(phi: Formula, a: Assignment, pool: Sequence[Fraction]) -> bool:
-    """Reference evaluator isolating the set-quantifier cap rule.
-
-    Point quantifiers use the same (complete) landmark-plus-gap rule as the
-    engine; set quantifiers instead enumerate ALL subsets of the fixed pool
-    together with the current landmarks, with no multiplicity cap.  Agreement
-    with `eval` on the corpus is evidence for the cap rule, since that is the
-    only place the two differ.
-    """
-    return _Brute(a, pool).run(phi)
-
-
-class _Brute(_Eval):
-    def __init__(self, a: Assignment, pool: Sequence[Fraction]):
-        super().__init__(a, cap=0)
-        self.pool = pool
-
-    def set_candidates(self) -> Iterator[tuple[Fraction, ...]]:
-        universe = sorted(set(self.pool) | set(self.a.landmarks()))
-        return (s for r in range(len(universe) + 1) for s in combinations(universe, r))

@@ -95,9 +95,19 @@ def test_eval_rejects_deep_nesting(tmp_path, capsys):
     assert main(["eval", shallow, "--assign", "x=0,y=1"]) == 0
 
 
-def test_eval_cap_too_small(tmp_path):
+def test_eval_cap_too_small(tmp_path, capsys):
+    """`eval` is exact and takes no cap; an unbound variable is an input
+    error, reported without a traceback."""
     f = write(tmp_path, "f.wmso", "EX Ax (x in X)")
-    assert main(["eval", f, "--cap", "1"]) == 2
+    with pytest.raises(SystemExit) as refused:
+        main(["eval", f, "--cap", "1000000"])
+    assert refused.value.code == 2
+    assert "--cap" in capsys.readouterr().err
+    open_f = write(tmp_path, "open.wmso", "x < y")
+    assert main(["eval", open_f, "--assign", "x=0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unbound point variable y" in err
+    assert "Traceback" not in err
 
 
 def test_translate_and_roundtrip(tmp_path, capsys):

@@ -1,0 +1,111 @@
+"""Three deciders of WMSO over (ℚ,<) that share no enumerator must agree:
+the automaton (`decide`), the brute-force subset enumerator (`brute_eval`)
+and the pullback of the compiled sentence through the group, under both
+orientations (`pullback_eval`)."""
+
+import random
+import re
+from fractions import Fraction
+
+import pytest
+
+from qwi.formulas import parse_wmso, qdepth
+from qwi.interp import pullback_eval, translate
+from qwi.wmso import EMPTY, brute_eval, decide
+
+POOL = [Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 2),
+        Fraction(1), Fraction(2), Fraction(3)]
+
+
+def _formula(rnd, depth, pts, sets, names, set_quantifiers):
+    """Text of a formula of quantifier depth at most `depth` whose free
+    variables are among pts and sets.  At most `set_quantifiers` set
+    quantifiers occur, anywhere, also under point quantifiers."""
+    if pts and (depth == 0 or rnd.random() < 0.1):
+        x = rnd.choice(pts)
+        r = rnd.random()
+        if sets and r < 0.4:
+            return f"{x} in {rnd.choice(sets)}"
+        return f"{x} {'<' if r < 0.8 else '='} {rnd.choice(pts)}"
+    if pts and rnd.random() < 0.3:
+        op = rnd.choice(["&", "|", "->", "<->"])
+        a = _formula(rnd, depth, pts, sets, names, set_quantifiers)
+        b = _formula(rnd, rnd.randint(0, depth), pts, sets, names, 0)
+        return f"({a}) {op} ({b})"
+    if rnd.random() < 0.3:
+        return f"~({_formula(rnd, depth, pts, sets, names, set_quantifiers)})"
+    q = rnd.choice("AE")
+    if set_quantifiers and (pts or depth > 1) and rnd.random() < 0.4:
+        var = f"S{next(names)}"
+        body = _formula(rnd, depth - 1, pts, sets + [var], names, set_quantifiers - 1)
+    else:
+        var = f"x{next(names)}"
+        body = _formula(rnd, depth - 1, pts + [var], sets, names, set_quantifiers)
+    return f"{q}{var} ({body})"
+
+
+def _sentences(seed, n):
+    rnd = random.Random(f"differential:{seed}")
+    return [_formula(rnd, 1 + i % 4, [], [], iter(range(1, 99)), 1) for i in range(n)]
+
+
+def test_automaton_brute_force_and_pullback_agree_on_random_sentences():
+    texts = _sentences(0, 200)
+    # every point quantifier scopes over the rest of the text after it
+    assert sum(bool(re.search(r"[AE]x\d+ .*[AE]S\d+", t)) for t in texts) >= 10
+    sentences = [parse_wmso(text) for text in texts]
+    seen = {(qdepth(phi), decide(phi)) for phi in sentences}
+    assert {d for d, _ in seen} == {1, 2, 3, 4} and {t for _, t in seen} == {True, False}
+    for phi in sentences:
+        truth = decide(phi)
+        assert brute_eval(phi, EMPTY, POOL) == truth, phi
+        psi = translate(phi)
+        assert pullback_eval(psi, orientation="right") == truth, phi
+        assert pullback_eval(psi, orientation="left") == truth, phi
+
+
+GE_7 = ("EX Ea (a in X & (Eb (b < a & b in X & (Ec (c < b & c in X))"
+        " & (Ec (b < c & c < a & c in X)))) & (Eb (a < b & b in X"
+        " & (Ec (a < c & c < b & c in X)) & (Ec (b < c & c in X)))))")
+
+
+GE_15 = ("EX Ea (a in X & (Eb (b < a & b in X & (Ec (c < b & c in X"
+         " & (Ed (d < c & d in X)) & (Ed (c < d & d < b & d in X))))"
+         " & (Ec (b < c & c < a & c in X & (Ed (b < d & d < c & d in X))"
+         " & (Ed (c < d & d < a & d in X)))))) & (Eb (a < b & b in X"
+         " & (Ec (a < c & c < b & c in X & (Ed (a < d & d < c & d in X))"
+         " & (Ed (c < d & d < b & d in X)))) & (Ec (b < c & c in X"
+         " & (Ed (b < d & d < c & d in X)) & (Ed (c < d & d in X)))))))")
+
+
+@pytest.mark.parametrize("text", [
+    GE_7,
+    GE_15,
+    "AX AY EZ Ax (x in Z <-> (x in X | x in Y))",     # unions
+    "AX AY EZ Ax (x in Z <-> (x in X & ~(x in Y)))",  # differences
+])
+def test_named_sentences_are_true(text):
+    phi = parse_wmso(text)
+    assert decide(phi)
+    psi = translate(phi)
+    assert pullback_eval(psi, orientation="right")
+    assert pullback_eval(psi, orientation="left")
+
+
+def test_brute_force_reaches_seven_elements():
+    assert brute_eval(parse_wmso(GE_7), EMPTY, POOL)
+    assert not brute_eval(parse_wmso(GE_7), EMPTY, POOL[:6])
+
+
+@pytest.mark.parametrize("text", [
+    # a pair set omits some point between its members
+    "Ax Ay (x < y -> EX (x in X & y in X & Ez (x < z & z < y & ~(z in X))))",
+    # below any point, a set has two points: both fresh, in the first gap
+    "Ax EX (Eu Ev (u < v & v < x & u in X & v in X))",
+])
+def test_set_candidates_follow_the_orientation(text):
+    """Under the left orientation the landmarks are read right to left, and
+    so are the gaps that fresh points of a set candidate go into."""
+    psi = translate(parse_wmso(text))
+    assert pullback_eval(psi, orientation="left")
+    assert pullback_eval(psi, orientation="right")

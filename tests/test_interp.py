@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from qwi import predicates as P
 from qwi.corpus import load_corpus
 from qwi.formulas import (
-    Exists, GAtom, expand, parse_group, parse_wmso, print_group, qdepth,
+    Exists, GAtom, expand, parse_group, parse_wmso, print_group, print_wmso,
 )
 from qwi.interp import (
-    InterpError, decode, encode_finite_set, encode_finite_set_alt,
+    InterpError, _decompile, decode, encode_finite_set, encode_finite_set_alt,
     encode_rational, less_p, pullback_eval, roundtrip_check, translate,
 )
 from qwi.numbers import NEG_INF, POS_INF, is_finite
@@ -123,9 +124,25 @@ def test_pullback_rejects_foreign_formulas():
         "Ep (cof(p) & Ex (cof(p) & x = x))",                   # and must mention x
         "Ep (cof(p) & Ax (rational(x) & x = x))",              # a ∀ guard implies its body
         "Ep (cof(p) & Ew (oppsupport(p,w) & cof(w)))",         # not a guard kind
+        # a set quantifier's body must decompile to an order formula
+        "Ep (cof(p) & Eg_X (finrational(g_X) & Ef_x (rational(f_x) & comp(f_x))))",
+        "Ep (cof(p) & Eg_X (finrational(g_X) & Ex (rational(x) & codesame(x,x))))",
+        "Ep (cof(p) & Eg_X (finrational(g_X) & Ef_x (rational(f_x)"
+        " & codesame(f_x,(g_X*f_x)*f_x^-1))))",
+        "Eg_X (finrational(g_X) & Ef_x (rational(f_x) & codesame(f_x,f_x)))",  # no ∃p
     ]:
         with pytest.raises(InterpError):
             pullback_eval(parse_group(text))
+
+
+def test_decompile_inverts_translate():
+    def compiled_names(text):
+        return re.sub(r"\b([AE]?)([a-zA-Z])\b",
+                      lambda m: m[1] + ("f_" if m[2].islower() else "g_") + m[2], text)
+    for _, text, _ in load_corpus():
+        phi = parse_wmso(text)
+        body = translate(phi).body.b  # under the orientation prefix
+        assert print_wmso(_decompile(body)) == compiled_names(print_wmso(phi)), text
 
 
 def test_compiled_corpus_survives_print_and_parse():

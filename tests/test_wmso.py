@@ -3,12 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qwi.wmso
 from qwi.corpus import load_corpus
 from qwi.formulas import FormulaError, parse_wmso, qdepth
 from qwi.numbers import NEG_INF, POS_INF, QInterval
 from qwi.wmso import (
-    Assignment, EMPTY, brute_eval, decide, eval as wmso_eval, fresh_chain,
-    gaps_of, point_candidates, stability_probe,
+    Assignment, EMPTY, automaton, brute_eval, decide, eval as wmso_eval,
+    gaps_of, point_candidates,
 )
 
 rationals = st.fractions(max_denominator=30)
@@ -26,15 +27,11 @@ def test_assignment_landmarks():
     assert b.sets["Y"] == (Fraction(1),)
 
 
-def test_gaps_and_fresh_chains():
+def test_gaps_of():
     gaps = gaps_of([Fraction(0), Fraction(1)])
     assert gaps == [QInterval(NEG_INF, Fraction(0)),
                     QInterval(Fraction(0), Fraction(1)),
                     QInterval(Fraction(1), POS_INF)]
-    chain = fresh_chain(gaps[1], 3)
-    assert len(chain) == 3
-    assert all(gaps[1].contains(q) for q in chain)
-    assert sorted(chain) == list(chain) and len(set(chain)) == 3
 
 
 def test_point_candidates_cover_each_gap():
@@ -44,23 +41,27 @@ def test_point_candidates_cover_each_gap():
     assert any(q < 0 for q in cands) and any(q > 0 for q in cands)
 
 
-def test_eval_rejects_small_cap_and_free_vars():
-    phi = parse_wmso("EX Ax (x in X)")
-    with pytest.raises(FormulaError):
-        wmso_eval(phi, EMPTY, cap=1)  # qdepth 2
+def test_eval_rejects_free_and_unbound_vars():
     with pytest.raises(FormulaError):
         decide(parse_wmso("x < y"))
+    with pytest.raises(FormulaError, match="unbound point variable y"):
+        wmso_eval(parse_wmso("x < y"), EMPTY.with_point("x", Fraction(0)))
+    with pytest.raises(FormulaError, match="unbound set variable X"):
+        wmso_eval(parse_wmso("x in X"), EMPTY.with_point("x", Fraction(0)))
+    with pytest.raises(FormulaError, match="unbound point variable x"):  # bound as a set
+        wmso_eval(parse_wmso("x in X"), EMPTY.with_set("x", []).with_set("X", []))
 
 
 def test_eval_with_assignment():
     less = parse_wmso("x < y")
     a = EMPTY.with_point("x", Fraction(0)).with_point("y", Fraction(1))
-    assert wmso_eval(less, a, cap=1)
+    assert wmso_eval(less, a)
     assert not wmso_eval(less, EMPTY.with_point("x", Fraction(1))
-                         .with_point("y", Fraction(0)), cap=1)
+                         .with_point("y", Fraction(0)))
     member = parse_wmso("x in X")
     b = EMPTY.with_point("x", Fraction(2)).with_set("X", [Fraction(2)])
-    assert wmso_eval(member, b, cap=1)
+    assert wmso_eval(member, b)
+    assert not wmso_eval(member, b.with_set("X", [Fraction(1), Fraction(3)]))
 
 
 def test_extensionality_of_finite_sets():
@@ -75,11 +76,26 @@ def test_corpus_truth_values():
         assert decide(parse_wmso(text)) == truth, (text, note)
 
 
-def test_corpus_cap_stability():
-    for truth, text, note in load_corpus():
-        phi = parse_wmso(text)
-        base = max(qdepth(phi), 1)
-        assert stability_probe(phi, [base, base + 1, base + 2]) == [truth] * 3, text
+def test_decide_does_not_depend_on_call_history():
+    """Deciding the corpus twice, in opposite orders, gives equal answers
+    and leaves the module's globals as they were: no cache grows."""
+    def snapshot():
+        return {k: repr(v) for k, v in vars(qwi.wmso).items() if not k.startswith("__")}
+    before = snapshot()
+    sentences = [parse_wmso(text) for _, text, _ in load_corpus()]
+    forward = [decide(phi) for phi in sentences]
+    backward = [decide(phi) for phi in reversed(sentences)][::-1]
+    assert forward == backward == [truth for truth, _, _ in load_corpus()]
+    assert snapshot() == before
+
+
+def test_automata_are_minimal_and_small():
+    assert len(automaton(parse_wmso("x < y")).accept) == 4
+    assert len(automaton(parse_wmso("x = y")).accept) == 3
+    assert len(automaton(parse_wmso("x in X")).accept) == 3
+    # "X has at least n elements" has n + 1 states
+    at_least_3 = parse_wmso("Ex Ey Ez (x < y & y < z & x in X & y in X & z in X)")
+    assert len(automaton(at_least_3).accept) == 4
 
 
 def test_corpus_brute_agreement_small_depth():
@@ -101,4 +117,4 @@ def test_corpus_is_large_and_balanced():
 def test_open_formulas_respect_order(a, b):
     phi = parse_wmso("Ez (x < z & z < y)")
     env = EMPTY.with_point("x", a).with_point("y", b)
-    assert wmso_eval(phi, env, cap=1) == (a < b)
+    assert wmso_eval(phi, env) == (a < b)
