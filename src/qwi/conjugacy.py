@@ -224,8 +224,7 @@ def _first_last_cuts(F: PLMap, a: ExtRat, b: ExtRat) -> tuple[Optional[Fraction]
 
 def _germ_at(F: PLMap, x: Fraction) -> Affine:
     """The affine piece of F just above x."""
-    from bisect import bisect_right
-    return F.pieces[bisect_right(F.cuts, x)]
+    return F.pieces[F.piece_index(x)]
 
 
 def _orbital_seg(f: PLMap, g: PLMap, a, b, c, d, parity: int) -> OrbitalSeg:
@@ -317,7 +316,7 @@ def verify_conjugator(h: Conjugator, f: PLMap, g: PLMap) -> bool:
     """
     for seg in h.segments:
         if isinstance(seg, FixedSeg):
-            if not _verify_fixed(seg, h, f, g):
+            if not _verify_fixed(seg, f, g):
                 return False
         else:
             if not _verify_orbital(seg, h, f, g):
@@ -325,27 +324,24 @@ def verify_conjugator(h: Conjugator, f: PLMap, g: PLMap) -> bool:
     return True
 
 
-def _verify_fixed(seg: FixedSeg, h: Conjugator, f: PLMap, g: PLMap) -> bool:
+def _verify_fixed(seg: FixedSeg, f: PLMap, g: PLMap) -> bool:
     # f = id on [lo, hi] and g = id on the image, so h∘f = g∘h there; what
-    # needs checking is that both really are fixed regions (structurally:
-    # every cut region of f meeting [lo, hi] must be the identity piece).
-    for (m, c), (plo, phi) in zip(f.pieces, f.piece_domains()):
-        if plo < seg.hi and seg.lo < phi or (seg.lo == seg.hi and plo <= seg.lo <= phi):
-            if seg.lo == seg.hi:
-                if f.apply(seg.lo) != seg.lo:
-                    return False
-            elif (m, c) != (Fraction(1), Fraction(0)):
-                return False
+    # needs checking is that both really are fixed regions
+    if not _fixes(f, seg.lo, seg.hi):
+        return False
     img_lo = seg.apply(seg.lo) if is_finite(seg.lo) else NEG_INF
     img_hi = seg.apply(seg.hi) if is_finite(seg.hi) else POS_INF
-    for (m, c), (plo, phi) in zip(g.pieces, g.piece_domains()):
-        if plo < img_hi and img_lo < phi or (img_lo == img_hi and plo <= img_lo <= phi):
-            if img_lo == img_hi:
-                if g.apply(img_lo) != img_lo:
-                    return False
-            elif (m, c) != (Fraction(1), Fraction(0)):
-                return False
-    return True
+    return _fixes(g, img_lo, img_hi)
+
+
+def _fixes(f: PLMap, lo: ExtRat, hi: ExtRat) -> bool:
+    """Whether f is the identity on [lo, hi], structurally: f fixes the one
+    point, or every piece of f whose domain meets (lo, hi) is the identity."""
+    if lo == hi:
+        return f.apply(lo) == lo
+    return all(piece == (Fraction(1), Fraction(0))
+               for piece, (plo, phi) in zip(f.pieces, f.piece_domains())
+               if plo < hi and lo < phi)
 
 
 def _verify_orbital(seg: OrbitalSeg, h: Conjugator, f: PLMap, g: PLMap) -> bool:

@@ -665,12 +665,8 @@ def _side(phi: Formula) -> str:
     return f"({s})" if isinstance(core, _QUANTS) else s
 
 
-def print_wmso(phi: Formula) -> str:
-    return _print(phi)
-
-
-def print_group(phi: Formula) -> str:
-    return _print(phi)
+#: One printer serves both logics, whose ASTs share their connectives.
+print_wmso = print_group = _print
 
 
 # ---------------------------------------------------------------------------

@@ -374,18 +374,8 @@ class _Pullback(Evaluator):
             dfa = self.automata[id(phi)] = automaton(_decompile(phi.body.b))
         if ORIENTATION_VAR not in self.env:
             raise InterpError(f"set quantifier over {phi.var} outside the orientation prefix")
-        where: dict[str, tuple[Fraction, ...]] = {}
-        for v in dfa.vars:
-            if v == phi.var:
-                continue
-            if v in dfa.points and v in self.a.points:
-                where[v] = (self.a.points[v],)
-            elif v not in dfa.points and v in self.a.sets:
-                where[v] = self.a.sets[v]
-            else:
-                raise InterpError(f"unbound coded variable {v}")
         right = _rightward(self.env[ORIENTATION_VAR])
-        marks, letters = landmark_word(dfa, where, descending=not right)
+        marks, letters = landmark_word(dfa, self.a, phi.var, descending=not right)
         n, bit, delta = len(marks), dfa.bit(phi.var), dfa.delta
         # node (i, q): i landmarks read, in state q; back[node] is the node
         # it was first reached from and whether that move took a landmark

@@ -153,9 +153,6 @@ class IntervalSet:
         """Infimum of the union; POS_INF when empty."""
         return self.items[0].lo if self.items else POS_INF
 
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(self.items + other.items)
-
     def intersects(self, other: "IntervalSet") -> bool:
         for a in self.items:
             for b in other.items:

@@ -1,22 +1,23 @@
 """Semantic oracles for the group-language predicates.
 
 Each `*_sem` function implements the intended meaning of a predicate over
-executable maps, decided exactly from support/fixed-point structure.  The
-literal quantified macro definitions live in `discrepancy_search`, which
-compares them against these oracles over seeded pools: the two layers are
-deliberately distinct, because the literal macros quantify over the whole
-group and degenerate on dense supports.
+executable maps, decided exactly from support/fixed-point structure.
+`literal` reads the quantified definition of a macro, its schema in
+`formulas.MACROS`, over a pool plus constructive witnesses, and
+`discrepancy_search` compares that reading against the oracle over seeded
+pools: the two layers are deliberately distinct, because the literal macros
+quantify over the whole group and degenerate on dense supports.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .numbers import NEG_INF, POS_INF, IntervalSet, QInterval, is_finite, pick_fresh
 from .plmap import PLMap
-from .formulas import MACROS, And, Or
+from .formulas import MACROS, Evaluator, Exists, Forall, Formula, GVar, Inv, Mul, Term, TermEq
 from .generators import gen_plmap_rnd, make_bump
 
 
@@ -228,77 +229,76 @@ def member_sem(f: PLMap, g: PLMap) -> bool:
 def _gap_bumps(y: PLMap) -> list[PLMap]:
     """Bumps supported on the interior of each fixed region of y — the
     constructive witnesses disjoint from y."""
-    out = []
-    for lo, hi in y.fixed_items():
-        if lo < hi:
-            out.append(make_bump(QInterval(lo, hi)))
-    return out
+    return [make_bump(QInterval(lo, hi)) for lo, hi in y.fixed_items() if lo < hi]
 
 
-def _cont_literal(x: PLMap, y: PLMap, pool: list[PLMap]) -> bool:
-    # ∀z(disj(y,z) → disj(x,z)) over the pool plus gap bumps of y
-    for z in pool + _gap_bumps(y):
-        if disj_sem(y, z) and not disj_sem(x, z):
-            return False
-    return True
+def _translation_past(x: PLMap) -> list[PLMap]:
+    """A translation that moves a bounded support of x off itself."""
+    lo, hi = x.support().inf(), x.support().sup()
+    return [PLMap.translation(hi - lo + 1)] if is_finite(lo) and is_finite(hi) else []
 
 
-def _coterm_literal(f: PLMap, pool: list[PLMap]) -> bool:
-    # a bump not disjoint from any non-identity element
-    if not bump_sem(f):
-        return False
-    for z in pool + _gap_bumps(f):
-        if not z.is_identity() and disj_sem(f, z):
-            return False
-    return True
+def _bump_between(x: PLMap, y: PLMap) -> list[PLMap]:
+    """A bump on the gap between the supports of x and y, if there is one."""
+    sx, sy = x.support(), y.support()
+    gap = QInterval(min(sx.sup(), sy.sup()), max(sx.inf(), sy.inf()))
+    return [] if gap.is_empty() else [make_bump(gap)]
 
 
-def _cof_literal(f: PLMap, pool: list[PLMap]) -> bool:
-    # a non-coterminal bump not disjoint from any of its conjugates
-    if not bump_sem(f) or _coterm_literal(f, pool):
-        return False
-    conjugators = list(pool)
-    sup = f.support()
-    if is_finite(sup.inf()) and is_finite(sup.sup()):
-        conjugators.append(PLMap.translation(sup.sup() - sup.inf() + 1))
-    for g in conjugators:
-        if disj_sem(f, f.conjugate_by(g)):
-            return False
-    return True
+#: The constructive witnesses that the quantifier of each literal macro's
+#: schema ranges over besides the pool, built from the schema's parameters.
+_WITNESSES = {
+    "cont": lambda e: _gap_bumps(e["y"]),
+    "coterm": lambda e: _gap_bumps(e["x"]),
+    "cof": lambda e: _translation_past(e["x"]),
+    "oppsupport": lambda e: _bump_between(e["x"], e["y"]),
+}
+
+#: The macros whose `MACROS` schemas `literal` reads; codesame's schema has
+#: no quantifier of its own.
+LITERAL_MACROS = (*_WITNESSES, "codesame")
+
+_ONE = PLMap.identity()
 
 
-def _oppsupport_literal(f: PLMap, g: PLMap, pool: list[PLMap]) -> bool:
-    # disjoint cofinal bumps with no non-identity element disjoint from both
-    if not (_cof_literal(f, pool) and _cof_literal(g, pool) and disj_sem(f, g)):
-        return False
-    gap = IntervalSet(
-        [QInterval(min(f.support().sup(), g.support().sup()),
-                   max(f.support().inf(), g.support().inf()))]
-    )
-    witnesses = list(pool)
-    for iv in gap:
-        witnesses.append(make_bump(iv))
-    for z in witnesses:
-        if not z.is_identity() and disj_sem(f, z) and disj_sem(g, z):
-            return False
-    return True
+class _Literal(Evaluator):
+    """Reads the schema of one literal macro with its parameters bound in
+    `env`.  The quantifier ranges over the pool plus the macro's witnesses,
+    an equation of terms is decided by map equality, a literal macro met as
+    an atom is read in turn, and every other atom by its oracle."""
+
+    def __init__(self, macro: str, env: dict[str, PLMap], pool: Sequence[PLMap]):
+        self.macro, self.env, self.pool = macro, env, pool
+
+    def term(self, t: Term) -> PLMap:
+        if isinstance(t, GVar):
+            return self.env[t.name]
+        if isinstance(t, Mul):
+            return self.term(t.t).compose(self.term(t.u))
+        if isinstance(t, Inv):
+            return self.term(t.t).inverse()
+        return _ONE
+
+    def atom(self, phi: Formula) -> bool:
+        if isinstance(phi, TermEq):
+            return self.term(phi.t) == self.term(phi.u)
+        args = [self.term(a) for a in phi.args]
+        if phi.name in LITERAL_MACROS:
+            return literal(phi.name, args, self.pool)
+        return ORACLES[phi.name](*args)
+
+    def quantifier(self, phi: Formula):
+        if type(phi) not in (Exists, Forall):
+            return None
+        witnesses = _WITNESSES[self.macro](self.env)
+        return type(phi) is Exists, self.env, [*self.pool, *witnesses]
 
 
-def _codesame_literal(f: PLMap, g: PLMap, pool: list[PLMap]) -> bool:
-    # the codesame schema of formulas.MACROS, its atoms read literally
-    params, body = MACROS["codesame"]
-    return _read_literally(body, dict(zip(params, (f, g))), pool)
-
-
-def _read_literally(phi, env: dict[str, PLMap], pool: list[PLMap]) -> bool:
-    if isinstance(phi, And):
-        return _read_literally(phi.a, env, pool) and _read_literally(phi.b, env, pool)
-    if isinstance(phi, Or):
-        return _read_literally(phi.a, env, pool) or _read_literally(phi.b, env, pool)
-    return _LITERAL_ATOMS[phi.name](*[env[a.name] for a in phi.args], pool)
-
-
-_LITERAL_ATOMS = {"cof": _cof_literal, "cont": _cont_literal, "oppsupport": _oppsupport_literal}
+def literal(macro: str, args: Sequence[PLMap], pool: Sequence[PLMap] = ()) -> bool:
+    """The schema `MACROS[macro]` of a literal macro read at `args`, its
+    quantifiers ranging over `pool` plus the macro's constructive witnesses."""
+    params, body = MACROS[macro]
+    return _Literal(macro, dict(zip(params, args)), pool).run(body)
 
 
 def _coded_pair(rnd: random.Random) -> tuple[PLMap, PLMap]:
@@ -318,50 +318,28 @@ def _coded_pair(rnd: random.Random) -> tuple[PLMap, PLMap]:
     return f, g.compose(f).compose(g.inverse())
 
 
-_LITERALS = {"cont", "coterm", "cof", "oppsupport", "codesame"}
-
-
 def discrepancy_search(macro: str, trials: int, seed: int) -> list[tuple]:
-    """Compare a literal macro definition against the intended oracle.
+    """Compare the schema of a literal macro, read by `literal`, against its
+    oracle.
 
-    Returns (inputs..., literal_value, oracle_value) tuples wherever a
-    refutation or witness from the pool proves the two disagree.  The cont
-    macro is expected to diverge: a dense-support y has no disjoint
+    Each trial draws a pool and one map per schema parameter, and returns
+    (inputs..., literal_value, oracle_value) wherever the two disagree.  The
+    cont macro is expected to diverge: a dense-support y has no disjoint
     non-identity partner, so the literal ∀z clause is vacuously true no
     matter what x does.  The codesame schema is read on the interpretation's
     own elements (`_coded_pair`), where both supports are half-lines.
     """
-    if macro not in _LITERALS:
-        raise ValueError(f"unknown macro {macro!r}; expected one of {sorted(_LITERALS)}")
+    if macro not in LITERAL_MACROS:
+        raise ValueError(f"unknown macro {macro!r}; expected one of {sorted(LITERAL_MACROS)}")
     rnd = random.Random(f"discrepancy:{macro}:{seed}")
     found = []
     for _ in range(trials):
         pool = [gen_plmap_rnd(rnd, 4) for _ in range(8)]
-        if macro == "codesame":
-            f, g = _coded_pair(rnd)
-            lit, sem = _codesame_literal(f, g, pool), codesame_sem(f, g)
-            if lit != sem:
-                found.append((f, g, lit, sem))
-            continue
-        f = gen_plmap_rnd(rnd, 4)
-        if macro == "cont":
-            g = gen_plmap_rnd(rnd, 4)
-            lit, sem = _cont_literal(f, g, pool), cont_sem(f, g)
-            if lit != sem:
-                found.append((f, g, lit, sem))
-        elif macro == "coterm":
-            lit, sem = _coterm_literal(f, pool), coterm_sem(f)
-            if lit != sem:
-                found.append((f, lit, sem))
-        elif macro == "cof":
-            lit, sem = _cof_literal(f, pool), cof_sem(f)
-            if lit != sem:
-                found.append((f, lit, sem))
-        else:
-            g = gen_plmap_rnd(rnd, 4)
-            lit, sem = _oppsupport_literal(f, g, pool), oppsupport_sem(f, g)
-            if lit != sem:
-                found.append((f, g, lit, sem))
+        args = (_coded_pair(rnd) if macro == "codesame"
+                else [gen_plmap_rnd(rnd, 4) for _ in MACROS[macro][0]])
+        lit, sem = literal(macro, args, pool), ORACLES[macro](*args)
+        if lit != sem:
+            found.append((*args, lit, sem))
     return found
 
 
@@ -375,7 +353,7 @@ def cont_degeneracy_example() -> tuple[PLMap, PLMap, bool, bool]:
          (Fraction(1, 2), Fraction(1, 2)), (Fraction(2), Fraction(-1))),
     )
     x = PLMap.translation(1)
-    lit = _cont_literal(x, y, [])
+    lit = literal("cont", (x, y))
     sem = cont_sem(x, y)
     assert lit and not sem
     return x, y, lit, sem

@@ -35,7 +35,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .numbers import NEG_INF, POS_INF, QInterval, pick_fresh
 from .formulas import (
@@ -238,13 +238,24 @@ def automaton(phi: Formula) -> Dfa:
     return _atom(phi)
 
 
-def landmark_word(dfa: Dfa, where: Mapping[str, Iterable[Fraction]],
+def landmark_word(dfa: Dfa, a: Assignment, skip: str = "",
                   descending: bool = False) -> tuple[list[Fraction], list[int]]:
-    """The landmarks of the variables of `dfa` that `where` places (a
-    variable's positions), in order, and the letter at each."""
+    """The landmarks where `a` places the variables of `dfa` other than
+    `skip`, in order, and the letter at each.  A variable that `a` does not
+    bind with its sort raises FormulaError."""
     at: dict[Fraction, int] = {}
     for i, v in enumerate(dfa.vars):
-        for q in where.get(v, ()):
+        if v == skip:
+            continue
+        if v in dfa.points:
+            if v not in a.points:
+                raise FormulaError(f"unbound point variable {v}")
+            where: Iterable[Fraction] = (a.points[v],)
+        elif v in a.sets:
+            where = a.sets[v]
+        else:
+            raise FormulaError(f"unbound set variable {v}")
+        for q in where:
             at[q] = at.get(q, 0) | 1 << i
     marks = sorted(at, reverse=descending)
     return marks, [at[q] for q in marks]
@@ -262,17 +273,7 @@ def eval(phi: Formula, a: Assignment) -> bool:  # noqa: A001
     """Truth value of phi under an assignment of its free variables: the
     automaton of phi run on the assignment's landmark word."""
     dfa = automaton(phi)
-    where: dict[str, tuple[Fraction, ...]] = {}
-    for v in dfa.vars:
-        if v in dfa.points:
-            if v not in a.points:
-                raise FormulaError(f"unbound point variable {v}")
-            where[v] = (a.points[v],)
-        elif v in a.sets:
-            where[v] = a.sets[v]
-        else:
-            raise FormulaError(f"unbound set variable {v}")
-    return dfa.accept[dfa.run(landmark_word(dfa, where)[1])]
+    return dfa.accept[dfa.run(landmark_word(dfa, a)[1])]
 
 
 # ---------------------------------------------------------------------------

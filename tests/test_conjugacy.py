@@ -135,3 +135,12 @@ def test_verifier_rejects_perturbed_windows_and_wrong_targets():
             assert not verify_conjugator(w, f, g)
             perturbed += 1
     assert perturbed >= 10 and wrong_targets >= 10
+
+
+def test_verifier_rejects_moves_on_fixed_regions():
+    f = make_bump(QInterval(Fraction(0), Fraction(1)))
+    w = conjugating_witness(f, f)
+    assert verify_conjugator(w, f, f)
+    extra = make_bump(QInterval(Fraction(2), Fraction(3)))  # inside a fixed region of f
+    assert not verify_conjugator(w, f.compose(extra), f)
+    assert not verify_conjugator(w, f, f.compose(extra))

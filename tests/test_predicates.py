@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qwi import predicates as P
-from qwi.formulas import MACROS, And, GAtom, Or
+from qwi.formulas import MACROS, GAtom, parse_group
 from qwi.generators import gen_plmap, make_bump
 from qwi.numbers import NEG_INF, POS_INF, QInterval
 from qwi.plmap import PLMap
@@ -122,27 +122,12 @@ def test_member():
         P.member_sem(encode_rational(Fraction(0)), bump(0, 1))
 
 
-# the literal macros, each read with an empty pool (only constructive witnesses)
-_LITERAL = {"cof": P._cof_literal, "cont": P._cont_literal,
-            "oppsupport": P._oppsupport_literal}
-
-
-def _literal(phi, env):
-    if isinstance(phi, And):
-        return _literal(phi.a, env) and _literal(phi.b, env)
-    if isinstance(phi, Or):
-        return _literal(phi.a, env) or _literal(phi.b, env)
-    assert isinstance(phi, GAtom), phi
-    return _LITERAL[phi.name](*[env[a.name] for a in phi.args], [])
-
-
 def test_codesame_schema_read_literally_decides_membership():
     """On criterion 6's grid, the codesame schema of MACROS read literally
     at (f, g·f·g⁻¹) agrees with codesame_sem and with set membership: both
     supports are half-lines, so the literal cont is not vacuous.  Across
     point codes on either side it holds exactly for equal points."""
     from qwi.interp import encode_finite_set, encode_finite_set_alt, encode_rational
-    params, body = MACROS["codesame"]
     base = [Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 2),
             Fraction(1), Fraction(2)]
     pool = base + [Fraction(-3), Fraction(-1, 2), Fraction(1, 4),
@@ -156,13 +141,13 @@ def test_codesame_schema_read_literally_decides_membership():
                 for q, side in product(pool, ("left", "right")):
                     f = encode_rational(q, side)
                     conj = g.compose(f).compose(g_inv)
-                    lit = _literal(body, dict(zip(params, (f, conj))))
+                    lit = P.literal("codesame", (f, conj))
                     assert lit == P.codesame_sem(f, conj) == (q in S), (S, q, side)
                     cases += 1
     assert cases == 3072
     codes = [(q, encode_rational(q, side)) for q, side in product(pool, ("left", "right"))]
     for (p, f), (q, h) in product(codes, codes):
-        lit = _literal(body, dict(zip(params, (f, h))))
+        lit = P.literal("codesame", (f, h))
         assert lit == P.codesame_sem(f, h) == (p == q), (f, h)
 
 
@@ -189,6 +174,30 @@ def test_cont_literal_degenerates_on_dense_support():
 @pytest.mark.parametrize("macro", ["coterm", "cof", "oppsupport", "codesame"])
 def test_other_literals_agree_with_oracles(macro):
     assert P.discrepancy_search(macro, trials=150, seed=0) == []
+
+
+@pytest.mark.parametrize("macro, schema, searched", [
+    ("coterm", "bump(x)", "coterm"),
+    ("cof", "bump(x) & ~coterm(x)", "cof"),
+    ("cont", "disj(x,y)", "codesame"),  # read where codesame's schema uses it
+])
+def test_literal_reader_follows_the_schemas(monkeypatch, macro, schema, searched):
+    """An edited schema is what gets compared with the oracle."""
+    assert P.discrepancy_search(searched, trials=50, seed=0) == []
+    monkeypatch.setitem(MACROS, macro, (MACROS[macro][0], parse_group(schema)))
+    assert P.discrepancy_search(searched, trials=50, seed=0)
+
+
+def _atom_names(node) -> set[str]:
+    if isinstance(node, GAtom):
+        return {node.name}
+    return set().union(*(_atom_names(c) for c in vars(node).values() if not isinstance(c, str)))
+
+
+@pytest.mark.parametrize("macro", P.LITERAL_MACROS)
+def test_literal_schemas_use_oracles_and_literal_macros(macro):
+    for name in _atom_names(MACROS[macro][1]):
+        assert name in P.ORACLES or name in P.LITERAL_MACROS, name
 
 
 def test_discrepancy_search_rejects_unknown_macro():
