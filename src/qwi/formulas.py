@@ -162,7 +162,12 @@ ATOM_ARITY = {
     "codesame": 2, "oppsupport": 2, "sameset": 2,
 }
 
-_QUANTS = (ExistsPt, ForallPt, ExistsSet, ForallSet, Exists, Forall)
+#: The quantifier classes of both logics, each mapped to True for ∃ and
+#: False for ∀.
+QUANTIFIERS = {
+    ExistsPt: True, ForallPt: False, ExistsSet: True, ForallSet: False,
+    Exists: True, Forall: False,
+}
 _BINARY = (And, Or, Implies, Iff)
 
 
@@ -171,7 +176,7 @@ _BINARY = (And, Or, Implies, Iff)
 # ---------------------------------------------------------------------------
 
 def qdepth(phi: Formula) -> int:
-    if isinstance(phi, _QUANTS):
+    if type(phi) in QUANTIFIERS:
         return 1 + qdepth(phi.body)
     if isinstance(phi, Not):
         return qdepth(phi.sub)
@@ -206,7 +211,7 @@ def free_vars(phi: Formula) -> set[str]:
         return free_vars(phi.sub)
     if isinstance(phi, _BINARY):
         return free_vars(phi.a) | free_vars(phi.b)
-    if isinstance(phi, _QUANTS):
+    if type(phi) in QUANTIFIERS:
         return free_vars(phi.body) - {phi.var}
     raise FormulaError(f"unknown node {phi!r}")
 
@@ -224,7 +229,6 @@ def _subst_term(t: Term, mapping: dict[str, Term]) -> Term:
 def substitute(phi: Formula, mapping: dict[str, Union[str, Term]]) -> Formula:
     """Capture-avoiding substitution.  Point/set variables map to variable
     names; group variables may map to arbitrary terms."""
-    mapping = {k: v for k, v in mapping.items()}
 
     def var_image(v: str) -> str:
         img = mapping.get(v, v)
@@ -252,27 +256,36 @@ def substitute(phi: Formula, mapping: dict[str, Union[str, Term]]) -> Formula:
     if isinstance(phi, GAtom):
         tm = term_mapping()
         return GAtom(phi.name, tuple(_subst_term(a, tm) for a in phi.args))
-    if isinstance(phi, Not):
-        return Not(substitute(phi.sub, mapping))
-    if isinstance(phi, _BINARY):
-        return type(phi)(substitute(phi.a, mapping), substitute(phi.b, mapping))
-    if isinstance(phi, _QUANTS):
-        sub_map = {k: v for k, v in mapping.items() if k != phi.var}
-        if not sub_map:
-            return type(phi)(phi.var, phi.body)
+    if type(phi) in QUANTIFIERS:
+        mapping = {k: v for k, v in mapping.items() if k != phi.var}
+        if not mapping:
+            return phi
         clash: set[str] = set()
-        for v in sub_map.values():
+        for v in mapping.values():
             clash |= {v} if isinstance(v, str) else term_vars(v)
-        var, body = phi.var, phi.body
-        if var in clash:
-            nv = var + "'"
-            avoid = clash | free_vars(body) | set(sub_map)
+        if phi.var in clash:
+            nv = phi.var + "'"
+            avoid = clash | free_vars(phi.body) | set(mapping)
             while nv in avoid:
                 nv += "'"
-            body = substitute(body, {var: nv})
-            var = nv
-        return type(phi)(var, substitute(body, sub_map))
-    raise FormulaError(f"unknown node {phi!r}")
+            phi = type(phi)(nv, substitute(phi.body, {phi.var: nv}))
+    elif not isinstance(phi, (Not, *_BINARY)):
+        raise FormulaError(f"unknown node {phi!r}")
+    return rebuild(phi, lambda sub: substitute(sub, mapping))
+
+
+def rebuild(phi: Formula, f) -> Formula:
+    """phi with `f` applied to each immediate subformula: the operand of a
+    negation, both sides of a binary connective, or a quantifier's body.
+    An atom comes back as it is."""
+    t = type(phi)
+    if t is Not:
+        return Not(f(phi.sub))
+    if t in _BINARY:
+        return t(f(phi.a), f(phi.b))
+    if t in QUANTIFIERS:
+        return t(phi.var, f(phi.body))
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +298,15 @@ _MISSING = object()
 class Evaluator:
     """The tree walk that every evaluator of formulas shares.
 
-    The connectives are decided here, once.  A quantifier binds its variable
-    to each candidate in turn, runs the body, stops at the first candidate
-    that settles the quantifier, and restores the variable's old binding.
-    A subclass supplies the rest: `atom(phi)` decides an atomic formula, and
-    `quantifier(phi)` returns None when phi is not a quantifier, else
-    (want, env, candidates), where `want` is True for ∃ and False for ∀ and
-    `env` is the dict that the variable is bound in.
+    The connectives are decided here, once, and so is each quantifier: it
+    binds its variable to each candidate in turn, runs the body, stops at
+    the first candidate that settles the quantifier, and restores the
+    variable's old binding.  A subclass supplies the rest.  `atom(phi)`
+    decides every node that is neither a connective nor a quantifier.
+    `bind(phi)` is called on quantifier nodes only and returns (env,
+    candidates): `env` is the dict that the variable is bound in, and
+    `candidates` what it ranges over.  A subclass that cannot read some
+    quantifier class raises from `bind`.
     """
 
     def run(self, phi: Formula) -> bool:
@@ -306,10 +321,10 @@ class Evaluator:
             return (not self.run(phi.a)) or self.run(phi.b)
         if t is Iff:
             return self.run(phi.a) == self.run(phi.b)
-        bound = self.quantifier(phi)
-        if bound is None:
+        want = QUANTIFIERS.get(t)
+        if want is None:
             return self.atom(phi)
-        want, env, candidates = bound
+        env, candidates = self.bind(phi)
         var = phi.var
         prev = env.get(var, _MISSING)
         try:
@@ -639,10 +654,8 @@ def _print(phi: Formula) -> str:
         return f"({_side(phi.a)} -> {_side(phi.b)})"
     if isinstance(phi, Iff):
         return f"({_side(phi.a)} <-> {_side(phi.b)})"
-    if isinstance(phi, (ExistsPt, ExistsSet, Exists)):
-        return f"E{phi.var} {_wrap(phi.body)}"
-    if isinstance(phi, (ForallPt, ForallSet, Forall)):
-        return f"A{phi.var} {_wrap(phi.body)}"
+    if type(phi) in QUANTIFIERS:
+        return f"{'E' if QUANTIFIERS[type(phi)] else 'A'}{phi.var} {_wrap(phi.body)}"
     raise FormulaError(f"unknown node {phi!r}")
 
 
@@ -650,7 +663,7 @@ def _wrap(phi: Formula) -> str:
     s = _print(phi)
     if isinstance(phi, _BINARY):
         return s  # already parenthesized
-    if isinstance(phi, (Less, EqPt, Mem, TermEq, *_QUANTS)):
+    if isinstance(phi, (Less, EqPt, Mem, TermEq)) or type(phi) in QUANTIFIERS:
         return f"({s})"
     return s
 
@@ -662,7 +675,7 @@ def _side(phi: Formula) -> str:
     while isinstance(core, Not):
         core = core.sub
     s = _print(phi)
-    return f"({s})" if isinstance(core, _QUANTS) else s
+    return f"({s})" if type(core) in QUANTIFIERS else s
 
 
 #: One printer serves both logics, whose ASTs share their connectives.
@@ -712,38 +725,25 @@ MACROS: dict[str, tuple[list[str], Formula]] = {
 def _refresh_bound(phi: Formula, names: Iterator[int]) -> Formula:
     """Rename every bound variable v to v_n, with n drawn from `names`, so
     that one call's counter makes the names both distinct and repeatable."""
-    if isinstance(phi, _QUANTS):
+    if type(phi) in QUANTIFIERS:
         nv = f"{phi.var}_{next(names)}"
-        return type(phi)(nv, _refresh_bound(substitute(phi.body, {phi.var: nv}), names))
-    if isinstance(phi, Not):
-        return Not(_refresh_bound(phi.sub, names))
-    if isinstance(phi, _BINARY):
-        return type(phi)(_refresh_bound(phi.a, names), _refresh_bound(phi.b, names))
-    return phi
+        phi = type(phi)(nv, substitute(phi.body, {phi.var: nv}))
+    return rebuild(phi, lambda sub: _refresh_bound(sub, names))
 
 
 def expand(phi: Formula, depth: int) -> Formula:
     """Replace defined atoms by their schemas, `depth` times."""
     names = count()
     for _ in range(depth):
-        phi, changed = _expand_once(phi, names)
-        if not changed:
+        out = _expand_once(phi, names)
+        if out == phi:
             break
+        phi = out
     return phi
 
 
-def _expand_once(phi: Formula, names: Iterator[int]) -> tuple[Formula, bool]:
+def _expand_once(phi: Formula, names: Iterator[int]) -> Formula:
     if isinstance(phi, GAtom) and phi.name in MACROS:
         params, body = MACROS[phi.name]
-        return substitute(_refresh_bound(body, names), dict(zip(params, phi.args))), True
-    if isinstance(phi, Not):
-        s, ch = _expand_once(phi.sub, names)
-        return Not(s), ch
-    if isinstance(phi, _BINARY):
-        a, ca = _expand_once(phi.a, names)
-        b, cb = _expand_once(phi.b, names)
-        return type(phi)(a, b), ca or cb
-    if isinstance(phi, _QUANTS):
-        b, ch = _expand_once(phi.body, names)
-        return type(phi)(phi.var, b), ch
-    return phi, False
+        return substitute(_refresh_bound(body, names), dict(zip(params, phi.args)))
+    return rebuild(phi, lambda sub: _expand_once(sub, names))

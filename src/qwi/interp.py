@@ -19,14 +19,15 @@ orientation, rational(f_x) and finrational(g_X) the coded points and sets,
 and codesame(l, f_x) a representative of a point.  The shape is plain
 syntax, so it survives `print_group` and `parse_group`.
 
-`pullback_eval` reads the guard to pick the candidates, and every atom is
-decided by the semantic oracles.  A point ranges over the landmarks plus
-one fresh point per gap.  A set ranges over one set per reachable end state
-of the automaton (`wmso.automaton`) of the quantifier's body, decompiled
-back to an order formula by the inverse of the compiler, with the landmarks
-read in the direction of the orientation parameter.  Each family is
-complete for the order side, so the round-trip checks the group side
-against a decision procedure that shares no enumerator with it.
+`pullback_eval` runs a `predicates.GroupEvaluator` that reads the guard of
+each quantifier to pick the candidates and decides every atom by the
+semantic oracles.  A point ranges over the landmarks plus one fresh point
+per gap.  A set ranges over one set per reachable end state of the
+automaton (`wmso.automaton`) of the quantifier's body, decompiled back to an
+order formula by the inverse of the compiler, with the landmarks read in the
+direction of the orientation parameter.  Each family is complete for the
+order side, so the round-trip checks the group side against a decision
+procedure that shares no enumerator with it.
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ from typing import Iterator, Optional, Union
 from .numbers import NEG_INF, POS_INF, QInterval, is_finite, pick_fresh
 from .plmap import PLMap
 from .formulas import (
-    _BINARY, And, EqPt, Evaluator, Exists, ExistsPt, ExistsSet, Forall,
-    ForallPt, ForallSet, Formula, GAtom, GVar, Iff, Implies, Inv, Less, Mem,
-    Mul, Not, One, Or, Term, TermEq, _refresh_bound, free_vars, parse_group,
-    substitute,
+    _BINARY, And, EqPt, Exists, ExistsPt, ExistsSet, Forall, ForallPt,
+    ForallSet, Formula, GAtom, GVar, Iff, Implies, Inv, Less, Mem, Mul, Not,
+    Or, TermEq, _refresh_bound, free_vars, parse_group, rebuild, substitute,
 )
 from .generators import make_bump
 from . import predicates as P
@@ -59,11 +59,12 @@ class InterpError(ValueError):
 # ---------------------------------------------------------------------------
 
 def encode_rational(q: Fraction, side: str = "right") -> PLMap:
+    """The bump on (q, ∞) for side "right", on (-∞, q) for side "left"."""
     q = Fraction(q)
     if side == "right":
-        return PLMap((q,), ((Fraction(1), Fraction(0)), (Fraction(2), -q)))
+        return make_bump(QInterval(q, POS_INF))
     if side == "left":
-        return PLMap((q,), ((Fraction(1, 2), q / 2), (Fraction(1), Fraction(0))))
+        return make_bump(QInterval(NEG_INF, q))
     raise InterpError(f"side must be left or right, got {side!r}")
 
 
@@ -170,10 +171,8 @@ def _tr(phi: Formula, names: Iterator[int]) -> Formula:
     if isinstance(phi, Mem):  # g_X fixes x iff it conjugates f_x to a code of x
         fx, gX = GVar(_pt_var(phi.x)), GVar(_set_var(phi.X))
         return GAtom("codesame", (fx, Mul(Mul(gX, fx), Inv(gX))))
-    if isinstance(phi, Not):
-        return Not(_tr(phi.sub, names))
-    if isinstance(phi, _BINARY):
-        return type(phi)(_tr(phi.a, names), _tr(phi.b, names))
+    if isinstance(phi, (Not, *_BINARY)):
+        return rebuild(phi, lambda sub: _tr(sub, names))
     if type(phi) in _CODED:
         quant, name, guard = _CODED[type(phi)]
         v = name(phi.var)
@@ -218,10 +217,8 @@ def _decompile(psi: Formula) -> Formula:
     compiling it back, with the two-letter prefix of each name stripped,
     gives psi again."""
     match psi:
-        case Not(sub):
-            return Not(_decompile(sub))
-        case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
-            return type(psi)(_decompile(a), _decompile(b))
+        case Not() | And() | Or() | Implies() | Iff():
+            return rebuild(psi, _decompile)
         case (Exists(v, And(GAtom(guard, (GVar(w),)), body))
               | Forall(v, Implies(GAtom(guard, (GVar(w),)), body))) if (
                 v == w and (type(psi), guard) in _DECODED):
@@ -274,30 +271,26 @@ _SIDES = {"right": (QInterval(Fraction(0), POS_INF),),
           "left": (QInterval(NEG_INF, Fraction(0)),)}
 
 
-class _Pullback(Evaluator):
-    """Evaluator of compiled sentences.  A coded variable is bound to the
-    value it codes, in the assignment that the candidate lists read, and is
-    encoded when an atom first needs its element; every other variable is
-    bound to its element in `env`.
+class _Pullback(P.GroupEvaluator):
+    """Evaluator of compiled sentences.  `bind` reads a quantifier's guard
+    to pick its candidates.  A coded variable is bound to the value it
+    codes, in the assignment that the candidate lists read, and is encoded
+    when an atom first needs its element; every other variable is bound to
+    its element in `env`.
 
     Every element the evaluator builds is kept in `coded` for the length of
-    the call, keyed by what it codes (a product by its two factors, an
-    inverse by its argument), so a value met again is the same map and its
-    support is walked once.  The automaton of each set quantifier's body is
-    kept in `automata`, keyed by the quantifier node, for the same span."""
+    the call, keyed by what it codes (a point by its side and value, a set
+    by its members, a product by its two factors, an inverse by its
+    argument), so a value met again is the same map and its support is
+    walked once.  The automaton of each set quantifier's body is kept in
+    `automata`, keyed by the quantifier node, for the same span."""
 
     def __init__(self, orientation: Optional[str]):
+        super().__init__({})
         self.orientation = orientation
         self.a = Assignment()
         self.env: dict[str, PLMap] = {}
-        self.coded: dict[tuple, PLMap] = {}
         self.automata: dict[int, Dfa] = {}
-
-    def code(self, key: tuple, make, *args) -> PLMap:
-        f = self.coded.get(key)
-        if f is None:
-            f = self.coded[key] = make(*args)
-        return f
 
     def rational(self, q: Fraction, side: str = "right") -> PLMap:
         return self.code((side, q), encode_rational, q, side)
@@ -312,19 +305,6 @@ class _Pullback(Evaluator):
             return self.code(("set", s), encode_finite_set, s)
         raise InterpError(f"unbound group variable {name}")
 
-    def term(self, t: Term) -> PLMap:
-        if isinstance(t, GVar):
-            return self.element(t.name)
-        if isinstance(t, One):
-            return PLMap.identity()
-        if isinstance(t, Mul):
-            a, b = self.term(t.t), self.term(t.u)
-            return self.code(("mul", a, b), a.compose, b)
-        if isinstance(t, Inv):
-            a = self.term(t.t)
-            return self.code(("inv", a), a.inverse)
-        raise InterpError(f"bad term {t!r}")
-
     def atom(self, phi: Formula) -> bool:
         if isinstance(phi, TermEq):
             return self.term(phi.t) == self.term(phi.u)
@@ -335,29 +315,28 @@ class _Pullback(Evaluator):
             raise InterpError(f"atom {phi.name} is outside the translated fragment")
         return oracle(*[self.term(a) for a in phi.args])
 
-    def quantifier(self, phi: Formula):
+    def bind(self, phi: Formula):
         if type(phi) not in _SHAPE:
-            return None
-        want = isinstance(phi, Exists)
+            raise InterpError(f"node outside the translated fragment: {phi!r}")
         g = _guard(phi)
         name = g.name if g is not None else None
         if name == "cof":  # the orientation parameter
             ivs = _SIDES[self.orientation] if self.orientation else (
                 _SIDES["right"] + _SIDES["left"])
-            return want, self.env, [self.code(("bump", iv), make_bump, iv) for iv in ivs]
+            return self.env, [self.code(("bump", iv), make_bump, iv) for iv in ivs]
         if name == "rational":
-            return want, self.a.points, point_candidates(self.a)
+            return self.a.points, point_candidates(self.a)
         if name == "finrational":
-            return want, self.a.sets, self.set_candidates(phi, want)
+            return self.a.sets, self.set_candidates(phi)
         if name == "codesame":  # both representatives of a coded point
             q = P.cof_endpoint(self.term(g.args[1]))
-            return want, self.env, [self.rational(q, "right"), self.rational(q, "left")]
+            return self.env, [self.rational(q, "right"), self.rational(q, "left")]
         raise InterpError(
             f"quantifier over {phi.var} lacks a leading coding guard "
             f"(outside the translated fragment)"
         )
 
-    def set_candidates(self, phi: Formula, want: bool) -> list[tuple[Fraction, ...]]:
+    def set_candidates(self, phi: Formula) -> list[tuple[Fraction, ...]]:
         """One set per reachable end state of the body's automaton.
 
         The landmarks of the body's other variables are read in the
@@ -377,6 +356,7 @@ class _Pullback(Evaluator):
         right = _rightward(self.env[ORIENTATION_VAR])
         marks, letters = landmark_word(dfa, self.a, phi.var, descending=not right)
         n, bit, delta = len(marks), dfa.bit(phi.var), dfa.delta
+        want = type(phi) is Exists
         # node (i, q): i landmarks read, in state q; back[node] is the node
         # it was first reached from and whether that move took a landmark
         back: dict[tuple[int, int], Optional[tuple]] = {(0, 0): None}

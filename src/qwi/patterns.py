@@ -171,12 +171,12 @@ def pattern_is_valid(p: OrbitalPattern) -> bool:
 
 
 def validate_pattern(p: OrbitalPattern) -> None:
+    if p.left_tail is not None and not p.left_tail:
+        raise PatternError("empty left tail word")
+    if p.right_tail is not None and not p.right_tail:
+        raise PatternError("empty right tail word")
     p = _collapse_trivial_tails(p)
     lt, core, rt = p.left_tail, p.core, p.right_tail
-    if lt is not None and not lt:
-        raise PatternError("empty left tail word")
-    if rt is not None and not rt:
-        raise PatternError("empty right tail word")
     if not core and lt is None and rt is None:
         raise PatternError("pattern denotes nothing")
     for word in (lt, rt):
@@ -185,34 +185,17 @@ def validate_pattern(p: OrbitalPattern) -> None:
         for b in word:
             if not _interior_ok(b):
                 raise PatternError(f"tail block {b} touches an infinity")
-        for a, b in zip(word, word[1:]):
-            if not _adjacent_ok(a, b):
-                raise PatternError(f"inconsistent tail adjacency {a} | {b}")
         if not _adjacent_ok(word[-1], word[0]):
             raise PatternError(f"inconsistent tail seam {word[-1]} | {word[0]}")
-    for a, b in zip(core, core[1:]):
+    # one pass over the blocks as they lie on the line, each tail once
+    line = (lt or ()) + core + (rt or ())
+    for a, b in zip(line, line[1:]):
         if not _adjacent_ok(a, b):
             raise PatternError(f"inconsistent adjacency {a} | {b}")
-    # ends of the whole pattern
-    if lt is None:
-        leftmost = core[0] if core else (rt[0] if rt else None)
-        if leftmost is not None and not _left_edge_ok(leftmost):
-            raise PatternError(f"{leftmost} cannot be the leftmost block")
-    else:
-        nxt = core[0] if core else (rt[0] if rt else lt[0])
-        if not _adjacent_ok(lt[-1], nxt):
-            raise PatternError(f"inconsistent seam {lt[-1]} | {nxt}")
-    if rt is None:
-        rightmost = core[-1] if core else (lt[-1] if lt else None)
-        if rightmost is not None and not _right_edge_ok(rightmost):
-            raise PatternError(f"{rightmost} cannot be the rightmost block")
-    else:
-        prev = core[-1] if core else (lt[-1] if lt else rt[-1])
-        if not _adjacent_ok(prev, rt[0]):
-            raise PatternError(f"inconsistent seam {prev} | {rt[0]}")
-    if lt is not None and rt is not None and not core:
-        if not _adjacent_ok(lt[-1], rt[0]):
-            raise PatternError(f"inconsistent seam {lt[-1]} | {rt[0]}")
+    if lt is None and not _left_edge_ok(line[0]):
+        raise PatternError(f"{line[0]} cannot be the leftmost block")
+    if rt is None and not _right_edge_ok(line[-1]):
+        raise PatternError(f"{line[-1]} cannot be the rightmost block")
 
 
 # ---------------------------------------------------------------------------

@@ -189,18 +189,6 @@ class PLMap:
 
     # -- fixed points and support ------------------------------------------
 
-    def fixed_structure(self) -> tuple[tuple[Fraction, ...], tuple[tuple[ExtRat, ExtRat], ...]]:
-        """Exact solution set of f(x) = x.
-
-        Returns isolated fixed points and maximal closed fixed intervals
-        (interval endpoints may be infinite; the identity yields the single
-        interval (-inf, inf)).
-        """
-        items = self.fixed_items()
-        points = tuple(lo for lo, hi in items if lo == hi)
-        intervals = tuple(it for it in items if it[0] != it[1])
-        return points, intervals
-
     def fixed_items(self) -> list[tuple[ExtRat, ExtRat]]:
         """All maximal closed fixed regions [lo, hi] (lo == hi for an
         isolated fixed point), left to right."""
@@ -279,16 +267,6 @@ def _domains(cuts: Sequence[Fraction]) -> Iterable[tuple[ExtRat, ExtRat]]:
     los: list[ExtRat] = [NEG_INF] + list(cuts)
     his: list[ExtRat] = list(cuts) + [POS_INF]
     return zip(los, his)
-
-
-def compose(f: PLMap, g: PLMap) -> PLMap:
-    """x ↦ f(g(x))."""
-    return f.compose(g)
-
-
-def conjugate(f: PLMap, g: PLMap) -> PLMap:
-    """g ∘ f ∘ g⁻¹ (the conjugate of f by g)."""
-    return f.conjugate_by(g)
 
 
 # -- text format -----------------------------------------------------------

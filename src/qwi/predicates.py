@@ -7,6 +7,9 @@ executable maps, decided exactly from support/fixed-point structure.
 `discrepancy_search` compares that reading against the oracle over seeded
 pools: the two layers are deliberately distinct, because the literal macros
 quantify over the whole group and degenerate on dense supports.
+
+`GroupEvaluator` is the evaluator of group formulas over maps: one memoised
+walk of group terms, which `literal` and the pull-back of `interp` share.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Optional, Sequence
 
 from .numbers import NEG_INF, POS_INF, IntervalSet, QInterval, is_finite, pick_fresh
 from .plmap import PLMap
-from .formulas import MACROS, Evaluator, Exists, Forall, Formula, GVar, Inv, Mul, Term, TermEq
+from .formulas import MACROS, Evaluator, Formula, GVar, Inv, Mul, One, Term, TermEq
 from .generators import gen_plmap_rnd, make_bump
 
 
@@ -178,17 +181,14 @@ def finrational_sem(f: PLMap) -> bool:
     """Comparable with the identity, dense support, finitely many (hence all
     rational) fixed points.  Such an element encodes its fixed-point set,
     possibly empty."""
-    if not comp_sem(f):
-        return False
-    _, intervals = f.fixed_structure()
-    return not intervals
+    return comp_sem(f) and all(lo == hi for lo, hi in f.fixed_items())
 
 
 def fixed_point_set(f: PLMap) -> tuple[Fraction, ...]:
-    points, intervals = f.fixed_structure()
-    if intervals:
+    items = f.fixed_items()
+    if any(lo != hi for lo, hi in items):
         raise ValueError("fixed set is not finite")
-    return points
+    return tuple(lo for lo, _ in items)
 
 
 def sameset_sem(f: PLMap, g: PLMap) -> bool:
@@ -220,6 +220,43 @@ def member_sem(f: PLMap, g: PLMap) -> bool:
     if not finrational_sem(g):
         raise ValueError("second argument must encode a finite set")
     return codesame_sem(f, g.compose(f).compose(g.inverse()))
+
+
+# ---------------------------------------------------------------------------
+# group formulas over maps
+# ---------------------------------------------------------------------------
+
+class GroupEvaluator(Evaluator):
+    """An evaluator whose variables denote maps.  `term` reads a group term
+    through the subclass's `element(name)`, which gives the map a variable
+    is bound to.
+
+    Every product and inverse that `term` builds is kept in `coded` for the
+    evaluator's lifetime, keyed by its factors or its argument, and so is
+    whatever a subclass builds through `code(key, make, *args)`: a value
+    met again is the same map, and its support is walked once."""
+
+    def __init__(self, coded: dict[tuple, PLMap]):
+        self.coded = coded
+
+    def code(self, key: tuple, make, *args) -> PLMap:
+        f = self.coded.get(key)
+        if f is None:
+            f = self.coded[key] = make(*args)
+        return f
+
+    def term(self, t: Term) -> PLMap:
+        if isinstance(t, GVar):
+            return self.element(t.name)
+        if isinstance(t, Mul):
+            a, b = self.term(t.t), self.term(t.u)
+            return self.code(("mul", a, b), a.compose, b)
+        if isinstance(t, Inv):
+            a = self.term(t.t)
+            return self.code(("inv", a), a.inverse)
+        if isinstance(t, One):
+            return self.code(("one",), PLMap.identity)
+        raise ValueError(f"bad term {t!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -258,47 +295,41 @@ _WITNESSES = {
 #: no quantifier of its own.
 LITERAL_MACROS = (*_WITNESSES, "codesame")
 
-_ONE = PLMap.identity()
 
+class _Literal(GroupEvaluator):
+    """Reads the schema of one literal macro at `args`.  The quantifier
+    ranges over the pool plus the macro's witnesses, an equation of terms is
+    decided by map equality, a literal macro met as an atom is read in turn
+    with the same `coded`, and every other atom by its oracle."""
 
-class _Literal(Evaluator):
-    """Reads the schema of one literal macro with its parameters bound in
-    `env`.  The quantifier ranges over the pool plus the macro's witnesses,
-    an equation of terms is decided by map equality, a literal macro met as
-    an atom is read in turn, and every other atom by its oracle."""
+    def __init__(self, macro: str, args: Sequence[PLMap], pool: Sequence[PLMap],
+                 coded: dict[tuple, PLMap]):
+        super().__init__(coded)
+        params, self.schema = MACROS[macro]
+        self.macro, self.env, self.pool = macro, dict(zip(params, args)), pool
 
-    def __init__(self, macro: str, env: dict[str, PLMap], pool: Sequence[PLMap]):
-        self.macro, self.env, self.pool = macro, env, pool
+    def read(self) -> bool:
+        return self.run(self.schema)
 
-    def term(self, t: Term) -> PLMap:
-        if isinstance(t, GVar):
-            return self.env[t.name]
-        if isinstance(t, Mul):
-            return self.term(t.t).compose(self.term(t.u))
-        if isinstance(t, Inv):
-            return self.term(t.t).inverse()
-        return _ONE
+    def element(self, name: str) -> PLMap:
+        return self.env[name]
 
     def atom(self, phi: Formula) -> bool:
         if isinstance(phi, TermEq):
             return self.term(phi.t) == self.term(phi.u)
         args = [self.term(a) for a in phi.args]
         if phi.name in LITERAL_MACROS:
-            return literal(phi.name, args, self.pool)
+            return _Literal(phi.name, args, self.pool, self.coded).read()
         return ORACLES[phi.name](*args)
 
-    def quantifier(self, phi: Formula):
-        if type(phi) not in (Exists, Forall):
-            return None
-        witnesses = _WITNESSES[self.macro](self.env)
-        return type(phi) is Exists, self.env, [*self.pool, *witnesses]
+    def bind(self, phi: Formula):
+        return self.env, [*self.pool, *_WITNESSES[self.macro](self.env)]
 
 
 def literal(macro: str, args: Sequence[PLMap], pool: Sequence[PLMap] = ()) -> bool:
     """The schema `MACROS[macro]` of a literal macro read at `args`, its
     quantifiers ranging over `pool` plus the macro's constructive witnesses."""
-    params, body = MACROS[macro]
-    return _Literal(macro, dict(zip(params, args)), pool).run(body)
+    return _Literal(macro, args, pool, {}).read()
 
 
 def _coded_pair(rnd: random.Random) -> tuple[PLMap, PLMap]:

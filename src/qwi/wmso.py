@@ -311,13 +311,13 @@ class _Brute(Evaluator):
             return self.pt(phi.x) in self.a.sets[phi.X]
         raise FormulaError(f"not a formula over (Q,<): {phi!r}")
 
-    def quantifier(self, phi: Formula):
+    def bind(self, phi: Formula):
         t = type(phi)
         if t is ExistsPt or t is ForallPt:
-            return t is ExistsPt, self.a.points, point_candidates(self.a)
+            return self.a.points, point_candidates(self.a)
         if t is ExistsSet or t is ForallSet:
-            return t is ExistsSet, self.a.sets, self.subsets()
-        return None
+            return self.a.sets, self.subsets()
+        raise FormulaError(f"not a formula over (Q,<): {phi!r}")
 
     def subsets(self) -> Iterator[tuple[Fraction, ...]]:
         universe = sorted(set(self.pool) | set(self.a.landmarks()))

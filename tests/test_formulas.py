@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qwi.formulas import (
-    And, EqPt, Exists, ExistsPt, ExistsSet, Forall, ForallPt, ForallSet,
-    FormulaError, GAtom, GVar, Iff, Implies, Inv, Less, MACROS, Mem, Mul,
-    Not, One, Or, TermEq, expand, free_vars, parse_group,
-    parse_wmso, print_group, print_term, print_wmso, qdepth, substitute,
+    ATOM_ARITY, MAX_DEPTH, QUANTIFIERS, And, EqPt, Evaluator, Exists,
+    ExistsPt, ExistsSet, Forall, ForallPt, ForallSet, FormulaError, GAtom,
+    GVar, Iff, Implies, Inv, Less, MACROS, Mem, Mul, Not, One, Or, TermEq,
+    _depth, expand, free_vars, parse_group, parse_wmso, print_group,
+    print_term, print_wmso, qdepth, substitute,
 )
 
 
@@ -91,6 +92,92 @@ def test_print_parse_roundtrip_examples():
     for text in gtexts:
         phi = parse_group(text)
         assert parse_group(print_group(phi)) == phi
+
+
+_BINARY = (And, Or, Implies, Iff)
+
+
+def _formulas(atoms, quantifiers):
+    """Formulas over `atoms` built with every connective and each of
+    `quantifiers`, a list of (class, variable strategy) pairs."""
+    def extend(sub):
+        return st.one_of(
+            st.builds(Not, sub),
+            *(st.builds(c, sub, sub) for c in _BINARY),
+            *(st.builds(q, var, sub) for q, var in quantifiers),
+        )
+    return st.recursive(atoms, extend, max_leaves=10)
+
+
+# variable names that the parser cannot read as a quantifier or as `in`
+_POINTS, _SETS = st.sampled_from("xyz"), st.sampled_from("XY")
+wmso_formulas = _formulas(
+    st.one_of(st.builds(Less, _POINTS, _POINTS), st.builds(EqPt, _POINTS, _POINTS),
+              st.builds(Mem, _POINTS, _SETS)),
+    [(ExistsPt, _POINTS), (ForallPt, _POINTS), (ExistsSet, _SETS), (ForallSet, _SETS)],
+)
+_terms = st.recursive(
+    st.one_of(st.builds(GVar, _POINTS), st.just(One())),
+    lambda t: st.one_of(st.builds(Mul, t, t), st.builds(Inv, t)),
+    max_leaves=4,
+)
+group_formulas = _formulas(
+    st.one_of(
+        st.builds(TermEq, _terms, _terms),
+        st.sampled_from(sorted(ATOM_ARITY.items())).flatmap(
+            lambda item: st.tuples(*[_terms] * item[1]).map(
+                lambda args: GAtom(item[0], args))),
+    ),
+    [(Exists, _POINTS), (Forall, _POINTS)],
+)
+
+
+@given(wmso_formulas)
+@settings(max_examples=300)
+def test_wmso_print_parse_roundtrip(phi):
+    assert _depth(phi) <= MAX_DEPTH
+    assert parse_wmso(print_wmso(phi)) == phi
+
+
+@given(group_formulas)
+@settings(max_examples=300)
+def test_group_print_parse_roundtrip(phi):
+    assert _depth(phi) <= MAX_DEPTH
+    assert parse_group(print_group(phi)) == phi
+
+
+class _Recording(Evaluator):
+    """Reads order atoms over the booleans and records every node it visits,
+    every quantifier it binds and every atom it decides."""
+
+    def __init__(self):
+        self.env, self.visited, self.bound, self.decided = {}, [], [], []
+
+    def run(self, phi):
+        self.visited.append(phi)
+        return super().run(phi)
+
+    def bind(self, phi):
+        self.bound.append(phi)
+        return self.env, [False, True]
+
+    def atom(self, phi):
+        self.decided.append(phi)
+        x, y = self.env[phi.x], self.env[phi.y]
+        return x < y if isinstance(phi, Less) else x == y
+
+
+def test_evaluator_binds_only_quantifiers():
+    phi = parse_wmso("Ax ((Ey (x < y & ~(y = x))) | x = x) <-> (Az Ax (z < x -> Ay (y = z)))")
+    ev = _Recording()
+    ev.run(phi)
+    quantifiers = [n for n in ev.visited if type(n) in QUANTIFIERS]
+    atoms = [n for n in ev.visited if isinstance(n, (Less, EqPt))]
+    assert ev.bound == quantifiers  # once per quantifier visit, in order
+    assert len(quantifiers) > 4  # nested quantifiers are visited repeatedly
+    assert ev.decided == atoms
+    assert len(quantifiers) + len(atoms) + sum(
+        isinstance(n, (Not, *_BINARY)) for n in ev.visited) == len(ev.visited)
 
 
 def test_printer_protects_quantified_operands():

@@ -133,6 +133,8 @@ def test_pullback_rejects_foreign_formulas():
     ]:
         with pytest.raises(InterpError):
             pullback_eval(parse_group(text))
+    with pytest.raises(InterpError, match="outside the translated fragment"):
+        pullback_eval(parse_wmso("Ax (x = x)"))  # an order quantifier
 
 
 def test_decompile_inverts_translate():

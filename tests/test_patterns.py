@@ -185,6 +185,17 @@ def test_parse_pattern_with_tails():
         parse_pattern("garbage")
 
 
+def test_empty_tail_word_is_refused():
+    core = (Fixed(NO_MIN_NO_MAX),)
+    for text in ("pattern core=[F(open)] rtail=[]", "pattern ltail=[] core=[F(open)]"):
+        with pytest.raises(PatternError, match="empty"):
+            parse_pattern(text)
+    for lt, rt in (((), None), (None, ())):
+        with pytest.raises(PatternError, match="empty"):
+            make_pattern(core, lt, rt)
+        assert not pattern_is_valid(OrbitalPattern(lt, core, rt))
+
+
 def test_enumeration_yields_valid_unique_canonical_patterns():
     seen = set()
     n = 0

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import qwi.wmso
 from qwi.corpus import load_corpus
-from qwi.formulas import FormulaError, parse_wmso, qdepth
+from qwi.formulas import FormulaError, parse_group, parse_wmso, qdepth
 from qwi.numbers import NEG_INF, POS_INF, QInterval
 from qwi.wmso import (
     Assignment, EMPTY, automaton, brute_eval, decide, eval as wmso_eval,
@@ -50,6 +50,11 @@ def test_eval_rejects_free_and_unbound_vars():
         wmso_eval(parse_wmso("x in X"), EMPTY.with_point("x", Fraction(0)))
     with pytest.raises(FormulaError, match="unbound point variable x"):  # bound as a set
         wmso_eval(parse_wmso("x in X"), EMPTY.with_set("x", []).with_set("X", []))
+
+
+def test_brute_eval_rejects_a_group_quantifier():
+    with pytest.raises(FormulaError, match="not a formula over"):
+        brute_eval(parse_group("Ax x = x"), Assignment(), [])
 
 
 def test_eval_with_assignment():
