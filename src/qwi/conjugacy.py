@@ -10,6 +10,10 @@ finitely presented automorphisms of ℚ: affine on fixed regions, and on each
 orbital a finite stack of explicit affine windows together with two periodic
 germ tails (the fundamental-domain transport h = gⁿ ∘ φ ∘ f⁻ⁿ, whose
 breakpoints accumulate geometrically at the orbital ends).
+
+The inverse needs no code of its own: h⁻¹ = fⁿ ∘ φ⁻¹ ∘ g⁻ⁿ is the same
+transport with f and g exchanged, so every segment inverts by swapping its
+two sides and inverting its explicit pieces.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .numbers import NEG_INF, POS_INF, ExtRat, QInterval, is_finite, pick_fresh
+from .numbers import ExtRat, QInterval, is_finite, pick_fresh
 from .plmap import PLMap
 from .patterns import pattern_iso, pattern_of
 
@@ -36,18 +40,22 @@ def _ap_inv(a: Affine, y: Fraction) -> Fraction:
 LocalPiece = tuple[Fraction, Fraction, Fraction, Fraction]  # lo, hi, m, c
 
 
-def _eval_local(pieces: list[LocalPiece], x: Fraction) -> Fraction:
-    for lo, hi, m, c in pieces:
-        if lo <= x <= hi:
-            return m * x + c
+def _piece(pieces: list[LocalPiece], x: Fraction) -> LocalPiece:
+    """The first piece whose closed domain [lo, hi] holds x."""
+    for p in pieces:
+        if p[0] <= x <= p[1]:
+            return p
     raise ValueError(f"{x} outside local window")
 
 
-def _invert_local(pieces: list[LocalPiece], y: Fraction) -> Fraction:
-    for lo, hi, m, c in pieces:
-        if m * lo + c <= y <= m * hi + c:
-            return (y - c) / m
-    raise ValueError(f"{y} outside local window image")
+def _eval_local(pieces: list[LocalPiece], x: Fraction) -> Fraction:
+    _, _, m, c = _piece(pieces, x)
+    return m * x + c
+
+
+def _inverse_pieces(pieces: list[LocalPiece]) -> list[LocalPiece]:
+    """The inverse of a stack of pieces: each piece on its image, inverted."""
+    return [(m * lo + c, m * hi + c, 1 / m, -c / m) for lo, hi, m, c in pieces]
 
 
 class ConjugacyError(ValueError):
@@ -68,6 +76,13 @@ class FixedSeg:
     def apply(self, q: Fraction) -> Fraction:
         return _ap(self.map, q)
 
+    def inverse(self) -> "FixedSeg":
+        """h⁻¹ on the image region [h(lo), h(hi)]."""
+        m, c = self.map
+        lo = self.apply(self.lo) if is_finite(self.lo) else self.lo
+        hi = self.apply(self.hi) if is_finite(self.hi) else self.hi
+        return FixedSeg(lo, hi, (1 / m, -c / m))
+
 
 @dataclass
 class OrbitalSeg:
@@ -87,8 +102,6 @@ class OrbitalSeg:
     p0: Fraction
     q0: Fraction
     windows: list[LocalPiece]       # pieces over [p0, F^(N+1) p0]
-    win_lo: Fraction
-    win_hi: Fraction
     top_lo: Fraction                # F^N p0: start of the top window
     alpha: Affine                   # bottom germ of F
     beta: Affine                    # bottom germ of G
@@ -99,20 +112,21 @@ class OrbitalSeg:
         return self.a < q < self.b
 
     def apply(self, q: Fraction) -> Fraction:
-        if q < self.win_lo:
+        lo, hi = self.windows[0][0], self.windows[-1][1]
+        if q < lo:
             k = 0
             x = q
-            while x < self.win_lo:
+            while x < lo:
                 x = _ap(self.alpha, x)
                 k += 1
             y = _eval_local(self.windows, x)
             for _ in range(k):
                 y = _ap_inv(self.beta, y)
             return y
-        if q > self.win_hi:
+        if q > hi:
             k = 0
             x = q
-            while x > self.win_hi:
+            while x > hi:
                 x = _ap_inv(self.alpha_top, x)
                 k += 1
             y = _eval_local(self.windows, x)
@@ -121,30 +135,13 @@ class OrbitalSeg:
             return y
         return _eval_local(self.windows, q)
 
-    def apply_inverse(self, v: Fraction) -> Fraction:
-        vlo = _eval_local(self.windows, self.win_lo)
-        vhi = _eval_local(self.windows, self.win_hi)
-        if v < vlo:
-            k = 0
-            y = v
-            while y < vlo:
-                y = _ap(self.beta, y)
-                k += 1
-            x = _invert_local(self.windows, y)
-            for _ in range(k):
-                x = _ap_inv(self.alpha, x)
-            return x
-        if v > vhi:
-            k = 0
-            y = v
-            while y > vhi:
-                y = _ap_inv(self.beta_top, y)
-                k += 1
-            x = _invert_local(self.windows, y)
-            for _ in range(k):
-                x = _ap(self.alpha_top, x)
-            return x
-        return _invert_local(self.windows, v)
+    def inverse(self) -> "OrbitalSeg":
+        """h⁻¹ on the orbital (c,d) of g: the transport with the roles of
+        f and g exchanged, its windows inverted piece by piece."""
+        return OrbitalSeg(self.c, self.d, self.a, self.b, self.G, self.F,
+                          self.q0, self.p0, _inverse_pieces(self.windows),
+                          _eval_local(self.windows, self.top_lo),
+                          self.beta, self.alpha, self.beta_top, self.alpha_top)
 
 
 Segment = Union[FixedSeg, OrbitalSeg]
@@ -165,19 +162,12 @@ class Conjugator:
 
     __call__ = apply
 
+    def inverse(self) -> "Conjugator":
+        """h⁻¹, which conjugates g back to f."""
+        return Conjugator([seg.inverse() for seg in self.segments])
+
     def apply_inverse(self, v: Fraction) -> Fraction:
-        v = Fraction(v)
-        for seg in self.segments:
-            if isinstance(seg, FixedSeg):
-                m, c = seg.map
-                img_lo = _ap(seg.map, seg.lo) if is_finite(seg.lo) else NEG_INF
-                img_hi = _ap(seg.map, seg.hi) if is_finite(seg.hi) else POS_INF
-                if img_lo <= v <= img_hi:
-                    return (v - c) / m
-            else:
-                if seg.c < v < seg.d:
-                    return seg.apply_inverse(v)
-        raise ValueError(f"no segment image covers {v}")
+        return self.inverse().apply(v)
 
 
 # ---------------------------------------------------------------------------
@@ -246,18 +236,16 @@ def _orbital_seg(f: PLMap, g: PLMap, a, b, c, d, parity: int) -> OrbitalSeg:
     phi_m = (t_g - q0) / (t_f - p0)
     window: list[LocalPiece] = [(p0, t_f, phi_m, q0 - phi_m * p0)]
     pieces = list(window)
-    x_lo, x_hi = p0, t_f
+    x_lo = p0
     n = 0
     while not (x_lo >= s_f and _eval_local(pieces, x_lo) >= s_g):
         window = _push_window(window, F, G)
         pieces.extend(window)
-        x_lo, x_hi = window[0][0], window[-1][1]
+        x_lo = window[0][0]
         n += 1
         if n > 100000:
             raise ConjugacyError("orbital transport did not stabilize")
-    pieces = _merge_local(pieces)
-    return OrbitalSeg(a, b, c, d, F, G, p0, q0, pieces,
-                      pieces[0][0], pieces[-1][1], x_lo,
+    return OrbitalSeg(a, b, c, d, F, G, p0, q0, _merge_local(pieces), x_lo,
                       alpha, beta, alpha_top, beta_top)
 
 
@@ -268,26 +256,17 @@ def _push_window(window: list[LocalPiece], F: PLMap, G: PLMap) -> list[LocalPiec
     v0, v1 = _eval_local(window, u0), _eval_local(window, u1)
     bpts = {F.apply(p[0]) for p in window} | {F.apply(u1)}
     bpts.update(F.apply(cut) for cut in F.cuts if u0 < cut < u1)
-    for cg in G.cuts:
-        if v0 < cg < v1:
-            bpts.add(F.apply(_invert_local(window, cg)))
+    inv = _inverse_pieces(window)
+    bpts.update(F.apply(_eval_local(inv, cg)) for cg in G.cuts if v0 < cg < v1)
     xs = sorted(bpts)
     out: list[LocalPiece] = []
     for lo, hi in zip(xs, xs[1:]):
-        mid = (lo + hi) / 2
-        # F⁻¹ at mid
-        u = F.apply_inverse(mid)
+        # F⁻¹ at the midpoint, then h_prev, then G
+        u = F.apply_inverse((lo + hi) / 2)
         mF, cF = F.pieces[F.piece_index(u)]
-        inv = (1 / mF, -cF / mF)
-        for plo, phi_, m, c in window:
-            if plo <= u <= phi_:
-                mid_map = (m, c)
-                break
-        w = m * u + c
-        mG, cG = G.pieces[G.piece_index(w)]
-        mm = mG * mid_map[0] * inv[0]
-        cc = mG * (mid_map[0] * inv[1] + mid_map[1]) + cG
-        out.append((lo, hi, mm, cc))
+        _, _, m, c = _piece(window, u)
+        mG, cG = G.pieces[G.piece_index(m * u + c)]
+        out.append((lo, hi, mG * m / mF, mG * (c - m * cF / mF) + cG))
     return _merge_local(out)
 
 
@@ -329,37 +308,21 @@ def _verify_fixed(seg: FixedSeg, f: PLMap, g: PLMap) -> bool:
     # needs checking is that both really are fixed regions
     if not _fixes(f, seg.lo, seg.hi):
         return False
-    img_lo = seg.apply(seg.lo) if is_finite(seg.lo) else NEG_INF
-    img_hi = seg.apply(seg.hi) if is_finite(seg.hi) else POS_INF
-    return _fixes(g, img_lo, img_hi)
+    img = seg.inverse()
+    return _fixes(g, img.lo, img.hi)
 
 
 def _fixes(f: PLMap, lo: ExtRat, hi: ExtRat) -> bool:
     """Whether f is the identity on [lo, hi], structurally: f fixes the one
-    point, or every piece of f whose domain meets (lo, hi) is the identity."""
+    point, or every piece of f on (lo, hi) is the identity's."""
     if lo == hi:
         return f.apply(lo) == lo
-    return all(piece == (Fraction(1), Fraction(0))
-               for piece, (plo, phi) in zip(f.pieces, f.piece_domains())
-               if plo < hi and lo < phi)
+    return f.agrees_on(PLMap.identity(), QInterval(lo, hi))
 
 
 def _verify_orbital(seg: OrbitalSeg, h: Conjugator, f: PLMap, g: PLMap) -> bool:
     F, G = seg.F, seg.G
-    # germ purity: every cut of F inside the orbital must sit inside the
-    # explicit window region below the top window, so that F acts as a pure
-    # affine germ on both tails; likewise for G on the image side
-    for cut in F.cuts:
-        if seg.a < cut < seg.b and not seg.win_lo <= cut <= seg.top_lo:
-            return False
-    v_lo = _eval_local(seg.windows, seg.win_lo)
-    v_top = _eval_local(seg.windows, seg.top_lo)
-    for cut in G.cuts:
-        if seg.c < cut < seg.d and not v_lo <= cut <= v_top:
-            return False
-    # seam values of the anchor window
-    if _eval_local(seg.windows, seg.p0) != seg.q0:
-        return False
+    win_lo, win_hi = seg.windows[0][0], seg.windows[-1][1]
     # windows must be continuous and increasing
     prev = None
     for lo, hi, m, c in seg.windows:
@@ -368,12 +331,24 @@ def _verify_orbital(seg: OrbitalSeg, h: Conjugator, f: PLMap, g: PLMap) -> bool:
         if prev is not None and (prev[0] != lo or prev[1] != m * lo + c):
             return False
         prev = (hi, m * hi + c)
+    inv = seg.inverse()
+    # germ purity: every cut of F inside the orbital must sit inside the
+    # explicit window region below the top window, so that F acts as a pure
+    # affine germ on both tails; likewise for G on the image side, which is
+    # the same condition read on the inverse
+    for s in (seg, inv):
+        for cut in s.F.cuts:
+            if s.a < cut < s.b and not s.windows[0][0] <= cut <= s.top_lo:
+                return False
+    # seam values of the anchor window
+    if _eval_local(seg.windows, seg.p0) != seg.q0:
+        return False
     # the conjugation identity on the explicit region, complete refinement:
     # check h(F(x)) == G(h(x)) for x in [lo_ext, top_lo] at every breakpoint
     # of either side and at the midpoints in between
-    lo_ext = _ap_inv(seg.alpha, seg.win_lo)
+    lo_ext = _ap_inv(seg.alpha, win_lo)
     if not seg.a < lo_ext:
-        lo_ext = seg.win_lo
+        lo_ext = win_lo
     bpts = {lo_ext, seg.top_lo}
     for lo, hi, _, _ in seg.windows:
         if lo_ext <= lo <= seg.top_lo:
@@ -387,7 +362,7 @@ def _verify_orbital(seg: OrbitalSeg, h: Conjugator, f: PLMap, g: PLMap) -> bool:
     for cg in G.cuts:
         if seg.c < cg < seg.d:
             try:
-                u = seg.apply_inverse(cg)
+                u = inv.apply(cg)
             except ValueError:
                 continue
             if lo_ext < u < seg.top_lo:
@@ -396,7 +371,7 @@ def _verify_orbital(seg: OrbitalSeg, h: Conjugator, f: PLMap, g: PLMap) -> bool:
     probes = list(xs)
     probes += [(u + v) / 2 for u, v in zip(xs, xs[1:])]
     # a few deep zone probes on both tails
-    x_dn, x_up = seg.win_lo, seg.win_hi
+    x_dn, x_up = win_lo, win_hi
     for _ in range(3):
         x_dn = _ap_inv(seg.alpha, x_dn)
         x_up = _ap(seg.alpha_top, x_up)

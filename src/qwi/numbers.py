@@ -1,14 +1,17 @@
-"""Exact rational arithmetic, extended endpoints, and open-interval sets.
+"""Exact rational arithmetic, extended endpoints, and open intervals.
 
 Everything downstream (maps, orbitals, predicates) is built on `Fraction`,
-so equality is structural and nothing is ever rounded.
+so equality is structural and nothing is ever rounded.  A support is the
+tuple of its open components, sorted and pairwise disjoint, as
+`PLMap.support` builds it; no separate set type normalises it.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Union
 
 
 class _Infinity:
@@ -60,12 +63,21 @@ def is_finite(x: ExtRat) -> bool:
     return not isinstance(x, _Infinity)
 
 
+_RATIONAL_RE = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse `p/q` or integer `p` syntax."""
+    """Parse `p/q` or integer `p` syntax, with optional sign and surrounding
+    whitespace.  Decimals and exponents are refused: an exponent would let
+    a short token ask for an integer of any size."""
+    m = _RATIONAL_RE.fullmatch(text)
+    if not m:
+        raise ValueError(f"bad rational literal {text!r}: expected p/q or an integer")
+    num, den = m.groups()
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational literal {text!r}: {exc}") from None
+        return Fraction(int(num), int(den or 1))
+    except ZeroDivisionError:
+        raise ValueError(f"bad rational literal {text!r}: zero denominator") from None
 
 
 def format_ext(x: ExtRat) -> str:
@@ -107,82 +119,3 @@ def pick_fresh(gap: QInterval) -> Fraction:
     if is_finite(hi):
         return hi - 1
     return Fraction(0)
-
-
-class IntervalSet:
-    """A finite union of disjoint open rational intervals, canonically sorted.
-
-    Two open intervals sharing a rational endpoint are *not* merged: the
-    shared point is absent from the union, so (0,1) ∪ (1,2) stays two items.
-    """
-
-    __slots__ = ("items",)
-
-    def __init__(self, items: Sequence[QInterval] = ()):
-        self.items: tuple[QInterval, ...] = _normalize(items)
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __len__(self):
-        return len(self.items)
-
-    def __bool__(self):
-        return bool(self.items)
-
-    def __eq__(self, other):
-        return isinstance(other, IntervalSet) and self.items == other.items
-
-    def __hash__(self):
-        return hash(self.items)
-
-    def __repr__(self):
-        return "{" + ", ".join(map(repr, self.items)) + "}"
-
-    def contains(self, q: Fraction) -> bool:
-        return any(iv.contains(q) for iv in self.items)
-
-    def is_empty(self) -> bool:
-        return not self.items
-
-    def sup(self) -> ExtRat:
-        """Supremum of the union; NEG_INF when empty."""
-        return self.items[-1].hi if self.items else NEG_INF
-
-    def inf(self) -> ExtRat:
-        """Infimum of the union; POS_INF when empty."""
-        return self.items[0].lo if self.items else POS_INF
-
-    def intersects(self, other: "IntervalSet") -> bool:
-        for a in self.items:
-            for b in other.items:
-                if a.lo < b.hi and b.lo < a.hi:
-                    return True
-        return False
-
-    def is_subset_of(self, other: "IntervalSet") -> bool:
-        """Point-set containment of the two open unions."""
-        for a in self.items:
-            if not any(b.lo <= a.lo and a.hi <= b.hi for b in other.items):
-                # a might still be covered by several b-items, but the items
-                # of an IntervalSet are separated by points outside the set,
-                # so a single a-item can only fit inside a single b-item.
-                return False
-        return True
-
-    def is_full_line(self) -> bool:
-        return self.items == (FULL_LINE,)
-
-
-def _normalize(raw: Iterable[QInterval]) -> tuple[QInterval, ...]:
-    ivs = sorted((iv for iv in raw if not iv.is_empty()),
-                 key=lambda iv: (iv.lo, iv.hi))
-    out: list[QInterval] = []
-    for iv in ivs:
-        if out and iv.lo < out[-1].hi:
-            if iv.hi > out[-1].hi:
-                out[-1] = QInterval(out[-1].lo, iv.hi)
-        else:
-            out.append(iv)
-    return tuple(out)
-

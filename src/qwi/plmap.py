@@ -17,7 +17,6 @@ from .numbers import (
     NEG_INF,
     POS_INF,
     ExtRat,
-    IntervalSet,
     QInterval,
     parse_rational,
     pick_fresh,
@@ -33,7 +32,8 @@ class PLMapError(ValueError):
 class PLMap:
     """An order-automorphism of ℚ given by `len(cuts)+1` affine pieces."""
 
-    __slots__ = ("cuts", "pieces", "image_cuts", "_regions", "_signed", "_support")
+    __slots__ = ("cuts", "pieces", "image_cuts", "_regions", "_signed", "_support",
+                 "_hash")
 
     def __init__(self, cuts: Sequence[Fraction], pieces: Sequence[Piece]):
         cuts = tuple(c if type(c) is Fraction else Fraction(c) for c in cuts)
@@ -76,7 +76,8 @@ class PLMap:
         self.image_cuts = tuple(cimages)
         self._regions: tuple[tuple, ...] | None = None
         self._signed: tuple[tuple[QInterval, int], ...] | None = None
-        self._support: IntervalSet | None = None
+        self._support: tuple[QInterval, ...] | None = None
+        self._hash: int | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -127,9 +128,19 @@ class PLMap:
         m, c = self.pieces[i]
         return (q - c) / m
 
-    def piece_domains(self) -> list[tuple[ExtRat, ExtRat]]:
-        """Closed domain [lo, hi] of each piece (extended endpoints)."""
-        return list(_domains(self.cuts))
+    def agrees_on(self, other: "PLMap", iv: QInterval) -> bool:
+        """Exact equality of self and other on the open interval `iv`: the
+        cuts of both maps inside `iv` split it into stretches on which each
+        map is one affine piece, and the two pieces are compared there."""
+        if iv.is_empty():
+            return True
+        bpts = sorted({c for c in self.cuts + other.cuts if iv.lo < c < iv.hi})
+        ends = [iv.lo] + bpts + [iv.hi]
+        for lo, hi in zip(ends, ends[1:]):
+            x = pick_fresh(QInterval(lo, hi))
+            if self.pieces[self.piece_index(x)] != other.pieces[other.piece_index(x)]:
+                return False
+        return True
 
     # -- group operations --------------------------------------------------
 
@@ -233,10 +244,12 @@ class PLMap:
         self._regions = tuple(out)
         return self._regions
 
-    def support(self) -> IntervalSet:
-        """{x : f(x) != x}, built once per map."""
+    def support(self) -> tuple[QInterval, ...]:
+        """{x : f(x) != x} as its open components, left to right, built once
+        per map.  The components are disjoint; two of them share an endpoint
+        only where an isolated fixed point separates them."""
         if self._support is None:
-            self._support = IntervalSet([iv for iv, _ in self.signed_support()])
+            self._support = tuple(iv for iv, _ in self.signed_support())
         return self._support
 
     def signed_support(self) -> tuple[tuple[QInterval, int], ...]:
@@ -257,7 +270,9 @@ class PLMap:
         )
 
     def __hash__(self):
-        return hash((self.cuts, self.pieces))
+        if self._hash is None:
+            self._hash = hash((self.cuts, self.pieces))
+        return self._hash
 
     def __repr__(self):
         return format_pl(self)
@@ -272,7 +287,10 @@ def _domains(cuts: Sequence[Fraction]) -> Iterable[tuple[ExtRat, ExtRat]]:
 # -- text format -----------------------------------------------------------
 
 _PL_RE = re.compile(r"^pl\s+cuts=\[(?P<cuts>[^\]]*)\]\s+pieces=\[(?P<pieces>.*)\]\s*$")
-_PAIR_RE = re.compile(r"\(\s*([^,()]+)\s*,\s*([^,()]+)\s*\)")
+_PAIR = r"\(\s*([^\s,()]+)\s*,\s*([^\s,()]+)\s*\)"
+_PAIR_RE = re.compile(_PAIR)
+#: the whole pieces list: pairs separated by commas and nothing else
+_PIECES_RE = re.compile(rf"\s*{_PAIR}(?:\s*,\s*{_PAIR})*\s*")
 
 
 def format_pl(f: PLMap) -> str:
@@ -293,12 +311,11 @@ def parse_pl(text: str) -> PLMap:
         raise PLMapError(f"unparseable pl map: {text!r}")
     cuts_txt = m.group("cuts").strip()
     cuts = [parse_rational(c) for c in cuts_txt.split(",")] if cuts_txt else []
-    pieces = [
-        (parse_rational(a), parse_rational(b))
-        for a, b in _PAIR_RE.findall(m.group("pieces"))
-    ]
-    if not pieces:
-        raise PLMapError(f"no pieces in {text!r}")
+    pieces_txt = m.group("pieces")
+    if not _PIECES_RE.fullmatch(pieces_txt):
+        raise PLMapError(f"pieces must be (m,c) pairs separated by commas: {text!r}")
+    pieces = [(parse_rational(a), parse_rational(b))
+              for a, b in _PAIR_RE.findall(pieces_txt)]
     for p, q in zip(pieces, pieces[1:]):
         if p == q:
             raise PLMapError(f"non-canonical input (adjacent identical pieces {p})")

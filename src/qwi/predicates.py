@@ -18,7 +18,7 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .numbers import NEG_INF, POS_INF, IntervalSet, QInterval, is_finite, pick_fresh
+from .numbers import FULL_LINE, NEG_INF, POS_INF, QInterval, is_finite, pick_fresh
 from .plmap import PLMap
 from .formulas import MACROS, Evaluator, Formula, GVar, Inv, Mul, One, Term, TermEq
 from .generators import gen_plmap_rnd, make_bump
@@ -28,15 +28,24 @@ from .generators import gen_plmap_rnd, make_bump
 # structural helpers
 # ---------------------------------------------------------------------------
 
-def maps_agree_on(f: PLMap, g: PLMap, iv: QInterval) -> bool:
-    """Exact equality of f and g on the open interval `iv`."""
-    if iv.is_empty():
-        return True
-    bpts = sorted({c for c in f.cuts + g.cuts if iv.lo < c < iv.hi})
-    ends = [iv.lo] + bpts + [iv.hi]
-    for lo, hi in zip(ends, ends[1:]):
-        x = pick_fresh(QInterval(lo, hi))
-        if f.pieces[f.piece_index(x)] != g.pieces[g.piece_index(x)]:
+def _meets(a: Sequence[QInterval], b: Sequence[QInterval]) -> bool:
+    """Whether two supports, each a tuple of components, share a point."""
+    for u in a:
+        for v in b:
+            if u.lo < v.hi and v.lo < u.hi:
+                return True
+    return False
+
+
+def _within(a: Sequence[QInterval], b: Sequence[QInterval]) -> bool:
+    """Point-set containment of two supports, each a tuple of components.
+    The components of b are separated by points outside b, so a component
+    of a lies in b only when it lies in a single component of b."""
+    for u in a:
+        for v in b:
+            if v.lo <= u.lo and u.hi <= v.hi:
+                break
+        else:
             return False
     return True
 
@@ -74,13 +83,13 @@ def comp_sem(f: PLMap) -> bool:
 def apart_sem(f: PLMap, g: PLMap) -> bool:
     """The supports lie entirely on opposite sides (vacuous if one is empty)."""
     sf, sg = f.support(), g.support()
-    if sf.is_empty() or sg.is_empty():
+    if not sf or not sg:
         return True
-    return sf.sup() <= sg.inf() or sg.sup() <= sf.inf()
+    return sf[-1].hi <= sg[0].lo or sg[-1].hi <= sf[0].lo
 
 
 def disj_sem(f: PLMap, g: PLMap) -> bool:
-    return not f.support().intersects(g.support())
+    return not _meets(f.support(), g.support())
 
 
 def bump_sem(f: PLMap) -> bool:
@@ -95,17 +104,17 @@ def orbital_sem(x: PLMap, y: PLMap) -> bool:
     (iv_x, _), = x.signed_support()
     for iv_y, _ in y.signed_support():
         if iv_y == iv_x:
-            return maps_agree_on(x, y, iv_x)
+            return x.agrees_on(y, iv_x)
     return False
 
 
 def restr_sem(x: PLMap, y: PLMap) -> bool:
     """x is a restriction of y: on each support component of y, x is either
     equal to y or the identity, and x moves nothing outside supp(y)."""
-    if not x.support().is_subset_of(y.support()):
+    if not _within(x.support(), y.support()):
         return False
     for iv, _ in y.signed_support():
-        if not (maps_agree_on(x, y, iv) or maps_agree_on(x, PLMap.identity(), iv)):
+        if not (x.agrees_on(y, iv) or x.agrees_on(PLMap.identity(), iv)):
             return False
     return True
 
@@ -115,17 +124,17 @@ def restr_witness(x: PLMap, y: PLMap) -> Optional[PLMap]:
     if not restr_sem(x, y):
         return None
     sx = x.support()
-    rest = [iv for iv, _ in y.signed_support() if not sx.intersects(IntervalSet([iv]))]
+    rest = [iv for iv, _ in y.signed_support() if not _meets(sx, (iv,))]
     return restrict_map(y, rest)
 
 
 def cont_sem(x: PLMap, y: PLMap) -> bool:
     """Support containment supp(x) ⊆ supp(y)."""
-    return x.support().is_subset_of(y.support())
+    return _within(x.support(), y.support())
 
 
 def coterm_sem(f: PLMap) -> bool:
-    return f.support().is_full_line()
+    return f.support() == (FULL_LINE,)
 
 
 def _cofinal_support(f: PLMap) -> Optional[QInterval]:
@@ -271,14 +280,19 @@ def _gap_bumps(y: PLMap) -> list[PLMap]:
 
 def _translation_past(x: PLMap) -> list[PLMap]:
     """A translation that moves a bounded support of x off itself."""
-    lo, hi = x.support().inf(), x.support().sup()
-    return [PLMap.translation(hi - lo + 1)] if is_finite(lo) and is_finite(hi) else []
+    s = x.support()
+    if s and is_finite(s[0].lo) and is_finite(s[-1].hi):
+        return [PLMap.translation(s[-1].hi - s[0].lo + 1)]
+    return []
 
 
 def _bump_between(x: PLMap, y: PLMap) -> list[PLMap]:
-    """A bump on the gap between the supports of x and y, if there is one."""
+    """A bump on the gap between the supports of x and y, if there is one;
+    on the whole line when either support is empty."""
     sx, sy = x.support(), y.support()
-    gap = QInterval(min(sx.sup(), sy.sup()), max(sx.inf(), sy.inf()))
+    if not sx or not sy:
+        return [make_bump(FULL_LINE)]
+    gap = QInterval(min(sx[-1].hi, sy[-1].hi), max(sx[0].lo, sy[0].lo))
     return [] if gap.is_empty() else [make_bump(gap)]
 
 

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .numbers import is_finite
+from .numbers import FULL_LINE, is_finite
 from .plmap import PLMap, format_pl
 from .patterns import (
     canonical_pattern, classify_cofinal, enumerate_patterns, format_pattern,
@@ -154,12 +154,10 @@ def _suite_predicates(seed: int, cases: int):
                 bad("component restriction is not an orbital", f"iv={iv}")
             if not P.restr_sem(x, y) or not P.cont_sem(x, y):
                 bad("orbital is not a contained restriction", f"iv={iv}")
-        if P.coterm_sem(y) != (P.bump_sem(y) and y.support().is_full_line()):
+        if P.coterm_sem(y) != (P.bump_sem(y) and y.support() == (FULL_LINE,)):
             bad("coterm disagrees with full-line bump test")
         z = gen_plmap_rnd(rnd, 6)
-        if P.apart_sem(y, z) and not (y.support().is_empty() or
-                                      z.support().is_empty()) \
-                and y.support().intersects(z.support()):
+        if P.apart_sem(y, z) and not P.disj_sem(y, z):
             bad("apart elements with overlapping supports", f"z={format_pl(z)}")
         if P.disj_sem(y, z) != P.disj_sem(z, y):
             bad("disj is not symmetric", f"z={format_pl(z)}")
@@ -172,11 +170,11 @@ def _suite_predicates(seed: int, cases: int):
 # lemma21: tail decomposition
 # ---------------------------------------------------------------------------
 
-def _tail_patterns(core_max: int, tail_max: int):
+def _canonical_patterns(core_max: int, tail_max: int):
+    """The canonical form of each pattern of `enumerate_patterns`, once per
+    isomorphism class, in order of first appearance."""
     seen = set()
     for p in enumerate_patterns(core_max, tail_max):
-        if not has_inf_orbitals(p):
-            continue
         c = canonical_pattern(p)
         key = format_pattern(c)
         if key not in seen:
@@ -187,7 +185,7 @@ def _tail_patterns(core_max: int, tail_max: int):
 def _suite_lemma21(seed: int, cases: int):
     failures = []
     n = 0
-    for p in _tail_patterns(3, 2):
+    for p in filter(has_inf_orbitals, _canonical_patterns(3, 2)):
         n += 1
         res = lemma21_decompose(p)
         if res is None:
@@ -208,19 +206,13 @@ def _suite_lemma22(seed: int, cases: int):
     failures = []
     n = 0
     truth_seen = set()
-    seen = set()
-    for p in enumerate_patterns(3, 2):
-        c = canonical_pattern(p)
-        key = format_pattern(c)
-        if key in seen:
-            continue
-        seen.add(key)
+    for c in _canonical_patterns(3, 2):
         n += 1
         want = has_inf_orbitals(c)
         got = inf_formula_holds(c)
         truth_seen.add(want)
         if got != want:
-            failures.append(f"pattern {key}: inf formula {got}, "
+            failures.append(f"pattern {format_pattern(c)}: inf formula {got}, "
                             f"infinitely many orbitals {want}")
     notes = []
     if truth_seen != {True, False}:

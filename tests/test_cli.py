@@ -2,6 +2,7 @@ import ast
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qwi.cli import main
 from qwi.plmap import parse_pl
@@ -154,3 +155,37 @@ def test_verify_small_seeded_suite_is_deterministic(capsys):
                  "--cases", "20"]) == 0
     second = capsys.readouterr().out
     assert first.splitlines()[-1] == second.splitlines()[-1] == "group-laws\t20\t0"
+
+
+@pytest.mark.parametrize("pieces", ["(1,0) junk (2,0)", "(1,0)(2,0)"])
+def test_check_refuses_text_between_pieces(tmp_path, capsys, pieces):
+    f = write(tmp_path, "f.pl", f"pl cuts=[0] pieces=[{pieces}]")
+    assert main(["check", "cof", f]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def exit_code(argv) -> int:
+    """What the shell sees: main's return value, or argparse's exit code."""
+    try:
+        return main(argv)
+    except SystemExit as stop:
+        return stop.code
+
+
+# text near the map and rational syntax, so that the fuzz reaches the parsers
+fuzz_text = st.lists(st.one_of(
+    st.sampled_from(["pl", "id", " ", "cuts=[", "pieces=[", "]", "(", ")", ",",
+                     "/", "-", "0", "1", "2", "1/2", "e5", ".5", "\n", "junk"]),
+    st.text(max_size=3)), max_size=14).map("".join)
+
+
+@given(fuzz_text)
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_exit_codes_on_random_text(tmp_path, capsys, text):
+    path = tmp_path / "fuzz.pl"
+    path.write_text(text, encoding="utf-8", errors="replace")
+    assert exit_code(["check", "cof", str(path)]) in (0, 1, 2)
+    assert exit_code(["encode-rational", "--", text]) in (0, 1, 2)
+    capsys.readouterr()

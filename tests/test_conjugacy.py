@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from qwi.conjugacy import conjugating_witness, verify_conjugator
 from qwi.generators import gen_plmap, gen_plmap_rnd, make_bump
-from qwi.numbers import NEG_INF, POS_INF, QInterval
+from qwi.numbers import NEG_INF, POS_INF, QInterval, pick_fresh
 from qwi.patterns import pattern_iso, pattern_of
 from qwi.plmap import PLMap
 
@@ -144,3 +144,33 @@ def test_verifier_rejects_moves_on_fixed_regions():
     extra = make_bump(QInterval(Fraction(2), Fraction(3)))  # inside a fixed region of f
     assert not verify_conjugator(w, f.compose(extra), f)
     assert not verify_conjugator(w, f, f.compose(extra))
+
+
+def test_inverse_witness_conjugates_back():
+    """h⁻¹ is the transport with f and g exchanged: it verifies as a
+    conjugator from g to f and undoes h deep in both germ tails."""
+    rnd = random.Random("conjugacy-test:inverse")
+    witnessed = 0
+    for _ in range(40):
+        f = gen_plmap_rnd(rnd, 5)
+        h = gen_plmap_rnd(rnd, 5)
+        g = f.conjugate_by(h) if rnd.random() < 0.7 else h
+        w = conjugating_witness(f, g)
+        if w is None:
+            continue
+        witnessed += 1
+        inv = w.inverse()
+        assert verify_conjugator(inv, g, f)
+        for one, other, m in ((w, inv, f), (inv, w, g)):
+            # points spread over the line, and 15 steps up and down each
+            # orbital of the map that `one` transports
+            xs = [Fraction(rnd.randint(-40, 40), rnd.randint(1, 7)) for _ in range(3)]
+            for iv, _ in m.signed_support():
+                for step in (m.apply, m.apply_inverse):
+                    x = pick_fresh(iv)
+                    for _ in range(15):
+                        x = step(x)
+                    xs.append(x)
+            for x in xs:
+                assert other.apply(one.apply(x)) == x
+    assert witnessed >= 20

@@ -3,10 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from qwi.generators import make_bump
 from qwi.numbers import (
-    FULL_LINE, NEG_INF, POS_INF, IntervalSet, QInterval, format_ext,
+    FULL_LINE, NEG_INF, POS_INF, QInterval, format_ext,
     is_finite, parse_rational, pick_fresh,
 )
+from qwi.plmap import PLMap
+from qwi.predicates import apart_sem, cont_sem, coterm_sem, disj_sem
 
 rationals = st.fractions(max_denominator=50)
 
@@ -48,6 +51,18 @@ def test_parse_ext():
         parse_rational("q")
 
 
+@pytest.mark.parametrize("text", ["1e5", "1.5", "1_000", "1 / 2", "1/-2", "/2", ""])
+def test_parse_rational_takes_only_integers_and_fractions(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
+
+
+def test_parse_rational_syntax():
+    assert parse_rational(" -3/4 ") == Fraction(-3, 4)
+    assert parse_rational("+2") == 2
+    assert parse_rational("6/4") == Fraction(3, 2)
+
+
 def test_format_ext():
     assert format_ext(POS_INF) == "inf"
     assert format_ext(NEG_INF) == "-inf"
@@ -77,51 +92,41 @@ def test_interval_basics():
     assert QInterval(Fraction(2), Fraction(1)).is_empty()
 
 
+# A support is the tuple of its open components, so the relations between
+# interval sets are read through the oracles on bumps.
+
+def bump(lo, hi):
+    return make_bump(QInterval(lo, hi))
+
+
 def test_interval_set_keeps_shared_endpoints_apart():
-    s = IntervalSet([QInterval(Fraction(0), Fraction(1)),
-                     QInterval(Fraction(1), Fraction(2))])
-    assert len(s) == 2
-    assert not s.contains(Fraction(1))
-    assert s.contains(Fraction(1, 2)) and s.contains(Fraction(3, 2))
-
-
-def test_interval_set_merges_overlaps():
-    s = IntervalSet([QInterval(Fraction(0), Fraction(2)),
-                     QInterval(Fraction(1), Fraction(3)),
-                     QInterval(Fraction(10), Fraction(9))])
-    assert s.items == (QInterval(Fraction(0), Fraction(3)),)
+    left, right = bump(Fraction(0), Fraction(1)), bump(Fraction(1), Fraction(2))
+    both = left.compose(right)
+    assert both.support() == (QInterval(Fraction(0), Fraction(1)),
+                              QInterval(Fraction(1), Fraction(2)))
+    assert both.apply(Fraction(1)) == 1
+    assert disj_sem(left, right)
+    assert not disj_sem(both, left) and not disj_sem(both, right)
 
 
 def test_interval_set_extrema():
-    empty = IntervalSet()
-    assert empty.is_empty()
-    assert empty.sup() is NEG_INF and empty.inf() is POS_INF
-    s = IntervalSet([QInterval(Fraction(0), Fraction(1)),
-                     QInterval(Fraction(2), POS_INF)])
-    assert s.inf() == Fraction(0) and s.sup() is POS_INF
+    ident = PLMap.identity()
+    assert ident.support() == ()
+    assert apart_sem(ident, ident) and apart_sem(ident, PLMap.translation(1))
+    low, high = bump(Fraction(0), Fraction(1)), bump(Fraction(2), POS_INF)
+    assert apart_sem(low, high) and apart_sem(high, low)
+    assert not apart_sem(low.compose(high), bump(Fraction(1, 2), Fraction(3, 2)))
+    # the extrema of a support are its first and last components' ends
+    spread = low.compose(bump(Fraction(4), Fraction(5)))
+    assert not apart_sem(spread, bump(Fraction(2), Fraction(3)))
+    assert apart_sem(spread, bump(Fraction(5), Fraction(6)))
 
 
 def test_interval_set_relations():
-    a = IntervalSet([QInterval(Fraction(0), Fraction(1))])
-    b = IntervalSet([QInterval(Fraction(0), Fraction(2))])
-    c = IntervalSet([QInterval(Fraction(1), Fraction(2))])
-    assert a.is_subset_of(b) and not b.is_subset_of(a)
-    assert a.intersects(b) and not a.intersects(c)
-    assert IntervalSet([FULL_LINE]).is_full_line()
-    assert not b.is_full_line()
-
-
-@given(st.lists(st.tuples(rationals, rationals), max_size=6))
-def test_interval_set_normal_form(pairs):
-    ivs = [QInterval(min(a, b), max(a, b)) for a, b in pairs]
-    s = IntervalSet(ivs)
-    # sorted, disjoint, nonempty items; idempotent normalization
-    for iv in s:
-        assert not iv.is_empty()
-    for x, y in zip(s.items, s.items[1:]):
-        assert x.hi <= y.lo
-    assert IntervalSet(s.items) == s
-    # membership agrees with the raw union away from endpoints
-    for iv in ivs:
-        if not iv.is_empty():
-            assert s.contains(pick_fresh(iv))
+    a = bump(Fraction(0), Fraction(1))
+    b = bump(Fraction(0), Fraction(2))
+    c = bump(Fraction(1), Fraction(2))
+    assert cont_sem(a, b) and not cont_sem(b, a)
+    assert not disj_sem(a, b) and disj_sem(a, c)
+    assert coterm_sem(PLMap.translation(1))
+    assert not coterm_sem(b)

@@ -176,6 +176,52 @@ def test_format_parse_roundtrip(f):
     assert parse_pattern(format_pattern(p)) == p
 
 
+BLOCKS = [Moving(s, lo, hi) for s in (1, -1) for lo in (MINUS_INF, RATIONAL, IRRATIONAL)
+          for hi in (PLUS_INF, RATIONAL, IRRATIONAL)] + [
+    Fixed(k) for k in (EMPTY, SINGLETON, NO_MIN_NO_MAX, MIN_ONLY, MAX_ONLY, MIN_AND_MAX)]
+
+
+INTERIOR = [b for b in BLOCKS if patterns._interior_ok(b)]
+
+
+@st.composite
+def words(draw, pool, sizes, first=lambda b: True, last=lambda b, word: True):
+    """A word over `pool` in which each block is consistent with the one
+    before it.  The first block satisfies `first`, and the last satisfies
+    `last(block, word so far)` wherever some block can."""
+    word = []
+    n = draw(st.sampled_from(sizes))
+    for i in range(n):
+        options = [b for b in pool
+                   if (patterns._adjacent_ok(word[-1], b) if word else first(b))]
+        if i == n - 1:
+            options = [b for b in options if last(b, word)] or options
+        if not options:
+            break
+        word.append(draw(st.sampled_from(options)))
+    return tuple(word)
+
+
+@st.composite
+def tailed_patterns(draw):
+    """Patterns with a left tail, a right tail or both; most are valid."""
+    adj = patterns._adjacent_ok
+    tail = words(INTERIOR, [2, 4], last=lambda b, word: adj(b, word[0]))
+    rt = draw(tail) if draw(st.booleans()) else None
+    lt = draw(tail) if rt is None or draw(st.booleans()) else None
+    core = draw(words(
+        BLOCKS, [0, 1, 2, 3],
+        first=lambda b: adj(lt[-1], b) if lt else patterns._left_edge_ok(b),
+        last=lambda b, word: adj(b, rt[0]) if rt else patterns._right_edge_ok(b)))
+    return OrbitalPattern(lt, core, rt)
+
+
+@given(tailed_patterns().filter(pattern_is_valid))
+@settings(max_examples=300)
+def test_format_parse_roundtrip_with_tails(p):
+    assert parse_pattern(format_pattern(p)) == p
+
+
 def test_parse_pattern_with_tails():
     text = format_pattern(make_pattern(
         [Fixed(NO_MIN_NO_MAX)],

@@ -139,7 +139,29 @@ def test_fixed_structure_examples():
 
 @given(plmaps, rationals)
 def test_support_characterizes_movement(f, q):
-    assert f.support().contains(q) == (f.apply(q) != q)
+    support = f.support()
+    assert any(iv.contains(q) for iv in support) == (f.apply(q) != q)
+    # nonempty components, left to right, pairwise disjoint
+    assert all(not iv.is_empty() for iv in support)
+    assert all(u.hi <= v.lo for u, v in zip(support, support[1:]))
+
+
+ext_ends = st.one_of(rationals, st.just(NEG_INF), st.just(POS_INF))
+
+
+@given(plmaps, ext_ends, ext_ends, rationals, rationals)
+@example(F_SHARED, Fraction(0), Fraction(1), Fraction(1), Fraction(2))
+@example(F_SHARED, NEG_INF, Fraction(0), Fraction(-1), Fraction(0))
+def test_agrees_on_sees_a_bump(f, j0, j1, i0, i1):
+    J = QInterval(min(j0, j1), max(j0, j1))
+    if J.is_empty():
+        return
+    iv = QInterval(min(i0, i1), max(i0, i1))
+    moved = f.compose(make_bump(J))
+    apart = iv.is_empty() or iv.hi <= J.lo or J.hi <= iv.lo
+    assert f.agrees_on(moved, iv) == apart
+    assert moved.agrees_on(f, iv) == apart
+    assert f.agrees_on(f, iv) and f.agrees_on(moved, QInterval(NEG_INF, J.lo))
 
 
 @given(plmaps)
@@ -154,7 +176,8 @@ def displacement_signs(f: PLMap) -> set[int]:
     """Signs (-1, 0, +1) attained by f(x) - x over all of ℚ, read off the
     pieces without the region walk: the reference for `comp_sem`."""
     signs: set[int] = set()
-    for (m, c), (lo, hi) in zip(f.pieces, f.piece_domains()):
+    ends = [NEG_INF, *f.cuts, POS_INF]
+    for (m, c), lo, hi in zip(f.pieces, ends, ends[1:]):
         # d(x) = (m-1)x + c is affine; its sign range on [lo, hi] is
         # determined by the (limit) values at the two ends.
         for end in (lo, hi):
@@ -235,6 +258,26 @@ def test_parse_rejects_noncanonical():
         parse_pl("pl cuts=[0] pieces=[(1,0)]")
     with pytest.raises((PLMapError, ValueError)):
         parse_pl("nonsense")
+
+
+@pytest.mark.parametrize("pieces", ["(1,0) junk (2,0)", "(1,0)(2,0)", "(1,0),,(2,0)",
+                                    "(1,0),(2,0),", "", "(1,0) (2,0)"])
+def test_parse_rejects_text_between_pieces(pieces):
+    with pytest.raises(PLMapError):
+        parse_pl(f"pl cuts=[0] pieces=[{pieces}]")
+
+
+def test_parse_allows_spaces_around_pieces():
+    want = parse_pl("pl cuts=[0] pieces=[(1,0),(2,0)]")
+    assert parse_pl("pl cuts=[0] pieces=[ ( 1 , 0 ) , (2,0) ]") == want
+
+
+def test_hash_is_computed_once():
+    f = parse_pl(format_pl(F_SHARED))
+    assert f._hash is None
+    h = hash(f)
+    assert f._hash == h == hash((f.cuts, f.pieces)) == hash(F_SHARED)
+    assert hash(f) == h
 
 
 @given(seeds, st.integers(0, 8))
