@@ -7,7 +7,9 @@ input errors.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
+from fractions import Fraction
 
 from .numbers import parse_rational
 from .plmap import PLMap, format_pl, parse_pl
@@ -51,33 +53,29 @@ def _cmd_check(args) -> int:
     return 0 if value else 1
 
 
+#: One `--assign` item: a variable bound to a rational or to a braced list.
+_ITEM_RE = re.compile(
+    r"\s*(?P<name>[A-Za-z][A-Za-z0-9_']*)\s*=\s*"
+    r"(?:\{(?P<set>[^{}]*)\}|(?P<point>[^,{}]*?))\s*(?:,|$)"
+)
+
+
+def _rationals(text: str) -> list[Fraction]:
+    """The rationals of a comma-separated list; blank text is the empty list."""
+    return [parse_rational(v) for v in text.split(",")] if text.strip() else []
+
+
 def _parse_assignment(text: str) -> Assignment:
-    a = Assignment()
-    # split on commas outside braces
-    items, depth, cur = [], 0, ""
-    for ch in text:
-        if ch == "," and depth == 0:
-            items.append(cur)
-            cur = ""
-            continue
-        depth += ch == "{"
-        depth -= ch == "}"
-        cur += ch
-    if cur.strip():
-        items.append(cur)
-    for item in items:
-        if "=" not in item:
-            raise CliError(f"bad assignment item {item!r}")
-        name, _, val = item.partition("=")
-        name, val = name.strip(), val.strip()
-        if val.startswith("{"):
-            if not val.endswith("}"):
-                raise CliError(f"unterminated set in {item!r}")
-            body = val[1:-1].strip()
-            elems = [parse_rational(v) for v in body.split(",")] if body else []
-            a = a.with_set(name, elems)
+    a, pos = Assignment(), 0
+    while text[pos:].strip():
+        m = _ITEM_RE.match(text, pos)
+        if m is None:
+            raise CliError(f"bad assignment item at position {pos}: {text[pos:]!r}")
+        if m["set"] is not None:
+            a = a.with_set(m["name"], _rationals(m["set"]))
         else:
-            a = a.with_point(name, parse_rational(val))
+            a = a.with_point(m["name"], parse_rational(m["point"]))
+        pos = m.end()
     return a
 
 
@@ -131,9 +129,7 @@ def _cmd_encode_rational(args) -> int:
 
 
 def _cmd_encode_set(args) -> int:
-    body = args.elements.strip()
-    elems = [parse_rational(v) for v in body.split(",")] if body else []
-    print(format_pl(encode_finite_set(elems)))
+    print(format_pl(encode_finite_set(_rationals(args.elements))))
     return 0
 
 

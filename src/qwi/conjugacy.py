@@ -18,6 +18,7 @@ two sides and inverting its explicit pieces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -35,6 +36,36 @@ def _ap(a: Affine, x: Fraction) -> Fraction:
 
 def _ap_inv(a: Affine, y: Fraction) -> Fraction:
     return (y - a[1]) / a[0]
+
+
+def _power(a: Affine, k: int) -> Affine:
+    """a applied k times, as one affine map."""
+    if k == 1:  # the common case next to the windows: no arithmetic
+        return a
+    m, c = a
+    if m == 1:
+        return (m, k * c)
+    mk = m ** k
+    return (mk, c * (mk - 1) / (m - 1))
+
+
+def _walk(germ: Affine, x: Fraction, edge: Fraction) -> tuple[int, Fraction]:
+    """The fewest k steps of the increasing germ that carry x to or past
+    `edge`, forward when x is below it and backward when above, and the
+    point reached.  A translation's k has a closed form; any other germ
+    moves geometrically, so its loop runs only logarithmically long."""
+    m, c = germ
+    if m == 1:
+        k = math.ceil(abs(edge - x) / c)
+        return k, x + k * c if x < edge else x - k * c
+    k = 0
+    if x < edge:
+        while x < edge:
+            x, k = _ap(germ, x), k + 1
+    else:
+        while x > edge:
+            x, k = _ap_inv(germ, x), k + 1
+    return k, x
 
 
 LocalPiece = tuple[Fraction, Fraction, Fraction, Fraction]  # lo, hi, m, c
@@ -114,25 +145,11 @@ class OrbitalSeg:
     def apply(self, q: Fraction) -> Fraction:
         lo, hi = self.windows[0][0], self.windows[-1][1]
         if q < lo:
-            k = 0
-            x = q
-            while x < lo:
-                x = _ap(self.alpha, x)
-                k += 1
-            y = _eval_local(self.windows, x)
-            for _ in range(k):
-                y = _ap_inv(self.beta, y)
-            return y
+            k, x = _walk(self.alpha, q, lo)
+            return _ap_inv(_power(self.beta, k), _eval_local(self.windows, x))
         if q > hi:
-            k = 0
-            x = q
-            while x > hi:
-                x = _ap_inv(self.alpha_top, x)
-                k += 1
-            y = _eval_local(self.windows, x)
-            for _ in range(k):
-                y = _ap(self.beta_top, y)
-            return y
+            k, x = _walk(self.alpha_top, q, hi)
+            return _ap(_power(self.beta_top, k), _eval_local(self.windows, x))
         return _eval_local(self.windows, q)
 
     def inverse(self) -> "OrbitalSeg":

@@ -7,8 +7,14 @@ group language is first-order with terms built from `*`, `^-1` and the
 identity constant `1`, and a fixed signature of named atoms.  Connectives
 are shared between the two ASTs; quantifier nodes are per-language.
 
-Concrete syntax (tightest to loosest: ~, &, |, ->, <->; quantifiers are
-prefixes extending to the end of the current subformula):
+Concrete syntax.  `~` binds tightest; then come the binary connectives of
+`_SYMBOL`, from `&` to `<->`: `&` and `|` associate to the left, `->` and
+`<->` to the right.  A quantifier `Ev` or `Av` is a prefix whose body runs
+to the end of the current subformula.  WMSO atoms are `x < y`, `x = y` and
+`x in X`; group atoms are `t = u` and `name(t,...)` over terms built from
+lowercase variables, `1`, `*` and `^-1`.  A variable is
+`[A-Za-z][A-Za-z0-9_']*`; a word of two or more characters that starts
+with `A` or `E` is a quantifier, and `in` is reserved, never a variable:
     Ax Ey (x < y)          EX Ax (x in X)
     Ez (disj(x,z) & y = x*z)
 """
@@ -168,7 +174,11 @@ QUANTIFIERS = {
     ExistsPt: True, ForallPt: False, ExistsSet: True, ForallSet: False,
     Exists: True, Forall: False,
 }
-_BINARY = (And, Or, Implies, Iff)
+#: The binary connectives, loosest first, with their symbols: the one table
+#: that the parser climbs and the printer reads.
+_SYMBOL = {Iff: "<->", Implies: "->", Or: "|", And: "&"}
+_BINARY = tuple(_SYMBOL)
+_RIGHT = (Iff, Implies)  # the right-associative ones; the rest associate left
 
 
 # ---------------------------------------------------------------------------
@@ -345,24 +355,19 @@ class Evaluator:
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<sym><->|->|\^-1|[()<=*&|~,]|1)|(?P<id>[A-Za-z][A-Za-z0-9_']*))"
+    r"\s*(?:(?P<sym><->|->|\^-1|[()<=*&|~,]|1)|(?P<id>[A-Za-z][A-Za-z0-9_']*)|(?P<bad>\S))"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) per token, where a token's position is the
+    start of the whitespace before it."""
     out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            pos = m.start()
             raise FormulaError(f"bad character at position {pos}: {text[pos:pos+10]!r}")
-        if m.group("sym"):
-            out.append(("sym", m.group("sym"), m.start()))
-        else:
-            out.append(("id", m.group("id"), m.start()))
-        pos = m.end()
+        out.append((m.lastgroup, m.group(m.lastgroup), m.start()))
     return out
 
 
@@ -379,13 +384,13 @@ class _Parser:
         self.lang = lang  # "wmso" | "group"
         self.depth = 0
 
-    def nested(self, parse):
-        """parse() one nesting level deeper, refusing to go below MAX_DEPTH."""
+    def nested(self, parse, *args):
+        """parse(*args) one nesting level deeper, refusing to go below MAX_DEPTH."""
         if self.depth >= MAX_DEPTH:
             raise FormulaError(f"formula nested deeper than {MAX_DEPTH} levels")
         self.depth += 1
         try:
-            return parse()
+            return parse(*args)
         finally:
             self.depth -= 1
 
@@ -399,6 +404,14 @@ class _Parser:
         self.i += 1
         return t
 
+    def take(self, sym: str) -> bool:
+        """Consume the next token if it is `sym`."""
+        t = self.peek()
+        if t is None or t[1] != sym:
+            return False
+        self.i += 1
+        return True
+
     def expect(self, val: str):
         t = self.next()
         if t[1] != val:
@@ -406,15 +419,38 @@ class _Parser:
                 f"expected {val!r} at position {t[2]} in {self.text!r}, got {t[1]!r}"
             )
 
-    # formula := quantified | iff
-    def formula(self) -> Formula:
+    def formula(self, level: int = 0) -> Formula:
+        """The connectives of `_SYMBOL` from `level` on, over unary formulas."""
+        if level == len(_BINARY):
+            return self.unary()
+        node = _BINARY[level]
+        a = self.formula(level + 1)
+        if node in _RIGHT:
+            if self.take(_SYMBOL[node]):
+                a = node(a, self.nested(self.formula, level))
+        else:
+            while self.take(_SYMBOL[node]):
+                a = node(a, self.formula(level + 1))
+        return a
+
+    def unary(self) -> Formula:
+        if self.take("~"):
+            return Not(self.nested(self.unary))
         t = self.peek()
-        if t and t[0] == "id" and len(t[1]) >= 2 and t[1][0] in "AE" and t[1] != "in":
-            kind, name, _ = self.next()
-            q, var = t[1][0], t[1][1:]
-            body = self.nested(self.formula)
-            return self._make_quant(q, var, body)
-        return self.iff()
+        if t and t[0] == "id" and len(t[1]) >= 2 and t[1][0] in "AE":
+            self.i += 1  # a quantifier: its body runs to the end of the subformula
+            return self._make_quant(t[1][0], t[1][1:], self.nested(self.formula))
+        save = self.i
+        if self.take("("):
+            try:
+                inner = self.nested(self.formula)
+                self.expect(")")
+                return inner
+            except FormulaError:
+                if self.lang == "wmso":
+                    raise
+                self.i = save  # may be a parenthesized term, retry as atom
+        return self._wmso_atom() if self.lang == "wmso" else self._group_atom()
 
     def _make_quant(self, q: str, var: str, body: Formula) -> Formula:
         if self.lang == "group":
@@ -425,76 +461,24 @@ class _Parser:
             return (ExistsSet if q == "E" else ForallSet)(var, body)
         return (ExistsPt if q == "E" else ForallPt)(var, body)
 
-    def iff(self) -> Formula:
-        a = self.implies()
-        if self.peek() and self.peek()[1] == "<->":
-            self.next()
-            return Iff(a, self.nested(self.iff))
-        return a
-
-    def implies(self) -> Formula:
-        a = self.disj()
-        if self.peek() and self.peek()[1] == "->":
-            self.next()
-            return Implies(a, self.nested(self.implies))
-        return a
-
-    def disj(self) -> Formula:
-        a = self.conj()
-        while self.peek() and self.peek()[1] == "|":
-            self.next()
-            a = Or(a, self.conj())
-        return a
-
-    def conj(self) -> Formula:
-        a = self.unary()
-        while self.peek() and self.peek()[1] == "&":
-            self.next()
-            a = And(a, self.unary())
-        return a
-
-    def unary(self) -> Formula:
-        t = self.peek()
-        if t and t[1] == "~":
-            self.next()
-            return Not(self.nested(self.unary))
-        if t and t[0] == "id" and len(t[1]) >= 2 and t[1][0] in "AE" and t[1] != "in":
-            return self.formula()
-        if t and t[1] == "(":
-            save = self.i
-            self.next()
-            try:
-                inner = self.nested(self.formula)
-                self.expect(")")
-                return inner
-            except FormulaError:
-                if self.lang == "group":
-                    self.i = save  # may be a parenthesized term, retry as atom
-                else:
-                    raise
-        return self.atom()
-
-    def atom(self) -> Formula:
-        if self.lang == "wmso":
-            return self._wmso_atom()
-        return self._group_atom()
+    def _point(self) -> str:
+        """A lowercase variable: a point of (ℚ,<), or a group element."""
+        t = self.next()
+        if t[0] != "id" or t[1] == "in" or not t[1][0].islower():
+            raise FormulaError(
+                f"expected a lowercase variable at position {t[2]} in {self.text!r}, "
+                f"got {t[1]!r}"
+            )
+        return t[1]
 
     def _wmso_atom(self) -> Formula:
-        t = self.next()
-        if t[0] != "id":
-            raise FormulaError(f"expected a variable at position {t[2]} in {self.text!r}")
-        x = t[1]
+        x = self._point()
         op = self.next()
         if op[1] == "<":
-            y = self._pt_var()
-            self._require_pt(x, op[2])
-            return Less(x, y)
+            return Less(x, self._point())
         if op[1] == "=":
-            y = self._pt_var()
-            self._require_pt(x, op[2])
-            return EqPt(x, y)
+            return EqPt(x, self._point())
         if op[1] == "in":
-            self._require_pt(x, op[2])
             Y = self.next()
             if Y[0] != "id" or not Y[1][0].isupper():
                 raise FormulaError(
@@ -503,29 +487,14 @@ class _Parser:
             return Mem(x, Y[1])
         raise FormulaError(f"expected <, = or in at position {op[2]} in {self.text!r}")
 
-    def _pt_var(self) -> str:
-        t = self.next()
-        if t[0] != "id" or t[1] == "in":
-            raise FormulaError(f"expected a variable at position {t[2]}")
-        self._require_pt(t[1], t[2])
-        return t[1]
-
-    def _require_pt(self, v: str, pos: int):
-        if v[0].isupper():
-            raise FormulaError(
-                f"sort mismatch at position {pos}: {v!r} is a set variable"
-            )
-
     def _group_atom(self) -> Formula:
         t = self.peek()
         if t and t[0] == "id" and t[1] in ATOM_ARITY:
             nxt = self.toks[self.i + 1] if self.i + 1 < len(self.toks) else None
             if nxt and nxt[1] == "(":
-                self.next()
-                self.next()
+                self.i += 2
                 args = [self.term()]
-                while self.peek() and self.peek()[1] == ",":
-                    self.next()
+                while self.take(","):
                     args.append(self.term())
                 self.expect(")")
                 if len(args) != ATOM_ARITY[t[1]]:
@@ -541,35 +510,24 @@ class _Parser:
     # term := factor {'*' factor}; factor := primary ['^-1']*
     def term(self) -> Term:
         t = self.factor()
-        while self.peek() and self.peek()[1] == "*":
-            self.next()
+        while self.take("*"):
             t = Mul(t, self.factor())
         return t
 
     def factor(self) -> Term:
         t = self.primary()
-        while self.peek() and self.peek()[1] == "^-1":
-            self.next()
+        while self.take("^-1"):
             t = Inv(t)
         return t
 
     def primary(self) -> Term:
-        t = self.next()
-        if t[1] == "1":
+        if self.take("1"):
             return One()
-        if t[1] == "(":
+        if self.take("("):
             inner = self.nested(self.term)
             self.expect(")")
             return inner
-        if t[0] == "id":
-            if not t[1][0].islower():
-                raise FormulaError(
-                    f"sort mismatch at position {t[2]}: group terms use lowercase variables"
-                )
-            if t[1] == "in":
-                raise FormulaError(f"unexpected 'in' at position {t[2]}")
-            return GVar(t[1])
-        raise FormulaError(f"unexpected {t[1]!r} at position {t[2]} in {self.text!r}")
+        return GVar(self._point())
 
     def done(self):
         t = self.peek()
@@ -618,19 +576,16 @@ def print_term(t: Term) -> str:
     if isinstance(t, One):
         return "1"
     if isinstance(t, Inv):
-        inner = print_term(t.t)
-        if isinstance(t.t, Mul):
-            inner = f"({inner})"
-        return f"{inner}^-1"
+        return f"{_operand(t.t)}^-1"
     if isinstance(t, Mul):
-        left = print_term(t.t)
-        if isinstance(t.t, Mul):
-            left = f"({left})"
-        right = print_term(t.u)
-        if isinstance(t.u, Mul):
-            right = f"({right})"
-        return f"{left}*{right}"
+        return f"{_operand(t.t)}*{_operand(t.u)}"
     raise FormulaError(f"unknown term {t!r}")
+
+
+def _operand(t: Term) -> str:
+    """t as an operand of `*` or `^-1`: a product is parenthesized."""
+    s = print_term(t)
+    return f"({s})" if isinstance(t, Mul) else s
 
 
 def _print(phi: Formula) -> str:
@@ -646,14 +601,8 @@ def _print(phi: Formula) -> str:
         return f"{phi.name}({','.join(print_term(a) for a in phi.args)})"
     if isinstance(phi, Not):
         return f"~{_wrap(phi.sub)}"
-    if isinstance(phi, And):
-        return f"({_side(phi.a)} & {_side(phi.b)})"
-    if isinstance(phi, Or):
-        return f"({_side(phi.a)} | {_side(phi.b)})"
-    if isinstance(phi, Implies):
-        return f"({_side(phi.a)} -> {_side(phi.b)})"
-    if isinstance(phi, Iff):
-        return f"({_side(phi.a)} <-> {_side(phi.b)})"
+    if type(phi) in _SYMBOL:
+        return f"({_side(phi.a)} {_SYMBOL[type(phi)]} {_side(phi.b)})"
     if type(phi) in QUANTIFIERS:
         return f"{'E' if QUANTIFIERS[type(phi)] else 'A'}{phi.var} {_wrap(phi.body)}"
     raise FormulaError(f"unknown node {phi!r}")
@@ -733,6 +682,8 @@ def _refresh_bound(phi: Formula, names: Iterator[int]) -> Formula:
 
 def expand(phi: Formula, depth: int) -> Formula:
     """Replace defined atoms by their schemas, `depth` times."""
+    if depth < 0:
+        raise FormulaError(f"the expansion depth must not be negative, got {depth}")
     names = count()
     for _ in range(depth):
         out = _expand_once(phi, names)

@@ -338,6 +338,8 @@ def run_suite(name: str, seed: int = 0, cases: int | None = None) -> list[SuiteR
         return out
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
+    if cases is not None and cases < 0:
+        raise ValueError(f"the case count must not be negative, got {cases}")
     fn, default_cases = _SUITES[name]
     n_cases = default_cases if cases is None else cases
     t0 = time.monotonic()

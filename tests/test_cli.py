@@ -85,6 +85,26 @@ def test_eval(tmp_path, capsys):
     assert main(["eval", open_f]) == 2  # unbound variables
 
 
+def test_eval_refuses_in_as_a_point_variable(tmp_path, capsys):
+    f = write(tmp_path, "in.wmso", "Ex (in < x)")
+    assert main(["eval", f]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("assign", ["X{=1", "1}y=1", "0 {{x{=110", "x y=1", ",x=1"])
+def test_eval_refuses_malformed_assignment_names(tmp_path, capsys, assign):
+    f = write(tmp_path, "true.wmso", "Ex (x = x)")  # true under any assignment
+    assert main(["eval", f, f"--assign={assign}"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_eval_assignment_items(tmp_path, capsys):
+    f = write(tmp_path, "open.wmso", "x in X & y < x")
+    assert main(["eval", f, "--assign", " x = 1/2 , X={ 1/2, 3 },y=-1,"]) == 0
+    assert main(["eval", f, "--assign", "x=1/2,X={},y=-1"]) == 1
+    assert main(["eval", f, "--assign", "x=1/2,X={1/2,3}"]) == 2  # y unbound
+
+
 def test_eval_rejects_deep_nesting(tmp_path, capsys):
     parens = write(tmp_path, "parens.wmso", "(" * 3000 + "x < y" + ")" * 3000)
     assert main(["eval", parens, "--assign", "x=0,y=1"]) == 2
@@ -157,6 +177,22 @@ def test_verify_small_seeded_suite_is_deterministic(capsys):
     assert first.splitlines()[-1] == second.splitlines()[-1] == "group-laws\t20\t0"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "group-laws", "--cases", "-1"],
+    ["verify", "--suite", "discrepancy", "--cases", "-4"],
+])
+def test_verify_refuses_a_negative_case_count(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_translate_refuses_a_negative_expansion_depth(tmp_path, capsys):
+    f = write(tmp_path, "s.wmso", "Ax Ey (x < y)\n")
+    assert main(["translate", f, "--expand", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
 @pytest.mark.parametrize("pieces", ["(1,0) junk (2,0)", "(1,0)(2,0)"])
 def test_check_refuses_text_between_pieces(tmp_path, capsys, pieces):
     f = write(tmp_path, "f.pl", f"pl cuts=[0] pieces=[{pieces}]")
@@ -188,4 +224,31 @@ def test_cli_exit_codes_on_random_text(tmp_path, capsys, text):
     path.write_text(text, encoding="utf-8", errors="replace")
     assert exit_code(["check", "cof", str(path)]) in (0, 1, 2)
     assert exit_code(["encode-rational", "--", text]) in (0, 1, 2)
+    capsys.readouterr()
+
+
+# prefixes and atoms of the formula syntax, joined by one connective, so that
+# many inputs parse and some are sentences
+formula_text = st.tuples(
+    st.lists(st.sampled_from(["Ex", "Ay", "EX", "AY", "~", "("]), max_size=3),
+    st.lists(st.sampled_from(["x < y", "y = x", "x in X", "y in Y", "in < x"]),
+             min_size=1, max_size=3),
+    st.sampled_from(["&", "|", "->", "<->", "& ~", ") &", "$", "\n"]),
+).map(lambda t: " ".join(t[0]) + " " + f" {t[2]} ".join(t[1]))
+# words of the assignment and set syntax
+list_text = st.lists(st.sampled_from(
+    ["x", "X", "y'", "=", ",", "{", "}", "0", "1", "-1", "1/2", "/", " ", "$"]),
+    max_size=10).map("".join)
+
+
+@given(formula_text, list_text)
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_exit_codes_on_random_formulas(tmp_path, capsys, text, items):
+    path = tmp_path / "fuzz.wmso"
+    path.write_text(text)
+    for argv in (["eval", str(path)], ["eval", str(path), f"--assign={items}"],
+                 ["encode-set", items], ["translate", str(path)],
+                 ["roundtrip", str(path)]):
+        assert exit_code(argv) in (0, 1, 2), argv
     capsys.readouterr()

@@ -1,13 +1,14 @@
 import random
+import time
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from qwi.conjugacy import conjugating_witness, verify_conjugator
+from qwi.conjugacy import OrbitalSeg, conjugating_witness, verify_conjugator
 from qwi.generators import gen_plmap, gen_plmap_rnd, make_bump
 from qwi.numbers import NEG_INF, POS_INF, QInterval, pick_fresh
 from qwi.patterns import pattern_iso, pattern_of
-from qwi.plmap import PLMap
+from qwi.plmap import PLMap, parse_pl
 
 plmaps = st.builds(gen_plmap, st.integers(0, 10**6), st.integers(0, 5))
 
@@ -174,3 +175,43 @@ def test_inverse_witness_conjugates_back():
             for x in xs:
                 assert other.apply(one.apply(x)) == x
     assert witnessed >= 20
+
+
+def walked(w, q):
+    """h(q) by one germ step per period, the way the transport is defined."""
+    seg = next(s for s in w.segments if s.covers(q))
+    if not isinstance(seg, OrbitalSeg):
+        return seg.apply(q)
+    lo, hi = seg.windows[0][0], seg.windows[-1][1]
+    x, k = q, 0
+    while x < lo:
+        x, k = seg.alpha[0] * x + seg.alpha[1], k + 1
+    while x > hi:
+        x, k = (x - seg.alpha_top[1]) / seg.alpha_top[0], k + 1
+    y = next(m * x + c for a, b, m, c in seg.windows if a <= x <= b)
+    for _ in range(k):
+        if q < lo:
+            y = (y - seg.beta[1]) / seg.beta[0]
+        else:
+            y = seg.beta_top[0] * y + seg.beta_top[1]
+    return y
+
+
+def test_orbital_tails_take_translation_germs_in_one_step():
+    # g's top germ is the translation x ↦ x + 22/3, so h⁻¹ far up the orbital
+    # needs about 127,000 periods at depth 15
+    f = parse_pl("pl cuts=[4] pieces=[(6/5,-13/5),(5/2,-39/5)]")
+    g = parse_pl("pl cuts=[-1,3] pieces=[(4/3,17/3),(3/2,35/6),(1,22/3)]")
+    w = check_pair(f, g)
+    for step in (f.apply, f.apply_inverse):
+        x = Fraction(31, 5)
+        for _ in range(13):
+            assert w.apply(x) == walked(w, x)
+            assert w.apply_inverse(x) == walked(w.inverse(), x)
+            x = step(x)
+    x = Fraction(31, 5)
+    for _ in range(15):
+        x = f.apply(x)
+    start = time.monotonic()
+    w.apply(x), w.apply_inverse(x)
+    assert time.monotonic() - start < 2.0

@@ -52,6 +52,12 @@ def test_wmso_sort_errors():
         parse_wmso("x <")
 
 
+@pytest.mark.parametrize("text", ["in < x", "in = x", "in in X", "x < in", "x = in"])
+def test_in_is_never_a_point_variable(text):
+    with pytest.raises(FormulaError):
+        parse_wmso(text)
+
+
 def test_parse_group_terms_and_atoms():
     phi = parse_group("Ez (disj(x,z) & y = x*z)")
     assert phi == Exists("z", And(GAtom("disj", (GVar("x"), GVar("z"))),
@@ -249,3 +255,8 @@ def test_expand_refreshes_bound_variables():
     out = expand(phi, 1)
     assert free_vars(out) == {"z", "b"}
     assert isinstance(out, Exists) and out.var != "z"
+
+
+def test_expand_refuses_a_negative_depth():
+    with pytest.raises(FormulaError):
+        expand(parse_group("restr(a,b)"), -1)

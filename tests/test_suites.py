@@ -15,6 +15,12 @@ def test_unknown_suite():
         run_suite("nope")
 
 
+@pytest.mark.parametrize("name", ["group-laws", "discrepancy", "all"])
+def test_negative_case_count_is_refused(name):
+    with pytest.raises(ValueError):
+        run_suite(name, cases=-1)
+
+
 def test_machine_line_format():
     r = SuiteReport("demo", 12, ["boom"], seed=3, wall_time=0.5)
     assert r.machine_line() == "demo\t12\t1"
