@@ -101,6 +101,8 @@ def _sentences(path: str) -> list[str]:
 
 
 def _cmd_translate(args) -> int:
+    if args.expand < 0:
+        raise CliError(f"the expansion depth must not be negative, got {args.expand}")
     for text in _sentences(args.wmso_file):
         psi = translate(parse_wmso(text))
         if args.expand:

@@ -40,7 +40,7 @@ def _ap_inv(a: Affine, y: Fraction) -> Fraction:
 
 def _power(a: Affine, k: int) -> Affine:
     """a applied k times, as one affine map."""
-    if k == 1:  # the common case next to the windows: no arithmetic
+    if k == 1:  # a third of the calls on seeded pairs: skip mᵏ and the quotient
         return a
     m, c = a
     if m == 1:

@@ -186,8 +186,9 @@ def test_verify_refuses_a_negative_case_count(capsys, argv):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_translate_refuses_a_negative_expansion_depth(tmp_path, capsys):
-    f = write(tmp_path, "s.wmso", "Ax Ey (x < y)\n")
+@pytest.mark.parametrize("text", ["Ax Ey (x < y)\n", "", "# no sentence\n\n"])
+def test_translate_refuses_a_negative_expansion_depth(tmp_path, capsys, text):
+    f = write(tmp_path, "s.wmso", text)
     assert main(["translate", f, "--expand", "-1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")

@@ -1,9 +1,10 @@
+import math
 import random
-import time
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from qwi import conjugacy
 from qwi.conjugacy import OrbitalSeg, conjugating_witness, verify_conjugator
 from qwi.generators import gen_plmap, gen_plmap_rnd, make_bump
 from qwi.numbers import NEG_INF, POS_INF, QInterval, pick_fresh
@@ -197,7 +198,7 @@ def walked(w, q):
     return y
 
 
-def test_orbital_tails_take_translation_germs_in_one_step():
+def test_orbital_tails_take_translation_germs_in_one_step(monkeypatch):
     # g's top germ is the translation x ↦ x + 22/3, so h⁻¹ far up the orbital
     # needs about 127,000 periods at depth 15
     f = parse_pl("pl cuts=[4] pieces=[(6/5,-13/5),(5/2,-39/5)]")
@@ -212,6 +213,17 @@ def test_orbital_tails_take_translation_germs_in_one_step():
     x = Fraction(31, 5)
     for _ in range(15):
         x = f.apply(x)
-    start = time.monotonic()
-    w.apply(x), w.apply_inverse(x)
-    assert time.monotonic() - start < 2.0
+    seg = next(s for s in w.inverse().segments if s.covers(x))
+    (m, c), hi = seg.alpha_top, seg.windows[-1][1]
+    k = math.ceil((x - hi) / c)
+    assert m == 1 and k > 100_000
+    steps = []
+    for name in ("_ap", "_ap_inv"):
+        real = getattr(conjugacy, name)
+        monkeypatch.setattr(conjugacy, name,
+                            lambda a, y, real=real: steps.append(a) or real(a, y))
+    # the k periods are one closed-form step, and f's germ is applied once
+    assert conjugacy._walk(seg.alpha_top, x, hi) == (k, x - k * c)
+    assert steps == []
+    seg.apply(x)
+    assert len(steps) == 1
