@@ -71,10 +71,15 @@ def _parse_assignment(text: str) -> Assignment:
         m = _ITEM_RE.match(text, pos)
         if m is None:
             raise CliError(f"bad assignment item at position {pos}: {text[pos:]!r}")
-        if m["set"] is not None:
-            a = a.with_set(m["name"], _rationals(m["set"]))
+        name, is_set = m["name"], m["set"] is not None
+        if name[0].isupper() != is_set:
+            takes = ("a set variable takes a braced list" if name[0].isupper()
+                     else "a point variable takes a rational")
+            raise CliError(f"bad assignment item {m[0].rstrip(',').strip()!r}: {takes}")
+        if is_set:
+            a = a.with_set(name, _rationals(m["set"]))
         else:
-            a = a.with_point(m["name"], parse_rational(m["point"]))
+            a = a.with_point(name, parse_rational(m["point"]))
         pos = m.end()
     return a
 

@@ -196,59 +196,38 @@ def conjugating_witness(f: PLMap, g: PLMap) -> Optional[Conjugator]:
     if not pattern_iso(pattern_of(f), pattern_of(g)):
         return None
     regions_f, regions_g = f.regions(), g.regions()
-    if len(regions_f) != len(regions_g):
-        raise ConjugacyError("isomorphic patterns with different region counts")
-    segs: list[Segment] = []
-    for rf, rg in zip(regions_f, regions_g):
-        if rf[0] != rg[0] or rf[3:] != rg[3:]:
-            raise ConjugacyError(f"regions {rf} and {rg} do not align under pattern iso")
-        if rf[0] == "fix":
-            segs.append(_fixed_seg(rf[1], rf[2], rg[1], rg[2]))
-        else:
-            segs.append(_orbital_seg(f, g, rf[1], rf[2], rg[1], rg[2], rf[3]))
-    return Conjugator(segs)
+    if [sign for _, _, sign in regions_f] != [sign for _, _, sign in regions_g]:
+        raise ConjugacyError("regions do not align under pattern iso")
+    return Conjugator([
+        _orbital_seg(f, g, lo, hi, lo2, hi2, sign) if sign else _fixed_seg(lo, hi, lo2, hi2)
+        for (lo, hi, sign), (lo2, hi2, _) in zip(regions_f, regions_g)])
 
 
 def _fixed_seg(lo, hi, lo2, hi2) -> FixedSeg:
-    if is_finite(lo) and is_finite(hi):
-        if lo == hi:
-            return FixedSeg(lo, hi, (Fraction(1), lo2 - lo))
-        m = (hi2 - lo2) / (hi - lo)
-        return FixedSeg(lo, hi, (m, lo2 - m * lo))
-    if is_finite(hi):  # (-inf, hi]
-        return FixedSeg(lo, hi, (Fraction(1), hi2 - hi))
-    if is_finite(lo):  # [lo, inf)
-        return FixedSeg(lo, hi, (Fraction(1), lo2 - lo))
-    return FixedSeg(lo, hi, (Fraction(1), Fraction(0)))  # whole line: f = g = id
+    """h on a fixed region: [lo, hi] onto [lo2, hi2] affinely.  It is a
+    translation, anchored at a finite end, unless both ends are finite and
+    distinct (on the whole line f = g = id and h is the identity)."""
+    bounded = is_finite(lo) and is_finite(hi) and lo < hi
+    m = (hi2 - lo2) / (hi - lo) if bounded else Fraction(1)
+    x, y = (lo, lo2) if is_finite(lo) else (hi, hi2) if is_finite(hi) else (0, 0)
+    return FixedSeg(lo, hi, (m, y - m * x))
 
 
-def _first_last_cuts(F: PLMap, a: ExtRat, b: ExtRat) -> tuple[Optional[Fraction], Optional[Fraction]]:
-    inside = [cut for cut in F.cuts if a < cut < b]
-    if not inside:
-        return None, None
+def _cut_span(F: PLMap, a: ExtRat, b: ExtRat) -> tuple[Fraction, Fraction]:
+    """The first and last cut of F inside (a, b), or one fresh point of
+    (a, b) twice when F has no cut there."""
+    inside = F.cuts_in(a, b) or (pick_fresh(QInterval(a, b)),)
     return inside[0], inside[-1]
-
-
-def _germ_at(F: PLMap, x: Fraction) -> Affine:
-    """The affine piece of F just above x."""
-    return F.pieces[F.piece_index(x)]
 
 
 def _orbital_seg(f: PLMap, g: PLMap, a, b, c, d, parity: int) -> OrbitalSeg:
     F = f if parity > 0 else f.inverse()
     G = g if parity > 0 else g.inverse()
-    t_f, s_f = _first_last_cuts(F, a, b)
-    t_g, s_g = _first_last_cuts(G, c, d)
-    if t_f is None:
-        t_f = s_f = pick_fresh(QInterval(a, b))
-    if t_g is None:
-        t_g = s_g = pick_fresh(QInterval(c, d))
-    p0 = F.apply_inverse(t_f)
-    q0 = G.apply_inverse(t_g)
-    alpha = _germ_at(F, a) if is_finite(a) else F.pieces[0]
-    beta = _germ_at(G, c) if is_finite(c) else G.pieces[0]
-    alpha_top = _germ_at(F, s_f)
-    beta_top = _germ_at(G, s_g)
+    t_f, s_f = _cut_span(F, a, b)
+    t_g, s_g = _cut_span(G, c, d)
+    p0, q0 = F.apply_inverse(t_f), G.apply_inverse(t_g)
+    alpha, beta = F.germ(a), G.germ(c)
+    alpha_top, beta_top = F.germ(s_f), G.germ(s_g)
     # explicit windows: transport φ upward until both sides sit in the top germ
     phi_m = (t_g - q0) / (t_f - p0)
     window: list[LocalPiece] = [(p0, t_f, phi_m, q0 - phi_m * p0)]
@@ -272,17 +251,17 @@ def _push_window(window: list[LocalPiece], F: PLMap, G: PLMap) -> list[LocalPiec
     u0, u1 = window[0][0], window[-1][1]
     v0, v1 = _eval_local(window, u0), _eval_local(window, u1)
     bpts = {F.apply(p[0]) for p in window} | {F.apply(u1)}
-    bpts.update(F.apply(cut) for cut in F.cuts if u0 < cut < u1)
+    bpts.update(F.apply(cut) for cut in F.cuts_in(u0, u1))
     inv = _inverse_pieces(window)
-    bpts.update(F.apply(_eval_local(inv, cg)) for cg in G.cuts if v0 < cg < v1)
+    bpts.update(F.apply(_eval_local(inv, cg)) for cg in G.cuts_in(v0, v1))
     xs = sorted(bpts)
     out: list[LocalPiece] = []
     for lo, hi in zip(xs, xs[1:]):
         # F⁻¹ at the midpoint, then h_prev, then G
         u = F.apply_inverse((lo + hi) / 2)
-        mF, cF = F.pieces[F.piece_index(u)]
+        mF, cF = F.germ(u)
         _, _, m, c = _piece(window, u)
-        mG, cG = G.pieces[G.piece_index(m * u + c)]
+        mG, cG = G.germ(m * u + c)
         out.append((lo, hi, mG * m / mF, mG * (c - m * cF / mF) + cG))
     return _merge_local(out)
 
@@ -354,8 +333,8 @@ def _verify_orbital(seg: OrbitalSeg, h: Conjugator, f: PLMap, g: PLMap) -> bool:
     # affine germ on both tails; likewise for G on the image side, which is
     # the same condition read on the inverse
     for s in (seg, inv):
-        for cut in s.F.cuts:
-            if s.a < cut < s.b and not s.windows[0][0] <= cut <= s.top_lo:
+        for cut in s.F.cuts_in(s.a, s.b):
+            if not s.windows[0][0] <= cut <= s.top_lo:
                 return False
     # seam values of the anchor window
     if _eval_local(seg.windows, seg.p0) != seg.q0:
@@ -373,17 +352,14 @@ def _verify_orbital(seg: OrbitalSeg, h: Conjugator, f: PLMap, g: PLMap) -> bool:
         u = F.apply_inverse(lo)
         if lo_ext <= u <= seg.top_lo:
             bpts.add(u)
-    for cut in F.cuts:
-        if lo_ext < cut < seg.top_lo:
-            bpts.add(cut)
-    for cg in G.cuts:
-        if seg.c < cg < seg.d:
-            try:
-                u = inv.apply(cg)
-            except ValueError:
-                continue
-            if lo_ext < u < seg.top_lo:
-                bpts.add(u)
+    bpts.update(F.cuts_in(lo_ext, seg.top_lo))
+    for cg in G.cuts_in(seg.c, seg.d):
+        try:
+            u = inv.apply(cg)
+        except ValueError:
+            continue
+        if lo_ext < u < seg.top_lo:
+            bpts.add(u)
     xs = sorted(bpts)
     probes = list(xs)
     probes += [(u + v) / 2 for u, v in zip(xs, xs[1:])]

@@ -360,14 +360,13 @@ _TOKEN_RE = re.compile(
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, position) per token, where a token's position is the
-    start of the whitespace before it."""
+    """(kind, text, position) per token, at the token's own first character."""
     out = []
     for m in _TOKEN_RE.finditer(text):
+        pos = m.start(m.lastgroup)
         if m.lastgroup == "bad":
-            pos = m.start()
             raise FormulaError(f"bad character at position {pos}: {text[pos:pos+10]!r}")
-        out.append((m.lastgroup, m.group(m.lastgroup), m.start()))
+        out.append((m.lastgroup, m.group(m.lastgroup), pos))
     return out
 
 

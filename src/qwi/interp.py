@@ -36,7 +36,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Iterator, Optional, Union
 
-from .numbers import NEG_INF, POS_INF, QInterval, is_finite, pick_fresh
+from .numbers import NEG_INF, POS_INF, QInterval, gaps_of, is_finite, pick_fresh
 from .plmap import PLMap
 from .formulas import (
     _BINARY, And, EqPt, Exists, ExistsPt, ExistsSet, Forall, ForallPt,
@@ -46,7 +46,7 @@ from .formulas import (
 from .generators import make_bump
 from . import predicates as P
 from .wmso import (
-    Assignment, Dfa, automaton, decide, gaps_of, landmark_word, point_candidates,
+    Assignment, Dfa, automaton, decide, landmark_word, point_candidates,
 )
 
 

@@ -3,7 +3,8 @@
 Everything downstream (maps, orbitals, predicates) is built on `Fraction`,
 so equality is structural and nothing is ever rounded.  A support is the
 tuple of its open components, sorted and pairwise disjoint, as
-`PLMap.support` builds it; no separate set type normalises it.
+`PLMap.support` builds it.  `gaps_of` is the one walk over the open gaps
+between sorted points, for maps and WMSO configurations alike.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 
 class _Infinity:
@@ -44,9 +45,6 @@ class _Infinity:
 
     def __hash__(self):
         return hash(("inf", self.sign))
-
-    def __neg__(self):
-        return NEG_INF if self.sign > 0 else POS_INF
 
     def __repr__(self):
         return "inf" if self.sign > 0 else "-inf"
@@ -102,6 +100,14 @@ class QInterval:
 
 
 FULL_LINE = QInterval(NEG_INF, POS_INF)
+
+
+def gaps_of(points: Sequence[Fraction], lo: ExtRat = NEG_INF,
+            hi: ExtRat = POS_INF) -> list[QInterval]:
+    """The open gaps that the sorted points, all strictly between lo and
+    hi, cut (lo, hi) into, left to right: one more than there are points."""
+    ends = [lo, *points, hi]
+    return [QInterval(a, b) for a, b in zip(ends, ends[1:])]
 
 
 def pick_fresh(gap: QInterval) -> Fraction:

@@ -274,9 +274,9 @@ def _fixed_block(lo, hi) -> Fixed:
 def pattern_of(f: PLMap) -> OrbitalPattern:
     """Finite orbital pattern of an executable element (never has tails)."""
     return make_pattern([
-        _fixed_block(r[1], r[2]) if r[0] == "fix"
-        else Moving(r[3], _boundary_kind(r[1]), _boundary_kind(r[2]))
-        for r in f.regions()
+        Moving(sign, _boundary_kind(lo), _boundary_kind(hi)) if sign
+        else _fixed_block(lo, hi)
+        for lo, hi, sign in f.regions()
     ])
 
 

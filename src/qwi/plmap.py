@@ -4,20 +4,25 @@ A map is a finite list of affine pieces with positive rational slopes,
 continuous at every breakpoint.  Positivity plus continuity make every such
 map an order-preserving bijection of ℚ, so structural equality of canonical
 forms is group-element equality.
+
+Only this module reads the storage, `cuts` and one (slope, intercept)
+piece per gap; other modules read a map through `apply`, `germ`, `cuts_in`
+and `regions`, so a change of storage stays inside this file.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .numbers import (
     NEG_INF,
     POS_INF,
     ExtRat,
     QInterval,
+    gaps_of,
     parse_rational,
     pick_fresh,
 )
@@ -74,7 +79,7 @@ class PLMap:
         self.pieces = tuple(cpieces)
         #: the images f(b) of the cuts, kept from the continuity check
         self.image_cuts = tuple(cimages)
-        self._regions: tuple[tuple, ...] | None = None
+        self._regions: tuple[tuple[ExtRat, ExtRat, int], ...] | None = None
         self._signed: tuple[tuple[QInterval, int], ...] | None = None
         self._support: tuple[QInterval, ...] | None = None
         self._hash: int | None = None
@@ -110,13 +115,19 @@ class PLMap:
     def is_identity(self) -> bool:
         return self.pieces == ((Fraction(1), Fraction(0)),)
 
-    def piece_index(self, q: Fraction) -> int:
-        return bisect_right(self.cuts, q)
+    def germ(self, x: ExtRat) -> Piece:
+        """The affine piece in force just right of x; x may be ±∞."""
+        return self.pieces[bisect_right(self.cuts, x)]
+
+    def cuts_in(self, lo: ExtRat, hi: ExtRat) -> tuple[Fraction, ...]:
+        """The cuts strictly between lo and hi, left to right."""
+        cuts = self.cuts
+        return cuts[bisect_right(cuts, lo):bisect_left(cuts, hi)]
 
     def apply(self, q: Fraction) -> Fraction:
         if type(q) is not Fraction:
             q = Fraction(q)
-        m, c = self.pieces[self.piece_index(q)]
+        m, c = self.germ(q)
         return m * q + c
 
     __call__ = apply
@@ -134,11 +145,10 @@ class PLMap:
         map is one affine piece, and the two pieces are compared there."""
         if iv.is_empty():
             return True
-        bpts = sorted({c for c in self.cuts + other.cuts if iv.lo < c < iv.hi})
-        ends = [iv.lo] + bpts + [iv.hi]
-        for lo, hi in zip(ends, ends[1:]):
-            x = pick_fresh(QInterval(lo, hi))
-            if self.pieces[self.piece_index(x)] != other.pieces[other.piece_index(x)]:
+        bpts = sorted({*self.cuts_in(iv.lo, iv.hi), *other.cuts_in(iv.lo, iv.hi)})
+        for gap in gaps_of(bpts, iv.lo, iv.hi):
+            x = pick_fresh(gap)
+            if self.germ(x) != other.germ(x):
                 return False
         return True
 
@@ -203,20 +213,22 @@ class PLMap:
     def fixed_items(self) -> list[tuple[ExtRat, ExtRat]]:
         """All maximal closed fixed regions [lo, hi] (lo == hi for an
         isolated fixed point), left to right."""
-        return [(r[1], r[2]) for r in self.regions() if r[0] == "fix"]
+        return [(lo, hi) for lo, hi, sign in self.regions() if not sign]
 
-    def regions(self) -> tuple[tuple, ...]:
-        """The line cut into fixed regions and orbitals, left to right.
+    def regions(self) -> tuple[tuple[ExtRat, ExtRat, int], ...]:
+        """The line cut into fixed regions and orbitals, left to right, as
+        abutting (lo, hi, sign) triples from -∞ to +∞.
 
-        A maximal fixed region is ("fix", lo, hi), closed, with lo == hi for
-        an isolated fixed point.  Each orbital between two fixed neighbours
-        is ("mov", lo, hi, sign), open, where sign is that of f(x) - x on it.
+        Sign 0 marks a maximal fixed region [lo, hi], closed, with lo == hi
+        for an isolated fixed point.  Sign ±1 marks an orbital (lo, hi),
+        open, between two fixed neighbours: the sign of f(x) - x on it.
         The walk runs once per map; later calls return the same tuple.
         """
         if self._regions is not None:
             return self._regions
         fixed: list[tuple[ExtRat, ExtRat]] = []
-        for (m, c), (lo, hi) in zip(self.pieces, _domains(self.cuts)):
+        for (m, c), gap in zip(self.pieces, gaps_of(self.cuts)):
+            lo, hi = gap.lo, gap.hi
             if m == 1:
                 if c != 0:
                     continue
@@ -229,7 +241,7 @@ class PLMap:
                 fixed[-1] = (fixed[-1][0], max(fixed[-1][1], hi))
             else:
                 fixed.append((lo, hi))
-        out: list[tuple] = []
+        out: list[tuple[ExtRat, ExtRat, int]] = []
         prev: ExtRat = NEG_INF
         for lo, hi in fixed + [(POS_INF, None)]:
             if prev < lo:
@@ -237,8 +249,8 @@ class PLMap:
                 d = self.apply(x) - x
                 if d == 0:
                     raise PLMapError(f"fixed point {x} inside the orbital ({prev}, {lo})")
-                out.append(("mov", prev, lo, 1 if d > 0 else -1))
-            out.append(("fix", lo, hi))
+                out.append((prev, lo, 1 if d > 0 else -1))
+            out.append((lo, hi, 0))
             prev = hi
         out.pop()  # the (POS_INF, None) sentinel
         self._regions = tuple(out)
@@ -256,8 +268,8 @@ class PLMap:
         """Open components of {x : f(x) != x}, left to right, each with its
         displacement sign; built once per map from its regions."""
         if self._signed is None:
-            self._signed = tuple((QInterval(r[1], r[2]), r[3])
-                                 for r in self.regions() if r[0] == "mov")
+            self._signed = tuple((QInterval(lo, hi), sign)
+                                 for lo, hi, sign in self.regions() if sign)
         return self._signed
 
     # -- text format -------------------------------------------------------
@@ -276,12 +288,6 @@ class PLMap:
 
     def __repr__(self):
         return format_pl(self)
-
-
-def _domains(cuts: Sequence[Fraction]) -> Iterable[tuple[ExtRat, ExtRat]]:
-    los: list[ExtRat] = [NEG_INF] + list(cuts)
-    his: list[ExtRat] = list(cuts) + [POS_INF]
-    return zip(los, his)
 
 
 # -- text format -----------------------------------------------------------

@@ -18,7 +18,7 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .numbers import FULL_LINE, NEG_INF, POS_INF, QInterval, is_finite, pick_fresh
+from .numbers import FULL_LINE, QInterval, gaps_of, is_finite, pick_fresh
 from .plmap import PLMap
 from .formulas import MACROS, Evaluator, Formula, GVar, Inv, Mul, One, Term, TermEq
 from .generators import gen_plmap_rnd, make_bump
@@ -55,19 +55,13 @@ def restrict_map(y: PLMap, comps: list[QInterval]) -> PLMap:
     the identity elsewhere.  Component endpoints must be fixed by y."""
     cuts: set[Fraction] = set()
     for iv in comps:
-        for end in (iv.lo, iv.hi):
-            if is_finite(end):
-                cuts.add(end)
-        cuts.update(c for c in y.cuts if iv.lo < c < iv.hi)
+        cuts.update(end for end in (iv.lo, iv.hi) if is_finite(end))
+        cuts.update(y.cuts_in(iv.lo, iv.hi))
     xs = sorted(cuts)
-    ends = [NEG_INF] + xs + [POS_INF]
-    pieces = []
-    for lo, hi in zip(ends, ends[1:]):
-        x = pick_fresh(QInterval(lo, hi))
-        if any(iv.contains(x) for iv in comps):
-            pieces.append(y.pieces[y.piece_index(x)])
-        else:
-            pieces.append((Fraction(1), Fraction(0)))
+    identity, pieces = (Fraction(1), Fraction(0)), []
+    for gap in gaps_of(xs):
+        x = pick_fresh(gap)
+        pieces.append(y.germ(x) if any(iv.contains(x) for iv in comps) else identity)
     return PLMap(xs, pieces)
 
 

@@ -6,10 +6,11 @@ variables, is determined up to an automorphism of (ℚ,<) by the word of its
 landmarks read left to right, where the letter at a landmark is the set of
 variables sitting there.  Truth depends only on that word.  Because ℚ is
 dense and unbounded, a quantified point can sit on any landmark or in any
-gap, and a quantified finite set can take any landmarks plus any number of
-fresh points in any gaps.  So WMSO over (ℚ,<) is WS1S over these words
-(Büchi 1960, Elgot 1961, Trakhtenbrot 1962), and `automaton` builds the
-classical automaton of a formula (Henriksen et al., "MONA", TACAS 1995):
+gap (`numbers.gaps_of`), and a quantified finite set can take any landmarks
+plus any number of fresh points in any gaps.  So WMSO over (ℚ,<) is WS1S
+over these words (Büchi 1960, Elgot 1961, Trakhtenbrot 1962), and
+`automaton` builds the classical automaton of a formula (Henriksen et al.,
+"MONA", TACAS 1995):
 
 - a letter is a bitmask over the formula's free variables, and the empty
   letter, a point that no variable names, loops on every state;
@@ -37,7 +38,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
-from .numbers import NEG_INF, POS_INF, QInterval, pick_fresh
+from .numbers import gaps_of, pick_fresh
 from .formulas import (
     And, EqPt, Evaluator, ExistsPt, ExistsSet, ForallPt, ForallSet, Formula,
     FormulaError, Iff, Implies, Less, Mem, Not, Or, free_vars,
@@ -63,11 +64,6 @@ class Assignment:
 
 
 EMPTY = Assignment()
-
-
-def gaps_of(landmarks: Sequence[Fraction]) -> list[QInterval]:
-    ends = [NEG_INF] + list(landmarks) + [POS_INF]
-    return [QInterval(lo, hi) for lo, hi in zip(ends, ends[1:])]
 
 
 def point_candidates(a: Assignment) -> list[Fraction]:

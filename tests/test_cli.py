@@ -253,3 +253,16 @@ def test_cli_exit_codes_on_random_formulas(tmp_path, capsys, text, items):
                  ["roundtrip", str(path)]):
         assert exit_code(argv) in (0, 1, 2), argv
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("assign, item", [
+    ("x=1,X=1", "X=1"),             # a point bound to a set variable
+    ("x={1},X={1}", "x={1}"),       # a set bound to a point variable
+    ("X={1}, y = {2} ,", "y = {2}"),
+])
+def test_eval_refuses_a_binding_of_the_wrong_sort(tmp_path, capsys, assign, item):
+    f = write(tmp_path, "open.wmso", "x in X")
+    assert main(["eval", f, "--assign", assign]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(item) in err
+    assert "unbound" not in err

@@ -260,3 +260,16 @@ def test_expand_refreshes_bound_variables():
 def test_expand_refuses_a_negative_depth():
     with pytest.raises(FormulaError):
         expand(parse_group("restr(a,b)"), -1)
+
+
+@pytest.mark.parametrize("text, bad", [
+    ("x <     $", "$"),      # bad character
+    ("x <     X", "X"),      # set variable where a point variable goes
+    ("x  in    y", "y"),     # point variable where a set variable goes
+    ("x    z", "z"),         # no relation between the two variables
+    ("x   <   y   )", ")"),  # trailing input
+    ("  Ex  ( x  <  y ) &  ?", "?"),
+])
+def test_parse_errors_point_at_the_offending_token(text, bad):
+    with pytest.raises(FormulaError, match=rf"at position {text.index(bad)}\b"):
+        parse_wmso(text)

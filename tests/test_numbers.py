@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from qwi.generators import make_bump
 from qwi.numbers import (
     FULL_LINE, NEG_INF, POS_INF, QInterval, format_ext,
-    is_finite, parse_rational, pick_fresh,
+    gaps_of, is_finite, parse_rational, pick_fresh,
 )
 from qwi.plmap import PLMap
 from qwi.predicates import apart_sem, cont_sem, coterm_sem, disj_sem
@@ -77,6 +77,14 @@ def test_pick_fresh_in_gap(a, b):
     if lo < hi:
         gap = QInterval(lo, hi)
         assert gap.contains(pick_fresh(gap))
+
+
+def test_gaps_of_cuts_its_ends_at_the_points():
+    one, two = Fraction(1), Fraction(2)
+    assert gaps_of([one, two], Fraction(0), Fraction(3)) == [
+        QInterval(Fraction(0), one), QInterval(one, two), QInterval(two, Fraction(3))]
+    assert gaps_of([], NEG_INF, one) == [QInterval(NEG_INF, one)]
+    assert gaps_of([one]) == [QInterval(NEG_INF, one), QInterval(one, POS_INF)]
 
 
 def test_pick_fresh_empty_gap():

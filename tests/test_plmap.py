@@ -252,6 +252,42 @@ def test_region_cache_is_invisible(f, g):
     assert hash(f) == hash(fresh(f))
 
 
+@given(plmaps, rationals)
+@example(F_SHARED, Fraction(1, 2))
+def test_cuts_in_is_the_cuts_strictly_inside(f, q):
+    # lo and hi range over the map's own cuts, a random rational and ±∞,
+    # in every order, so lo >= hi is covered too
+    ends = [NEG_INF, POS_INF, q, *f.cuts]
+    for lo in ends:
+        for hi in ends:
+            assert f.cuts_in(lo, hi) == tuple(c for c in f.cuts if lo < c < hi)
+
+
+@given(plmaps, rationals)
+@example(F_SHARED, Fraction(1, 2))
+def test_germ_is_the_piece_right_of_x(f, q):
+    mids = [(a + b) / 2 for a, b in zip(f.cuts, f.cuts[1:])]
+    for x in [NEG_INF, POS_INF, q, *f.cuts, *mids]:
+        assert f.germ(x) == f.pieces[sum(1 for c in f.cuts if c <= x)]
+
+
+@given(plmaps)
+@example(F_SHARED)
+@example(PLMap.identity())
+@example(make_bump(QInterval(Fraction(0), POS_INF)))
+def test_regions_tile_the_line(f):
+    regions = f.regions()
+    assert regions[0][0] is NEG_INF and regions[-1][1] is POS_INF
+    for (_, hi, sign), (lo, _, next_sign) in zip(regions, regions[1:]):
+        assert hi == lo
+        assert (sign == 0) != (next_sign == 0)  # fixed regions and orbitals alternate
+    for lo, hi, sign in regions:
+        assert sign in (-1, 0, 1) and (lo < hi if sign else lo <= hi)
+    assert [(lo, hi) for lo, hi, sign in regions if not sign] == f.fixed_items()
+    assert tuple((QInterval(lo, hi), sign)
+                 for lo, hi, sign in regions if sign) == f.signed_support()
+
+
 def test_parse_rejects_noncanonical():
     assert parse_pl("pl id") == PLMap.identity()
     with pytest.raises((PLMapError, ValueError)):
