@@ -1,13 +1,20 @@
 """Piecewise-linear order-automorphisms of (ℚ,<) with exact group operations.
 
-A map is a finite list of affine pieces with positive rational slopes,
-continuous at every breakpoint.  Positivity plus continuity make every such
-map an order-preserving bijection of ℚ, so structural equality of canonical
-forms is group-element equality.
+A map is stored in breakpoint form (Brin and Squier 1985; Cannon, Floyd
+and Parry 1996): its cuts xᵢ, their images yᵢ, one positive slope per gap
+and `c0`, the intercept of the first piece (a map with no cuts has no
+breakpoint to anchor it).  Every map is built by one checked constructor,
+`from_slopes`: it walks the images from an anchor point, so a map is
+continuous by construction, and it merges equal adjacent slopes, so the
+storage is canonical and structural equality is group-element equality.
+`compose` computes slopes and cuts only, `inverse` swaps the coordinates,
+and `regions` reads the displacement yᵢ - xᵢ at the cuts.  The
+(slope, intercept) pieces of the text format are derived once per map,
+when asked for.
 
-Only this module reads the storage, `cuts` and one (slope, intercept)
-piece per gap; other modules read a map through `apply`, `germ`, `cuts_in`
-and `regions`, so a change of storage stays inside this file.
+Only this module reads the storage; other modules read a map through
+`apply`, `germ`, `cuts_in` and `regions`, so a change of storage stays
+inside this file.
 """
 
 from __future__ import annotations
@@ -22,9 +29,7 @@ from .numbers import (
     POS_INF,
     ExtRat,
     QInterval,
-    gaps_of,
     parse_rational,
-    pick_fresh,
 )
 
 Piece = tuple[Fraction, Fraction]  # (slope, intercept)
@@ -34,51 +39,70 @@ class PLMapError(ValueError):
     pass
 
 
-class PLMap:
-    """An order-automorphism of ℚ given by `len(cuts)+1` affine pieces."""
+def _sign(d: Fraction) -> int:
+    n = d.numerator  # a Fraction's denominator is positive
+    return (n > 0) - (n < 0)
 
-    __slots__ = ("cuts", "pieces", "image_cuts", "_regions", "_signed", "_support",
-                 "_hash")
+
+def _fractions(xs) -> list[Fraction]:
+    return [x if type(x) is Fraction else Fraction(x) for x in xs]
+
+
+class PLMap:
+    """An order-automorphism of ℚ in breakpoint form: `len(cuts)` cuts and
+    their images, `len(cuts)+1` slopes and the first piece's intercept."""
+
+    __slots__ = ("cuts", "image_cuts", "slopes", "c0", "_pieces", "_regions",
+                 "_signed", "_support", "_hash")
 
     def __init__(self, cuts: Sequence[Fraction], pieces: Sequence[Piece]):
-        cuts = tuple(c if type(c) is Fraction else Fraction(c) for c in cuts)
-        pieces = tuple(
-            (m if type(m) is Fraction else Fraction(m),
-             c if type(c) is Fraction else Fraction(c))
-            for m, c in pieces
-        )
+        """The checked piece form: one (slope, intercept) pair per gap, equal
+        at every cut (the text format's reading)."""
+        cuts = _fractions(cuts)
+        pieces = [tuple(_fractions(p)) for p in pieces]
         if len(pieces) != len(cuts) + 1:
             raise PLMapError(
                 f"{len(cuts)} cuts need {len(cuts) + 1} pieces, got {len(pieces)}"
             )
+        self._build(0, pieces[0][1], cuts, [m for m, _ in pieces])
+        for b, (ml, cl), (mr, cr) in zip(cuts, pieces, pieces[1:]):
+            if ml * b + cl != mr * b + cr:
+                raise PLMapError(f"discontinuous at cut {b}")
+
+    def _build(self, anchor, value, cuts: Sequence[Fraction],
+               slopes: Sequence[Fraction]) -> None:
+        cuts, slopes = _fractions(cuts), _fractions(slopes)
+        if len(slopes) != len(cuts) + 1:
+            raise PLMapError(
+                f"{len(cuts)} cuts need {len(cuts) + 1} slopes, got {len(slopes)}")
         for a, b in zip(cuts, cuts[1:]):
             if not a < b:
                 raise PLMapError(f"cuts not strictly increasing at {a}, {b}")
-        for m, _ in pieces:
-            if m <= 0:
+        for m in slopes:
+            if m.numerator <= 0:
                 raise PLMapError(f"non-positive slope {m} (not order-preserving)")
-        images: list[Fraction] = []
-        for i, b in enumerate(cuts):
-            ml, cl = pieces[i]
-            mr, cr = pieces[i + 1]
-            y = ml * b + cl
-            if y != mr * b + cr:
-                raise PLMapError(f"discontinuous at cut {b}")
-            images.append(y)
-        # canonical form: merge equal adjacent pieces
-        ccuts: list[Fraction] = []
-        cimages: list[Fraction] = []
-        cpieces: list[Piece] = [pieces[0]]
-        for b, y, p in zip(cuts, images, pieces[1:]):
-            if p == cpieces[-1]:
+        m = slopes[0]
+        c0 = value - m * anchor if anchor else value
+        if type(c0) is not Fraction:
+            c0 = Fraction(c0)
+        # canonical form: a cut between equal slopes is no cut; each kept
+        # cut's image is walked from the previous one
+        xs: list[Fraction] = []
+        ys: list[Fraction] = []
+        ms = [m]
+        for b, m in zip(cuts, slopes[1:]):
+            if m == ms[-1]:
                 continue
-            ccuts.append(b)
-            cimages.append(y)
-            cpieces.append(p)
-        self.cuts = tuple(ccuts)
-        self.pieces = tuple(cpieces)
-        #: the images f(b) of the cuts, kept from the continuity check
-        self.image_cuts = tuple(cimages)
+            ys.append(ys[-1] + ms[-1] * (b - xs[-1]) if xs else ms[0] * b + c0)
+            xs.append(b)
+            ms.append(m)
+        self.cuts = tuple(xs)
+        #: the images f(xᵢ) of the cuts
+        self.image_cuts = tuple(ys)
+        self.slopes = tuple(ms)
+        #: the intercept of the first piece: its line meets x = 0 at c0
+        self.c0 = c0
+        self._pieces: tuple[Piece, ...] | None = None
         self._regions: tuple[tuple[ExtRat, ExtRat, int], ...] | None = None
         self._signed: tuple[tuple[QInterval, int], ...] | None = None
         self._support: tuple[QInterval, ...] | None = None
@@ -88,32 +112,35 @@ class PLMap:
 
     @staticmethod
     def identity() -> "PLMap":
-        return PLMap((), ((Fraction(1), Fraction(0)),))
+        return PLMap.translation(0)
 
     @staticmethod
     def translation(a) -> "PLMap":
-        return PLMap((), ((Fraction(1), Fraction(a)),))
+        return PLMap.from_slopes(0, a, (), (1,))
 
     @staticmethod
     def from_slopes(anchor: Fraction, value: Fraction,
                     cuts: Sequence[Fraction], slopes: Sequence[Fraction]) -> "PLMap":
-        """Build a continuous map from slopes only: passes through
-        (anchor, value), with `anchor <= cuts[0]` if any cuts are given."""
-        cuts = [Fraction(c) for c in cuts]
-        slopes = [Fraction(s) for s in slopes]
-        if len(slopes) != len(cuts) + 1:
-            raise PLMapError("need one more slope than cuts")
-        pieces = [(slopes[0], value - slopes[0] * anchor)]
-        for b, m in zip(cuts, slopes[1:]):
-            mprev, cprev = pieces[-1]
-            y = mprev * b + cprev
-            pieces.append((m, y - m * b))
-        return PLMap(cuts, pieces)
+        """The map with these cuts and one slope per gap whose first piece's
+        line passes through (anchor, value).  Refuses non-increasing cuts,
+        non-positive slopes and a wrong slope count."""
+        f = PLMap.__new__(PLMap)
+        f._build(anchor, value, cuts, slopes)
+        return f
 
     # -- basic queries -----------------------------------------------------
 
+    @property
+    def pieces(self) -> tuple[Piece, ...]:
+        """The (slope, intercept) of each gap, derived once per map."""
+        if self._pieces is None:
+            ms = self.slopes
+            self._pieces = ((ms[0], self.c0), *(
+                (m, y - m * x) for x, y, m in zip(self.cuts, self.image_cuts, ms[1:])))
+        return self._pieces
+
     def is_identity(self) -> bool:
-        return self.pieces == ((Fraction(1), Fraction(0)),)
+        return not self.cuts and self.slopes[0] == 1 and not self.c0
 
     def germ(self, x: ExtRat) -> Piece:
         """The affine piece in force just right of x; x may be ±∞."""
@@ -140,17 +167,18 @@ class PLMap:
         return (q - c) / m
 
     def agrees_on(self, other: "PLMap", iv: QInterval) -> bool:
-        """Exact equality of self and other on the open interval `iv`: the
-        cuts of both maps inside `iv` split it into stretches on which each
-        map is one affine piece, and the two pieces are compared there."""
+        """Exact equality of self and other on the open interval `iv`: both
+        have the same cuts inside it, the same piece at its left end and the
+        same slopes after each of those cuts (canonical maps change slope at
+        every cut)."""
         if iv.is_empty():
             return True
-        bpts = sorted({*self.cuts_in(iv.lo, iv.hi), *other.cuts_in(iv.lo, iv.hi)})
-        for gap in gaps_of(bpts, iv.lo, iv.hi):
-            x = pick_fresh(gap)
-            if self.germ(x) != other.germ(x):
-                return False
-        return True
+        lo, hi = iv.lo, iv.hi
+        cuts = self.cuts_in(lo, hi)
+        if cuts != other.cuts_in(lo, hi) or self.germ(lo) != other.germ(lo):
+            return False
+        i, j, n = bisect_right(self.cuts, lo), bisect_right(other.cuts, lo), len(cuts)
+        return self.slopes[i:i + n + 1] == other.slopes[j:j + n + 1]
 
     # -- group operations --------------------------------------------------
 
@@ -159,54 +187,41 @@ class PLMap:
 
         With f = self and g = other, walk the cuts b of g, in the order of
         their images g(b), together with the cuts y of f.  A cut of g stays
-        as it is; a cut y of f becomes g⁻¹(y) = (y − c_g)/m_g on the current
-        piece (m_g, c_g) of g; where g(b) == y the two are one cut.  Between
-        cuts the piece is (m_f·m_g, m_f·c_g + c_f).
+        as it is; a cut y of f becomes g⁻¹(y) = xᵢ + (y − yᵢ)/m_g from the
+        last cut (xᵢ, yᵢ) of g before it; where g(b) == y the two are one
+        cut.  Between cuts the slope is m_f·m_g.
         """
-        gcuts, gimages, gpieces = other.cuts, other.image_cuts, other.pieces
-        fcuts, fpieces = self.cuts, self.pieces
+        gcuts, gimages, gslopes = other.cuts, other.image_cuts, other.slopes
+        fcuts, fslopes = self.cuts, self.slopes
         ng, nf = len(gcuts), len(fcuts)
         i = j = 0
         cuts: list[Fraction] = []
-        pieces: list[Piece] = []
+        slopes: list[Fraction] = []
         while True:
-            mg, cg = gpieces[i]
-            mf, cf = fpieces[j]
-            pieces.append((mf * mg, mf * cg + cf))
+            slopes.append(fslopes[j] * gslopes[i])
             if i < ng and (j == nf or gimages[i] <= fcuts[j]):
                 if j < nf and gimages[i] == fcuts[j]:
                     j += 1
                 cuts.append(gcuts[i])
                 i += 1
             elif j < nf:
-                cuts.append((fcuts[j] - cg) / mg)
+                y = fcuts[j]
+                cuts.append(gcuts[i - 1] + (y - gimages[i - 1]) / gslopes[i] if i
+                            else (y - other.c0) / gslopes[0])
                 j += 1
             else:
-                return PLMap(cuts, pieces)
+                return PLMap.from_slopes(0, fslopes[0] * other.c0 + self.c0,
+                                         cuts, slopes)
 
     def inverse(self) -> "PLMap":
-        return PLMap(self.image_cuts, [(1 / m, -c / m) for m, c in self.pieces])
+        """The cuts and images swap and each slope m becomes 1/m; the first
+        piece's line passes through (0, c0), so its inverse's through (c0, 0)."""
+        return PLMap.from_slopes(self.c0, 0, self.image_cuts,
+                                 [1 / m for m in self.slopes])
 
     def conjugate_by(self, g: "PLMap") -> "PLMap":
         """g ∘ self ∘ g⁻¹."""
         return g.compose(self).compose(g.inverse())
-
-    def __pow__(self, n: int) -> "PLMap":
-        """Square and multiply: for n > 0, bit_length(n) - 1 squarings and
-        popcount(n) - 1 further products (f ** 1 composes nothing)."""
-        if n < 0:
-            return self.inverse() ** (-n)
-        if n == 0:
-            return PLMap.identity()
-        out: PLMap | None = None
-        base = self
-        while True:
-            if n & 1:
-                out = base if out is None else out.compose(base)
-            n >>= 1
-            if not n:
-                return out
-            base = base.compose(base)
 
     # -- fixed points and support ------------------------------------------
 
@@ -222,37 +237,40 @@ class PLMap:
         Sign 0 marks a maximal fixed region [lo, hi], closed, with lo == hi
         for an isolated fixed point.  Sign ±1 marks an orbital (lo, hi),
         open, between two fixed neighbours: the sign of f(x) - x on it.
-        The walk runs once per map; later calls return the same tuple.
+
+        The displacement d(x) = f(x) - x is affine on each gap, so its signs
+        at -∞, at each cut (yᵢ - xᵢ) and at +∞ fix the regions: a gap with
+        d = 0 at both ends is fixed, and a gap whose ends have opposite
+        signs holds one fixed point.  The walk runs once per map; later
+        calls return the same tuple.
         """
         if self._regions is not None:
             return self._regions
-        fixed: list[tuple[ExtRat, ExtRat]] = []
-        for (m, c), gap in zip(self.pieces, gaps_of(self.cuts)):
-            lo, hi = gap.lo, gap.hi
-            if m == 1:
-                if c != 0:
-                    continue
-            else:
-                x = c / (1 - m)
-                if not lo <= x <= hi:
-                    continue
-                lo = hi = x
-            if fixed and lo <= fixed[-1][1]:
-                fixed[-1] = (fixed[-1][0], max(fixed[-1][1], hi))
-            else:
-                fixed.append((lo, hi))
+        xs, ms, c0 = self.cuts, self.slopes, self.c0
+        ds = [y - x for x, y in zip(xs, self.image_cuts)]
+        # on the first piece d(x) = c0 + (m - 1)x; on the last one d grows
+        # from the last cut with slope m - 1
+        m = ms[0]
+        signs = [_sign(1 - m) if m != 1 else _sign(c0), *map(_sign, ds)]
+        m = ms[-1]
+        signs.append(_sign(m - 1) if m != 1 else _sign(ds[-1] if ds else c0))
+        ends = (NEG_INF, *xs, POS_INF)
         out: list[tuple[ExtRat, ExtRat, int]] = []
-        prev: ExtRat = NEG_INF
-        for lo, hi in fixed + [(POS_INF, None)]:
-            if prev < lo:
-                x = pick_fresh(QInterval(prev, lo))
-                d = self.apply(x) - x
-                if d == 0:
-                    raise PLMapError(f"fixed point {x} inside the orbital ({prev}, {lo})")
-                out.append((prev, lo, 1 if d > 0 else -1))
-            out.append((lo, hi, 0))
-            prev = hi
-        out.pop()  # the (POS_INF, None) sentinel
+        lo, sign = NEG_INF, signs[0]  # the region being walked
+        for k in range(1, len(ends)):
+            s = signs[k]
+            if s and sign and s != sign:  # d changes sign inside the gap
+                z = (xs[k - 2] + ds[k - 2] / (1 - ms[k - 1]) if k > 1
+                     else c0 / (1 - ms[0]))
+                out += [(lo, z, sign), (z, z, 0)]
+                lo, sign = z, s
+            elif s != sign:
+                # an orbital ends at a fixed cut, or a fixed region at the
+                # cut before a moved one
+                end = ends[k] if sign else ends[k - 1]
+                out.append((lo, end, sign))
+                lo, sign = end, s
+        out.append((lo, POS_INF, sign))
         self._regions = tuple(out)
         return self._regions
 
@@ -272,18 +290,19 @@ class PLMap:
                                  for lo, hi, sign in self.regions() if sign)
         return self._signed
 
-    # -- text format -------------------------------------------------------
+    # -- equality: the canonical (c0, cuts, slopes) determines the map -----
 
     def __eq__(self, other):
         return (
             isinstance(other, PLMap)
+            and self.c0 == other.c0
             and self.cuts == other.cuts
-            and self.pieces == other.pieces
+            and self.slopes == other.slopes
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.cuts, self.pieces))
+            self._hash = hash((self.c0, self.cuts, self.slopes))
         return self._hash
 
     def __repr__(self):

@@ -58,11 +58,11 @@ def restrict_map(y: PLMap, comps: list[QInterval]) -> PLMap:
         cuts.update(end for end in (iv.lo, iv.hi) if is_finite(end))
         cuts.update(y.cuts_in(iv.lo, iv.hi))
     xs = sorted(cuts)
-    identity, pieces = (Fraction(1), Fraction(0)), []
+    identity, germs = (Fraction(1), Fraction(0)), []
     for gap in gaps_of(xs):
         x = pick_fresh(gap)
-        pieces.append(y.germ(x) if any(iv.contains(x) for iv in comps) else identity)
-    return PLMap(xs, pieces)
+        germs.append(y.germ(x) if any(iv.contains(x) for iv in comps) else identity)
+    return PLMap.from_slopes(0, germs[0][1], xs, [m for m, _ in germs])
 
 
 # ---------------------------------------------------------------------------

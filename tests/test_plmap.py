@@ -1,10 +1,12 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qwi.generators import gen_plmap, make_bump
-from qwi.numbers import NEG_INF, POS_INF, QInterval, is_finite
+from qwi.generators import gen_plmap, gen_plmap_rnd, make_bump
+from qwi.numbers import NEG_INF, POS_INF, QInterval, is_finite, pick_fresh
 from qwi.plmap import PLMap, PLMapError, format_pl, parse_pl
 from qwi.predicates import comp_sem
 
@@ -96,30 +98,6 @@ def test_group_laws(f, g, h):
     assert f.compose(g).inverse() == g.inverse().compose(f.inverse())
 
 
-@given(plmaps)
-def test_powers(f):
-    assert f ** 0 == PLMap.identity()
-    assert f ** 1 == f
-    assert f ** 3 == f.compose(f).compose(f)
-    assert f ** -2 == (f ** 2).inverse()
-
-
-def test_powers_compose_only_what_square_and_multiply_needs(monkeypatch):
-    needed = {0: 0, 1: 0, 2: 1, 3: 2, 4: 2, 5: 3, -2: 1}
-    wants = {}
-    for n in needed:
-        wants[n] = PLMap.identity()
-        for _ in range(abs(n)):
-            wants[n] = wants[n].compose(F_SHARED if n > 0 else F_SHARED.inverse())
-    calls = []
-    compose_ = PLMap.compose
-    monkeypatch.setattr(PLMap, "compose", lambda f, g: calls.append(1) or compose_(f, g))
-    for n, count in needed.items():
-        calls.clear()
-        assert F_SHARED ** n == wants[n]
-        assert len(calls) == count, n
-
-
 @given(plmaps, plmaps)
 @settings(max_examples=40)
 def test_conjugate(f, g):
@@ -164,9 +142,18 @@ def test_agrees_on_sees_a_bump(f, j0, j1, i0, i1):
     assert f.agrees_on(f, iv) and f.agrees_on(moved, QInterval(NEG_INF, J.lo))
 
 
+def test_agrees_on_compares_the_slopes_after_shared_cuts():
+    # same cuts and same first piece; the slopes after the cut at 0 differ
+    f = PLMap.from_slopes(0, 0, [0, 1], [1, 2, 1])
+    g = PLMap.from_slopes(0, 0, [0, 1], [1, 3, 1])
+    assert f.agrees_on(g, QInterval(NEG_INF, Fraction(0)))
+    for iv in (QInterval(Fraction(-1), Fraction(1, 2)), QInterval(NEG_INF, POS_INF),
+               QInterval(Fraction(0), Fraction(1))):
+        assert not f.agrees_on(g, iv) and not g.agrees_on(f, iv)
+
+
 @given(plmaps)
 def test_signed_support_signs(f):
-    from qwi.numbers import pick_fresh
     for iv, sign in f.signed_support():
         x = pick_fresh(iv)
         assert (f.apply(x) - x > 0) == (sign == 1)
@@ -218,7 +205,7 @@ def test_format_parse_roundtrip(f):
 @example(F_SHARED)
 def test_image_cut_cache_is_invisible(f):
     images = tuple(f.apply(b) for b in f.cuts)
-    assert f.image_cuts == images  # kept from the constructor's continuity check
+    assert f.image_cuts == images  # walked by the constructor
     inv = f.inverse()
     assert inv.cuts == images and inv.image_cuts == f.cuts
     for b, y in zip(f.cuts, images):
@@ -312,7 +299,7 @@ def test_hash_is_computed_once():
     f = parse_pl(format_pl(F_SHARED))
     assert f._hash is None
     h = hash(f)
-    assert f._hash == h == hash((f.cuts, f.pieces)) == hash(F_SHARED)
+    assert f._hash == h == hash((f.c0, f.cuts, f.slopes)) == hash(F_SHARED)
     assert hash(f) == h
 
 
@@ -337,3 +324,130 @@ def test_make_bump_shapes():
     (iv, _), = half.signed_support()
     assert iv == QInterval(NEG_INF, Fraction(2))
     assert make_bump(QInterval(NEG_INF, POS_INF)) == PLMap.translation(1)
+
+
+# -- the breakpoint storage against references written here ------------------
+
+#: sha256 of the text of gen_plmap(s, 8) for s in 0..299, one map a line, as
+#: the piece-storage implementation printed it
+FORMAT_SHA256 = "2c60c500041f170d7a0fcd1376ab40812593ec550d04c499ed088ae2f47c8b83"
+
+
+def ref_apply(f: PLMap, x: Fraction) -> Fraction:
+    """f(x) read off the breakpoints: from the last cut at or left of x
+    along its slope, or along the first piece's line through (0, c0)."""
+    left = [(b, y) for b, y in zip(f.cuts, f.image_cuts) if b <= x]
+    if not left:
+        return f.c0 + f.slopes[0] * x
+    b, y = left[-1]
+    return y + f.slopes[len(left)] * (x - b)
+
+
+def ref_apply_inverse(f: PLMap, y: Fraction) -> Fraction:
+    left = [(b, v) for b, v in zip(f.cuts, f.image_cuts) if v <= y]
+    if not left:
+        return (y - f.c0) / f.slopes[0]
+    b, v = left[-1]
+    return b + (y - v) / f.slopes[len(left)]
+
+
+def ref_regions(f: PLMap):
+    """The region walk of the piece storage: fixed points from each piece
+    (m, c), orbital signs from f(x) - x at one fresh point of each orbital."""
+    fixed = []
+    ends = [NEG_INF, *f.cuts, POS_INF]
+    for (m, c), lo, hi in zip(f.pieces, ends, ends[1:]):
+        if m == 1:
+            if c != 0:
+                continue
+        else:
+            x = c / (1 - m)
+            if not lo <= x <= hi:
+                continue
+            lo = hi = x
+        if fixed and lo <= fixed[-1][1]:
+            fixed[-1] = (fixed[-1][0], max(fixed[-1][1], hi))
+        else:
+            fixed.append((lo, hi))
+    out, prev = [], NEG_INF
+    for lo, hi in fixed + [(POS_INF, None)]:
+        if prev < lo:
+            x = pick_fresh(QInterval(prev, lo))
+            d = ref_apply(f, x) - x
+            assert d != 0
+            out.append((prev, lo, 1 if d > 0 else -1))
+        out.append((lo, hi, 0))
+        prev = hi
+    return tuple(out[:-1])
+
+
+def probes(*point_sets):
+    """The points, a point inside each gap between them and one beyond
+    each end."""
+    pts = sorted(set().union(*point_sets)) or [Fraction(0)]
+    return pts + [(a + b) / 2 for a, b in zip(pts, pts[1:])] + [pts[0] - 1, pts[-1] + 1]
+
+
+def assert_canonical(f: PLMap):
+    assert len(f.slopes) == len(f.cuts) + 1 == len(f.image_cuts) + 1
+    assert all(a < b for a, b in zip(f.cuts, f.cuts[1:]))
+    assert all(m > 0 for m in f.slopes)
+    assert all(a != b for a, b in zip(f.slopes, f.slopes[1:]))
+    assert f.image_cuts == tuple(ref_apply(f, b) for b in f.cuts)
+    assert f.pieces[0] == (f.slopes[0], f.c0)
+    assert parse_pl(format_pl(f)) == f
+
+
+def test_breakpoint_storage_on_seeded_triples():
+    rnd = random.Random("breakpoint storage")
+    for _ in range(300):
+        f, g, h = (gen_plmap_rnd(rnd, 8) for _ in range(3))
+        for m in (f, g, h):
+            assert_canonical(m)
+        fg = f.compose(g)
+        assert_canonical(fg)
+        pts = probes(fg.cuts, g.cuts, {ref_apply_inverse(g, y) for y in f.cuts})
+        for x in pts:
+            assert ref_apply(fg, x) == ref_apply(f, ref_apply(g, x)) == fg.apply(x)
+        inv = h.inverse()
+        assert_canonical(inv)
+        assert inv.cuts == h.image_cuts and inv.image_cuts == h.cuts
+        for y in probes(inv.cuts):
+            assert ref_apply(inv, y) == ref_apply_inverse(h, y) == h.apply_inverse(y)
+        conj = f.conjugate_by(g)
+        assert_canonical(conj)
+        pts = probes(conj.cuts, g.image_cuts, {ref_apply(g, b) for b in f.cuts},
+                     {ref_apply(g, ref_apply_inverse(f, b)) for b in g.cuts})
+        for y in pts:
+            assert ref_apply(conj, y) == ref_apply(g, ref_apply(f, ref_apply_inverse(g, y)))
+        for m in (f, g, h, fg, inv, conj):
+            assert m.regions() == ref_regions(m)
+
+
+def test_text_format_is_unchanged():
+    text = "\n".join(format_pl(gen_plmap(s, 8)) for s in range(300))
+    assert hashlib.sha256(text.encode()).hexdigest() == FORMAT_SHA256
+
+
+@pytest.mark.parametrize("cuts, slopes", [
+    ([1, 0], [1, 2, 1]),      # cuts out of order
+    ([0, 0], [1, 2, 1]),      # a repeated cut
+    ([0], [1, 0]),            # a zero slope
+    ([0], [-1, 1]),           # a negative slope
+    ([0], [1]),               # too few slopes
+    ([], [1, 2]),             # too many slopes
+])
+def test_from_slopes_refuses_bad_data(cuts, slopes):
+    with pytest.raises(PLMapError):
+        PLMap.from_slopes(0, 0, cuts, slopes)
+
+
+@pytest.mark.parametrize("text", [
+    "pl cuts=[0] pieces=[(1,0),(1,1)]",          # a jump at 0
+    "pl cuts=[0] pieces=[(1,0),(2,1)]",          # a jump between slopes
+    "pl cuts=[0] pieces=[(2,0),(2,0)]",          # adjacent equal pieces
+    "pl cuts=[0,1] pieces=[(1,0),(2,0),(2,0)]",  # equal pieces after a cut
+])
+def test_parse_refuses_discontinuous_or_noncanonical_text(text):
+    with pytest.raises(PLMapError):
+        parse_pl(text)
