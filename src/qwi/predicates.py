@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .numbers import FULL_LINE, QInterval, gaps_of, is_finite, pick_fresh
-from .plmap import PLMap
+from .plmap import PLMap, PLMapError
 from .formulas import MACROS, Evaluator, Formula, GVar, Inv, Mul, One, Term, TermEq
 from .generators import gen_plmap_rnd, make_bump
 
@@ -52,9 +52,13 @@ def _within(a: Sequence[QInterval], b: Sequence[QInterval]) -> bool:
 
 def restrict_map(y: PLMap, comps: list[QInterval]) -> PLMap:
     """The automorphism equal to y on the given support components of y and
-    the identity elsewhere.  Component endpoints must be fixed by y."""
+    the identity elsewhere.  Refuses any other interval: the map is walked
+    from one anchor, so an endpoint y moves would silently shift it."""
+    support = y.support()
     cuts: set[Fraction] = set()
     for iv in comps:
+        if iv not in support:
+            raise PLMapError(f"restrict_map: {iv} is not a support component of y")
         cuts.update(end for end in (iv.lo, iv.hi) if is_finite(end))
         cuts.update(y.cuts_in(iv.lo, iv.hi))
     xs = sorted(cuts)

@@ -8,7 +8,7 @@ from qwi import predicates as P
 from qwi.formulas import MACROS, GAtom, parse_group
 from qwi.generators import gen_plmap, make_bump
 from qwi.numbers import NEG_INF, POS_INF, QInterval
-from qwi.plmap import PLMap
+from qwi.plmap import PLMap, PLMapError
 
 plmaps = st.builds(gen_plmap, st.integers(0, 10**6), st.integers(0, 6))
 
@@ -160,6 +160,17 @@ def test_restriction_of_random_maps(y):
         assert P.orbital_sem(x, y)
         z = P.restr_witness(x, y)
         assert z is not None and x.compose(z) == y
+
+
+@pytest.mark.parametrize("iv", [QInterval(Fraction(0), Fraction(1)),
+                                QInterval(Fraction(1), Fraction(2)),
+                                QInterval(NEG_INF, Fraction(1)),
+                                QInterval(Fraction(-1), Fraction(3))])
+def test_restrict_map_refuses_what_is_not_a_support_component(iv):
+    y = make_bump(QInterval(Fraction(0), Fraction(2)))
+    with pytest.raises(PLMapError, match="not a support component"):
+        P.restrict_map(y, [iv])
+    assert P.restrict_map(y, [QInterval(Fraction(0), Fraction(2))]) == y
 
 
 def test_cont_literal_degenerates_on_dense_support():

@@ -1,13 +1,14 @@
 """Paired benchmark runs of a base commit against the working tree.
 
-    python3 tools/bench_pairs.py --out BENCH_<n>.json [--base HEAD] [--pairs 10]
-        [--seed 0] [--seconds 12] [--workload all]
+    python3 tools/bench_pairs.py --out BENCH_<n>.json [--base HEAD] [--seed 0]
+        [--workload all]
 
 Run from the root of a qwi checkout.  The base commit is exported with
 `git archive` into a temporary directory, and `perfbench/run.py` runs
-alternately there and in the working tree, the first side of each pair
-swapping from pair to pair, so that a slow drift of the host falls on both
-sides alike.  The output holds, per workload and end-to-end metric, the
+alternately there and in the working tree, ten pairs at the run length
+`run_seconds` of `BENCHMARK.json`, the first side of each pair swapping
+from pair to pair, so that a slow drift of the host falls on both sides
+alike.  The output holds, per workload and end-to-end metric, the
 median and interquartile range of each side and the number of pairs the
 change won, and each side's input and verdict digests.  Wall times are
 comparable only within one file.  The `Fraction` construction count of
@@ -39,6 +40,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("group-calculus", "conjugacy", "wmso", "pattern-census")
 METRICS = {"setup_s": "lower", "tasks_per_s": "higher", "peak_rss_mb": "lower"}
+PAIRS = 10
+SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
 
 def summarise(values: list[float]) -> dict:
@@ -147,25 +150,21 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True, help="the JSON file to write")
     ap.add_argument("--base", default="HEAD",
                     help="the commit the working tree is compared with")
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=12)
     ap.add_argument("--workload", default="all", choices=WORKLOADS + ("all",))
     args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("--pairs must be at least 1")
     names = WORKLOADS if args.workload == "all" else (args.workload,)
     calibration = [calibrate()]
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         sides = {"base": Path(tmp), "change": ROOT}
         export(args.base, sides["base"])
         runs: dict[str, list[dict]] = {"base": [], "change": []}
-        for k in range(args.pairs):
+        for k in range(PAIRS):
             for side in (("base", "change") if k % 2 == 0 else ("change", "base")):
-                runs[side].append(bench(sides[side], names, args.seed, args.seconds))
-                print(f"pair {k + 1}/{args.pairs} {side} done", file=sys.stderr)
+                runs[side].append(bench(sides[side], names, args.seed, SECONDS))
+                print(f"pair {k + 1}/{PAIRS} {side} done", file=sys.stderr)
         calibration.append(calibrate())
-        counts = {name: {side: count_calls(root, name, args.seed, args.seconds)
+        counts = {name: {side: count_calls(root, name, args.seed, SECONDS)
                          for side, root in sides.items()} for name in names}
         lines = {side: lib_lines(root) for side, root in sides.items()}
     workloads = {}
@@ -195,8 +194,8 @@ def main(argv=None) -> int:
         "calibration_fraction_sum_40000_s": {"before": calibration[0],
                                              "after": calibration[1]},
         "command": f"perfbench/run.py --workload {args.workload} --seed {args.seed} "
-                   f"--seconds {args.seconds:g}",
-        "pairs": args.pairs,
+                   f"--seconds {SECONDS:g}",
+        "pairs": PAIRS,
         "failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
         "correct": {side: all(r["correct"] for r in rs) for side, rs in runs.items()},
         "workloads": workloads,
