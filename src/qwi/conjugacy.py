@@ -14,16 +14,24 @@ breakpoints accumulate geometrically at the orbital ends).
 The inverse needs no code of its own: h⁻¹ = fⁿ ∘ φ⁻¹ ∘ g⁻ⁿ is the same
 transport with f and g exchanged, so every segment inverts by swapping its
 two sides and inverting its explicit pieces.
+
+`verify_conjugator` trusts only the f and g it is given, never the
+witness: it proves that h tiles ℚ, that the fixed regions are fixed, that
+f and g are pure affine germs on each orbital's tails and equal to the
+germs h stores there, and the identity on a complete breakpoint
+refinement of the explicit windows, each probe checked once.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Union
 
-from .numbers import ExtRat, QInterval, is_finite, pick_fresh
+from .numbers import NEG_INF, POS_INF, ExtRat, QInterval, is_finite, pick_fresh
 from .plmap import PLMap
 from .patterns import pattern_iso, pattern_of
 
@@ -69,13 +77,16 @@ def _walk(germ: Affine, x: Fraction, edge: Fraction) -> tuple[int, Fraction]:
 
 
 LocalPiece = tuple[Fraction, Fraction, Fraction, Fraction]  # lo, hi, m, c
+_hi = itemgetter(1)
 
 
 def _piece(pieces: list[LocalPiece], x: Fraction) -> LocalPiece:
-    """The first piece whose closed domain [lo, hi] holds x."""
-    for p in pieces:
-        if p[0] <= x <= p[1]:
-            return p
+    """The first piece whose closed domain [lo, hi] holds x.  The pieces of
+    a stack are sorted and abut, so that is the first piece with hi ≥ x,
+    found by bisection, provided its lo ≤ x."""
+    i = bisect_left(pieces, x, key=_hi)
+    if i < len(pieces) and pieces[i][0] <= x:
+        return pieces[i]
     raise ValueError(f"{x} outside local window")
 
 
@@ -121,15 +132,15 @@ class OrbitalSeg:
 
     F, G are f, g or their inverses so that both act upward on the orbital.
     Explicit affine windows cover [p0, F^(N+1) p0]; below p0 and above the
-    top window h repeats periodically under the bottom/top germs.
+    top window h repeats periodically under the bottom/top germs.  Only the
+    germs of F and G are stored: `verify_conjugator` reads F and G from the
+    maps it is given.
     """
 
     a: ExtRat
     b: ExtRat
     c: ExtRat
     d: ExtRat
-    F: PLMap
-    G: PLMap
     p0: Fraction
     q0: Fraction
     windows: list[LocalPiece]       # pieces over [p0, F^(N+1) p0]
@@ -155,8 +166,8 @@ class OrbitalSeg:
     def inverse(self) -> "OrbitalSeg":
         """h⁻¹ on the orbital (c,d) of g: the transport with the roles of
         f and g exchanged, its windows inverted piece by piece."""
-        return OrbitalSeg(self.c, self.d, self.a, self.b, self.G, self.F,
-                          self.q0, self.p0, _inverse_pieces(self.windows),
+        return OrbitalSeg(self.c, self.d, self.a, self.b, self.q0, self.p0,
+                          _inverse_pieces(self.windows),
                           _eval_local(self.windows, self.top_lo),
                           self.beta, self.alpha, self.beta_top, self.alpha_top)
 
@@ -241,7 +252,7 @@ def _orbital_seg(f: PLMap, g: PLMap, a, b, c, d, parity: int) -> OrbitalSeg:
         n += 1
         if n > 100000:
             raise ConjugacyError("orbital transport did not stabilize")
-    return OrbitalSeg(a, b, c, d, F, G, p0, q0, _merge_local(pieces), x_lo,
+    return OrbitalSeg(a, b, c, d, p0, q0, _merge_local(pieces), x_lo,
                       alpha, beta, alpha_top, beta_top)
 
 
@@ -281,22 +292,71 @@ def _merge_local(pieces: list[LocalPiece]) -> list[LocalPiece]:
 # ---------------------------------------------------------------------------
 
 def verify_conjugator(h: Conjugator, f: PLMap, g: PLMap) -> bool:
-    """Exact proof that h ∘ f = g ∘ h as maps of ℚ.
+    """Exact proof that h is an order-automorphism of ℚ with h ∘ f = g ∘ h.
 
-    On fixed regions both sides reduce to h.  On each orbital the identity
-    is piecewise-affine over the explicit windows, where it is checked on a
-    complete breakpoint refinement; beyond the windows it propagates by the
-    germ recursion, whose hypotheses (germ purity of f and g on the tail
-    regions, seam values) are checked exactly.
+    Only f and g are trusted.  The segments of h are data to be checked,
+    and the maps F, G that act upward on an orbital are f, g or their
+    inverses, chosen by the direction f moves the orbital's p0.  Proved:
+
+    - tiling: the segments alternate between fixed regions and orbitals
+      and abut from -∞ to +∞, and so do their images;
+    - fixed regions: f is the identity on each one and g on its image, so
+      both sides reduce to h, which is increasing and affine there;
+    - on each orbital (a, b), mapped onto (c, d): the windows are
+      continuous and increasing from p0, and F moves p0 up and carries the
+      top window's start top_lo to the windows' end;
+    - germ purity and germ equality: every cut of F inside (a, b) lies in
+      [p0, top_lo], and the pieces of F right of a and of top_lo are the
+      stored germs alpha and alpha_top, which fix a finite end and at an
+      infinite end keep moving points up; likewise for G on (c, d), read
+      through the inverse segment;
+    - complete refinement: h(F(x)) == G(h(x)) at every breakpoint of
+      either side over [F⁻¹(p0), top_lo] and at the midpoints between, so
+      the two piecewise-affine sides agree there; the germ recursion that
+      defines h on the tails carries the identity over the whole orbital.
+      h ∘ f⁻¹ = g⁻¹ ∘ h on an orbital is equivalent to h ∘ f = g ∘ h, so
+      this is the identity whichever way f moves it.
     """
+    if not _tiles(h.segments):
+        return False
+    f_inv, g_inv = f.inverse(), g.inverse()
     for seg in h.segments:
         if isinstance(seg, FixedSeg):
             if not _verify_fixed(seg, f, g):
                 return False
-        else:
-            if not _verify_orbital(seg, h, f, g):
-                return False
+        elif not _verify_orbital(seg, f, g, f_inv, g_inv):
+            return False
     return True
+
+
+def _tiles(segments: list[Segment]) -> bool:
+    """Whether the segments alternate between fixed and orbital, with an
+    increasing map on each fixed one, and both they and their images abut
+    in order from -∞ to +∞."""
+    ends: list[ExtRat] = [NEG_INF]
+    images: list[ExtRat] = [NEG_INF]
+    kind = None
+    for seg in segments:
+        if type(seg) is kind:
+            return False
+        kind = type(seg)
+        if isinstance(seg, FixedSeg):
+            if seg.map[0] <= 0:
+                return False
+            img = seg.inverse()
+            ends += (seg.lo, seg.hi)
+            images += (img.lo, img.hi)
+        else:
+            ends += (seg.a, seg.b)
+            images += (seg.c, seg.d)
+    return _abut(ends + [POS_INF]) and _abut(images + [POS_INF])
+
+
+def _abut(pts: list[ExtRat]) -> bool:
+    """pts = [-∞, lo₁, hi₁, …, loₙ, hiₙ, +∞]: each hi meets the next lo,
+    and the points never decrease."""
+    return (pts[::2] == pts[1::2]
+            and all(x <= y for x, y in zip(pts, pts[1:])))
 
 
 def _verify_fixed(seg: FixedSeg, f: PLMap, g: PLMap) -> bool:
@@ -310,15 +370,14 @@ def _verify_fixed(seg: FixedSeg, f: PLMap, g: PLMap) -> bool:
 
 def _fixes(f: PLMap, lo: ExtRat, hi: ExtRat) -> bool:
     """Whether f is the identity on [lo, hi], structurally: f fixes the one
-    point, or every piece of f on (lo, hi) is the identity's."""
+    (finite) point, or every piece of f on (lo, hi) is the identity's."""
     if lo == hi:
-        return f.apply(lo) == lo
+        return is_finite(lo) and f.apply(lo) == lo
     return f.agrees_on(PLMap.identity(), QInterval(lo, hi))
 
 
-def _verify_orbital(seg: OrbitalSeg, h: Conjugator, f: PLMap, g: PLMap) -> bool:
-    F, G = seg.F, seg.G
-    win_lo, win_hi = seg.windows[0][0], seg.windows[-1][1]
+def _verify_orbital(seg: OrbitalSeg, f: PLMap, g: PLMap,
+                    f_inv: PLMap, g_inv: PLMap) -> bool:
     # windows must be continuous and increasing
     prev = None
     for lo, hi, m, c in seg.windows:
@@ -327,39 +386,27 @@ def _verify_orbital(seg: OrbitalSeg, h: Conjugator, f: PLMap, g: PLMap) -> bool:
         if prev is not None and (prev[0] != lo or prev[1] != m * lo + c):
             return False
         prev = (hi, m * hi + c)
+    # F and G act upward; the direction is read from f and g takes the same
+    F, G = (f, g) if f.apply(seg.p0) > seg.p0 else (f_inv, g_inv)
+    if not _germ_side(seg, F):
+        return False
     inv = seg.inverse()
-    # germ purity: every cut of F inside the orbital must sit inside the
-    # explicit window region below the top window, so that F acts as a pure
-    # affine germ on both tails; likewise for G on the image side, which is
-    # the same condition read on the inverse
-    for s in (seg, inv):
-        for cut in s.F.cuts_in(s.a, s.b):
-            if not s.windows[0][0] <= cut <= s.top_lo:
-                return False
-    # seam values of the anchor window
-    if _eval_local(seg.windows, seg.p0) != seg.q0:
+    if not _germ_side(inv, G):
         return False
     # the conjugation identity on the explicit region, complete refinement:
     # check h(F(x)) == G(h(x)) for x in [lo_ext, top_lo] at every breakpoint
-    # of either side and at the midpoints in between
+    # of either side and at the midpoints in between.  No point needs a
+    # range filter: F⁻¹ maps the windows onto [lo_ext, top_lo], and germ
+    # purity puts G's cuts inside (c, d) in h([p0, top_lo]).
+    win_lo, win_hi = seg.windows[0][0], seg.windows[-1][1]
     lo_ext = _ap_inv(seg.alpha, win_lo)
-    if not seg.a < lo_ext:
-        lo_ext = win_lo
     bpts = {lo_ext, seg.top_lo}
-    for lo, hi, _, _ in seg.windows:
-        if lo_ext <= lo <= seg.top_lo:
+    for lo, _, _, _ in seg.windows:
+        if lo <= seg.top_lo:
             bpts.add(lo)
-        u = F.apply_inverse(lo)
-        if lo_ext <= u <= seg.top_lo:
-            bpts.add(u)
+        bpts.add(F.apply_inverse(lo))
     bpts.update(F.cuts_in(lo_ext, seg.top_lo))
-    for cg in G.cuts_in(seg.c, seg.d):
-        try:
-            u = inv.apply(cg)
-        except ValueError:
-            continue
-        if lo_ext < u < seg.top_lo:
-            bpts.add(u)
+    bpts.update(inv.apply(cg) for cg in G.cuts_in(seg.c, seg.d))
     xs = sorted(bpts)
     probes = list(xs)
     probes += [(u + v) / 2 for u, v in zip(xs, xs[1:])]
@@ -369,12 +416,29 @@ def _verify_orbital(seg: OrbitalSeg, h: Conjugator, f: PLMap, g: PLMap) -> bool:
         x_dn = _ap_inv(seg.alpha, x_dn)
         x_up = _ap(seg.alpha_top, x_up)
         probes += [x_dn, x_up]
-    for x in probes:
-        if not seg.a < x < seg.b:
-            continue
-        if seg.apply(F.apply(x)) != G.apply(seg.apply(x)):
-            return False
-        # also the original pair (identical when parity is +)
-        if h.apply(f.apply(x)) != g.apply(h.apply(x)):
-            return False
-    return True
+    return all(seg.apply(F.apply(x)) == G.apply(seg.apply(x)) for x in probes)
+
+
+def _germ_side(s: OrbitalSeg, S: PLMap) -> bool:
+    """The hypotheses of the germ recursion on one side of an orbital,
+    read from S, the caller's map that should act upward there: the
+    windows run from p0 inside (a, b) past top_lo, and S moves p0 up and
+    carries top_lo to the windows' end; every cut of S inside (a, b) lies
+    in [p0, top_lo] and the pieces right of a and of top_lo are exactly
+    alpha and alpha_top, so S is alpha on (a, p0] and alpha_top on
+    [top_lo, b); alpha fixes a finite a, alpha_top a finite b, and at an
+    infinite end the germ's slope keeps S above the identity, so S has no
+    fixed point in the tails."""
+    lo, hi = s.windows[0][0], s.windows[-1][1]
+    if not (s.a < s.p0 == lo <= s.top_lo < hi < s.b):
+        return False
+    if not (S.apply(s.p0) > s.p0 and S.apply(s.top_lo) == hi):
+        return False
+    cuts = S.cuts_in(s.a, s.b)
+    if cuts and not (lo <= cuts[0] and cuts[-1] <= s.top_lo):
+        return False
+    if S.germ(s.a) != s.alpha or S.germ(s.top_lo) != s.alpha_top:
+        return False
+    bottom = _ap(s.alpha, s.a) == s.a if is_finite(s.a) else s.alpha[0] <= 1
+    top = _ap(s.alpha_top, s.b) == s.b if is_finite(s.b) else s.alpha_top[0] >= 1
+    return bottom and top

@@ -2,10 +2,11 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qwi import conjugacy
-from qwi.conjugacy import OrbitalSeg, conjugating_witness, verify_conjugator
+from qwi.conjugacy import Conjugator, OrbitalSeg, conjugating_witness, verify_conjugator
 from qwi.generators import gen_plmap, gen_plmap_rnd, make_bump
 from qwi.numbers import NEG_INF, POS_INF, QInterval, pick_fresh
 from qwi.patterns import pattern_iso, pattern_of
@@ -227,3 +228,94 @@ def test_orbital_tails_take_translation_germs_in_one_step(monkeypatch):
     assert steps == []
     seg.apply(x)
     assert len(steps) == 1
+
+
+def one_bump_witness():
+    f = make_bump(QInterval(Fraction(0), Fraction(1)))
+    return f, conjugating_witness(f, f)
+
+
+def test_verifier_refuses_a_conjugator_that_does_not_tile():
+    f, w = one_bump_witness()
+    assert [type(s).__name__ for s in w.segments] == ["FixedSeg", "OrbitalSeg", "FixedSeg"]
+    assert verify_conjugator(w, f, f)
+    fixed_lo, orbital, fixed_hi = w.segments
+    for segments in ([], [fixed_lo, fixed_hi], [orbital, fixed_hi]):
+        assert not verify_conjugator(Conjugator(segments), f, f)
+    # a fixed "region" on the single point -∞ abuts, but fixes no rational
+    t = PLMap.translation(1)
+    line = conjugating_witness(t, t).segments
+    point = conjugacy.FixedSeg(NEG_INF, NEG_INF, (Fraction(1), Fraction(0)))
+    assert not verify_conjugator(Conjugator([point, *line]), t, t)
+
+
+def tail_bump(k, top=False):
+    """A bump on (2⁻ᵏ, 3·2⁻⁽ᵏ⁺¹⁾), or on its mirror image under x ↦ 1 − x."""
+    lo, hi = Fraction(1, 2**k), Fraction(3, 2**(k + 1))
+    return make_bump(QInterval(1 - hi, 1 - lo) if top else QInterval(lo, hi))
+
+
+@pytest.mark.parametrize("k, top", [(10, False), (20, False), (40, False), (20, True)])
+def test_verifier_refuses_wrong_targets_in_the_germ_tails(k, top):
+    """f∘b differs from f only inside one germ tail of the bump f's orbital,
+    where no probe lands: only germ purity read from the maps given, not
+    from the witness, sees the extra cuts."""
+    f, w = one_bump_witness()
+    wrong = f.compose(tail_bump(k, top))
+    assert wrong != f
+    assert not verify_conjugator(w, f, wrong)
+    assert not verify_conjugator(w, wrong, f)
+
+
+def test_verifier_reads_the_direction_from_f():
+    # with g's direction read on its own, h∘f = g⁻¹∘h would pass for h∘f = g∘h
+    f, w = one_bump_witness()
+    assert not verify_conjugator(w, f, f.inverse())
+    assert not verify_conjugator(w.inverse(), f.inverse(), f)
+
+
+def test_verifier_refuses_an_orbital_over_a_fixed_point():
+    """f = 2x + 1 below 0 and x + 1 above fixes -1.  A forged orbital segment
+    over the whole line, the identity on its windows, passes every check
+    but one: at -∞ the bottom germ has slope 2, so walking up from below -1
+    never reaches the windows and h is not defined there."""
+    f = PLMap.from_slopes(Fraction(0), Fraction(1), [Fraction(0)],
+                          [Fraction(2), Fraction(1)])
+    one, zero = Fraction(1), Fraction(0)
+    h = Conjugator([OrbitalSeg(
+        NEG_INF, POS_INF, NEG_INF, POS_INF, Fraction(-1, 2), Fraction(-1, 2),
+        [(Fraction(-1, 2), zero, one, zero), (zero, one, one, zero)], zero,
+        (Fraction(2), one), (Fraction(2), one), (one, one), (one, one))])
+    assert not verify_conjugator(h, f, f)
+
+
+def linear_piece(pieces, x):
+    for p in pieces:
+        if p[0] <= x <= p[1]:
+            return p
+    raise ValueError(f"{x} outside local window")
+
+
+def test_piece_bisection_matches_the_linear_scan():
+    rnd = random.Random("conjugacy-test:piece")
+    stacks = []
+    for _ in range(30):
+        f = gen_plmap_rnd(rnd, 5)
+        w = conjugating_witness(f, f.conjugate_by(gen_plmap_rnd(rnd, 5)))
+        for seg in w.segments + w.inverse().segments:
+            if isinstance(seg, OrbitalSeg):
+                stacks.append(seg.windows)
+    assert len(stacks) >= 30 and max(map(len, stacks)) >= 10
+    for pieces in stacks:
+        ends = [p[0] for p in pieces] + [pieces[-1][1]]
+        for i, x in enumerate(ends):
+            # a shared end belongs to the piece on its left
+            left = pieces[max(i - 1, 0)]
+            assert conjugacy._piece(pieces, x) == linear_piece(pieces, x) == left
+        for u, v in zip(ends, ends[1:]):
+            x = (u + v) / 2
+            assert conjugacy._piece(pieces, x) == linear_piece(pieces, x)
+        for x in (ends[0] - 1, ends[-1] + 1):
+            for lookup in (conjugacy._piece, linear_piece):
+                with pytest.raises(ValueError):
+                    lookup(pieces, x)

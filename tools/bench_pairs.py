@@ -9,8 +9,9 @@ alternately there and in the working tree, ten pairs at the run length
 `run_seconds` of `BENCHMARK.json`, the first side of each pair swapping
 from pair to pair, so that a slow drift of the host falls on both sides
 alike.  The output holds, per workload and end-to-end metric, the
-median and interquartile range of each side and the number of pairs the
-change won, and each side's input and verdict digests.  Wall times are
+median and interquartile range of each side, the number of pairs the
+change won and a verdict against the metric's bound in `BENCHMARK.json`
+(see `verdict`), and each side's input and verdict digests.  Wall times are
 comparable only within one file.  The `Fraction` construction count of
 each workload's tasks, the library line count and the digests repeat
 exactly between runs; the Python call count (cProfile) can move by about
@@ -39,9 +40,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("group-calculus", "conjugacy", "wmso", "pattern-census")
-METRICS = {"setup_s": "lower", "tasks_per_s": "higher", "peak_rss_mb": "lower"}
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+METRICS = {m["name"]: (m["better"], m["bound"]) for m in SPEC["end_to_end"]}
 PAIRS = 10
-SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+SECONDS = SPEC["run_seconds"]
 
 
 def summarise(values: list[float]) -> dict:
@@ -52,6 +54,40 @@ def summarise(values: list[float]) -> dict:
     else:
         q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values), "iqr": q3 - q1, "n": len(values)}
+
+
+def verdict(base: list[float], change: list[float], better: str,
+            bound: float) -> str:
+    """The reading of one metric over paired runs (`base[k]` and
+    `change[k]` ran as pair k):
+
+    - "gain": the change won at least nine tenths of the pairs, ties
+      counting for neither, and the medians differ in its favour by more
+      than the base's interquartile range;
+    - "worse": the change's median is worse than the base's by more than
+      `bound`, as a fraction of the base's median;
+    - "unresolved": either side's interquartile range is wider than `bound`
+      times its median, so the runs cannot tell a move that size from
+      drift, unless every change run is better than every base run;
+    - "no worse" otherwise.
+    """
+    sign = 1 if better == "higher" else -1
+    b, c = summarise(base), summarise(change)
+    gap = sign * (c["median"] - b["median"])
+    if won_pairs(base, change, better) >= 0.9 * len(base) and gap > b["iqr"]:
+        return "gain"
+    if -gap > bound * b["median"]:
+        return "worse"
+    beats_all = min(change) > max(base) if sign > 0 else max(change) < min(base)
+    if any(s["iqr"] > bound * s["median"] for s in (b, c)) and not beats_all:
+        return "unresolved"
+    return "no worse"
+
+
+def won_pairs(base: list[float], change: list[float], better: str) -> int:
+    """The pairs in which the change read better; a tie counts for neither."""
+    sign = 1 if better == "higher" else -1
+    return sum(sign * (y - x) > 0 for x, y in zip(base, change))
 
 
 def calibrate(repeats: int = 5) -> float:
@@ -171,12 +207,14 @@ def main(argv=None) -> int:
     for name in names:
         prefix = f"{name}." if len(names) > 1 else ""
         out = {}
-        for metric, better in METRICS.items():
+        for metric, (better, bound) in METRICS.items():
             vals = {side: [r["metrics"][prefix + metric]["value"] for r in rs]
                     for side, rs in runs.items()}
-            won = sum((c > b) if better == "higher" else (c < b)
-                      for b, c in zip(vals["base"], vals["change"]))
-            out[metric] = {"better": better, "change_won_pairs": won,
+            out[metric] = {"better": better, "bound": bound,
+                           "change_won_pairs": won_pairs(vals["base"], vals["change"],
+                                                         better),
+                           "verdict": verdict(vals["base"], vals["change"], better,
+                                              bound),
                            **{side: {**summarise(v), "runs": v}
                               for side, v in vals.items()}}
             out[metric]["ratio_of_medians"] = (out[metric]["change"]["median"]
