@@ -61,11 +61,24 @@ def _walk(germ: Affine, x: Fraction, edge: Fraction) -> tuple[int, Fraction]:
     """The fewest k steps of the increasing germ that carry x to or past
     `edge`, forward when x is below it and backward when above, and the
     point reached.  A translation's k has a closed form; any other germ
-    moves geometrically, so its loop runs only logarithmically long."""
+    moves geometrically, so its loop runs only logarithmically long.
+
+    The walk ends only if the germ moves every point between x and `edge`
+    up.  How far it moves y, (m − 1)·y + c, is affine in y, increasing when
+    m > 1 and decreasing when m < 1, so it suffices that the germ moves up
+    the lower of the two points when m > 1 and the upper when m < 1.
+    Otherwise it moves x away from `edge` or has a fixed point c/(1 − m)
+    between them, and ValueError is raised; so it is when a translation
+    moves no point up (c ≤ 0)."""
     m, c = germ
     if m == 1:
+        if c <= 0:
+            raise ValueError(f"the translation by {c} moves no point up")
         k = math.ceil(abs(edge - x) / c)
         return k, x + k * c if x < edge else x - k * c
+    y = min(x, edge) if m > 1 else max(x, edge)
+    if _ap(germ, y) <= y:
+        raise ValueError(f"the germ {m}x + {c} cannot carry {x} to {edge}")
     k = 0
     if x < edge:
         while x < edge:
@@ -180,6 +193,7 @@ class Conjugator:
 
     def __init__(self, segments: list[Segment]):
         self.segments = segments
+        self._inverse: Optional[Conjugator] = None
 
     def apply(self, q: Fraction) -> Fraction:
         q = Fraction(q)
@@ -195,7 +209,10 @@ class Conjugator:
         return Conjugator([seg.inverse() for seg in self.segments])
 
     def apply_inverse(self, v: Fraction) -> Fraction:
-        return self.inverse().apply(v)
+        """h⁻¹(v), through an inverse built on the first call and kept."""
+        if self._inverse is None:
+            self._inverse = self.inverse()
+        return self._inverse.apply(v)
 
 
 # ---------------------------------------------------------------------------

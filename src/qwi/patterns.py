@@ -204,16 +204,23 @@ def validate_pattern(p: OrbitalPattern) -> None:
 
 def _collapse_trivial_tails(p: OrbitalPattern) -> OrbitalPattern:
     """A tail word without any Moving block denotes one big fixed region
-    running to the infinity on that side; fold it into the core."""
-    lt, core, rt = p.left_tail, list(p.core), p.right_tail
-    if rt is not None and not any(isinstance(b, Moving) for b in rt):
+    running to the infinity on that side; fold it into the core.  When every
+    tail present holds a Moving block there is nothing to fold, and p itself
+    is returned."""
+    lt, rt = p.left_tail, p.right_tail
+    fold_left = lt is not None and Moving not in map(type, lt)
+    fold_right = rt is not None and Moving not in map(type, rt)
+    if not (fold_left or fold_right):
+        return p
+    core = list(p.core)
+    if fold_right:
         merged = Fixed(fixed_kind(rt[0].has_min if isinstance(rt[0], Fixed) else False, False))
         if core and isinstance(core[-1], Fixed):
             merged = Fixed(fixed_kind(core[-1].has_min, False))
             core.pop()
         core.append(merged)
         rt = None
-    if lt is not None and not any(isinstance(b, Moving) for b in lt):
+    if fold_left:
         merged = Fixed(fixed_kind(False, lt[-1].has_max if isinstance(lt[-1], Fixed) else False))
         if core and isinstance(core[0], Fixed):
             merged = Fixed(fixed_kind(False, core[0].has_max))
@@ -225,27 +232,31 @@ def _collapse_trivial_tails(p: OrbitalPattern) -> OrbitalPattern:
 
 def _primitive(word: tuple[Block, ...]) -> tuple[Block, ...]:
     n = len(word)
-    for d in range(1, n + 1):
+    for d in range(1, n // 2 + 1):
         if n % d == 0 and word == word[:d] * (n // d):
             return word[:d]
     return word
 
 
 def canonical_pattern(p: OrbitalPattern) -> OrbitalPattern:
+    """The canonical form of p's order type; p itself when p is already in
+    canonical form."""
     p = _collapse_trivial_tails(p)
-    lt = _primitive(p.left_tail) if p.left_tail is not None else None
-    rt = _primitive(p.right_tail) if p.right_tail is not None else None
-    core = list(p.core)
+    lt, core, rt = p.left_tail, p.core, p.right_tail
     if rt is not None:
+        rt = _primitive(rt)
         # absorb a maximal run of the core into the periodic part
         while core and core[-1] == rt[-1]:
-            core.pop()
+            core = core[:-1]
             rt = rt[-1:] + rt[:-1]
     if lt is not None:
+        lt = _primitive(lt)
         while core and core[0] == lt[0]:
-            core.pop(0)
+            core = core[1:]
             lt = lt[1:] + lt[:1]
-    return OrbitalPattern(lt, tuple(core), rt)
+    if lt is p.left_tail and core is p.core and rt is p.right_tail:
+        return p
+    return OrbitalPattern(lt, core, rt)
 
 
 def pattern_iso(p: OrbitalPattern, q: OrbitalPattern) -> bool:
@@ -419,16 +430,13 @@ def inf_formula_holds(p: OrbitalPattern) -> bool:
 # exhaustive enumeration (desk-scale verification)
 # ---------------------------------------------------------------------------
 
-_INTERIOR_MOVING = [Moving(p, l, r) for p in (1, -1)
-                    for l in (RATIONAL, IRRATIONAL) for r in (RATIONAL, IRRATIONAL)]
-_ALL_FIXED = [Fixed(k) for k in (EMPTY, SINGLETON, NO_MIN_NO_MAX, MIN_ONLY, MAX_ONLY, MIN_AND_MAX)]
-
-
-def _core_block_choices(leftmost: bool) -> list[Block]:
-    moving = [Moving(p, l, r) for p in (1, -1)
-              for l in ((MINUS_INF,) if leftmost else (MINUS_INF, RATIONAL, IRRATIONAL))
-              for r in (RATIONAL, IRRATIONAL, PLUS_INF)]
-    return moving + _ALL_FIXED
+# every block, built once so that cores and tails share block objects; the
+# order of each list is the order of enumeration
+_CORE_BLOCKS = [Moving(p, l, r) for p in (1, -1)
+                for l in (MINUS_INF, RATIONAL, IRRATIONAL) for r in (RATIONAL, IRRATIONAL, PLUS_INF)]
+_CORE_BLOCKS += [Fixed(k) for k in (EMPTY, SINGLETON, NO_MIN_NO_MAX, MIN_ONLY, MAX_ONLY, MIN_AND_MAX)]
+_FIRST_BLOCKS = [b for b in _CORE_BLOCKS if _left_edge_ok(b)]
+_TAIL_BLOCKS = [b for b in _CORE_BLOCKS if _interior_ok(b)]
 
 
 def enumerate_cores(max_len: int) -> Iterator[tuple[Block, ...]]:
@@ -439,10 +447,8 @@ def enumerate_cores(max_len: int) -> Iterator[tuple[Block, ...]]:
             yield tuple(seq)
         if len(seq) == max_len:
             return
-        for b in _core_block_choices(leftmost=not seq):
+        for b in _CORE_BLOCKS if seq else _FIRST_BLOCKS:
             if seq and not _adjacent_ok(seq[-1], b):
-                continue
-            if not seq and not _left_edge_ok(b):
                 continue
             seq.append(b)
             yield from extend(seq)
@@ -455,7 +461,7 @@ def enumerate_tail_words(max_len: int) -> Iterator[tuple[Block, ...]]:
     """All consistency-valid tail words up to max_len blocks (cyclic
     adjacency; all-fixed words allowed, they collapse to a plain region)."""
     for n in range(1, max_len + 1):
-        for combo in product(_INTERIOR_MOVING + _ALL_FIXED, repeat=n):
+        for combo in product(_TAIL_BLOCKS, repeat=n):
             if n == 1 and isinstance(combo[0], Fixed):
                 yield combo
                 continue
@@ -479,11 +485,23 @@ def enumerate_patterns(core_max: int, tail_max: int) -> Iterator[OrbitalPattern]
     side, keeping the has_min/has_max flag that the adjacency check on the
     other side reads.  With an empty core the two tails face each other, so
     the tail-only patterns are filtered pair by pair.
+
+    The partners depend on the core only through its end blocks, so they
+    are filtered once per pair (core[0], core[-1]): the blocks between
+    were checked when the core was built, a left tail's checks read
+    core[0] and a right tail's core[-1], and the edge check on the far
+    side reads the far end block, which a collapsed tail rewrites only in
+    a one-block core, whose one block is both ends.
     """
     tails = [None] + list(enumerate_tail_words(tail_max))
+    partners: dict[tuple[Block, Block], tuple[list, list]] = {}
     for core in enumerate_cores(core_max):
-        lefts = [lt for lt in tails if pattern_is_valid(OrbitalPattern(lt, core, None))]
-        rights = [rt for rt in tails if pattern_is_valid(OrbitalPattern(None, core, rt))]
+        ends = (core[0], core[-1])
+        if ends not in partners:
+            partners[ends] = (
+                [lt for lt in tails if pattern_is_valid(OrbitalPattern(lt, core, None))],
+                [rt for rt in tails if pattern_is_valid(OrbitalPattern(None, core, rt))])
+        lefts, rights = partners[ends]
         for lt in lefts:
             for rt in rights:
                 yield OrbitalPattern(lt, core, rt)

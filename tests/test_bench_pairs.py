@@ -76,3 +76,12 @@ def test_bounds_come_from_the_benchmark(bench_pairs):
     spec = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())
     assert bench_pairs.METRICS == {m["name"]: (m["better"], m["bound"])
                                    for m in spec["end_to_end"]}
+
+
+def test_counts_cover_every_census_task(bench_pairs):
+    """The census has no input list; its counts run it to exhaustion, as
+    the benchmark's worker does, not to a fixed number of tasks."""
+    from qwi.patterns import enumerate_patterns
+
+    out = bench_pairs.count_calls(TOOL.parent.parent, "pattern-census", 0, 12)
+    assert out["tasks"] == sum(1 for _ in enumerate_patterns(5, 3))

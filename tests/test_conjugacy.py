@@ -1,5 +1,7 @@
 import math
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -287,6 +289,74 @@ def test_verifier_refuses_an_orbital_over_a_fixed_point():
         [(Fraction(-1, 2), zero, one, zero), (zero, one, one, zero)], zero,
         (Fraction(2), one), (Fraction(2), one), (one, one), (one, one))])
     assert not verify_conjugator(h, f, f)
+    # nor does apply, unverified, walk forever below -1
+    assert h.apply(Fraction(-3, 4)) == Fraction(-3, 4)
+    with deadline(5), pytest.raises(ValueError):
+        h.apply(Fraction(-2))
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail, by TimeoutError, a block that runs longer than `seconds`."""
+    def fire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, fire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+half, two = Fraction(1, 2), Fraction(2)
+
+
+@pytest.mark.parametrize("germ, x, edge", [
+    # the germ moves x away from the edge: down toward its fixed point 0,
+    # forward, and up toward it, backward
+    ((half, Fraction(0)), Fraction(1), two),
+    ((two, Fraction(0)), Fraction(-1), -two),
+    # a fixed point between x and the edge, at the edge, or at x
+    ((half, Fraction(1)), Fraction(0), Fraction(3)),
+    ((two, Fraction(0)), Fraction(1), Fraction(-1)),
+    ((half, Fraction(1)), Fraction(0), two),
+    ((two, -two), two, Fraction(3)),
+    # a translation that moves no point up, forward and backward
+    ((Fraction(1), Fraction(0)), Fraction(0), Fraction(1)),
+    ((Fraction(1), Fraction(-1)), Fraction(0), Fraction(5)),
+    ((Fraction(1), Fraction(-1)), Fraction(5), Fraction(0)),
+])
+def test_walk_refuses_a_germ_that_cannot_carry_x_to_the_edge(germ, x, edge):
+    with deadline(5), pytest.raises(ValueError):
+        conjugacy._walk(germ, x, edge)
+
+
+def test_walk_reaches_an_edge_just_short_of_a_fixed_point():
+    # x ↦ x/2 + 1 fixes 2 and climbs 0, 1, 3/2, 7/4 from below
+    assert conjugacy._walk((half, Fraction(1)), Fraction(0), Fraction(7, 4)) == (3, Fraction(7, 4))
+    assert conjugacy._walk((half, Fraction(1)), Fraction(7, 4), Fraction(0)) == (3, Fraction(0))
+
+
+def test_apply_inverse_inverts_each_window_stack_once(monkeypatch):
+    rnd = random.Random("conjugacy-test:apply-inverse-2")
+    f = gen_plmap_rnd(rnd, 5)
+    w = conjugating_witness(f, f.conjugate_by(gen_plmap_rnd(rnd, 5)))
+    orbitals = sum(isinstance(s, OrbitalSeg) for s in w.segments)
+    assert orbitals >= 2
+    calls = [0]
+    inverse_pieces = conjugacy._inverse_pieces
+
+    def counting(pieces):
+        calls[0] += 1
+        return inverse_pieces(pieces)
+
+    monkeypatch.setattr(conjugacy, "_inverse_pieces", counting)
+    for k in range(-60, 60):
+        x = Fraction(k, 3)
+        assert w.apply_inverse(w.apply(x)) == x
+    assert calls[0] == orbitals
 
 
 def linear_piece(pieces, x):

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -278,6 +279,34 @@ def test_seam_product_matches_the_triple_loop(core_max, tail_max, monkeypatch):
     tails = 1 + len(list(enumerate_tail_words(tail_max)))
     cores = len(list(enumerate_cores(core_max)))
     assert calls[0] <= cores * 2 * tails + tails ** 2
+
+
+@pytest.mark.parametrize("core_max,tail_max", [(3, 2), (4, 2), (5, 3)])
+def test_partners_are_filtered_once_per_end_pair(core_max, tail_max, monkeypatch):
+    calls = [0]
+
+    def counting(p):
+        calls[0] += 1
+        return pattern_is_valid(p)
+
+    monkeypatch.setattr(patterns, "pattern_is_valid", counting)
+    for _ in enumerate_patterns(core_max, tail_max):
+        pass
+    # each side's tails once per pair of core end blocks, then every
+    # tail-only pair but (None, None)
+    tails = 1 + len(list(enumerate_tail_words(tail_max)))
+    ends = {(core[0], core[-1]) for core in enumerate_cores(core_max)}
+    assert calls[0] == 2 * tails * len(ends) + tails ** 2 - 1
+
+
+def test_census_sequence_is_pinned():
+    """The exact sequence of `enumerate_patterns(5, 3)`, which the
+    benchmark's census reads task by task."""
+    out = list(enumerate_patterns(5, 3))
+    text = "\n".join(map(format_pattern, out)) + "\n"
+    assert len(out) == 19677
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "0a58bf550f856bf2bbfc67f37215980acc07aa3c2b0bcd8724f2d099793f12d4")
 
 
 def test_no_finite_restriction_is_isomorphic_to_itself_minus_an_orbital():

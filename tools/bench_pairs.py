@@ -162,22 +162,29 @@ def count_calls(root: Path, workload: str, seed: int, seconds: float) -> dict:
 def _count(root: str, workload: str, seed: int, seconds: float) -> dict:
     sys.path[:0] = [str(Path(root) / "src"), str(Path(root) / "perfbench")]
     from layers import bind
-    from workloads import WORKLOADS as CLASSES
+    from workloads import WORKLOADS as CLASSES, Exhausted
 
     api = bind()
     wl = CLASSES[workload]()
     inputs = wl.setup(api, seed, seconds)
     wl.spot = False
-    n = len(inputs) if inputs is not None else 2000
+    # as in perfbench/worker.py: every input, or until the workload is
+    # exhausted when it has no input list
+    n = len(inputs) if inputs is not None else None
+    i = 0
     prof = cProfile.Profile()
     prof.enable()
-    for i in range(n):
-        wl.task(api, inputs, i)
+    try:
+        while n is None or i < n:
+            wl.task(api, inputs, i)
+            i += 1
+    except Exhausted:
+        pass
     prof.disable()
     stats = pstats.Stats(prof).stats
     fractions = sum(v[1] for k, v in stats.items()
                     if k[0].endswith("fractions.py") and k[2] == "__new__")
-    return {"tasks": n, "calls": sum(v[1] for v in stats.values()),
+    return {"tasks": i, "calls": sum(v[1] for v in stats.values()),
             "fraction_new": fractions}
 
 
