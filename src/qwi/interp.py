@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from .numbers import NEG_INF, POS_INF, QInterval, gaps_of, is_finite, pick_fresh
 from .plmap import PLMap
@@ -97,14 +97,6 @@ def encode_finite_set_alt(S) -> PLMap:
     """Second, independent encoder (different germ slopes) for
     representation-independence checks."""
     return _set_encoder(S, Fraction(1, 3), Fraction(3), Fraction(3), Fraction(2))
-
-
-def decode(f: PLMap) -> Union[Fraction, tuple[Fraction, ...]]:
-    if P.rational_sem(f):
-        return P.cof_endpoint(f)
-    if P.finrational_sem(f):
-        return P.fixed_point_set(f)
-    raise InterpError("element encodes neither a rational nor a finite set")
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +173,7 @@ def _tr(phi: Formula, names: Iterator[int]) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# the order oracle
+# the orientation parameter
 # ---------------------------------------------------------------------------
 
 def _rightward(p: PLMap) -> bool:
@@ -189,17 +181,6 @@ def _rightward(p: PLMap) -> bool:
     unbounded side is rightward."""
     (ivp, _), = p.signed_support()
     return is_finite(ivp.lo)
-
-
-def less_p(f: PLMap, g: PLMap, p: PLMap) -> bool:
-    """endpoint(f) < endpoint(g), with "less" read in the orientation for
-    which p's unbounded side is rightward."""
-    if not (P.rational_sem(f) and P.rational_sem(g)):
-        raise InterpError("less_p needs two rational-coding elements")
-    if not P.cof_sem(p):
-        raise InterpError("orientation parameter must be cofinal")
-    a, b = P.cof_endpoint(f), P.cof_endpoint(g)
-    return a < b if _rightward(p) else b < a
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +321,7 @@ class _Pullback(P.GroupEvaluator):
         """One set per reachable end state of the body's automaton.
 
         The landmarks of the body's other variables are read in the
-        direction of the orientation parameter, the order `less_p` uses.  A
+        direction of the orientation parameter, as `_rightward` reads it.  A
         breadth-first search over (landmarks read, state) inserts a fresh
         point of the set before the next landmark, or reads that landmark
         with or without it, and keeps the first, so shortest, way to each

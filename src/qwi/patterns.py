@@ -351,7 +351,7 @@ def mirror_pattern(p: OrbitalPattern) -> OrbitalPattern:
     return OrbitalPattern(mw(p.right_tail), mw(p.core), mw(p.left_tail))
 
 
-def lemma21_decompose(p: OrbitalPattern) -> Optional[tuple[Moving, OrbitalPattern, OrbitalPattern]]:
+def lemma21_decompose(p: OrbitalPattern) -> tuple[Moving, OrbitalPattern, OrbitalPattern]:
     """For a pattern with ω-many orbitals, a restriction g that splits as an
     orbital g1 times a remainder g2 with g ≅ g2.
 
@@ -364,15 +364,11 @@ def lemma21_decompose(p: OrbitalPattern) -> Optional[tuple[Moving, OrbitalPatter
     c = canonical_pattern(p)
     if c.right_tail is not None:
         return _decompose_right(c.right_tail)
-    m = mirror_pattern(c)
-    res = _decompose_right(m.right_tail)
-    if res is None:
-        return None
-    g1, g2, g = res
+    g1, g2, g = _decompose_right(mirror_pattern(c).right_tail)
     return (_mirror_block(g1), mirror_pattern(g2), mirror_pattern(g))
 
 
-def _decompose_right(word: tuple[Block, ...]) -> Optional[tuple[Moving, OrbitalPattern, OrbitalPattern]]:
+def _decompose_right(word: tuple[Block, ...]) -> tuple[Moving, OrbitalPattern, OrbitalPattern]:
     cls = next(b for b in word if isinstance(b, Moving))
     n = len(word)
     idx = [i for i, b in enumerate(word) if b == cls]
@@ -422,8 +418,8 @@ def inf_formula_holds(p: OrbitalPattern) -> bool:
     """
     if not has_inf_orbitals(p):
         return False
-    res = lemma21_decompose(p)
-    return res is not None and pattern_iso(res[2], res[1])
+    _, g2, g = lemma21_decompose(p)
+    return pattern_iso(g, g2)
 
 
 # ---------------------------------------------------------------------------

@@ -182,11 +182,6 @@ def test_cont_literal_degenerates_on_dense_support():
     assert hits == P.discrepancy_search("cont", trials=100, seed=0)
 
 
-@pytest.mark.parametrize("macro", ["coterm", "cof", "oppsupport", "codesame"])
-def test_other_literals_agree_with_oracles(macro):
-    assert P.discrepancy_search(macro, trials=150, seed=0) == []
-
-
 @pytest.mark.parametrize("macro, schema, searched", [
     ("coterm", "bump(x)", "coterm"),
     ("cof", "bump(x) & ~coterm(x)", "cof"),

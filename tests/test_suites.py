@@ -36,19 +36,6 @@ def test_seeded_suites_pass_and_are_deterministic(name):
     assert (a.cases, a.failures, a.notes) == (b.cases, b.failures, b.notes)
 
 
-def test_exhaustive_suites_pass():
-    for name in ("lemma21", "lemma22", "classes8"):
-        r, = run_suite(name, seed=0)
-        assert r.ok and r.cases > 0, r.render()
-
-
-def test_discrepancy_suite_reports_expected_finding():
-    r, = run_suite("discrepancy", seed=0, cases=60)
-    assert r.ok
-    assert any("expected finding" in n for n in r.notes)
-    assert any(n.startswith("coterm:") for n in r.notes)
-
-
 def test_all_runs_each_suite_exactly_once():
     reports = run_suite("all", seed=0, cases=15)
     names = [r.suite for r in reports]
