@@ -31,7 +31,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Optional, Union
 
-from .numbers import NEG_INF, POS_INF, ExtRat, QInterval, is_finite, pick_fresh
+from .numbers import NEG_INF, POS_INF, ExtRat, QInterval, Rat, is_finite, pick_fresh
 from .plmap import PLMap
 from .patterns import pattern_iso, pattern_of
 
@@ -195,8 +195,9 @@ class Conjugator:
         self.segments = segments
         self._inverse: Optional[Conjugator] = None
 
-    def apply(self, q: Fraction) -> Fraction:
-        q = Fraction(q)
+    def apply(self, q: Fraction) -> Rat:
+        if type(q) is not Rat:
+            q = Rat(q)
         for seg in self.segments:
             if seg.covers(q):
                 return seg.apply(q)
@@ -236,7 +237,7 @@ def _fixed_seg(lo, hi, lo2, hi2) -> FixedSeg:
     translation, anchored at a finite end, unless both ends are finite and
     distinct (on the whole line f = g = id and h is the identity)."""
     bounded = is_finite(lo) and is_finite(hi) and lo < hi
-    m = (hi2 - lo2) / (hi - lo) if bounded else Fraction(1)
+    m = (hi2 - lo2) / (hi - lo) if bounded else Rat(1)
     x, y = (lo, lo2) if is_finite(lo) else (hi, hi2) if is_finite(hi) else (0, 0)
     return FixedSeg(lo, hi, (m, y - m * x))
 

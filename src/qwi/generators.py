@@ -7,9 +7,8 @@ from here, so one seed fixes every case list.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
-from .numbers import QInterval, is_finite
+from .numbers import QInterval, Rat, is_finite
 from .plmap import PLMap
 
 
@@ -33,18 +32,18 @@ def gen_plmap_rnd(rnd: random.Random, complexity: int) -> PLMap:
     if roll < 0.40:
         return make_bump(_rand_interval(rnd), up=rnd.random() < 0.5)
     n = rnd.randint(1, max(1, complexity))
-    cuts = sorted(rnd.sample([Fraction(k, rnd.choice([1, 1, 2, 3])) for k in range(-12, 13)], n))
+    cuts = sorted(rnd.sample([Rat(k, rnd.choice([1, 1, 2, 3])) for k in range(-12, 13)], n))
     while len(set(cuts)) < n:
         cuts = sorted(rnd.sample(range(-3 * complexity - 2, 3 * complexity + 3), n))
-        cuts = [Fraction(c) for c in cuts]
-    slopes = [Fraction(rnd.randint(1, 6), rnd.randint(1, 6)) for _ in range(n + 1)]
+        cuts = [Rat(c) for c in cuts]
+    slopes = [Rat(rnd.randint(1, 6), rnd.randint(1, 6)) for _ in range(n + 1)]
     anchor = cuts[0] - 1
     value = _rat(rnd)
     return PLMap.from_slopes(anchor, value, cuts, slopes)
 
 
-def _rat(rnd: random.Random) -> Fraction:
-    return Fraction(rnd.randint(-12, 12), rnd.choice([1, 1, 2, 3, 4]))
+def _rat(rnd: random.Random) -> Rat:
+    return Rat(rnd.randint(-12, 12), rnd.choice([1, 1, 2, 3, 4]))
 
 
 def _rand_interval(rnd: random.Random) -> QInterval:
@@ -57,7 +56,7 @@ def _rand_interval(rnd: random.Random) -> QInterval:
         return QInterval(a, POS_INF)
     if shape < 0.75:
         return QInterval(NEG_INF, a)
-    b = a + Fraction(rnd.randint(1, 8), rnd.choice([1, 2]))
+    b = a + Rat(rnd.randint(1, 8), rnd.choice([1, 2]))
     return QInterval(a, b)
 
 
@@ -69,12 +68,12 @@ def make_bump(iv: QInterval, up: bool = True) -> PLMap:
     if not is_finite(lo) and not is_finite(hi):
         f = PLMap.translation(1)
     elif not is_finite(lo):
-        f = PLMap((hi,), ((Fraction(1, 2), hi / 2), (Fraction(1), Fraction(0))))
+        f = PLMap((hi,), ((Rat(1, 2), hi / 2), (Rat(1), Rat(0))))
     elif not is_finite(hi):
-        f = PLMap((lo,), ((Fraction(1), Fraction(0)), (Fraction(2), -lo)))
+        f = PLMap((lo,), ((Rat(1), Rat(0)), (Rat(2), -lo)))
     else:
         mid = lo + (hi - lo) / 3
         f = PLMap.from_slopes(lo, lo, [lo, mid, hi],
-                              [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(1)])
+                              [Rat(1), Rat(2), Rat(1, 2), Rat(1)])
     return f if up else f.inverse()
 

@@ -36,7 +36,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Iterator, Optional
 
-from .numbers import NEG_INF, POS_INF, QInterval, gaps_of, is_finite, pick_fresh
+from .numbers import NEG_INF, POS_INF, QInterval, Rat, gaps_of, is_finite, pick_fresh
 from .plmap import PLMap
 from .formulas import (
     _BINARY, And, EqPt, Exists, ExistsPt, ExistsSet, Forall, ForallPt,
@@ -60,7 +60,7 @@ class InterpError(ValueError):
 
 def encode_rational(q: Fraction, side: str = "right") -> PLMap:
     """The bump on (q, ∞) for side "right", on (-∞, q) for side "left"."""
-    q = Fraction(q)
+    q = Rat(q)
     if side == "right":
         return make_bump(QInterval(q, POS_INF))
     if side == "left":
@@ -72,7 +72,7 @@ def _set_encoder(points, below: Fraction, rise: Fraction, above: Fraction,
                  empty_shift: Fraction) -> PLMap:
     """Positive element fixing exactly `points`: a slope-`below` ray, one
     bump per gap with first slope `rise`, and a slope-`above` ray."""
-    pts = sorted(set(Fraction(a) for a in points))
+    pts = sorted(set(Rat(a) for a in points))
     if not pts:
         return PLMap.translation(empty_shift)
     cuts = [pts[0]]
@@ -90,13 +90,13 @@ def _set_encoder(points, below: Fraction, rise: Fraction, above: Fraction,
 def encode_finite_set(S) -> PLMap:
     """Fixed set exactly S: x/2-style ray below, three-piece bumps with
     slopes 2 then 1/2 on each gap, doubling ray above; ∅ ↦ x+1."""
-    return _set_encoder(S, Fraction(1, 2), Fraction(2), Fraction(2), Fraction(1))
+    return _set_encoder(S, Rat(1, 2), Rat(2), Rat(2), Rat(1))
 
 
 def encode_finite_set_alt(S) -> PLMap:
     """Second, independent encoder (different germ slopes) for
     representation-independence checks."""
-    return _set_encoder(S, Fraction(1, 3), Fraction(3), Fraction(3), Fraction(2))
+    return _set_encoder(S, Rat(1, 3), Rat(3), Rat(3), Rat(2))
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +248,8 @@ def _spread(gap: QInterval, k: int) -> list[Fraction]:
     return out
 
 
-_SIDES = {"right": (QInterval(Fraction(0), POS_INF),),
-          "left": (QInterval(NEG_INF, Fraction(0)),)}
+_SIDES = {"right": (QInterval(Rat(0), POS_INF),),
+          "left": (QInterval(NEG_INF, Rat(0)),)}
 
 
 class _Pullback(P.GroupEvaluator):

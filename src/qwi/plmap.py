@@ -29,23 +29,24 @@ from .numbers import (
     POS_INF,
     ExtRat,
     QInterval,
+    Rat,
     parse_rational,
 )
 
-Piece = tuple[Fraction, Fraction]  # (slope, intercept)
+Piece = tuple[Rat, Rat]  # (slope, intercept)
 
 
 class PLMapError(ValueError):
     pass
 
 
-def _sign(d: Fraction) -> int:
+def _sign(d: Rat) -> int:
     n = d.numerator  # a Fraction's denominator is positive
     return (n > 0) - (n < 0)
 
 
-def _fractions(xs) -> list[Fraction]:
-    return [x if type(x) is Fraction else Fraction(x) for x in xs]
+def _rats(xs) -> list[Rat]:
+    return [x if type(x) is Rat else Rat(x) for x in xs]
 
 
 class PLMap:
@@ -58,8 +59,8 @@ class PLMap:
     def __init__(self, cuts: Sequence[Fraction], pieces: Sequence[Piece]):
         """The checked piece form: one (slope, intercept) pair per gap, equal
         at every cut (the text format's reading)."""
-        cuts = _fractions(cuts)
-        pieces = [tuple(_fractions(p)) for p in pieces]
+        cuts = _rats(cuts)
+        pieces = [tuple(_rats(p)) for p in pieces]
         if len(pieces) != len(cuts) + 1:
             raise PLMapError(
                 f"{len(cuts)} cuts need {len(cuts) + 1} pieces, got {len(pieces)}"
@@ -71,7 +72,7 @@ class PLMap:
 
     def _build(self, anchor, value, cuts: Sequence[Fraction],
                slopes: Sequence[Fraction]) -> None:
-        cuts, slopes = _fractions(cuts), _fractions(slopes)
+        cuts, slopes = _rats(cuts), _rats(slopes)
         if len(slopes) != len(cuts) + 1:
             raise PLMapError(
                 f"{len(cuts)} cuts need {len(cuts) + 1} slopes, got {len(slopes)}")
@@ -83,12 +84,12 @@ class PLMap:
                 raise PLMapError(f"non-positive slope {m} (not order-preserving)")
         m = slopes[0]
         c0 = value - m * anchor if anchor else value
-        if type(c0) is not Fraction:
-            c0 = Fraction(c0)
+        if type(c0) is not Rat:
+            c0 = Rat(c0)
         # canonical form: a cut between equal slopes is no cut; each kept
         # cut's image is walked from the previous one
-        xs: list[Fraction] = []
-        ys: list[Fraction] = []
+        xs: list[Rat] = []
+        ys: list[Rat] = []
         ms = [m]
         for b, m in zip(cuts, slopes[1:]):
             if m == ms[-1]:
@@ -146,22 +147,22 @@ class PLMap:
         """The affine piece in force just right of x; x may be ±∞."""
         return self.pieces[bisect_right(self.cuts, x)]
 
-    def cuts_in(self, lo: ExtRat, hi: ExtRat) -> tuple[Fraction, ...]:
+    def cuts_in(self, lo: ExtRat, hi: ExtRat) -> tuple[Rat, ...]:
         """The cuts strictly between lo and hi, left to right."""
         cuts = self.cuts
         return cuts[bisect_right(cuts, lo):bisect_left(cuts, hi)]
 
-    def apply(self, q: Fraction) -> Fraction:
-        if type(q) is not Fraction:
-            q = Fraction(q)
+    def apply(self, q: Fraction) -> Rat:
+        if type(q) is not Rat:
+            q = Rat(q)
         m, c = self.germ(q)
         return m * q + c
 
     __call__ = apply
 
-    def apply_inverse(self, q: Fraction) -> Fraction:
-        if type(q) is not Fraction:
-            q = Fraction(q)
+    def apply_inverse(self, q: Fraction) -> Rat:
+        if type(q) is not Rat:
+            q = Rat(q)
         i = bisect_right(self.image_cuts, q)
         m, c = self.pieces[i]
         return (q - c) / m
@@ -195,8 +196,8 @@ class PLMap:
         fcuts, fslopes = self.cuts, self.slopes
         ng, nf = len(gcuts), len(fcuts)
         i = j = 0
-        cuts: list[Fraction] = []
-        slopes: list[Fraction] = []
+        cuts: list[Rat] = []
+        slopes: list[Rat] = []
         while True:
             slopes.append(fslopes[j] * gslopes[i])
             if i < ng and (j == nf or gimages[i] <= fcuts[j]):
@@ -343,5 +344,5 @@ def parse_pl(text: str) -> PLMap:
               for a, b in _PAIR_RE.findall(pieces_txt)]
     for p, q in zip(pieces, pieces[1:]):
         if p == q:
-            raise PLMapError(f"non-canonical input (adjacent identical pieces {p})")
+            raise PLMapError(f"non-canonical input (adjacent identical pieces ({p[0]},{p[1]}))")
     return PLMap(cuts, pieces)

@@ -361,6 +361,15 @@ def _coded_pair(rnd: random.Random) -> tuple[PLMap, PLMap]:
     return f, g.compose(f).compose(g.inverse())
 
 
+def _shared_end_pair(rnd: random.Random) -> list[PLMap]:
+    """Codes of one rational, each on a random side: oppsupport holds on
+    them exactly when the sides differ."""
+    from .interp import encode_rational  # interp imports this module
+
+    q = Fraction(rnd.randint(-8, 8), rnd.randint(1, 3))
+    return [encode_rational(q, rnd.choice(("left", "right"))) for _ in "fg"]
+
+
 def discrepancy_search(macro: str, trials: int, seed: int) -> list[tuple]:
     """Compare the schema of a literal macro, read by `literal`, against its
     oracle.
@@ -370,7 +379,9 @@ def discrepancy_search(macro: str, trials: int, seed: int) -> list[tuple]:
     cont macro is expected to diverge: a dense-support y has no disjoint
     non-identity partner, so the literal ∀z clause is vacuously true no
     matter what x does.  The codesame schema is read on the interpretation's
-    own elements (`_coded_pair`), where both supports are half-lines.
+    own elements (`_coded_pair`), where both supports are half-lines; half
+    of the oppsupport pairs are codes of one shared endpoint
+    (`_shared_end_pair`), where random maps almost never meet.
     """
     if macro not in LITERAL_MACROS:
         raise ValueError(f"unknown macro {macro!r}; expected one of {sorted(LITERAL_MACROS)}")
@@ -378,8 +389,12 @@ def discrepancy_search(macro: str, trials: int, seed: int) -> list[tuple]:
     found = []
     for _ in range(trials):
         pool = [gen_plmap_rnd(rnd, 4) for _ in range(8)]
-        args = (_coded_pair(rnd) if macro == "codesame"
-                else [gen_plmap_rnd(rnd, 4) for _ in MACROS[macro][0]])
+        if macro == "codesame":
+            args = _coded_pair(rnd)
+        elif macro == "oppsupport" and rnd.random() < 0.5:
+            args = _shared_end_pair(rnd)
+        else:
+            args = [gen_plmap_rnd(rnd, 4) for _ in MACROS[macro][0]]
         lit, sem = literal(macro, args, pool), ORACLES[macro](*args)
         if lit != sem:
             found.append((*args, lit, sem))

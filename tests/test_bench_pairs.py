@@ -85,3 +85,23 @@ def test_counts_cover_every_census_task(bench_pairs):
 
     out = bench_pairs.count_calls(TOOL.parent.parent, "pattern-census", 0, 12)
     assert out["tasks"] == sum(1 for _ in enumerate_patterns(5, 3))
+
+
+def test_constructions_count_fraction_and_rat_alike(bench_pairs):
+    """`fraction_new` counts the rationals built through `Fraction.__new__`
+    and through `Rat`'s private constructor, so a change of type does not
+    read as zero constructions."""
+    import cProfile
+    import pstats
+    from fractions import Fraction
+
+    from qwi.numbers import Rat
+
+    prof = cProfile.Profile()
+    prof.enable()
+    Fraction(1, 3)
+    Fraction(2, 5)
+    q = Rat(1, 3)       # through Fraction.__new__
+    q + q, q * 2, -q    # three through _rat
+    prof.disable()
+    assert bench_pairs.constructions(pstats.Stats(prof).stats) == 6

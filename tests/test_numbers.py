@@ -1,11 +1,14 @@
+import operator
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qwi.generators import make_bump
+from qwi.conjugacy import conjugating_witness
+from qwi.generators import gen_plmap_rnd, make_bump
 from qwi.numbers import (
-    FULL_LINE, NEG_INF, POS_INF, QInterval, format_ext,
+    FULL_LINE, NEG_INF, POS_INF, QInterval, Rat, format_ext,
     gaps_of, is_finite, parse_rational, pick_fresh,
 )
 from qwi.plmap import PLMap
@@ -138,3 +141,104 @@ def test_interval_set_relations():
     assert not disj_sem(a, b) and disj_sem(a, c)
     assert coterm_sem(PLMap.translation(1))
     assert not coterm_sem(b)
+
+
+# `Rat` against `fractions.Fraction`: every operation that `Rat` computes on
+# its own must give Fraction's value, in lowest terms, and a `Rat`.
+
+def _operands(seed: int, n: int = 60) -> list:
+    """Seeded `Rat`, `Fraction` and `int` operands: zero, negatives, large
+    numerators and denominators."""
+    rnd = random.Random(seed)
+    out = [Rat(0), Fraction(0), 0, 1, -1, Rat(-7, 3), Fraction(10**30 + 1, 7)]
+    while len(out) < n:
+        num = rnd.choice([rnd.randint(-9, 9), rnd.randint(-10**25, 10**25)])
+        den = rnd.choice([1, rnd.randint(1, 12), rnd.randint(1, 10**20)])
+        out.append(rnd.choice([Rat, Fraction, lambda p, q: p // q])(num, den))
+    return out
+
+
+def _same(got, want) -> bool:
+    """Equal value in lowest terms, equal hash, and a `Rat`; read through
+    `numerator`/`denominator`, not through `Rat.__eq__`."""
+    return (type(got) is Rat and hash(got) == hash(want)
+            and (got.numerator, got.denominator) == (want.numerator, want.denominator))
+
+
+def _fraction(x):
+    return Fraction(x) if isinstance(x, Fraction) else x
+
+
+ARITHMETIC = [operator.add, operator.sub, operator.mul, operator.truediv]
+COMPARISONS = [operator.eq, operator.ne, operator.lt, operator.le, operator.gt,
+               operator.ge]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_rat_arithmetic_matches_fraction_in_both_orders(seed):
+    xs = _operands(seed)
+    rats = [x for x in xs if type(x) is Rat]
+    for a in rats:
+        for b in xs:
+            fa, fb = Fraction(a), _fraction(b)
+            for op in ARITHMETIC:
+                for x, y, fx, fy in ((a, b, fa, fb), (b, a, fb, fa)):
+                    if op is operator.truediv and not fy:
+                        with pytest.raises(ZeroDivisionError):
+                            op(x, y)
+                        continue
+                    assert _same(op(x, y), op(fx, fy)), (op, x, y)
+            for op in COMPARISONS:
+                assert op(a, b) is op(fa, fb), (op, a, b)
+                assert op(b, a) is op(fb, fa), (op, b, a)
+        assert _same(-a, -Fraction(a))
+        for k in range(-3, 4):
+            if not a and k < 0:
+                with pytest.raises(ZeroDivisionError):
+                    a ** k
+            else:
+                assert _same(a ** k, Fraction(a) ** k), (a, k)
+
+
+def test_rat_orders_against_the_infinities_from_both_sides():
+    for q in (Rat(0), Rat(-10**30, 7), Rat(5, 3)):
+        assert NEG_INF < q < POS_INF and POS_INF > q > NEG_INF
+        assert q > NEG_INF and q < POS_INF and NEG_INF <= q <= POS_INF
+        assert q >= NEG_INF and q <= POS_INF
+        assert not q < NEG_INF and not q > POS_INF and not POS_INF < q
+        assert q != POS_INF and NEG_INF != q and not q == NEG_INF
+
+
+def test_rat_is_a_fraction_with_fractions_text_and_hash():
+    q = Rat(6, -4)
+    assert isinstance(q, Fraction) and str(q) == "-3/2"
+    assert q == Fraction(-3, 2) and hash(q) == hash(Fraction(-3, 2))
+    assert {Fraction(-3, 2): 1}[q] == 1 and Rat(4, 2) == 2 and hash(Rat(4, 2)) == hash(2)
+    with pytest.raises(ZeroDivisionError):
+        Rat(1, 3) / 0
+    assert Rat(1, 2) + 0.25 == 0.75 and 0.25 + Rat(1, 2) == 0.75  # floats fall back
+
+
+def _all_rats(f: PLMap) -> bool:
+    return all(type(x) is Rat for x in (f.c0, *f.cuts, *f.image_cuts, *f.slopes))
+
+
+def test_maps_and_conjugators_compute_in_rat():
+    """The rationals of the group operations stay `Rat`, also on a map
+    built from `Fraction` and `int` values."""
+    rnd = random.Random(0)
+    given = PLMap.from_slopes(0, Fraction(1), [Fraction(-1), 2], [Fraction(1, 2), 1, 3])
+    assert _all_rats(given)
+    for _ in range(40):
+        f, g = gen_plmap_rnd(rnd, 5), rnd.choice([gen_plmap_rnd(rnd, 5), given])
+        for h in (f, f.compose(g), f.inverse(), f.conjugate_by(g)):
+            assert _all_rats(h), h
+        w = conjugating_witness(f, f.conjugate_by(g))
+        for x in (Fraction(1, 3), 2, Rat(-5, 2)):
+            assert type(f.apply(x)) is Rat and type(f.apply_inverse(x)) is Rat
+            assert type(w.apply(x)) is Rat and type(w.apply_inverse(x)) is Rat
+    one = Fraction(1)
+    for gap in (FULL_LINE, QInterval(one, POS_INF), QInterval(NEG_INF, one),
+                QInterval(Fraction(0), one)):
+        assert type(pick_fresh(gap)) is Rat
+    assert type(parse_rational("3")) is Rat and type(parse_rational("-6/4")) is Rat

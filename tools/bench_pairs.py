@@ -12,9 +12,13 @@ alike.  The output holds, per workload and end-to-end metric, the
 median and interquartile range of each side, the number of pairs the
 change won and a verdict against the metric's bound in `BENCHMARK.json`
 (see `verdict`), and each side's input and verdict digests.  Wall times are
-comparable only within one file.  The `Fraction` construction count of
-each workload's tasks, the library line count and the digests repeat
-exactly between runs; the Python call count (cProfile) can move by about
+comparable only within one file.  The rational construction count
+`fraction_new` of each workload's tasks counts the calls of
+`Fraction.__new__` and of `qwi.numbers._rat`, the private constructor of
+the library's `Rat` (a `Fraction` subclass), by name, so that it compares
+a side that builds rationals with `Fraction` and one that builds them
+with `Rat`.  It, the library line count and the digests repeat exactly
+between runs; the Python call count (cProfile) can move by about
 1 % between processes with the interpreter's import and cache state.  A
 `Fraction` sum of 40,000 terms, timed before and after the pairs, records
 the speed of the host.  Standard library only.
@@ -149,14 +153,23 @@ def bench(root: Path, names: tuple[str, ...], seed: int, seconds: float) -> dict
 
 
 def count_calls(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """Python calls and `Fraction` constructions made by the tasks of one
-    workload in `root`, counted by cProfile in a fresh process."""
+    """Python calls and rational constructions (see `constructions`) made
+    by the tasks of one workload in `root`, counted by cProfile in a fresh
+    process."""
     proc = subprocess.run(
         [sys.executable, __file__, "--count", str(root), workload, str(seed),
          str(seconds)],
         cwd=root, capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONHASHSEED": "0"})
     return json.loads(proc.stdout)
+
+
+def constructions(stats: dict) -> int:
+    """The rationals built in a profile: calls of `Fraction.__new__` and of
+    `Rat`'s constructor `_rat` in qwi's `numbers.py`."""
+    return sum(v[1] for (path, _, name), v in stats.items()
+               if (path.endswith("fractions.py") and name == "__new__")
+               or (path.endswith("numbers.py") and name == "_rat"))
 
 
 def _count(root: str, workload: str, seed: int, seconds: float) -> dict:
@@ -182,10 +195,8 @@ def _count(root: str, workload: str, seed: int, seconds: float) -> dict:
         pass
     prof.disable()
     stats = pstats.Stats(prof).stats
-    fractions = sum(v[1] for k, v in stats.items()
-                    if k[0].endswith("fractions.py") and k[2] == "__new__")
     return {"tasks": i, "calls": sum(v[1] for v in stats.values()),
-            "fraction_new": fractions}
+            "fraction_new": constructions(stats)}
 
 
 def main(argv=None) -> int:
