@@ -221,11 +221,10 @@ class QInterval:
 FULL_LINE = QInterval(NEG_INF, POS_INF)
 
 
-def gaps_of(points: Sequence[Fraction], lo: ExtRat = NEG_INF,
-            hi: ExtRat = POS_INF) -> list[QInterval]:
-    """The open gaps that the sorted points, all strictly between lo and
-    hi, cut (lo, hi) into, left to right: one more than there are points."""
-    ends = [lo, *points, hi]
+def gaps_of(points: Sequence[Fraction]) -> list[QInterval]:
+    """The open gaps that the sorted points cut the line into, left to
+    right: one more than there are points."""
+    ends = [NEG_INF, *points, POS_INF]
     return [QInterval(a, b) for a, b in zip(ends, ends[1:])]
 
 

@@ -4,13 +4,18 @@ regions, with ω-tails for elements that only exist symbolically.
 A pattern is a finite core of blocks plus an optional periodic word repeated
 descending toward -∞ (left tail) and/or ascending toward +∞ (right tail).
 Boundary kinds record whether a region edge is a rational, an irrational cut,
-or an infinity; the consistency table below is the executable reconstruction
-of which kinds may face each other.
+or an infinity.  One facing rule, `_adjacent_ok`, says which kinds may face
+each other, on either side of a fixed region.  `classify_cofinal` and
+`lemma21_decompose` are written for the right side and read the left
+through `mirror_pattern`, the order-reversal; validation and the canonical
+form, which run on every pattern enumerated, state both sides directly.
+`canonical_pattern` absorbs the core into the tails, and when a core
+empties between two tails it moves the seam where the tails meet to one
+representative place.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional, Sequence, Union
@@ -87,38 +92,21 @@ def fixed_kind(has_min: bool, has_max: bool) -> str:
 
 # ---------------------------------------------------------------------------
 # consistency table
-#
-# Reading left to right, a Moving block's right boundary faces the min side
-# of the next Fixed region, and a Fixed region's max side faces the next
-# Moving block's left boundary.  A closed side forces the facing boundary
-# rational (it *is* that rational); an open side of a bounded region has an
-# irrational cut; EMPTY forces irrational on both sides.  The four
-# rationality combinations of an orbital's endpoints are exactly the cases
-# this table distinguishes.
 # ---------------------------------------------------------------------------
 
-def _fixed_left_ok(m_right: str, f: Fixed) -> bool:
-    if m_right == RATIONAL:
-        return f.has_min
-    if m_right == IRRATIONAL:
-        return not f.has_min
-    return False  # PLUS_INF cannot face anything
-
-
-def _fixed_right_ok(f: Fixed, m_left: str) -> bool:
-    if m_left == RATIONAL:
-        return f.has_max
-    if m_left == IRRATIONAL:
-        return not f.has_max
-    return False  # MINUS_INF cannot face anything
-
-
 def _adjacent_ok(a: Block, b: Block) -> bool:
+    """The facing rule.  Moving blocks and Fixed regions alternate (two
+    orbitals abut across Fixed(EMPTY), and two fixed regions merge).  The
+    orbital's boundary that faces the region is rational exactly where the
+    region is closed on that side, since it *is* that endpoint; an open side
+    meets an irrational cut, and an infinite boundary faces nothing."""
     if isinstance(a, Moving) and isinstance(b, Fixed):
-        return _fixed_left_ok(a.right, b)
-    if isinstance(a, Fixed) and isinstance(b, Moving):
-        return _fixed_right_ok(a, b.left)
-    return False  # Moving/Moving (use Fixed(EMPTY)) and Fixed/Fixed merge
+        edge, closed = a.right, b.has_min
+    elif isinstance(a, Fixed) and isinstance(b, Moving):
+        edge, closed = b.left, a.has_max
+    else:
+        return False
+    return edge == (RATIONAL if closed else IRRATIONAL)
 
 
 def _left_edge_ok(b: Block) -> bool:
@@ -204,7 +192,8 @@ def validate_pattern(p: OrbitalPattern) -> None:
 
 def _collapse_trivial_tails(p: OrbitalPattern) -> OrbitalPattern:
     """A tail word without any Moving block denotes one big fixed region
-    running to the infinity on that side; fold it into the core.  When every
+    running to the infinity on that side; fold it, with the core's end
+    block when that is a Fixed region too, into one region.  When every
     tail present holds a Moving block there is nothing to fold, and p itself
     is returned."""
     lt, rt = p.left_tail, p.right_tail
@@ -214,20 +203,13 @@ def _collapse_trivial_tails(p: OrbitalPattern) -> OrbitalPattern:
         return p
     core = list(p.core)
     if fold_right:
-        merged = Fixed(fixed_kind(rt[0].has_min if isinstance(rt[0], Fixed) else False, False))
-        if core and isinstance(core[-1], Fixed):
-            merged = Fixed(fixed_kind(core[-1].has_min, False))
-            core.pop()
-        core.append(merged)
-        rt = None
+        inner = core.pop() if core and isinstance(core[-1], Fixed) else rt[0]
+        core.append(Fixed(fixed_kind(inner.has_min, False)))
     if fold_left:
-        merged = Fixed(fixed_kind(False, lt[-1].has_max if isinstance(lt[-1], Fixed) else False))
-        if core and isinstance(core[0], Fixed):
-            merged = Fixed(fixed_kind(False, core[0].has_max))
-            core.pop(0)
-        core.insert(0, merged)
-        lt = None
-    return OrbitalPattern(lt, tuple(core), rt)
+        inner = core.pop(0) if core and isinstance(core[0], Fixed) else lt[-1]
+        core.insert(0, Fixed(fixed_kind(False, inner.has_max)))
+    return OrbitalPattern(None if fold_left else lt, tuple(core),
+                          None if fold_right else rt)
 
 
 def _primitive(word: tuple[Block, ...]) -> tuple[Block, ...]:
@@ -240,12 +222,13 @@ def _primitive(word: tuple[Block, ...]) -> tuple[Block, ...]:
 
 def canonical_pattern(p: OrbitalPattern) -> OrbitalPattern:
     """The canonical form of p's order type; p itself when p is already in
-    canonical form."""
+    canonical form.  Each tail takes its primitive period and absorbs the
+    core blocks that repeat it; two tails left with no core between them
+    meet where `_seam` puts them."""
     p = _collapse_trivial_tails(p)
     lt, core, rt = p.left_tail, p.core, p.right_tail
     if rt is not None:
         rt = _primitive(rt)
-        # absorb a maximal run of the core into the periodic part
         while core and core[-1] == rt[-1]:
             core = core[:-1]
             rt = rt[-1:] + rt[:-1]
@@ -254,9 +237,27 @@ def canonical_pattern(p: OrbitalPattern) -> OrbitalPattern:
         while core and core[0] == lt[0]:
             core = core[1:]
             lt = lt[1:] + lt[:1]
+        if not core and rt is not None:
+            lt, rt = _seam(lt, rt)
     if lt is p.left_tail and core is p.core and rt is p.right_tail:
         return p
     return OrbitalPattern(lt, core, rt)
+
+
+def _seam(lt: tuple[Block, ...],
+          rt: tuple[Block, ...]) -> tuple[tuple[Block, ...], tuple[Block, ...]]:
+    """Place the seam of primitive tails lt and rt that meet with no core
+    between them.  It moves left while the blocks either side of it agree;
+    the periodic extensions of two distinct primitive words agree on fewer
+    than the sum of their lengths (Fine and Wilf), so it stops.  Equal
+    words denote one ℤ-indexed periodic order, and both become its rotation
+    that prints least."""
+    if lt == rt:
+        i = min(range(len(lt)), key=lambda i: list(map(_format_block, lt[i:] + lt[:i])))
+        return (lt, rt) if i == 0 else (lt[i:] + lt[:i],) * 2
+    while lt[-1] == rt[-1]:
+        lt, rt = lt[-1:] + lt[:-1], rt[-1:] + rt[:-1]
+    return lt, rt
 
 
 def pattern_iso(p: OrbitalPattern, q: OrbitalPattern) -> bool:
@@ -299,25 +300,20 @@ def classify_cofinal(p: OrbitalPattern) -> Optional[tuple[int, str, str]]:
     """(parity, side, endpoint-rationality) for a cofinal bump, else None.
 
     A cofinal bump has one non-trivial orbital whose support is bounded on
-    exactly one side; 8 classes in total.
+    exactly one side; 8 classes in total.  A bump whose support reaches -∞
+    is read through the mirror.
     """
     c = canonical_pattern(p)
-    if c.left_tail is not None or c.right_tail is not None:
+    if c.left_tail is not None or c.right_tail is not None or len(c.core) != 2:
         return None
-    blocks = c.core
-    if len(blocks) != 2:
+    side = "right"
+    if isinstance(c.core[0], Moving):
+        c, side = mirror_pattern(c), "left"
+    f, m = c.core
+    if not (isinstance(f, Fixed) and isinstance(m, Moving)
+            and m.right == PLUS_INF and m.left != MINUS_INF):
         return None
-    if isinstance(blocks[0], Fixed) and isinstance(blocks[1], Moving):
-        f, m = blocks
-        if m.right != PLUS_INF or m.left in (MINUS_INF, PLUS_INF):
-            return None
-        return (m.parity, "right", "rational" if m.left == RATIONAL else "irrational")
-    if isinstance(blocks[0], Moving) and isinstance(blocks[1], Fixed):
-        m, f = blocks
-        if m.left != MINUS_INF or m.right in (MINUS_INF, PLUS_INF):
-            return None
-        return (m.parity, "left", "rational" if m.right == RATIONAL else "irrational")
-    return None
+    return (m.parity, side, "rational" if m.left == RATIONAL else "irrational")
 
 
 def has_inf_orbitals(p: OrbitalPattern) -> bool:
@@ -355,9 +351,10 @@ def lemma21_decompose(p: OrbitalPattern) -> tuple[Moving, OrbitalPattern, Orbita
     """For a pattern with ω-many orbitals, a restriction g that splits as an
     orbital g1 times a remainder g2 with g ≅ g2.
 
-    The restriction keeps one class of identical orbitals from a tail word
-    (the thinning-out step: uniform parity, uniform endpoint kinds) so that
-    dropping the first one is a shift of the ω-sequence.
+    The restriction keeps the first orbital of each period of a tail word
+    and makes the rest of the period fixed (the thinning-out step), so that
+    dropping the first orbital g1 shifts the ω-sequence by one period.  A
+    left tail is read through the mirror.
     """
     if not has_inf_orbitals(p):
         raise PatternError("pattern has finitely many orbitals")
@@ -369,37 +366,24 @@ def lemma21_decompose(p: OrbitalPattern) -> tuple[Moving, OrbitalPattern, Orbita
 
 
 def _decompose_right(word: tuple[Block, ...]) -> tuple[Moving, OrbitalPattern, OrbitalPattern]:
-    cls = next(b for b in word if isinstance(b, Moving))
-    n = len(word)
-    idx = [i for i, b in enumerate(word) if b == cls]
-    # thinned period: one block of the class, then the merged region up to
-    # its next occurrence (cyclically), for each occurrence
-    thin: list[Block] = []
-    for j, i in enumerate(idx):
-        nxt = idx[(j + 1) % len(idx)]
-        span = (nxt - i) % n or n
-        seg = [word[(i + 1 + t) % n] for t in range(span - 1)]
-        thin.append(cls)
-        thin.append(_merged_segment(seg))
-    gword = tuple(thin)
-    initial = Fixed(fixed_kind(False, cls.left == RATIONAL))
+    i = next(i for i, b in enumerate(word) if isinstance(b, Moving))
+    g1 = word[i]
+    # thinned period: the kept orbital, then the region the rest becomes
+    gword = (g1, _merged_segment(word[i + 1:] + word[:i]))
+    initial = Fixed(fixed_kind(False, g1.left == RATIONAL))
     g = make_pattern([initial], right_tail=gword)
     # g2: the first orbital of the tail becomes fixed
-    after_first = gword[1]
-    initial2 = Fixed(fixed_kind(False, after_first.has_max))
-    g2 = make_pattern([initial2], right_tail=gword[2:] + gword[:2])
-    return (cls, g2, g)
+    g2 = make_pattern([_merged_segment((initial,) + gword)], right_tail=gword[2:] + gword[:2])
+    return (g1, g2, g)
 
 
 def _merged_segment(seg: Sequence[Block]) -> Fixed:
-    """Merge a run of blocks (fixed regions and dropped orbitals) into the
-    single fixed region they become."""
-    if all(isinstance(b, Fixed) and b.kind == EMPTY for b in seg):
-        return Fixed(EMPTY)
-    first, last = seg[0], seg[-1]
-    has_min = first.has_min if isinstance(first, Fixed) else False
-    has_max = last.has_max if isinstance(last, Fixed) else False
-    return Fixed(fixed_kind(has_min, has_max))
+    """Merge a run of blocks between two kept orbitals (fixed regions and
+    dropped orbitals, a Fixed block at each end) into the single fixed
+    region they become."""
+    if len(seg) == 1:
+        return seg[0]
+    return Fixed(fixed_kind(seg[0].has_min, seg[-1].has_max))
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +500,8 @@ def enumerate_patterns(core_max: int, tail_max: int) -> Iterator[OrbitalPattern]
 # ---------------------------------------------------------------------------
 
 _KIND_TOK = {MINUS_INF: "-inf", PLUS_INF: "inf", RATIONAL: "rat", IRRATIONAL: "irr"}
-_KIND_FROM = {v: k for k, v in _KIND_TOK.items()}
 _FIX_TOK = {EMPTY: "empty", SINGLETON: "single", NO_MIN_NO_MAX: "open",
             MIN_ONLY: "min", MAX_ONLY: "max", MIN_AND_MAX: "minmax"}
-_FIX_FROM = {v: k for k, v in _FIX_TOK.items()}
 
 
 def _format_block(b: Block) -> str:
@@ -537,40 +519,3 @@ def format_pattern(p: OrbitalPattern) -> str:
     if p.right_tail is not None:
         parts.append("rtail=[" + " ".join(map(_format_block, p.right_tail)) + "]")
     return " ".join(parts)
-
-
-_BLOCK_RE = re.compile(r"M\(([+-]),([^,)]+),([^,)]+)\)|F\(([a-z_]+)\)")
-
-
-def _parse_blocks(text: str) -> tuple[Block, ...]:
-    out: list[Block] = []
-    for tok in text.split():
-        m = _BLOCK_RE.fullmatch(tok)
-        if not m:
-            raise PatternError(f"bad block {tok!r}")
-        if m.group(4):
-            if m.group(4) not in _FIX_FROM:
-                raise PatternError(f"bad fixed kind {m.group(4)!r}")
-            out.append(Fixed(_FIX_FROM[m.group(4)]))
-        else:
-            sign = 1 if m.group(1) == "+" else -1
-            try:
-                out.append(Moving(sign, _KIND_FROM[m.group(2)], _KIND_FROM[m.group(3)]))
-            except KeyError as exc:
-                raise PatternError(f"bad boundary kind in {tok!r}") from None
-    return tuple(out)
-
-
-_PAT_RE = re.compile(
-    r"^pattern\s+(?:ltail=\[(?P<lt>[^\]]*)\]\s+)?core=\[(?P<core>[^\]]*)\]"
-    r"(?:\s+rtail=\[(?P<rt>[^\]]*)\])?\s*$"
-)
-
-
-def parse_pattern(text: str) -> OrbitalPattern:
-    m = _PAT_RE.match(text.strip())
-    if not m:
-        raise PatternError(f"unparseable pattern: {text!r}")
-    lt = _parse_blocks(m.group("lt")) if m.group("lt") is not None else None
-    rt = _parse_blocks(m.group("rt")) if m.group("rt") is not None else None
-    return make_pattern(_parse_blocks(m.group("core")), lt, rt)

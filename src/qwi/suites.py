@@ -20,8 +20,9 @@ from fractions import Fraction
 from .numbers import FULL_LINE, is_finite
 from .plmap import PLMap, format_pl
 from .patterns import (
-    canonical_pattern, classify_cofinal, enumerate_patterns, format_pattern,
-    has_inf_orbitals, inf_formula_holds, lemma21_decompose, pattern_iso,
+    Fixed, OrbitalPattern, canonical_pattern, classify_cofinal,
+    enumerate_patterns, fixed_kind, format_pattern, has_inf_orbitals,
+    inf_formula_holds, lemma21_decompose, mirror_pattern, pattern_iso,
     pattern_of,
 )
 from .conjugacy import conjugating_witness, verify_conjugator
@@ -180,16 +181,38 @@ def _canonical_patterns(core_max: int, tail_max: int):
             yield c
 
 
+def _lemma21_failure(p) -> str | None:
+    """Why the decomposition of p is not Lemma 2.1's tail shift, or None.
+
+    g must be isomorphic to g2, and g2 must be g with g1, the first orbital
+    of g's tail, made fixed: the tail turns by two blocks, and g1 merges
+    with the regions either side of it into the Fixed block that leads.  A
+    decomposition of a left tail is read through the mirror."""
+    g1, g2, g = lemma21_decompose(p)
+    why = (f"pattern {format_pattern(p)}: decomposition g1={g1} "
+           f"g={format_pattern(g)} g2={format_pattern(g2)}")
+    if not pattern_iso(g, g2):
+        return f"{why}: g not isomorphic to g2"
+    if g.right_tail is None:
+        first = g.left_tail[-1]
+        g, g2 = mirror_pattern(g), mirror_pattern(g2)
+    else:
+        first = g.right_tail[0]
+    w = g.right_tail
+    lead = Fixed(fixed_kind(g.core[-1].has_min, w[1].has_max))
+    if first != g1 or g2 != OrbitalPattern(g.left_tail, g.core[:-1] + (lead,), w[2:] + w[:2]):
+        return f"{why}: g2 is not g with g1 made fixed"
+    return None
+
+
 def _suite_lemma21(seed: int, cases: int):
     failures = []
     n = 0
     for p in filter(has_inf_orbitals, _canonical_patterns(5, 3)):
         n += 1
-        _, g2, g = lemma21_decompose(p)
-        if not pattern_iso(g, g2):
-            failures.append(f"pattern {format_pattern(p)}: decomposition "
-                            f"g={format_pattern(g)} not isomorphic to "
-                            f"g2={format_pattern(g2)}")
+        why = _lemma21_failure(p)
+        if why is not None:
+            failures.append(why)
     return n, failures, []
 
 
@@ -199,19 +222,20 @@ def _suite_lemma21(seed: int, cases: int):
 
 def _suite_lemma22(seed: int, cases: int):
     failures = []
-    n = 0
+    n = finite = 0
     truth_seen = set()
     for c in _canonical_patterns(5, 3):
         n += 1
         want = has_inf_orbitals(c)
         got = inf_formula_holds(c)
         truth_seen.add(want)
+        finite += not want
         if got != want:
             failures.append(f"pattern {format_pattern(c)}: inf formula {got}, "
                             f"infinitely many orbitals {want}")
     if truth_seen != {True, False}:
         failures.append(f"only truth values {truth_seen} exercised")
-    return n, failures, []
+    return n, failures, [f"{n} classes: {finite} finite, {n - finite} with ω-many orbitals"]
 
 
 # ---------------------------------------------------------------------------

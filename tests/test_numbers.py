@@ -84,9 +84,9 @@ def test_pick_fresh_in_gap(a, b):
 
 def test_gaps_of_cuts_its_ends_at_the_points():
     one, two = Fraction(1), Fraction(2)
-    assert gaps_of([one, two], Fraction(0), Fraction(3)) == [
-        QInterval(Fraction(0), one), QInterval(one, two), QInterval(two, Fraction(3))]
-    assert gaps_of([], NEG_INF, one) == [QInterval(NEG_INF, one)]
+    assert gaps_of([one, two]) == [
+        QInterval(NEG_INF, one), QInterval(one, two), QInterval(two, POS_INF)]
+    assert gaps_of([]) == [QInterval(NEG_INF, POS_INF)]
     assert gaps_of([one]) == [QInterval(NEG_INF, one), QInterval(one, POS_INF)]
 
 

@@ -15,7 +15,7 @@ from qwi.patterns import (
     Fixed, Moving, OrbitalPattern, PatternError,
     canonical_pattern, classify_cofinal, enumerate_cores, enumerate_patterns,
     enumerate_tail_words, fixed_kind, format_pattern, has_inf_orbitals,
-    inf_formula_holds, make_pattern, mirror_pattern, parse_pattern,
+    inf_formula_holds, lemma21_decompose, make_pattern, mirror_pattern,
     pattern_is_valid, pattern_iso, pattern_of,
 )
 
@@ -171,12 +171,6 @@ def test_has_inf_orbitals():
     assert has_inf_orbitals(make_pattern([Fixed(NO_MIN_NO_MAX)], right_tail=w))
 
 
-@given(plmaps)
-def test_format_parse_roundtrip(f):
-    p = pattern_of(f)
-    assert parse_pattern(format_pattern(p)) == p
-
-
 BLOCKS = [Moving(s, lo, hi) for s in (1, -1) for lo in (MINUS_INF, RATIONAL, IRRATIONAL)
           for hi in (PLUS_INF, RATIONAL, IRRATIONAL)] + [
     Fixed(k) for k in (EMPTY, SINGLETON, NO_MIN_NO_MAX, MIN_ONLY, MAX_ONLY, MIN_AND_MAX)]
@@ -217,26 +211,62 @@ def tailed_patterns(draw):
     return OrbitalPattern(lt, core, rt)
 
 
+def _mirror_law(p):
+    """Mirroring keeps validity, commutes with canonical form up to
+    isomorphism, and swaps the side of a cofinal class."""
+    m = mirror_pattern(p)
+    assert pattern_is_valid(m), format_pattern(p)
+    assert pattern_iso(mirror_pattern(canonical_pattern(p)), m), format_pattern(p)
+    cls = classify_cofinal(p)
+    flip = {"left": "right", "right": "left"}
+    assert classify_cofinal(m) == (cls and (cls[0], flip[cls[1]], cls[2])), format_pattern(p)
+
+
+def test_mirror_law_on_every_enumerated_pattern():
+    for p in enumerate_patterns(5, 3):
+        _mirror_law(p)
+
+
 @given(tailed_patterns().filter(pattern_is_valid))
 @settings(max_examples=300)
-def test_format_parse_roundtrip_with_tails(p):
-    assert parse_pattern(format_pattern(p)) == p
+def test_mirror_law_on_drawn_tailed_patterns(p):
+    _mirror_law(p)
 
 
-def test_parse_pattern_with_tails():
-    text = format_pattern(make_pattern(
-        [Fixed(NO_MIN_NO_MAX)],
-        right_tail=(Moving(1, IRRATIONAL, IRRATIONAL), Fixed(EMPTY))))
-    assert parse_pattern(text) is not None
-    with pytest.raises((PatternError, ValueError)):
-        parse_pattern("garbage")
+def test_two_tails_with_no_core_meet_at_one_seam():
+    m, n = Moving(1, IRRATIONAL, IRRATIONAL), Moving(-1, IRRATIONAL, IRRATIONAL)
+    f = Fixed(NO_MIN_NO_MAX)
+    # both denote the ℤ-indexed alternation … M F M F …
+    assert pattern_iso(make_pattern([], [m, f], [m, f]), make_pattern([], [f, m], [f, m]))
+    # … M F M F | N F N F …, the second with its seam one block further left
+    assert pattern_iso(make_pattern([], [m, f], [n, f]), make_pattern([], [f, m], [f, n]))
+    assert not pattern_iso(make_pattern([], [m, f], [n, f]), make_pattern([], [m, f], [m, f]))
+
+
+def test_tail_shift_keeps_the_fixed_points_of_the_tail():
+    """When each period of the tail holds one orbital, the restriction g
+    keeps them all, so g is p itself: a singleton fixed region stays a
+    point."""
+    p = make_pattern([Fixed(MAX_ONLY)],
+                     right_tail=[Moving(1, RATIONAL, RATIONAL), Fixed(SINGLETON)])
+    g1, g2, g = lemma21_decompose(p)
+    assert g == p
+    assert g2 == make_pattern([Fixed(MAX_ONLY)], right_tail=p.right_tail)
+    assert lemma21_decompose(mirror_pattern(p))[2] == mirror_pattern(p)
+
+
+def test_inf_formula_holds_on_every_tail_of_up_to_four_blocks():
+    """A four-block tail word can repeat its first orbital's class with
+    different regions between; the restriction keeps one orbital a period."""
+    tails = [p for w in enumerate_tail_words(4)
+             if pattern_is_valid(p := OrbitalPattern(None, (), w)) and has_inf_orbitals(p)]
+    assert len(tails) == 52
+    for p in tails + list(map(mirror_pattern, tails)):
+        assert inf_formula_holds(p), format_pattern(p)
 
 
 def test_empty_tail_word_is_refused():
     core = (Fixed(NO_MIN_NO_MAX),)
-    for text in ("pattern core=[F(open)] rtail=[]", "pattern ltail=[] core=[F(open)]"):
-        with pytest.raises(PatternError, match="empty"):
-            parse_pattern(text)
     for lt, rt in (((), None), (None, ())):
         with pytest.raises(PatternError, match="empty"):
             make_pattern(core, lt, rt)

@@ -1,5 +1,10 @@
 import pytest
 
+from qwi import suites
+from qwi.patterns import (
+    EMPTY, IRRATIONAL, MAX_ONLY, MIN_AND_MAX, RATIONAL, Fixed, Moving,
+    canonical_pattern, lemma21_decompose, make_pattern, mirror_pattern,
+)
 from qwi.suites import SUITE_NAMES, SuiteReport, run_suite
 
 
@@ -41,3 +46,21 @@ def test_all_runs_each_suite_exactly_once():
     names = [r.suite for r in reports]
     assert sorted(names) == sorted(n for n in SUITE_NAMES if n != "all")
     assert all(r.ok for r in reports)
+
+
+def test_lemma21_check_reads_the_tail_shift(monkeypatch):
+    """On either side, g2 must be g with g1, its first tail orbital, made
+    fixed.  Two forged decompositions whose g and g2 are isomorphic are
+    refused: one names an orbital g does not start its tail with, one
+    gives g2 in canonical form."""
+    m = Moving(1, RATIONAL, IRRATIONAL)
+    p = make_pattern([Fixed(MAX_ONLY)],
+                     right_tail=[m, Fixed(EMPTY), Moving(-1, IRRATIONAL, RATIONAL), Fixed(MIN_AND_MAX)])
+    for q in (p, mirror_pattern(p)):
+        assert suites._lemma21_failure(q) is None
+        g1, g2, g = lemma21_decompose(q)
+        for forged in ((Moving(-g1.parity, g1.left, g1.right), g2, g),
+                       (g1, canonical_pattern(g2), g)):
+            monkeypatch.setattr(suites, "lemma21_decompose", lambda _: forged)
+            assert suites._lemma21_failure(q).endswith("g2 is not g with g1 made fixed")
+        monkeypatch.undo()
