@@ -1,5 +1,6 @@
-"""Formula ASTs for the two logics, with parsing, printing, substitution,
-and macro expansion.
+"""Formula ASTs for the two logics, with parsing, printing and macro
+expansion.  `instantiate` fills a defining schema in at its arguments: the
+one rewriting step of macro expansion and of `interp.translate`.
 
 Monadic second-order formulas over (ℚ,<) use lowercase point variables and
 uppercase set variables; set quantification is over finite sets only.  The
@@ -185,16 +186,6 @@ _RIGHT = (Iff, Implies)  # the right-associative ones; the rest associate left
 # structural operations
 # ---------------------------------------------------------------------------
 
-def qdepth(phi: Formula) -> int:
-    if type(phi) in QUANTIFIERS:
-        return 1 + qdepth(phi.body)
-    if isinstance(phi, Not):
-        return qdepth(phi.sub)
-    if isinstance(phi, _BINARY):
-        return max(qdepth(phi.a), qdepth(phi.b))
-    return 0
-
-
 def term_vars(t: Term) -> set[str]:
     if isinstance(t, GVar):
         return {t.name}
@@ -224,64 +215,6 @@ def free_vars(phi: Formula) -> set[str]:
     if type(phi) in QUANTIFIERS:
         return free_vars(phi.body) - {phi.var}
     raise FormulaError(f"unknown node {phi!r}")
-
-
-def _subst_term(t: Term, mapping: dict[str, Term]) -> Term:
-    if isinstance(t, GVar):
-        return mapping.get(t.name, t)
-    if isinstance(t, Mul):
-        return Mul(_subst_term(t.t, mapping), _subst_term(t.u, mapping))
-    if isinstance(t, Inv):
-        return Inv(_subst_term(t.t, mapping))
-    return t
-
-
-def substitute(phi: Formula, mapping: dict[str, Union[str, Term]]) -> Formula:
-    """Capture-avoiding substitution.  Point/set variables map to variable
-    names; group variables may map to arbitrary terms."""
-
-    def var_image(v: str) -> str:
-        img = mapping.get(v, v)
-        if isinstance(img, GVar):
-            return img.name
-        if not isinstance(img, str):
-            raise FormulaError(f"variable position needs a variable, got {img!r}")
-        return img
-
-    def term_mapping() -> dict[str, Term]:
-        out: dict[str, Term] = {}
-        for k, v in mapping.items():
-            out[k] = GVar(v) if isinstance(v, str) else v
-        return out
-
-    if isinstance(phi, Less):
-        return Less(var_image(phi.x), var_image(phi.y))
-    if isinstance(phi, EqPt):
-        return EqPt(var_image(phi.x), var_image(phi.y))
-    if isinstance(phi, Mem):
-        return Mem(var_image(phi.x), var_image(phi.X))
-    if isinstance(phi, TermEq):
-        tm = term_mapping()
-        return TermEq(_subst_term(phi.t, tm), _subst_term(phi.u, tm))
-    if isinstance(phi, GAtom):
-        tm = term_mapping()
-        return GAtom(phi.name, tuple(_subst_term(a, tm) for a in phi.args))
-    if type(phi) in QUANTIFIERS:
-        mapping = {k: v for k, v in mapping.items() if k != phi.var}
-        if not mapping:
-            return phi
-        clash: set[str] = set()
-        for v in mapping.values():
-            clash |= {v} if isinstance(v, str) else term_vars(v)
-        if phi.var in clash:
-            nv = phi.var + "'"
-            avoid = clash | free_vars(phi.body) | set(mapping)
-            while nv in avoid:
-                nv += "'"
-            phi = type(phi)(nv, substitute(phi.body, {phi.var: nv}))
-    elif not isinstance(phi, (Not, *_BINARY)):
-        raise FormulaError(f"unknown node {phi!r}")
-    return rebuild(phi, lambda sub: substitute(sub, mapping))
 
 
 def rebuild(phi: Formula, f) -> Formula:
@@ -634,14 +567,18 @@ print_wmso = print_group = _print
 # macro table and expansion
 # ---------------------------------------------------------------------------
 
-def _schema(params: list[str], text: str) -> tuple[list[str], Formula]:
+#: A defining schema: its parameters, and a group formula free in them only.
+Schema = tuple[list[str], Formula]
+
+
+def _schema(params: list[str], text: str) -> Schema:
     return params, parse_group(text)
 
 
 #: Defining schemas for the atoms that have them.  The remaining atoms
 #: (comp, apart, bump, orbital, disj, rational) are primitive from the
 #: expansion's point of view.
-MACROS: dict[str, tuple[list[str], Formula]] = {
+MACROS: dict[str, Schema] = {
     "restr": _schema(["x", "y"], "Ez (disj(x,z) & y = x*z)"),
     "cont": _schema(["x", "y"], "Az (disj(y,z) -> disj(x,z))"),
     "coterm": _schema(["x"], "bump(x) & Az (~(z = 1) -> ~disj(x,z))"),
@@ -670,13 +607,37 @@ MACROS: dict[str, tuple[list[str], Formula]] = {
 }
 
 
-def _refresh_bound(phi: Formula, names: Iterator[int]) -> Formula:
-    """Rename every bound variable v to v_n, with n drawn from `names`, so
-    that one call's counter makes the names both distinct and repeatable."""
-    if type(phi) in QUANTIFIERS:
-        nv = f"{phi.var}_{next(names)}"
-        phi = type(phi)(nv, substitute(phi.body, {phi.var: nv}))
-    return rebuild(phi, lambda sub: _refresh_bound(sub, names))
+def instantiate(schema: Schema, args: tuple[Term, ...], names: Iterator[int]) -> Formula:
+    """The body of `schema` with each parameter replaced by its argument,
+    in one walk.  Each bound variable v is renamed v_n, with n drawn from
+    `names` in pre-order, so that one counter makes the names both distinct
+    and repeatable; a v_n that occurs in an argument is skipped, so no
+    argument variable is captured."""
+    params, body = schema
+    taken = set().union(*map(term_vars, args))
+
+    def term(t: Term, env: dict[str, Term]) -> Term:
+        if isinstance(t, GVar):
+            return env.get(t.name, t)
+        if isinstance(t, Mul):
+            return Mul(term(t.t, env), term(t.u, env))
+        if isinstance(t, Inv):
+            return Inv(term(t.t, env))
+        return t
+
+    def walk(phi: Formula, env: dict[str, Term]) -> Formula:
+        if isinstance(phi, TermEq):
+            return TermEq(term(phi.t, env), term(phi.u, env))
+        if isinstance(phi, GAtom):
+            return GAtom(phi.name, tuple(term(a, env) for a in phi.args))
+        if type(phi) in QUANTIFIERS:
+            v = f"{phi.var}_{next(names)}"
+            while v in taken:
+                v = f"{phi.var}_{next(names)}"
+            return type(phi)(v, walk(phi.body, {**env, phi.var: GVar(v)}))
+        return rebuild(phi, lambda sub: walk(sub, env))
+
+    return walk(body, dict(zip(params, args)))
 
 
 def expand(phi: Formula, depth: int) -> Formula:
@@ -694,6 +655,5 @@ def expand(phi: Formula, depth: int) -> Formula:
 
 def _expand_once(phi: Formula, names: Iterator[int]) -> Formula:
     if isinstance(phi, GAtom) and phi.name in MACROS:
-        params, body = MACROS[phi.name]
-        return substitute(_refresh_bound(body, names), dict(zip(params, phi.args)))
+        return instantiate(MACROS[phi.name], phi.args, names)
     return rebuild(phi, lambda sub: _expand_once(sub, names))

@@ -12,18 +12,13 @@ from .numbers import QInterval, Rat, is_finite
 from .plmap import PLMap
 
 
-def gen_plmap(seed: int, complexity: int) -> PLMap:
-    """A random canonical map with at most `complexity` cuts.
+def gen_plmap_rnd(rnd: random.Random, complexity: int) -> PLMap:
+    """A random canonical map with at most `complexity` cuts, drawn from rnd.
 
     The mixture covers the qualitatively distinct shapes: identity,
     translations, single bumps (bounded, cofinal, coterminal), and generic
     multi-orbital mixed-parity elements.
     """
-    rnd = random.Random(f"plmap:{seed}:{complexity}")
-    return gen_plmap_rnd(rnd, complexity)
-
-
-def gen_plmap_rnd(rnd: random.Random, complexity: int) -> PLMap:
     roll = rnd.random()
     if roll < 0.05:
         return PLMap.identity()

@@ -41,7 +41,7 @@ from .plmap import PLMap
 from .formulas import (
     _BINARY, And, EqPt, Exists, ExistsPt, ExistsSet, Forall, ForallPt,
     ForallSet, Formula, GAtom, GVar, Iff, Implies, Inv, Less, Mem, Mul, Not,
-    Or, TermEq, _refresh_bound, free_vars, parse_group, rebuild, substitute,
+    Or, TermEq, free_vars, instantiate, parse_group, rebuild,
 )
 from .generators import make_bump
 from . import predicates as P
@@ -105,13 +105,13 @@ def encode_finite_set_alt(S) -> PLMap:
 
 ORIENTATION_VAR = "p"
 
-# The order schema: x < y iff some codesame-representatives on the
-# orientation parameter's side are in strict support containment.
-_LESS_BODY = parse_group(
+# The order schema: lhs < rhs iff some codesame-representatives on the
+# orientation parameter ori's side are in strict support containment.
+_LESS = (["lhs", "rhs", "ori"], parse_group(
     "Elf (codesame(lf,lhs) & Elg (codesame(lg,rhs)"
     " & ((cont(lf,ori) | cont(ori,lf)) & (cont(lg,ori) | cont(ori,lg))"
     " & cont(lg,lf) & ~codesame(lf,lg))))"
-)
+))
 
 
 def _pt_var(x: str) -> str:
@@ -150,14 +150,8 @@ def translate(phi: Formula) -> Formula:
 
 def _tr(phi: Formula, names: Iterator[int]) -> Formula:
     if isinstance(phi, Less):
-        return substitute(
-            _refresh_bound(_LESS_BODY, names),
-            {
-                "lhs": GVar(_pt_var(phi.x)),
-                "rhs": GVar(_pt_var(phi.y)),
-                "ori": GVar(ORIENTATION_VAR),
-            },
-        )
+        args = (GVar(_pt_var(phi.x)), GVar(_pt_var(phi.y)), GVar(ORIENTATION_VAR))
+        return instantiate(_LESS, args, names)
     if isinstance(phi, EqPt):
         return GAtom("codesame", (GVar(_pt_var(phi.x)), GVar(_pt_var(phi.y))))
     if isinstance(phi, Mem):  # g_X fixes x iff it conjugates f_x to a code of x

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .numbers import FULL_LINE, is_finite
 from .plmap import PLMap, format_pl
 from .patterns import (
-    Fixed, OrbitalPattern, canonical_pattern, classify_cofinal,
+    Fixed, Moving, OrbitalPattern, canonical_pattern, classify_cofinal,
     enumerate_patterns, fixed_kind, format_pattern, has_inf_orbitals,
     inf_formula_holds, lemma21_decompose, mirror_pattern, pattern_iso,
     pattern_of,
@@ -184,25 +184,65 @@ def _canonical_patterns(core_max: int, tail_max: int):
 def _lemma21_failure(p) -> str | None:
     """Why the decomposition of p is not Lemma 2.1's tail shift, or None.
 
-    g must be isomorphic to g2, and g2 must be g with g1, the first orbital
-    of g's tail, made fixed: the tail turns by two blocks, and g1 merges
-    with the regions either side of it into the Fixed block that leads.  A
-    decomposition of a left tail is read through the mirror."""
+    g must be a restriction of p (see `_restricts`) and isomorphic to g2,
+    and g2 must be g with g1, the first orbital of g's tail, made fixed:
+    the tail turns by two blocks, and g1 merges with the regions either
+    side of it into the Fixed block that leads.  A decomposition of a left
+    tail is read through the mirror, and p with it."""
     g1, g2, g = lemma21_decompose(p)
     why = (f"pattern {format_pattern(p)}: decomposition g1={g1} "
            f"g={format_pattern(g)} g2={format_pattern(g2)}")
     if not pattern_iso(g, g2):
         return f"{why}: g not isomorphic to g2"
+    c = canonical_pattern(p)
     if g.right_tail is None:
         first = g.left_tail[-1]
-        g, g2 = mirror_pattern(g), mirror_pattern(g2)
+        c, g, g2 = mirror_pattern(c), mirror_pattern(g), mirror_pattern(g2)
     else:
         first = g.right_tail[0]
+    if not _restricts(c, g):
+        return f"{why}: g is not p with some orbitals made fixed"
     w = g.right_tail
     lead = Fixed(fixed_kind(g.core[-1].has_min, w[1].has_max))
     if first != g1 or g2 != OrbitalPattern(g.left_tail, g.core[:-1] + (lead,), w[2:] + w[:2]):
         return f"{why}: g2 is not g with g1 made fixed"
     return None
+
+
+def _restricts(p: OrbitalPattern, g: OrbitalPattern) -> bool:
+    """Whether g, with a right tail only, is p with some orbitals made
+    fixed: g's core is one region, all of p below an orbital of p's right
+    tail, and one period of g's tail, from that orbital on, covers one
+    period of p's (see `_covers`).  The region's kind needs no check: in a
+    valid g it has no least point and has a greatest exactly where that
+    orbital's left end is rational."""
+    rt, w = p.right_tail, g.right_tail
+    if rt is None or g.left_tail is not None or not isinstance(w[0], Moving):
+        return False
+    return len(g.core) == 1 and any(_covers(w, rt[s:] + rt[:s]) for s in range(len(rt)))
+
+
+def _covers(w: tuple, r: tuple) -> bool:
+    """Whether the tail word w is the word r with some orbitals made fixed:
+    each Moving block of w is r's block at the same place, and each Fixed
+    block merges the run of r's blocks up to w's next orbital.  A run of
+    one block stays as it is; a longer one becomes the region with the
+    run's outer has_min and has_max."""
+    j = 0
+    for k, b in enumerate(w):
+        if isinstance(b, Moving):
+            if r[j:j + 1] != (b,):
+                return False
+            j += 1
+            continue
+        end = len(r) if k + 1 == len(w) else next(
+            (i for i in range(j, len(r)) if r[i] == w[k + 1]), j)
+        run = r[j:end]
+        if not run or b != (run[0] if len(run) == 1 else
+                            Fixed(fixed_kind(run[0].has_min, run[-1].has_max))):
+            return False
+        j = end
+    return j == len(r)
 
 
 def _suite_lemma21(seed: int, cases: int):

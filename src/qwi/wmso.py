@@ -63,9 +63,6 @@ class Assignment:
         return sorted(marks)
 
 
-EMPTY = Assignment()
-
-
 def point_candidates(a: Assignment) -> list[Fraction]:
     """The landmarks and one fresh point per gap: a complete family for a
     point quantifier, since an atom only compares the point to landmarks."""

@@ -11,9 +11,11 @@ from itertools import combinations, product
 
 from qwi import predicates as P
 from qwi.corpus import load_corpus
-from qwi.formulas import parse_wmso, qdepth
+from qwi.formulas import parse_wmso
 from qwi.interp import encode_finite_set, encode_finite_set_alt, encode_rational
 from qwi.suites import run_suite
+
+from helpers import qdepth
 
 
 def _passes(name, cases=None):

@@ -87,6 +87,26 @@ def test_counts_cover_every_census_task(bench_pairs):
     assert out["tasks"] == sum(1 for _ in enumerate_patterns(5, 3))
 
 
+def test_calls_count_each_class_of_dataclass_method(bench_pairs):
+    """The `__eq__` of two dataclasses share one `pstats` key; each of
+    their calls still counts, so the count does not depend on which
+    classes a run compares."""
+    import cProfile
+
+    from qwi.patterns import Fixed, Moving
+
+    a, b = Fixed("singleton"), Moving(1, "rational", "rational")
+    counts = []
+    for x, y in ((a, b), (a, a)):
+        prof = cProfile.Profile()
+        prof.enable()
+        x == x
+        y == y
+        prof.disable()
+        counts.append(bench_pairs.calls(prof))
+    assert counts[0] == counts[1]
+
+
 def test_constructions_count_fraction_and_rat_alike(bench_pairs):
     """`fraction_new` counts the rationals built through `Fraction.__new__`
     and through `Rat`'s private constructor, so a change of type does not
@@ -105,3 +125,35 @@ def test_constructions_count_fraction_and_rat_alike(bench_pairs):
     q + q, q * 2, -q    # three through _rat
     prof.disable()
     assert bench_pairs.constructions(pstats.Stats(prof).stats) == 6
+
+
+def _run(names, **readings):
+    """A synthetic `perfbench/run.py` result: every end-to-end metric of
+    every workload reads `readings[metric]`."""
+    metrics = {}
+    for name in names:
+        prefix = f"{name}." if len(names) > 1 else ""
+        metrics.update({prefix + m: {"value": readings[m]} for m in readings})
+    return {"metrics": metrics}
+
+
+def test_per_pair_gives_each_pair_its_calibration_and_ratios(bench_pairs):
+    names = ("wmso", "conjugacy")
+    metrics = list(bench_pairs.METRICS)
+    base = [_run(names, **{m: 2.0 for m in metrics}) for _ in range(2)]
+    change = [_run(names, **{m: 3.0 for m in metrics}),
+              _run(names, **{m: 1.0 for m in metrics} | {metrics[0]: 0.0})]
+    out = bench_pairs.per_pair({"base": base, "change": change},
+                               {"base": [0.08, 0.09], "change": [0.10, 0.11]}, names)
+    assert [p["calibration_s"] for p in out] == [{"base": 0.08, "change": 0.10},
+                                                 {"base": 0.09, "change": 0.11}]
+    assert out[0]["ratio"] == {n: {m: 1.5 for m in metrics} for n in names}
+    assert out[1]["ratio"] == {n: {m: 0.5 for m in metrics} | {metrics[0]: 0.0}
+                               for n in names}
+    # one workload: the metrics carry no prefix; a base reading of 0 has no ratio
+    one = ("wmso",)
+    out = bench_pairs.per_pair({"base": [_run(one, **{m: 0.0 for m in metrics})],
+                                "change": [_run(one, **{m: 1.0 for m in metrics})]},
+                               {"base": [0.1], "change": [0.2]}, one)
+    assert out == [{"calibration_s": {"base": 0.1, "change": 0.2},
+                    "ratio": {"wmso": {m: None for m in metrics}}}]

@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from qwi import conjugacy
 from qwi.conjugacy import Conjugator, OrbitalSeg, conjugating_witness, verify_conjugator
-from qwi.generators import gen_plmap, gen_plmap_rnd, make_bump
+from qwi.generators import gen_plmap_rnd, make_bump
 from qwi.numbers import NEG_INF, POS_INF, QInterval, pick_fresh
 from qwi.patterns import pattern_iso, pattern_of
 from qwi.plmap import PLMap, parse_pl
+
+from helpers import gen_plmap
 
 plmaps = st.builds(gen_plmap, st.integers(0, 10**6), st.integers(0, 5))
 

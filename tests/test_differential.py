@@ -9,9 +9,11 @@ from fractions import Fraction
 
 import pytest
 
-from qwi.formulas import parse_wmso, qdepth
+from qwi.formulas import parse_wmso
 from qwi.interp import pullback_eval, translate
-from qwi.wmso import EMPTY, brute_eval, decide
+from qwi.wmso import brute_eval, decide
+
+from helpers import EMPTY, qdepth
 
 POOL = [Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 2),
         Fraction(1), Fraction(2), Fraction(3)]

@@ -6,8 +6,10 @@ from qwi.formulas import (
     ExistsPt, ExistsSet, Forall, ForallPt, ForallSet, FormulaError, GAtom,
     GVar, Iff, Implies, Inv, Less, MACROS, Mem, Mul, Not, One, Or, TermEq,
     _depth, expand, free_vars, parse_group, parse_wmso, print_group,
-    print_term, print_wmso, qdepth, substitute,
+    print_term, print_wmso,
 )
+
+from helpers import qdepth
 
 
 def test_parse_wmso_basics():
@@ -201,23 +203,6 @@ def test_print_term():
     assert parse_group(f"{print_term(t)} = 1") == TermEq(t, One())
 
 
-def test_substitute_renames_capture():
-    # substituting y:=x under a binder for x must rename the binder
-    phi = ExistsPt("x", Less("x", "y"))
-    out = substitute(phi, {"y": "x"})
-    assert isinstance(out, ExistsPt)
-    assert out.var != "x"
-    assert out.body == Less(out.var, "x")
-    # substitution leaves bound occurrences alone
-    assert substitute(phi, {"x": "z"}) == phi
-
-
-def test_substitute_terms():
-    phi = GAtom("disj", (GVar("x"), GVar("z")))
-    out = substitute(phi, {"x": Mul(GVar("w"), GVar("v"))})
-    assert out == GAtom("disj", (Mul(GVar("w"), GVar("v")), GVar("z")))
-
-
 @pytest.mark.parametrize("name,arity", [
     ("restr", 2), ("cont", 2), ("coterm", 1), ("cof", 1),
     ("oppsupport", 2), ("codesame", 2), ("inf", 1), ("finrational", 1),
@@ -255,6 +240,27 @@ def test_expand_refreshes_bound_variables():
     out = expand(phi, 1)
     assert free_vars(out) == {"z", "b"}
     assert isinstance(out, Exists) and out.var != "z"
+
+
+def _bound(psi):
+    """The bound variables of psi."""
+    if type(psi) in QUANTIFIERS:
+        yield psi.var
+    for attr in ("a", "b", "sub", "body"):
+        if hasattr(psi, attr):
+            yield from _bound(getattr(psi, attr))
+
+
+@pytest.mark.parametrize("text", ["restr(z_0,b)", "cont(z_0,z_1)", "cof(w_0*y)"])
+def test_expand_never_captures_an_argument(text):
+    """The arguments use the names v_n that the schemas' bound variables
+    are renamed to.  Expansion keeps the arguments' variables free, and no
+    bound variable takes one of their names."""
+    phi = parse_group(text)
+    for depth in range(1, 4):
+        out = expand(phi, depth)
+        assert free_vars(out) == free_vars(phi), (depth, print_group(out))
+        assert not free_vars(phi) & set(_bound(out)), (depth, print_group(out))
 
 
 def test_expand_refuses_a_negative_depth():

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import pytest
@@ -81,6 +82,18 @@ def test_translate_is_deterministic():
     assert print_group(translate(phi)) == first
     expanded = print_group(expand(translate(phi), 1))
     assert print_group(expand(translate(phi), 1)) == expanded
+
+
+#: sha256 of print_group(expand(translate(φ), d)) for each corpus sentence
+#: and d = 0..3 in turn, one output a line, as recorded before the order
+#: schema and the macros were filled in by `instantiate`.
+EXPANDED_CORPUS_SHA256 = "2aa025b2baeb39cb1981054f100137c28e868d8bf4cb5d01503f8a8088ce1a9a"
+
+
+def test_expanded_translations_of_the_corpus_are_pinned():
+    out = "\n".join(print_group(expand(translate(parse_wmso(text)), d))
+                    for _, text, _ in load_corpus() for d in range(4))
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPANDED_CORPUS_SHA256
 
 
 def _atoms(psi):

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qwi.generators import gen_plmap, make_bump
+from qwi.generators import make_bump
 from qwi.numbers import NEG_INF, POS_INF, QInterval
 from qwi.plmap import PLMap
 from qwi import patterns
@@ -18,6 +18,8 @@ from qwi.patterns import (
     inf_formula_holds, lemma21_decompose, make_pattern, mirror_pattern,
     pattern_is_valid, pattern_iso, pattern_of,
 )
+
+from helpers import gen_plmap
 
 plmaps = st.builds(gen_plmap, st.integers(0, 10**6), st.integers(0, 6))
 

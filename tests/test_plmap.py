@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qwi.generators import gen_plmap, gen_plmap_rnd, make_bump
+from qwi.generators import gen_plmap_rnd, make_bump
 from qwi.numbers import NEG_INF, POS_INF, QInterval, is_finite, pick_fresh
 from qwi.plmap import PLMap, PLMapError, format_pl, parse_pl
 from qwi.predicates import comp_sem
+
+from helpers import gen_plmap
 
 rationals = st.fractions(max_denominator=20)
 seeds = st.integers(0, 10**6)

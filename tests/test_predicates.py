@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from qwi import predicates as P
 from qwi.formulas import MACROS, GAtom, parse_group
-from qwi.generators import gen_plmap, make_bump
+from qwi.generators import make_bump
 from qwi.numbers import NEG_INF, POS_INF, QInterval
 from qwi.plmap import PLMap, PLMapError
+
+from helpers import gen_plmap
 
 plmaps = st.builds(gen_plmap, st.integers(0, 10**6), st.integers(0, 6))
 

@@ -2,7 +2,8 @@ import pytest
 
 from qwi import suites
 from qwi.patterns import (
-    EMPTY, IRRATIONAL, MAX_ONLY, MIN_AND_MAX, RATIONAL, Fixed, Moving,
+    EMPTY, IRRATIONAL, MAX_ONLY, MIN_AND_MAX, NO_MIN_NO_MAX, RATIONAL, SINGLETON,
+    Fixed, Moving,
     canonical_pattern, lemma21_decompose, make_pattern, mirror_pattern,
 )
 from qwi.suites import SUITE_NAMES, SuiteReport, run_suite
@@ -64,3 +65,26 @@ def test_lemma21_check_reads_the_tail_shift(monkeypatch):
             monkeypatch.setattr(suites, "lemma21_decompose", lambda _: forged)
             assert suites._lemma21_failure(q).endswith("g2 is not g with g1 made fixed")
         monkeypatch.undo()
+
+
+def test_lemma21_check_reads_the_restriction(monkeypatch):
+    """On either side, g must be p with some orbitals made fixed.  Three
+    forged decompositions whose g is isomorphic to g2 are refused: two are
+    tail shifts of other patterns, one turning p's F(single) into
+    F(minmax) and one flipping the parity of the orbital it keeps, and one
+    keeps an orbital below g1 that p does not have."""
+    m = Moving(1, RATIONAL, RATIONAL)
+    p = make_pattern([Fixed(MAX_ONLY)], right_tail=[m, Fixed(SINGLETON)])
+    extra = make_pattern([Fixed(NO_MIN_NO_MAX), Moving(1, IRRATIONAL, IRRATIONAL), Fixed(MAX_ONLY)],
+                         right_tail=[m, Fixed(SINGLETON)])
+    forged = [lemma21_decompose(make_pattern([Fixed(MAX_ONLY)], right_tail=w))
+              for w in ([m, Fixed(MIN_AND_MAX)], [Moving(-1, RATIONAL, RATIONAL), Fixed(SINGLETON)])]
+    forged.append((m, extra, extra))
+    for side in (lambda q: q, mirror_pattern):  # m and its parity flip are their own mirrors
+        assert suites._lemma21_failure(side(p)) is None
+        for g1, g2, g in forged:
+            monkeypatch.setattr(suites, "lemma21_decompose",
+                                lambda _: (g1, side(g2), side(g)))
+            assert suites._lemma21_failure(side(p)).endswith(
+                "g is not p with some orbitals made fixed")
+            monkeypatch.undo()

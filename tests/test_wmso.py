@@ -5,12 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 import qwi.wmso
 from qwi.corpus import load_corpus
-from qwi.formulas import FormulaError, parse_group, parse_wmso, qdepth
+from qwi.formulas import FormulaError, parse_group, parse_wmso
 from qwi.numbers import NEG_INF, POS_INF, QInterval
 from qwi.wmso import (
-    Assignment, EMPTY, automaton, brute_eval, decide, eval as wmso_eval,
+    Assignment, automaton, brute_eval, decide, eval as wmso_eval,
     gaps_of, point_candidates,
 )
+
+from helpers import EMPTY, qdepth
 
 rationals = st.fractions(max_denominator=30)
 

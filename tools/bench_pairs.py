@@ -17,11 +17,13 @@ comparable only within one file.  The rational construction count
 `Fraction.__new__` and of `qwi.numbers._rat`, the private constructor of
 the library's `Rat` (a `Fraction` subclass), by name, so that it compares
 a side that builds rationals with `Fraction` and one that builds them
-with `Rat`.  It, the library line count and the digests repeat exactly
-between runs; the Python call count (cProfile) can move by about
-1 % between processes with the interpreter's import and cache state.  A
-`Fraction` sum of 40,000 terms, timed before and after the pairs, records
-the speed of the host.  Standard library only.
+with `Rat`.  It, the Python call count (cProfile, see `calls`), the
+library line count and the digests repeat exactly between runs.  A
+`Fraction` sum of 40,000 terms, timed before and after the pairs and just
+before every run, records the speed of the host.  Next to each pair the
+output holds the readings taken in it and the change/base ratio of every
+end-to-end metric (see `per_pair`); the verdicts read only the runs.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -94,6 +96,29 @@ def won_pairs(base: list[float], change: list[float], better: str) -> int:
     return sum(sign * (y - x) > 0 for x, y in zip(base, change))
 
 
+def value(run: dict, name: str, metric: str, names: tuple[str, ...]) -> float:
+    """The reading of `metric` for workload `name` in one run of `names`."""
+    prefix = f"{name}." if len(names) > 1 else ""
+    return run["metrics"][prefix + metric]["value"]
+
+
+def per_pair(runs: dict[str, list[dict]], calibration: dict[str, list[float]],
+             names: tuple[str, ...]) -> list[dict]:
+    """Per pair k: the calibration sum timed just before each side's run,
+    and per workload each end-to-end metric's change/base ratio (None when
+    the base read 0)."""
+    out = []
+    for k, (base, change) in enumerate(zip(runs["base"], runs["change"])):
+        ratio: dict[str, dict] = {name: {} for name in names}
+        for name in names:
+            for metric in METRICS:
+                b = value(base, name, metric, names)
+                ratio[name][metric] = value(change, name, metric, names) / b if b else None
+        out.append({"calibration_s": {side: calibration[side][k] for side in runs},
+                    "ratio": ratio})
+    return out
+
+
 def calibrate(repeats: int = 5) -> float:
     """Best of `repeats` timings of a 40,000-term `Fraction` sum, in s."""
     best = float("inf")
@@ -164,6 +189,13 @@ def count_calls(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout)
 
 
+def calls(prof: cProfile.Profile) -> int:
+    """The Python calls in a profile, summed over the profiler's entries.
+    The methods that `dataclasses` writes share one `pstats` key per name,
+    such as `<string>:2(__eq__)`, and `pstats` keeps only one of them."""
+    return sum(entry.callcount for entry in prof.getstats())
+
+
 def constructions(stats: dict) -> int:
     """The rationals built in a profile: calls of `Fraction.__new__` and of
     `Rat`'s constructor `_rat` in qwi's `numbers.py`."""
@@ -194,9 +226,8 @@ def _count(root: str, workload: str, seed: int, seconds: float) -> dict:
     except Exhausted:
         pass
     prof.disable()
-    stats = pstats.Stats(prof).stats
-    return {"tasks": i, "calls": sum(v[1] for v in stats.values()),
-            "fraction_new": constructions(stats)}
+    return {"tasks": i, "calls": calls(prof),
+            "fraction_new": constructions(pstats.Stats(prof).stats)}
 
 
 def main(argv=None) -> int:
@@ -213,8 +244,10 @@ def main(argv=None) -> int:
         sides = {"base": Path(tmp), "change": ROOT}
         export(args.base, sides["base"])
         runs: dict[str, list[dict]] = {"base": [], "change": []}
+        readings: dict[str, list[float]] = {"base": [], "change": []}
         for k in range(PAIRS):
             for side in (("base", "change") if k % 2 == 0 else ("change", "base")):
+                readings[side].append(calibrate())
                 runs[side].append(bench(sides[side], names, args.seed, SECONDS))
                 print(f"pair {k + 1}/{PAIRS} {side} done", file=sys.stderr)
         calibration.append(calibrate())
@@ -223,10 +256,9 @@ def main(argv=None) -> int:
         lines = {side: lib_lines(root) for side, root in sides.items()}
     workloads = {}
     for name in names:
-        prefix = f"{name}." if len(names) > 1 else ""
         out = {}
         for metric, (better, bound) in METRICS.items():
-            vals = {side: [r["metrics"][prefix + metric]["value"] for r in rs]
+            vals = {side: [value(r, name, metric, names) for r in rs]
                     for side, rs in runs.items()}
             out[metric] = {"better": better, "bound": bound,
                            "change_won_pairs": won_pairs(vals["base"], vals["change"],
@@ -252,6 +284,7 @@ def main(argv=None) -> int:
         "command": f"perfbench/run.py --workload {args.workload} --seed {args.seed} "
                    f"--seconds {SECONDS:g}",
         "pairs": PAIRS,
+        "per_pair": per_pair(runs, readings, names),
         "failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
         "correct": {side: all(r["correct"] for r in rs) for side, rs in runs.items()},
         "workloads": workloads,
