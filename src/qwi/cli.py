@@ -14,7 +14,7 @@ from fractions import Fraction
 from .numbers import parse_rational
 from .plmap import PLMap, format_pl, parse_pl
 from . import predicates as P
-from .formulas import ATOM_ARITY, expand, parse_wmso, print_group
+from .formulas import ATOM_ARITY, expand, is_set_var, parse_wmso, print_group
 from .wmso import Assignment, decide, eval as wmso_eval
 from .interp import (
     encode_finite_set, encode_rational, pullback_eval, translate,
@@ -72,8 +72,8 @@ def _parse_assignment(text: str) -> Assignment:
         if m is None:
             raise CliError(f"bad assignment item at position {pos}: {text[pos:]!r}")
         name, is_set = m["name"], m["set"] is not None
-        if name[0].isupper() != is_set:
-            takes = ("a set variable takes a braced list" if name[0].isupper()
+        if is_set_var(name) != is_set:
+            takes = ("a set variable takes a braced list" if is_set_var(name)
                      else "a point variable takes a rational")
             raise CliError(f"bad assignment item {m[0].rstrip(',').strip()!r}: {takes}")
         if is_set:

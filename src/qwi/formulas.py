@@ -5,8 +5,9 @@ one rewriting step of macro expansion and of `interp.translate`.
 Monadic second-order formulas over (ℚ,<) use lowercase point variables and
 uppercase set variables; set quantification is over finite sets only.  The
 group language is first-order with terms built from `*`, `^-1` and the
-identity constant `1`, and a fixed signature of named atoms.  Connectives
-are shared between the two ASTs; quantifier nodes are per-language.
+identity constant `1`, and a fixed signature of named atoms.  The two ASTs
+share their connectives and quantifiers; a WMSO variable's sort is the
+case of its name (`is_set_var`).
 
 Concrete syntax.  `~` binds tightest; then come the binary connectives of
 `_SYMBOL`, from `&` to `<->`: `&` and `|` associate to the left, `->` and
@@ -84,25 +85,13 @@ class Iff:
 
 
 @dataclass(frozen=True)
-class ExistsPt:
+class Exists:
     var: str
     body: "Formula"
 
 
 @dataclass(frozen=True)
-class ForallPt:
-    var: str
-    body: "Formula"
-
-
-@dataclass(frozen=True)
-class ExistsSet:
-    var: str
-    body: "Formula"
-
-
-@dataclass(frozen=True)
-class ForallSet:
+class Forall:
     var: str
     body: "Formula"
 
@@ -144,22 +133,8 @@ class GAtom:
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    body: "Formula"
-
-
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    body: "Formula"
-
-
 Formula = Union[
-    Less, EqPt, Mem, Not, And, Or, Implies, Iff,
-    ExistsPt, ForallPt, ExistsSet, ForallSet,
-    TermEq, GAtom, Exists, Forall,
+    Less, EqPt, Mem, Not, And, Or, Implies, Iff, Exists, Forall, TermEq, GAtom,
 ]
 
 ATOM_ARITY = {
@@ -169,12 +144,9 @@ ATOM_ARITY = {
     "codesame": 2, "oppsupport": 2, "sameset": 2,
 }
 
-#: The quantifier classes of both logics, each mapped to True for ∃ and
+#: The quantifiers, shared by both logics, each mapped to True for ∃ and
 #: False for ∀.
-QUANTIFIERS = {
-    ExistsPt: True, ForallPt: False, ExistsSet: True, ForallSet: False,
-    Exists: True, Forall: False,
-}
+QUANTIFIERS = {Exists: True, Forall: False}
 #: The binary connectives, loosest first, with their symbols: the one table
 #: that the parser climbs and the printer reads.
 _SYMBOL = {Iff: "<->", Implies: "->", Or: "|", And: "&"}
@@ -185,6 +157,11 @@ _RIGHT = (Iff, Implies)  # the right-associative ones; the rest associate left
 # ---------------------------------------------------------------------------
 # structural operations
 # ---------------------------------------------------------------------------
+
+def is_set_var(name: str) -> bool:
+    """Whether a WMSO variable names a finite set: uppercase sets, lowercase points."""
+    return name[:1].isupper()
+
 
 def term_vars(t: Term) -> set[str]:
     if isinstance(t, GVar):
@@ -248,8 +225,8 @@ class Evaluator:
     decides every node that is neither a connective nor a quantifier.
     `bind(phi)` is called on quantifier nodes only and returns (env,
     candidates): `env` is the dict that the variable is bound in, and
-    `candidates` what it ranges over.  A subclass that cannot read some
-    quantifier class raises from `bind`.
+    `candidates` what it ranges over.  A subclass that cannot range over
+    some variable raises from `bind`.
     """
 
     def run(self, phi: Formula) -> bool:
@@ -371,7 +348,10 @@ class _Parser:
         t = self.peek()
         if t and t[0] == "id" and len(t[1]) >= 2 and t[1][0] in "AE":
             self.i += 1  # a quantifier: its body runs to the end of the subformula
-            return self._make_quant(t[1][0], t[1][1:], self.nested(self.formula))
+            body = self.nested(self.formula)
+            if self.lang == "group" and not t[1][1].islower():
+                raise FormulaError(f"group variables are lowercase: {t[1][1:]!r}")
+            return (Exists if t[1][0] == "E" else Forall)(t[1][1:], body)
         save = self.i
         if self.take("("):
             try:
@@ -384,19 +364,10 @@ class _Parser:
                 self.i = save  # may be a parenthesized term, retry as atom
         return self._wmso_atom() if self.lang == "wmso" else self._group_atom()
 
-    def _make_quant(self, q: str, var: str, body: Formula) -> Formula:
-        if self.lang == "group":
-            if not var[0].islower():
-                raise FormulaError(f"group variables are lowercase: {var!r}")
-            return (Exists if q == "E" else Forall)(var, body)
-        if var[0].isupper():
-            return (ExistsSet if q == "E" else ForallSet)(var, body)
-        return (ExistsPt if q == "E" else ForallPt)(var, body)
-
     def _point(self) -> str:
         """A lowercase variable: a point of (ℚ,<), or a group element."""
         t = self.next()
-        if t[0] != "id" or t[1] == "in" or not t[1][0].islower():
+        if t[0] != "id" or t[1] == "in" or is_set_var(t[1]):
             raise FormulaError(
                 f"expected a lowercase variable at position {t[2]} in {self.text!r}, "
                 f"got {t[1]!r}"
@@ -412,7 +383,7 @@ class _Parser:
             return EqPt(x, self._point())
         if op[1] == "in":
             Y = self.next()
-            if Y[0] != "id" or not Y[1][0].isupper():
+            if Y[0] != "id" or not is_set_var(Y[1]):
                 raise FormulaError(
                     f"membership needs a set variable at position {Y[2]}, got {Y[1]!r}"
                 )

@@ -17,7 +17,9 @@ Every quantifier of a compiled sentence has one shape: ∃v(G ∧ body) or
 guard says what v ranges over, and there are four kinds: cof(p) the
 orientation, rational(f_x) and finrational(g_X) the coded points and sets,
 and codesame(l, f_x) a representative of a point.  The shape is plain
-syntax, so it survives `print_group` and `parse_group`.
+syntax, so it survives `print_group` and `parse_group`.  A WMSO quantifier
+stays the quantifier it is, relativised to the guard that its variable's
+sort picks (`_coding`; Hodges, *Model Theory*, CUP 1993, interpretations).
 
 `pullback_eval` runs a `predicates.GroupEvaluator` that reads the guard of
 each quantifier to pick the candidates and decides every atom by the
@@ -39,9 +41,9 @@ from typing import Iterator, Optional
 from .numbers import NEG_INF, POS_INF, QInterval, Rat, gaps_of, is_finite, pick_fresh
 from .plmap import PLMap
 from .formulas import (
-    _BINARY, And, EqPt, Exists, ExistsPt, ExistsSet, Forall, ForallPt,
-    ForallSet, Formula, GAtom, GVar, Iff, Implies, Inv, Less, Mem, Mul, Not,
-    Or, TermEq, free_vars, instantiate, parse_group, rebuild,
+    _BINARY, QUANTIFIERS, And, EqPt, Exists, Forall, Formula, GAtom, GVar, Iff,
+    Implies, Inv, Less, Mem, Mul, Not, Or, TermEq, free_vars, instantiate,
+    is_set_var, parse_group, rebuild,
 )
 from .generators import make_bump
 from . import predicates as P
@@ -114,55 +116,47 @@ _LESS = (["lhs", "rhs", "ori"], parse_group(
 ))
 
 
-def _pt_var(x: str) -> str:
-    return f"f_{x}"
-
-
-def _set_var(X: str) -> str:
-    return f"g_{X}"
+def _coding(x: str) -> tuple[str, str]:
+    """The group variable that codes the WMSO variable x and the guard of its
+    range: f_x and rational for a point, g_X and finrational for a set."""
+    return (f"g_{x}", "finrational") if is_set_var(x) else (f"f_{x}", "rational")
 
 
 # The one quantifier shape of compiled sentences: ∃v(G ∧ body), ∀v(G → body).
 _SHAPE = {Exists: And, Forall: Implies}
 
 
-def _guarded(quant, v: str, guard: GAtom, body: Formula) -> Formula:
-    return quant(v, _SHAPE[quant](guard, body))
-
-
-# WMSO quantifier -> (group quantifier, variable naming, guard)
-_CODED = {
-    ExistsPt: (Exists, _pt_var, "rational"), ForallPt: (Forall, _pt_var, "rational"),
-    ExistsSet: (Exists, _set_var, "finrational"), ForallSet: (Forall, _set_var, "finrational"),
-}
+def _guarded(quant, v: str, guard: str, body: Formula) -> Formula:
+    return quant(v, _SHAPE[quant](GAtom(guard, (GVar(v),)), body))
 
 
 def translate(phi: Formula) -> Formula:
     """Compile a closed order-formula to the group language.
 
-    Fresh variable names are numbered per call, so equal input gives equal
+    An atom over a variable of the wrong sort raises InterpError.  Fresh
+    variable names are numbered per call, so equal input gives equal
     output."""
     if free_vars(phi):
         raise InterpError(f"translate expects a sentence, got free {sorted(free_vars(phi))}")
-    p = ORIENTATION_VAR
-    return _guarded(Exists, p, GAtom("cof", (GVar(p),)), _tr(phi, count()))
+    return _guarded(Exists, ORIENTATION_VAR, "cof", _tr(phi, count()))
 
 
 def _tr(phi: Formula, names: Iterator[int]) -> Formula:
-    if isinstance(phi, Less):
-        args = (GVar(_pt_var(phi.x)), GVar(_pt_var(phi.y)), GVar(ORIENTATION_VAR))
-        return instantiate(_LESS, args, names)
-    if isinstance(phi, EqPt):
-        return GAtom("codesame", (GVar(_pt_var(phi.x)), GVar(_pt_var(phi.y))))
-    if isinstance(phi, Mem):  # g_X fixes x iff it conjugates f_x to a code of x
-        fx, gX = GVar(_pt_var(phi.x)), GVar(_set_var(phi.X))
-        return GAtom("codesame", (fx, Mul(Mul(gX, fx), Inv(gX))))
+    if isinstance(phi, (Less, EqPt, Mem)):
+        x, y = vars(phi).values()
+        if is_set_var(x) or (is_set_var(y) != isinstance(phi, Mem)):
+            raise InterpError(f"a variable of the wrong sort in {phi!r}")
+        x, y = GVar(_coding(x)[0]), GVar(_coding(y)[0])
+        if isinstance(phi, Less):
+            return instantiate(_LESS, (x, y, GVar(ORIENTATION_VAR)), names)
+        if isinstance(phi, EqPt):
+            return GAtom("codesame", (x, y))
+        # membership: g_X fixes x iff it conjugates f_x to a code of x
+        return GAtom("codesame", (x, Mul(Mul(y, x), Inv(y))))
     if isinstance(phi, (Not, *_BINARY)):
         return rebuild(phi, lambda sub: _tr(sub, names))
-    if type(phi) in _CODED:
-        quant, name, guard = _CODED[type(phi)]
-        v = name(phi.var)
-        return _guarded(quant, v, GAtom(guard, (GVar(v),)), _tr(phi.body, names))
+    if type(phi) in QUANTIFIERS:
+        return _guarded(type(phi), *_coding(phi.var), _tr(phi.body, names))
     raise InterpError(f"not an order-structure formula: {phi!r}")
 
 
@@ -181,10 +175,6 @@ def _rightward(p: PLMap) -> bool:
 # decompilation
 # ---------------------------------------------------------------------------
 
-# (group quantifier, guard) -> WMSO quantifier: the inverse of _CODED
-_DECODED = {(quant, guard): wmso for wmso, (quant, _, guard) in _CODED.items()}
-
-
 def _decompile(psi: Formula) -> Formula:
     """The order formula that `_tr` compiles to psi, with the compiled
     variable names kept: f_x stays f_x, and g_X stays g_X.  Every other
@@ -196,10 +186,8 @@ def _decompile(psi: Formula) -> Formula:
             return rebuild(psi, _decompile)
         case (Exists(v, And(GAtom(guard, (GVar(w),)), body))
               | Forall(v, Implies(GAtom(guard, (GVar(w),)), body))) if (
-                v == w and (type(psi), guard) in _DECODED):
-            quant = _DECODED[type(psi), guard]
-            if _CODED[quant][1](v[2:]) == v:
-                return quant(v, _decompile(body))
+                v == w and _coding(v[2:]) == (v, guard)):
+            return type(psi)(v, _decompile(body))
         case GAtom("codesame", (GVar(x), GVar(y))):
             return _decompiled_atom(psi, EqPt(x, y))
         case GAtom("codesame", (GVar(x), Mul(Mul(GVar(X), _), _))):
@@ -377,8 +365,10 @@ def pullback_eval(psi: Formula, orientation: Optional[str] = None) -> bool:
     answer is exact whenever the oracles decide the compiled atoms as the
     order side means them.  With orientation=None the ∃p prefix ranges over
     both sides; fixing "left"/"right" pins the parameter for robustness
-    experiments.
+    experiments.  Any other orientation raises InterpError.
     """
+    if orientation not in (None, *_SIDES):
+        raise InterpError(f"orientation must be None, left or right, got {orientation!r}")
     if free_vars(psi):
         raise InterpError(f"compiled sentence has free variables {sorted(free_vars(psi))}")
     return _Pullback(orientation).run(psi)

@@ -2,11 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qwi.formulas import (
-    ATOM_ARITY, MAX_DEPTH, QUANTIFIERS, And, EqPt, Evaluator, Exists,
-    ExistsPt, ExistsSet, Forall, ForallPt, ForallSet, FormulaError, GAtom,
-    GVar, Iff, Implies, Inv, Less, MACROS, Mem, Mul, Not, One, Or, TermEq,
-    _depth, expand, free_vars, parse_group, parse_wmso, print_group,
-    print_term, print_wmso,
+    ATOM_ARITY, MAX_DEPTH, QUANTIFIERS, And, EqPt, Evaluator, Exists, Forall,
+    FormulaError, GAtom, GVar, Iff, Implies, Inv, Less, MACROS, Mem, Mul, Not,
+    One, Or, TermEq, _depth, expand, free_vars, is_set_var, parse_group,
+    parse_wmso, print_group, print_term, print_wmso,
 )
 
 from helpers import qdepth
@@ -14,9 +13,8 @@ from helpers import qdepth
 
 def test_parse_wmso_basics():
     phi = parse_wmso("Ax Ey (x < y)")
-    assert phi == ForallPt("x", ExistsPt("y", Less("x", "y")))
-    assert parse_wmso("EX Ax (x in X)") == \
-        ExistsSet("X", ForallPt("x", Mem("x", "X")))
+    assert phi == Forall("x", Exists("y", Less("x", "y")))
+    assert parse_wmso("EX Ax (x in X)") == Exists("X", Forall("x", Mem("x", "X")))
     assert parse_wmso("x = y") == EqPt("x", "y")
     assert qdepth(phi) == 2
     assert free_vars(phi) == set()
@@ -26,10 +24,10 @@ def test_parse_wmso_basics():
 def test_quantifier_prefix_scope_extends_to_the_end():
     # the quantifier captures the whole remaining subformula ...
     a = parse_wmso("Ex (x < y) & y = y")
-    assert isinstance(a, ExistsPt) and isinstance(a.body, And)
+    assert isinstance(a, Exists) and isinstance(a.body, And)
     # ... unless parentheses stop it
     b = parse_wmso("(Ex (x < y)) & y = y")
-    assert isinstance(b, And) and isinstance(b.a, ExistsPt)
+    assert isinstance(b, And) and isinstance(b.a, Exists)
 
 
 def test_connective_precedence_and_associativity():
@@ -52,6 +50,14 @@ def test_wmso_sort_errors():
         parse_wmso("Ax (x < y")  # unbalanced parenthesis
     with pytest.raises(FormulaError):
         parse_wmso("x <")
+
+
+@pytest.mark.parametrize("name, is_set", [
+    ("x", False), ("y1", False), ("f_x", False), ("g_X", False), ("X", True),
+    ("Xs", True), ("", False),
+])
+def test_the_case_of_a_name_is_its_sort(name, is_set):
+    assert is_set_var(name) == is_set
 
 
 @pytest.mark.parametrize("text", ["in < x", "in = x", "in in X", "x < in", "x = in"])
@@ -122,7 +128,7 @@ _POINTS, _SETS = st.sampled_from("xyz"), st.sampled_from("XY")
 wmso_formulas = _formulas(
     st.one_of(st.builds(Less, _POINTS, _POINTS), st.builds(EqPt, _POINTS, _POINTS),
               st.builds(Mem, _POINTS, _SETS)),
-    [(ExistsPt, _POINTS), (ForallPt, _POINTS), (ExistsSet, _SETS), (ForallSet, _SETS)],
+    [(q, var) for q in (Exists, Forall) for var in (_POINTS, _SETS)],
 )
 _terms = st.recursive(
     st.one_of(st.builds(GVar, _POINTS), st.just(One())),
@@ -191,9 +197,9 @@ def test_evaluator_binds_only_quantifiers():
 def test_printer_protects_quantified_operands():
     # a quantifier on the left of a connective must be parenthesized or the
     # reparse would swallow the right operand into its scope
-    phi = And(ExistsPt("x", Less("x", "y")), EqPt("y", "y"))
+    phi = And(Exists("x", Less("x", "y")), EqPt("y", "y"))
     assert parse_wmso(print_wmso(phi)) == phi
-    phi2 = Or(Not(ExistsPt("x", Less("x", "y"))), EqPt("y", "y"))
+    phi2 = Or(Not(Exists("x", Less("x", "y"))), EqPt("y", "y"))
     assert parse_wmso(print_wmso(phi2)) == phi2
 
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from qwi import predicates as P
 from qwi.corpus import load_corpus
 from qwi.formulas import (
-    Exists, GAtom, expand, parse_group, parse_wmso, print_group, print_wmso,
+    EqPt, Exists, GAtom, Mem, expand, parse_group, parse_wmso, print_group,
+    print_wmso,
 )
 from qwi.interp import (
     InterpError, _decompile, encode_finite_set, encode_finite_set_alt,
@@ -72,6 +73,17 @@ def test_translate_shape():
     assert "rational(" in text and "codesame(" in text
     with pytest.raises(InterpError):
         translate(parse_wmso("x < y"))  # open formulas are not sentences
+
+
+@pytest.mark.parametrize("phi", [
+    Exists("s", Exists("x", Mem("x", "s"))),  # a lowercase set
+    Exists("X", Exists("x", EqPt("x", "X"))),  # an uppercase point
+    Exists("X", Exists("Y", Mem("X", "Y"))),
+])
+def test_translate_refuses_a_variable_of_the_wrong_sort(phi):
+    """The case of a name is its sort, and each atom position has one."""
+    with pytest.raises(InterpError, match="wrong sort"):
+        translate(phi)
 
 
 def test_translate_is_deterministic():
@@ -168,6 +180,13 @@ def test_roundtrip_examples(text, expected):
     from qwi.wmso import decide
     assert decide(phi) == expected
     assert roundtrip_check(phi)
+
+
+@pytest.mark.parametrize("orientation", ["up", "", "Right"])
+def test_pullback_refuses_an_unknown_orientation(orientation):
+    psi = translate(parse_wmso("Ax Ey (x < y)"))
+    with pytest.raises(InterpError, match="orientation must be"):
+        pullback_eval(psi, orientation=orientation)
 
 
 def test_orientation_robustness_on_sample():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qwi.generators import make_bump
 from qwi.numbers import NEG_INF, POS_INF, QInterval
 from qwi.plmap import PLMap
-from qwi import patterns
+from qwi import patterns, suites
 from qwi.patterns import (
     EMPTY, IRRATIONAL, MAX_ONLY, MIN_AND_MAX, MIN_ONLY, MINUS_INF,
     NO_MIN_NO_MAX, PLUS_INF, RATIONAL, SINGLETON,
@@ -259,12 +259,16 @@ def test_tail_shift_keeps_the_fixed_points_of_the_tail():
 
 def test_inf_formula_holds_on_every_tail_of_up_to_four_blocks():
     """A four-block tail word can repeat its first orbital's class with
-    different regions between; the restriction keeps one orbital a period."""
+    different regions between; the restriction keeps one orbital a period.
+    48 of the 52 tails have a period of two orbitals, which the lemma suites
+    at (5, 3) never meet, so Lemma 2.1's restriction and shift are checked
+    on them here too."""
     tails = [p for w in enumerate_tail_words(4)
              if pattern_is_valid(p := OrbitalPattern(None, (), w)) and has_inf_orbitals(p)]
     assert len(tails) == 52
     for p in tails + list(map(mirror_pattern, tails)):
         assert inf_formula_holds(p), format_pattern(p)
+        assert suites._lemma21_failure(p) is None
 
 
 def test_empty_tail_word_is_refused():

@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 import qwi.wmso
 from qwi.corpus import load_corpus
-from qwi.formulas import FormulaError, parse_group, parse_wmso
+from qwi.formulas import (
+    And, EqPt, Exists, Forall, FormulaError, Mem, Not, parse_group, parse_wmso,
+)
 from qwi.numbers import NEG_INF, POS_INF, QInterval
 from qwi.wmso import (
     Assignment, automaton, brute_eval, decide, eval as wmso_eval,
@@ -54,9 +56,26 @@ def test_eval_rejects_free_and_unbound_vars():
         wmso_eval(parse_wmso("x in X"), EMPTY.with_set("x", []).with_set("X", []))
 
 
-def test_brute_eval_rejects_a_group_quantifier():
+def test_brute_eval_rejects_a_group_atom():
     with pytest.raises(FormulaError, match="not a formula over"):
         brute_eval(parse_group("Ax x = x"), Assignment(), [])
+
+
+def test_both_deciders_read_one_quantifier_node_for_both_sorts():
+    phi = Exists("X", Forall("x", Mem("x", "X")))  # no finite set holds ℚ
+    assert brute_eval(phi, EMPTY, POOL) is decide(phi) is False
+
+
+def test_decide_reads_a_sort_from_the_atoms_not_the_case():
+    """∃s ∃x ∃y (x ≠ y ∧ x ∈ s ∧ y ∈ s) over the lowercase set name s, as
+    the decompiler of `interp` keeps compiled names such as g_X: s is a set
+    because membership reads it as one, so it may hold two points.  Where
+    the atoms read s as a point, it holds one."""
+    def holds_two(atom):
+        return Exists("s", Exists("x", Exists("y", And(
+            Not(EqPt("x", "y")), And(atom("x", "s"), atom("y", "s"))))))
+    assert decide(holds_two(Mem))
+    assert not decide(holds_two(EqPt))
 
 
 def test_eval_with_assignment():
