@@ -1,12 +1,13 @@
 """Command-line entry point: `qwi <subcommand> ...`.
 
 Exit codes: 0 for true / success, 1 for false / failures, 2 for usage or
-input errors.
+input errors, 141 (128 + SIGPIPE) when the reader of stdout has gone away.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from fractions import Fraction
@@ -206,7 +207,13 @@ def main(argv=None) -> int:
         argv.insert(1, "--")
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout is seen here, not at exit
+        return code
+    except BrokenPipeError:
+        # nothing more can be written; the exit flush goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (CliError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -193,7 +193,6 @@ class Conjugator:
 
     def __init__(self, segments: list[Segment]):
         self.segments = segments
-        self._inverse: Optional[Conjugator] = None
 
     def apply(self, q: Fraction) -> Rat:
         if type(q) is not Rat:
@@ -208,12 +207,6 @@ class Conjugator:
     def inverse(self) -> "Conjugator":
         """h⁻¹, which conjugates g back to f."""
         return Conjugator([seg.inverse() for seg in self.segments])
-
-    def apply_inverse(self, v: Fraction) -> Fraction:
-        """h⁻¹(v), through an inverse built on the first call and kept."""
-        if self._inverse is None:
-            self._inverse = self.inverse()
-        return self._inverse.apply(v)
 
 
 # ---------------------------------------------------------------------------

@@ -348,10 +348,13 @@ class _Parser:
         t = self.peek()
         if t and t[0] == "id" and len(t[1]) >= 2 and t[1][0] in "AE":
             self.i += 1  # a quantifier: its body runs to the end of the subformula
-            body = self.nested(self.formula)
-            if self.lang == "group" and not t[1][1].islower():
-                raise FormulaError(f"group variables are lowercase: {t[1][1:]!r}")
-            return (Exists if t[1][0] == "E" else Forall)(t[1][1:], body)
+            name = t[1][1:]  # the rest of a name token: a name if it starts with a letter
+            if not name[0].isalpha() or name == "in":
+                raise FormulaError(
+                    f"a quantifier must bind a variable, got {name!r} at position {t[2] + 1}")
+            if self.lang == "group" and not name[0].islower():
+                raise FormulaError(f"group variables are lowercase: {name!r}")
+            return (Exists if t[1][0] == "E" else Forall)(name, self.nested(self.formula))
         save = self.i
         if self.take("("):
             try:

@@ -34,7 +34,7 @@ def gen_plmap_rnd(rnd: random.Random, complexity: int) -> PLMap:
     slopes = [Rat(rnd.randint(1, 6), rnd.randint(1, 6)) for _ in range(n + 1)]
     anchor = cuts[0] - 1
     value = _rat(rnd)
-    return PLMap.from_slopes(anchor, value, cuts, slopes)
+    return PLMap(anchor, value, cuts, slopes)
 
 
 def _rat(rnd: random.Random) -> Rat:
@@ -63,12 +63,11 @@ def make_bump(iv: QInterval, up: bool = True) -> PLMap:
     if not is_finite(lo) and not is_finite(hi):
         f = PLMap.translation(1)
     elif not is_finite(lo):
-        f = PLMap((hi,), ((Rat(1, 2), hi / 2), (Rat(1), Rat(0))))
+        f = PLMap(hi, hi, (hi,), (Rat(1, 2), Rat(1)))
     elif not is_finite(hi):
-        f = PLMap((lo,), ((Rat(1), Rat(0)), (Rat(2), -lo)))
+        f = PLMap(lo, lo, (lo,), (Rat(1), Rat(2)))
     else:
         mid = lo + (hi - lo) / 3
-        f = PLMap.from_slopes(lo, lo, [lo, mid, hi],
-                              [Rat(1), Rat(2), Rat(1, 2), Rat(1)])
+        f = PLMap(lo, lo, [lo, mid, hi], [Rat(1), Rat(2), Rat(1, 2), Rat(1)])
     return f if up else f.inverse()
 

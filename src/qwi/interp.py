@@ -86,7 +86,7 @@ def _set_encoder(points, below: Fraction, rise: Fraction, above: Fraction,
         cuts.extend([mid, b])
         slopes.extend([rise, fall])
     slopes.append(above)
-    return PLMap.from_slopes(pts[0], pts[0], cuts, slopes)
+    return PLMap(pts[0], pts[0], cuts, slopes)
 
 
 def encode_finite_set(S) -> PLMap:

@@ -3,18 +3,20 @@
 A map is stored in breakpoint form (Brin and Squier 1985; Cannon, Floyd
 and Parry 1996): its cuts xᵢ, their images yᵢ, one positive slope per gap
 and `c0`, the intercept of the first piece (a map with no cuts has no
-breakpoint to anchor it).  Every map is built by one checked constructor,
-`from_slopes`: it walks the images from an anchor point, so a map is
-continuous by construction, and it merges equal adjacent slopes, so the
-storage is canonical and structural equality is group-element equality.
-`compose` computes slopes and cuts only, `inverse` swaps the coordinates,
-and `regions` reads the displacement yᵢ - xᵢ at the cuts.  The
-(slope, intercept) pieces of the text format are derived once per map,
-when asked for.
+breakpoint to anchor it).  Every map is built by the one checked
+constructor, `PLMap(anchor, value, cuts, slopes)`: it walks the images from
+an anchor point, so a map is continuous by construction, and it merges
+equal adjacent slopes, so the storage is canonical and structural equality
+is group-element equality.  `compose` computes slopes and cuts only,
+`inverse` swaps the coordinates, and `regions` reads the displacement
+yᵢ - xᵢ at the cuts.  The (slope, intercept) pieces belong to the text
+format: `parse_pl` alone reads them, and `pieces` derives them once per map.
 
-Only this module reads the storage; other modules read a map through
-`apply`, `germ`, `cuts_in` and `regions`, so a change of storage stays
-inside this file.
+Only this module reads the storage.  Other modules read a map through the
+group operations (`compose`, `inverse`, `conjugate_by`), equality and
+hashing, and `apply`, `apply_inverse`, `germ`, `cuts_in`, `agrees_on`,
+`regions`, `fixed_items`, `support` and `signed_support`, so a change of
+storage stays inside this file.
 """
 
 from __future__ import annotations
@@ -56,22 +58,13 @@ class PLMap:
     __slots__ = ("cuts", "image_cuts", "slopes", "c0", "_pieces", "_regions",
                  "_signed", "_support", "_hash")
 
-    def __init__(self, cuts: Sequence[Fraction], pieces: Sequence[Piece]):
-        """The checked piece form: one (slope, intercept) pair per gap, equal
-        at every cut (the text format's reading)."""
-        cuts = _rats(cuts)
-        pieces = [tuple(_rats(p)) for p in pieces]
-        if len(pieces) != len(cuts) + 1:
-            raise PLMapError(
-                f"{len(cuts)} cuts need {len(cuts) + 1} pieces, got {len(pieces)}"
-            )
-        self._build(0, pieces[0][1], cuts, [m for m, _ in pieces])
-        for b, (ml, cl), (mr, cr) in zip(cuts, pieces, pieces[1:]):
-            if ml * b + cl != mr * b + cr:
-                raise PLMapError(f"discontinuous at cut {b}")
+    # -- construction ------------------------------------------------------
 
-    def _build(self, anchor, value, cuts: Sequence[Fraction],
-               slopes: Sequence[Fraction]) -> None:
+    def __init__(self, anchor: Fraction, value: Fraction,
+                 cuts: Sequence[Fraction], slopes: Sequence[Fraction]):
+        """The map with these cuts and one slope per gap whose first piece's
+        line passes through (anchor, value).  Refuses non-increasing cuts,
+        non-positive slopes and a wrong slope count."""
         cuts, slopes = _rats(cuts), _rats(slopes)
         if len(slopes) != len(cuts) + 1:
             raise PLMapError(
@@ -109,25 +102,13 @@ class PLMap:
         self._support: tuple[QInterval, ...] | None = None
         self._hash: int | None = None
 
-    # -- construction ------------------------------------------------------
-
     @staticmethod
     def identity() -> "PLMap":
-        return PLMap.translation(0)
+        return PLMap(0, 0, (), (1,))
 
     @staticmethod
     def translation(a) -> "PLMap":
-        return PLMap.from_slopes(0, a, (), (1,))
-
-    @staticmethod
-    def from_slopes(anchor: Fraction, value: Fraction,
-                    cuts: Sequence[Fraction], slopes: Sequence[Fraction]) -> "PLMap":
-        """The map with these cuts and one slope per gap whose first piece's
-        line passes through (anchor, value).  Refuses non-increasing cuts,
-        non-positive slopes and a wrong slope count."""
-        f = PLMap.__new__(PLMap)
-        f._build(anchor, value, cuts, slopes)
-        return f
+        return PLMap(0, a, (), (1,))
 
     # -- basic queries -----------------------------------------------------
 
@@ -211,14 +192,12 @@ class PLMap:
                             else (y - other.c0) / gslopes[0])
                 j += 1
             else:
-                return PLMap.from_slopes(0, fslopes[0] * other.c0 + self.c0,
-                                         cuts, slopes)
+                return PLMap(0, fslopes[0] * other.c0 + self.c0, cuts, slopes)
 
     def inverse(self) -> "PLMap":
         """The cuts and images swap and each slope m becomes 1/m; the first
         piece's line passes through (0, c0), so its inverse's through (c0, 0)."""
-        return PLMap.from_slopes(self.c0, 0, self.image_cuts,
-                                 [1 / m for m in self.slopes])
+        return PLMap(self.c0, 0, self.image_cuts, [1 / m for m in self.slopes])
 
     def conjugate_by(self, g: "PLMap") -> "PLMap":
         """g ∘ self ∘ g⁻¹."""
@@ -345,4 +324,10 @@ def parse_pl(text: str) -> PLMap:
     for p, q in zip(pieces, pieces[1:]):
         if p == q:
             raise PLMapError(f"non-canonical input (adjacent identical pieces ({p[0]},{p[1]}))")
-    return PLMap(cuts, pieces)
+    if len(pieces) != len(cuts) + 1:
+        raise PLMapError(f"{len(cuts)} cuts need {len(cuts) + 1} pieces, got {len(pieces)}")
+    f = PLMap(0, pieces[0][1], cuts, [m for m, _ in pieces])
+    for b, (ml, cl), (mr, cr) in zip(cuts, pieces, pieces[1:]):
+        if ml * b + cl != mr * b + cr:
+            raise PLMapError(f"discontinuous at cut {b}")
+    return f

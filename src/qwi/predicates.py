@@ -66,7 +66,7 @@ def restrict_map(y: PLMap, comps: list[QInterval]) -> PLMap:
     for gap in gaps_of(xs):
         x = pick_fresh(gap)
         germs.append(y.germ(x) if any(iv.contains(x) for iv in comps) else identity)
-    return PLMap.from_slopes(0, germs[0][1], xs, [m for m, _ in germs])
+    return PLMap(0, germs[0][1], xs, [m for m, _ in germs])
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +405,7 @@ def cont_degeneracy_example() -> tuple[PLMap, PLMap, bool, bool]:
     """The canonical divergence: y with dense support and fixed points
     {0, 1}, x a translation whose support is certainly not contained in
     supp(y) — yet the literal macro holds vacuously."""
-    y = PLMap(
-        (Fraction(0), Fraction(1, 3), Fraction(1)),
-        ((Fraction(1, 2), Fraction(0)), (Fraction(2), Fraction(0)),
-         (Fraction(1, 2), Fraction(1, 2)), (Fraction(2), Fraction(-1))),
-    )
+    y = PLMap(0, 0, (0, Fraction(1, 3), 1), (Fraction(1, 2), 2, Fraction(1, 2), 2))
     x = PLMap.translation(1)
     lit = literal("cont", (x, y))
     sem = cont_sem(x, y)

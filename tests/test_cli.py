@@ -1,5 +1,9 @@
 import ast
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -7,6 +11,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from qwi.cli import main
 from qwi.plmap import parse_pl
 from qwi import predicates as P
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write(tmp_path, name, text):
@@ -89,6 +95,9 @@ def test_eval_refuses_in_as_a_point_variable(tmp_path, capsys):
     f = write(tmp_path, "in.wmso", "Ex (in < x)")
     assert main(["eval", f]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    f = write(tmp_path, "in.wmso", "Ein (x < y)")
+    assert main(["eval", f]) == 2
+    assert "a quantifier must bind a variable" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("assign", ["X{=1", "1}y=1", "0 {{x{=110", "x y=1", ",x=1"])
@@ -266,3 +275,24 @@ def test_eval_refuses_a_binding_of_the_wrong_sort(tmp_path, capsys, assign, item
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(item) in err
     assert "unbound" not in err
+
+
+def test_a_closed_stdout_is_not_bad_input():
+    """A reader that went away before the output is written (`qwi ... | true`)
+    gets exit code 141, as for a process killed by SIGPIPE, and no message;
+    unreadable input still exits 2."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    run = [sys.executable, "-m", "qwi.cli", "translate"]
+    try:
+        done = subprocess.run(run + [str(ROOT / "src/qwi/data/corpus.txt")],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")
+    done = subprocess.run(run + [str(ROOT / "no such file")], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 2 and done.stderr.startswith("error:")

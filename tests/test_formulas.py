@@ -66,6 +66,22 @@ def test_in_is_never_a_point_variable(text):
         parse_wmso(text)
 
 
+@pytest.mark.parametrize("parse, text", [
+    (parse_wmso, "Ein (x < y)"), (parse_wmso, "Ain (x = x)"),
+    (parse_wmso, "E1 Ax (x = x)"), (parse_wmso, "E_x Ax (x = x)"),
+    (parse_wmso, "E' (x = x)"), (parse_group, "Ein (x = x)"),
+    (parse_group, "E1 (x = x)"),
+])
+def test_a_quantifier_binds_only_a_variable_name(parse, text):
+    with pytest.raises(FormulaError, match="at position 1"):
+        parse(text)
+
+
+def test_a_bound_name_may_end_in_primes_and_digits():
+    assert parse_wmso("Ex' (x' = x')") == Exists("x'", EqPt("x'", "x'"))
+    assert parse_wmso("Ax1_' (x1_' = x1_')") == Forall("x1_'", EqPt("x1_'", "x1_'"))
+
+
 def test_parse_group_terms_and_atoms():
     phi = parse_group("Ez (disj(x,z) & y = x*z)")
     assert phi == Exists("z", And(GAtom("disj", (GVar("x"), GVar("z"))),

@@ -31,21 +31,18 @@ H_SHARED = parse_pl("pl cuts=[0] pieces=[(1,1),(2,1)]")
 
 
 def test_constructor_rejects_bad_data():
-    one = Fraction(1)
-    with pytest.raises(PLMapError):
-        PLMap((Fraction(0),), ((one, Fraction(0)),))  # piece count
-    with pytest.raises(PLMapError):
-        PLMap((Fraction(1), Fraction(0)),
-              ((one, 0), (one, 0), (one, 0)))  # cuts out of order
-    with pytest.raises(PLMapError):
-        PLMap((), ((Fraction(-1), Fraction(0)),))  # negative slope
-    with pytest.raises(PLMapError):
-        PLMap((Fraction(0),), ((one, Fraction(0)), (one, Fraction(1))))  # jump
+    for text, message in [
+        ("pl cuts=[0] pieces=[(1,0)]", "1 cuts need 2 pieces, got 1"),
+        ("pl cuts=[1,0] pieces=[(1,0),(2,-1),(1,0)]", "cuts not strictly increasing"),
+        ("pl cuts=[] pieces=[(-1,0)]", "non-positive slope"),
+        ("pl cuts=[0] pieces=[(1,0),(1,1)]", "discontinuous at cut 0"),
+    ]:
+        with pytest.raises(PLMapError, match=message):
+            parse_pl(text)
 
 
 def test_constructor_merges_redundant_cuts():
-    f = PLMap((Fraction(0),), ((Fraction(1), Fraction(2)),
-                               (Fraction(1), Fraction(2))))
+    f = PLMap(0, 2, (0, 1), (1, 1, 1))
     assert f == PLMap.translation(2)
     assert f.cuts == ()
 
@@ -54,7 +51,7 @@ def test_basic_examples():
     t = PLMap.translation(Fraction(3, 2))
     assert t.apply(Fraction(1, 2)) == 2
     assert t.apply_inverse(Fraction(2)) == Fraction(1, 2)
-    d = PLMap((Fraction(0),), ((Fraction(1), Fraction(0)), (Fraction(2), Fraction(0))))
+    d = PLMap(0, 0, (0,), (1, 2))
     assert d.apply(Fraction(-1)) == -1
     assert d.apply(Fraction(3)) == 6
     assert d.apply_inverse(Fraction(6)) == 3
@@ -110,10 +107,10 @@ def test_conjugate(f, g):
 def test_fixed_structure_examples():
     assert PLMap.identity().fixed_items() == [(NEG_INF, POS_INF)]
     assert PLMap.translation(1).fixed_items() == []
-    d = PLMap((), ((Fraction(2), Fraction(0)),))
+    d = PLMap(0, 0, (), (2,))
     assert d.fixed_items() == [(Fraction(0), Fraction(0))]
     # identity on (-inf, 0], doubling past 0
-    f = PLMap((Fraction(0),), ((Fraction(1), Fraction(0)), (Fraction(2), Fraction(0))))
+    f = PLMap(0, 0, (0,), (1, 2))
     assert f.fixed_items() == [(NEG_INF, Fraction(0))]
 
 
@@ -146,8 +143,8 @@ def test_agrees_on_sees_a_bump(f, j0, j1, i0, i1):
 
 def test_agrees_on_compares_the_slopes_after_shared_cuts():
     # same cuts and same first piece; the slopes after the cut at 0 differ
-    f = PLMap.from_slopes(0, 0, [0, 1], [1, 2, 1])
-    g = PLMap.from_slopes(0, 0, [0, 1], [1, 3, 1])
+    f = PLMap(0, 0, [0, 1], [1, 2, 1])
+    g = PLMap(0, 0, [0, 1], [1, 3, 1])
     assert f.agrees_on(g, QInterval(NEG_INF, Fraction(0)))
     for iv in (QInterval(Fraction(-1), Fraction(1, 2)), QInterval(NEG_INF, POS_INF),
                QInterval(Fraction(0), Fraction(1))):
@@ -312,7 +309,7 @@ def test_generator_is_deterministic_and_canonical(seed, complexity):
     assert f == gen_plmap(seed, complexity)
     assert len(f.cuts) <= complexity + 2
     # the constructor re-canonicalizes: building from raw data is a no-op
-    assert PLMap(f.cuts, f.pieces) == f
+    assert PLMap(0, f.c0, f.cuts, f.slopes) == f
 
 
 def test_make_bump_shapes():
@@ -439,9 +436,9 @@ def test_text_format_is_unchanged():
     ([0], [1]),               # too few slopes
     ([], [1, 2]),             # too many slopes
 ])
-def test_from_slopes_refuses_bad_data(cuts, slopes):
+def test_constructor_refuses_bad_cuts_or_slopes(cuts, slopes):
     with pytest.raises(PLMapError):
-        PLMap.from_slopes(0, 0, cuts, slopes)
+        PLMap(0, 0, cuts, slopes)
 
 
 @pytest.mark.parametrize("text", [

@@ -23,7 +23,7 @@ def test_comp():
     assert P.comp_sem(PLMap.identity())
     assert P.comp_sem(PLMap.translation(-3))
     assert P.comp_sem(bump(0, 1))
-    doubling = PLMap((), ((Fraction(2), Fraction(0)),))
+    doubling = PLMap(0, 0, (), (2,))
     assert not P.comp_sem(doubling)  # below 0 it moves down, above 0 up
     mixed = bump(0, 1).compose(bump(2, 3, up=False))
     assert not P.comp_sem(mixed)

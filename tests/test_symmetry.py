@@ -1,0 +1,106 @@
+"""Symmetry laws at map level: conjugation by the reversal ρ(x) = −x, an
+automorphism of Aut(ℚ,<) that is not inner, and by a random map h.
+
+ρfρ is built in one constructor call: its cuts are the negated cuts of f
+in reverse order, its slopes those of f in reverse order, and its first
+piece's line passes through (−a, −f(a)) for the last cut a of f (or 0).
+"""
+
+import random
+from dataclasses import replace
+from fractions import Fraction
+
+from qwi import predicates as P
+from qwi.conjugacy import conjugating_witness, verify_conjugator
+from qwi.formulas import ATOM_ARITY
+from qwi.generators import gen_plmap_rnd
+from qwi.patterns import Moving, OrbitalPattern, mirror_pattern, pattern_of
+from qwi.plmap import PLMap
+
+
+def reverse(f: PLMap) -> PLMap:
+    """ρfρ, the map x ↦ −f(−x)."""
+    a = f.cuts[-1] if f.cuts else Fraction(0)
+    return PLMap(-a, -f(a), [-x for x in reversed(f.cuts)], reversed(f.slopes))
+
+
+def flip_parities(p: OrbitalPattern) -> OrbitalPattern:
+    def flip(word):
+        return None if word is None else tuple(
+            replace(b, parity=-b.parity) if isinstance(b, Moving) else b for b in word)
+
+    return OrbitalPattern(flip(p.left_tail), flip(p.core), flip(p.right_tail))
+
+
+def test_reversal_is_an_involution_with_the_mirrored_pattern():
+    rnd = random.Random("symmetry:maps")
+    for _ in range(300):
+        f = gen_plmap_rnd(rnd, 6)
+        r = reverse(f)
+        assert reverse(r) == f
+        pts = {*f.cuts, *(-b for b in r.cuts), *(Fraction(k, 3) for k in range(-40, 41, 7))}
+        for x in pts:
+            assert r(x) == -f(-x), (f, x)
+        assert pattern_of(r) == mirror_pattern(flip_parities(pattern_of(f))), f
+
+
+def test_reversal_keeps_conjugacy_and_its_witnesses():
+    rnd = random.Random("symmetry:pairs")
+    witnessed = 0
+    for k in range(200):
+        f = gen_plmap_rnd(rnd, 5)
+        g = f.conjugate_by(gen_plmap_rnd(rnd, 5)) if k % 2 else gen_plmap_rnd(rnd, 5)
+        w = conjugating_witness(f, g)
+        rf, rg = reverse(f), reverse(g)
+        rw = conjugating_witness(rf, rg)
+        assert (w is None) == (rw is None), (f, g)
+        if w is not None:
+            witnessed += 1
+            assert verify_conjugator(w, f, g) and verify_conjugator(rw, rf, rg)
+    assert witnessed >= 100
+
+
+def test_every_oracle_is_invariant_under_reversal_and_conjugation():
+    """Each predicate is defined in the group language, so every automorphism
+    of the group keeps it: ρ, and conjugation by any h."""
+    rnd = random.Random("symmetry:oracles")
+    held = dict.fromkeys(P.ORACLES, 0)
+    for _ in range(300):
+        roll = rnd.random()
+        if roll < 0.3:
+            pair = P._coded_pair(rnd)
+        elif roll < 0.51:
+            pair = P._shared_end_pair(rnd)
+        else:
+            pair = [gen_plmap_rnd(rnd, 4) for _ in "fg"]
+        h = gen_plmap_rnd(rnd, 4)
+        for name, oracle in P.ORACLES.items():
+            args = pair[:ATOM_ARITY[name]]
+            value = oracle(*args)
+            assert oracle(*map(reverse, args)) == value, (name, args)
+            assert oracle(*(a.conjugate_by(h) for a in args)) == value, (name, args, h)
+            held[name] += value
+    assert min(held.values()) >= 15, held
+
+
+def test_every_literal_macro_is_invariant_under_reversal_and_conjugation():
+    """The schema of a literal macro read with its quantifiers over a pool
+    keeps its value when the arguments and the pool are moved together."""
+    rnd = random.Random("symmetry:literals")
+    held = dict.fromkeys(P.LITERAL_MACROS, 0)
+    for _ in range(60):
+        pool = [gen_plmap_rnd(rnd, 4) for _ in range(4)]
+        h = gen_plmap_rnd(rnd, 4)
+        for macro in P.LITERAL_MACROS:
+            if macro == "codesame":
+                args = P._coded_pair(rnd)
+            elif macro == "oppsupport" and rnd.random() < 0.5:
+                args = P._shared_end_pair(rnd)
+            else:
+                args = [gen_plmap_rnd(rnd, 4) for _ in range(ATOM_ARITY[macro])]
+            value = P.literal(macro, args, pool)
+            for move in (reverse, lambda a: a.conjugate_by(h)):
+                assert P.literal(macro, [*map(move, args)], [*map(move, pool)]) == value, (
+                    macro, args)
+            held[macro] += value
+    assert min(held.values()) >= 5, held
