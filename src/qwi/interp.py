@@ -221,17 +221,7 @@ def _guard(phi: Formula) -> Optional[GAtom]:
     return g if isinstance(g, GAtom) and GVar(phi.var) in g.args else None
 
 
-def _spread(gap: QInterval, k: int) -> list[Fraction]:
-    """k distinct increasing rationals inside an open gap."""
-    out, iv = [], gap
-    for _ in range(k):
-        out.append(pick_fresh(iv))
-        iv = QInterval(out[-1], gap.hi)
-    return out
-
-
-_SIDES = {"right": (QInterval(Rat(0), POS_INF),),
-          "left": (QInterval(NEG_INF, Rat(0)),)}
+_SIDES = ("right", "left")
 
 
 class _Pullback(P.GroupEvaluator):
@@ -242,11 +232,13 @@ class _Pullback(P.GroupEvaluator):
     its element in `env`.
 
     Every element the evaluator builds is kept in `coded` for the length of
-    the call, keyed by what it codes (a point by its side and value, a set
-    by its members, a product by its two factors, an inverse by its
-    argument), so a value met again is the same map and its support is
-    walked once.  The automaton of each set quantifier's body is kept in
-    `automata`, keyed by the quantifier node, for the same span."""
+    the call, keyed by what it codes: a point by its side and value (the
+    orientation parameter is a code of 0), a set by its members, a product
+    by its two factors, an inverse by its argument, and the identity by
+    ("one",).  There are no other keys.  So a value met again is the same
+    map, and its support is walked once.  The automaton of each set
+    quantifier's body is kept in `automata`, keyed by the quantifier node,
+    for the same span."""
 
     def __init__(self, orientation: Optional[str]):
         super().__init__({})
@@ -279,14 +271,11 @@ class _Pullback(P.GroupEvaluator):
         return oracle(*[self.term(a) for a in phi.args])
 
     def bind(self, phi: Formula):
-        if type(phi) not in _SHAPE:
-            raise InterpError(f"node outside the translated fragment: {phi!r}")
         g = _guard(phi)
         name = g.name if g is not None else None
-        if name == "cof":  # the orientation parameter
-            ivs = _SIDES[self.orientation] if self.orientation else (
-                _SIDES["right"] + _SIDES["left"])
-            return self.env, [self.code(("bump", iv), make_bump, iv) for iv in ivs]
+        if name == "cof":  # the orientation parameter: a code of 0 per side
+            sides = (self.orientation,) if self.orientation else _SIDES
+            return self.env, [self.rational(Rat(0), side) for side in sides]
         if name == "rational":
             return self.a.points, point_candidates(self.a)
         if name == "finrational":
@@ -303,14 +292,15 @@ class _Pullback(P.GroupEvaluator):
         """One set per reachable end state of the body's automaton.
 
         The landmarks of the body's other variables are read in the
-        direction of the orientation parameter, as `_rightward` reads it.  A
-        breadth-first search over (landmarks read, state) inserts a fresh
-        point of the set before the next landmark, or reads that landmark
-        with or without it, and keeps the first, so shortest, way to each
-        end state.  Two sets that end in the same state satisfy the body
-        alike (Myhill–Nerode), so the family is complete for the order
-        side.  Sets that end where the automaton settles the quantifier come
-        first."""
+        direction of the orientation parameter, as `_rightward` reads it, and
+        gaps[i] is the gap before landmark i in that order.  A breadth-first
+        search over (landmarks read, state) inserts a fresh point of the set
+        into the current gap, above the last one it put there, or reads the
+        next landmark with or without it.  Each node keeps the set that
+        first, so by the shortest way, reached it.  Two sets that end in the
+        same state satisfy the body alike (Myhill–Nerode), so the family is
+        complete for the order side.  Sets that end where the automaton
+        settles the quantifier come first."""
         dfa = self.automata.get(id(phi))
         if dfa is None:
             dfa = self.automata[id(phi)] = automaton(_decompile(phi.body.b))
@@ -319,45 +309,36 @@ class _Pullback(P.GroupEvaluator):
         right = _rightward(self.env[ORIENTATION_VAR])
         marks, letters = landmark_word(dfa, self.a, phi.var, descending=not right)
         n, bit, delta = len(marks), dfa.bit(phi.var), dfa.delta
-        want = type(phi) is Exists
-        # node (i, q): i landmarks read, in state q; back[node] is the node
-        # it was first reached from and whether that move took a landmark
-        back: dict[tuple[int, int], Optional[tuple]] = {(0, 0): None}
+        gaps = gaps_of(sorted(marks))
+        if not right:
+            gaps.reverse()
+        # node (i, q): i landmarks read, in state q; built[node] is the set
+        # that first reached it and its last point in gaps[i], or that gap's
+        # lower end
+        built = {(0, 0): ((), gaps[0].lo)}
         order = [(0, 0)]
         for node in order:  # grows while it is walked
-            i, q = node
-            moves = [((i, delta[q][bit]), False)]
+            (i, q), (members, last) = node, built[node]
+            fresh = pick_fresh(QInterval(last, gaps[i].hi))
+            moves = [((i, delta[q][bit]), ((*members, fresh), fresh))]
             if i < n:
-                moves += [((i + 1, delta[q][letters[i]]), False),
-                          ((i + 1, delta[q][letters[i] | bit]), True)]
-            for nxt, took in moves:
-                if nxt not in back:
-                    back[nxt] = (node, took)
+                lo = gaps[i + 1].lo
+                moves += [((i + 1, delta[q][letters[i]]), (members, lo)),
+                          ((i + 1, delta[q][letters[i] | bit]), ((*members, marks[i]), lo))]
+            for nxt, reached in moves:
+                if nxt not in built:
+                    built[nxt] = reached
                     order.append(nxt)
-        gaps = gaps_of(sorted(marks))
-        out = []
-        for end in order:
-            if end[0] != n:
-                continue
-            members, fresh, node = [], [0] * (n + 1), end
-            while back[node] is not None:
-                prev, took = back[node]
-                if prev[0] == node[0]:  # a fresh point before landmark prev[0]
-                    fresh[prev[0] if right else n - prev[0]] += 1
-                elif took:
-                    members.append(marks[prev[0]])
-                node = prev
-            for gap, k in zip(gaps, fresh):
-                members.extend(_spread(gap, k))
-            out.append((dfa.accept[end[1]] != want, tuple(sorted(members))))
-        out.sort(key=lambda c: c[0])
-        return [members for _, members in out]
+        want = type(phi) is Exists
+        ends = sorted((node for node in order if node[0] == n),
+                      key=lambda node: dfa.accept[node[1]] != want)
+        return [tuple(sorted(built[node][0])) for node in ends]
 
 
 def pullback_eval(psi: Formula, orientation: Optional[str] = None) -> bool:
     """Evaluate a compiled sentence over coded candidates.
 
-    The orientation parameter ranges over a right and a left cofinal bump,
+    The orientation parameter ranges over the right and the left code of 0,
     a point quantifier over the landmarks plus one fresh point per gap, and
     a set quantifier over one set per reachable end state of the automaton
     of its body, decompiled back to an order formula (see

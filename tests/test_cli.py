@@ -195,6 +195,16 @@ def test_verify_refuses_a_negative_case_count(capsys, argv):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_verify_reports_a_cont_degeneracy_that_does_not_reproduce(capsys, monkeypatch):
+    """Were the literal cont macro read like its oracle, the discrepancy
+    suite reports the lost finding as a failure; it does not raise."""
+    literal = P.literal
+    monkeypatch.setattr(P, "literal", lambda macro, args, pool=(): (
+        P.cont_sem(*args) if macro == "cont" else literal(macro, args, pool)))
+    assert main(["verify", "--suite", "discrepancy", "--cases", "10"]) == 1
+    assert "FAIL cont degeneracy example did not reproduce" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("text", ["Ax Ey (x < y)\n", "", "# no sentence\n\n"])
 def test_translate_refuses_a_negative_expansion_depth(tmp_path, capsys, text):
     f = write(tmp_path, "s.wmso", text)

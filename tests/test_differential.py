@@ -9,9 +9,10 @@ from fractions import Fraction
 
 import pytest
 
+from qwi.corpus import load_corpus
 from qwi.formulas import parse_wmso
-from qwi.interp import pullback_eval, translate
-from qwi.wmso import brute_eval, decide
+from qwi.interp import ORIENTATION_VAR, _Pullback, _rightward, pullback_eval, translate
+from qwi.wmso import brute_eval, decide, landmark_word
 
 from helpers import EMPTY, qdepth
 
@@ -80,12 +81,15 @@ GE_15 = ("EX Ea (a in X & (Eb (b < a & b in X & (Ec (c < b & c in X"
          " & (Ed (b < d & d < c & d in X)) & (Ed (c < d & d in X)))))))")
 
 
-@pytest.mark.parametrize("text", [
+NAMED = [
     GE_7,
     GE_15,
     "AX AY EZ Ax (x in Z <-> (x in X | x in Y))",     # unions
     "AX AY EZ Ax (x in Z <-> (x in X & ~(x in Y)))",  # differences
-])
+]
+
+
+@pytest.mark.parametrize("text", NAMED)
 def test_named_sentences_are_true(text):
     phi = parse_wmso(text)
     assert decide(phi)
@@ -99,15 +103,41 @@ def test_brute_force_reaches_seven_elements():
     assert not brute_eval(parse_wmso(GE_7), EMPTY, POOL[:6])
 
 
-@pytest.mark.parametrize("text", [
+ORIENTED = [
     # a pair set omits some point between its members
     "Ax Ay (x < y -> EX (x in X & y in X & Ez (x < z & z < y & ~(z in X))))",
     # below any point, a set has two points: both fresh, in the first gap
     "Ax EX (Eu Ev (u < v & v < x & u in X & v in X))",
-])
+]
+
+
+@pytest.mark.parametrize("text", ORIENTED)
 def test_set_candidates_follow_the_orientation(text):
     """Under the left orientation the landmarks are read right to left, and
     so are the gaps that fresh points of a set candidate go into."""
     psi = translate(parse_wmso(text))
     assert pullback_eval(psi, orientation="left")
     assert pullback_eval(psi, orientation="right")
+
+
+def test_set_candidates_end_in_distinct_states(monkeypatch):
+    """Each set candidate, with the landmarks read in the orientation's
+    direction, ends the body's automaton in a state of its own.  The walk
+    keeps one set per reachable end state, so then every reachable end
+    state is met, and the family is complete."""
+    walk, distinct = _Pullback.set_candidates, []
+
+    def checked(self, phi):
+        out = walk(self, phi)
+        dfa, left = self.automata[id(phi)], not _rightward(self.env[ORIENTATION_VAR])
+        ends = [dfa.run(landmark_word(dfa, self.a.with_set(phi.var, s), descending=left)[1])
+                for s in out]
+        distinct.append(len(set(ends)) == len(ends))
+        return out
+    monkeypatch.setattr(_Pullback, "set_candidates", checked)
+    texts = [text for _, text, _ in load_corpus()] + NAMED + ORIENTED + _sentences(0, 200)
+    for text in texts:
+        psi = translate(parse_wmso(text))
+        for orientation in ("right", "left"):
+            pullback_eval(psi, orientation)
+    assert len(distinct) > 200 and all(distinct), distinct.count(False)

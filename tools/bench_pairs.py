@@ -33,7 +33,6 @@ import cProfile
 import io
 import json
 import os
-import platform
 import pstats
 import statistics
 import subprocess
@@ -129,24 +128,6 @@ def calibrate(repeats: int = 5) -> float:
     return best
 
 
-def lib_lines(root: Path) -> int:
-    return sum(1 for p in sorted((root / "src" / "qwi").rglob("*.py"))
-               for line in p.read_text().splitlines() if line.strip())
-
-
-def machine() -> dict:
-    cpu = platform.machine()
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                cpu = line.split(":", 1)[1].strip()
-                break
-    except OSError:
-        pass
-    return {"nproc": os.cpu_count(), "python": platform.python_version(),
-            "cpu_model": cpu}
-
-
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
@@ -162,7 +143,8 @@ def export(rev: str, into: Path) -> None:
 
 def bench(root: Path, names: tuple[str, ...], seed: int, seconds: float) -> dict:
     """One `perfbench/run.py` run in `root`: its last line, parsed, with the
-    input and verdict digests of each workload from its result record."""
+    input and verdict digests of each workload and the machine (with the
+    library line count of `root`) from its result records."""
     workload = names[0] if len(names) == 1 else "all"
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -174,6 +156,7 @@ def bench(root: Path, names: tuple[str, ...], seed: int, seconds: float) -> dict
     for name in names:
         rec = json.loads((results / f"{name}-seed{seed}-trace0.json").read_text())
         out["digests"][name] = f"{rec['digest_inputs']} {rec['digest_verdicts']}"
+        out["machine"] = rec["machine"]
     return out
 
 
@@ -253,7 +236,6 @@ def main(argv=None) -> int:
         calibration.append(calibrate())
         counts = {name: {side: count_calls(root, name, args.seed, SECONDS)
                          for side, root in sides.items()} for name in names}
-        lines = {side: lib_lines(root) for side, root in sides.items()}
     workloads = {}
     for name in names:
         out = {}
@@ -277,8 +259,9 @@ def main(argv=None) -> int:
         "base": git("rev-parse", args.base),
         "change": git("rev-parse", "HEAD") + ("+dirty" if git("status", "--porcelain")
                                               else ""),
-        "machine": machine(),
-        "lib_lines": lines,
+        "machine": {k: v for k, v in runs["change"][0]["machine"].items()
+                    if k != "lib_lines"},
+        "lib_lines": {side: rs[0]["machine"]["lib_lines"] for side, rs in runs.items()},
         "calibration_fraction_sum_40000_s": {"before": calibration[0],
                                              "after": calibration[1]},
         "command": f"perfbench/run.py --workload {args.workload} --seed {args.seed} "
