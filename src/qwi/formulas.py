@@ -7,7 +7,9 @@ uppercase set variables; set quantification is over finite sets only.  The
 group language is first-order with terms built from `*`, `^-1` and the
 identity constant `1`, and a fixed signature of named atoms.  The two ASTs
 share their connectives and quantifiers; a WMSO variable's sort is the
-case of its name (`is_set_var`).
+case of its name (`is_set_var`).  `free_vars` takes a formula or a term,
+and one table, `_RELATION`, holds the relation symbols as `_SYMBOL` holds
+the connectives'.
 
 Concrete syntax.  `~` binds tightest; then come the binary connectives of
 `_SYMBOL`, from `&` to `<->`: `&` and `|` associate to the left, `->` and
@@ -152,6 +154,9 @@ QUANTIFIERS = {Exists: True, Forall: False}
 _SYMBOL = {Iff: "<->", Implies: "->", Or: "|", And: "&"}
 _BINARY = tuple(_SYMBOL)
 _RIGHT = (Iff, Implies)  # the right-associative ones; the rest associate left
+#: The WMSO relations with their symbols, read by the parser, the printer
+#: and `interp`.
+_RELATION = {Less: "<", EqPt: "=", Mem: "in"}
 
 
 # ---------------------------------------------------------------------------
@@ -163,34 +168,20 @@ def is_set_var(name: str) -> bool:
     return name[:1].isupper()
 
 
-def term_vars(t: Term) -> set[str]:
-    if isinstance(t, GVar):
-        return {t.name}
-    if isinstance(t, Mul):
-        return term_vars(t.t) | term_vars(t.u)
-    if isinstance(t, Inv):
-        return term_vars(t.t)
-    return set()
-
-
-def free_vars(phi: Formula) -> set[str]:
-    if isinstance(phi, Less) or isinstance(phi, EqPt):
-        return {phi.x, phi.y}
-    if isinstance(phi, Mem):
-        return {phi.x, phi.X}
-    if isinstance(phi, TermEq):
-        return term_vars(phi.t) | term_vars(phi.u)
-    if isinstance(phi, GAtom):
-        out: set[str] = set()
-        for a in phi.args:
-            out |= term_vars(a)
-        return out
-    if isinstance(phi, Not):
-        return free_vars(phi.sub)
-    if isinstance(phi, _BINARY):
-        return free_vars(phi.a) | free_vars(phi.b)
-    if type(phi) in QUANTIFIERS:
+def free_vars(phi: Union[Formula, Term]) -> set[str]:
+    """The free variables of a formula, or the variables of a term."""
+    t = type(phi)
+    if t is GVar:
+        return {phi.name}
+    if t in QUANTIFIERS:
         return free_vars(phi.body) - {phi.var}
+    if t in _RELATION:
+        return set(vars(phi).values())
+    if t is GAtom or t is Not or t in _BINARY or t in (TermEq, Mul, Inv, One):
+        out: set[str] = set()
+        for sub in phi.args if t is GAtom else vars(phi).values():
+            out |= free_vars(sub)
+        return out
     raise FormulaError(f"unknown node {phi!r}")
 
 
@@ -378,20 +369,17 @@ class _Parser:
         return t[1]
 
     def _wmso_atom(self) -> Formula:
-        x = self._point()
-        op = self.next()
-        if op[1] == "<":
-            return Less(x, self._point())
-        if op[1] == "=":
-            return EqPt(x, self._point())
-        if op[1] == "in":
-            Y = self.next()
-            if Y[0] != "id" or not is_set_var(Y[1]):
-                raise FormulaError(
-                    f"membership needs a set variable at position {Y[2]}, got {Y[1]!r}"
-                )
-            return Mem(x, Y[1])
-        raise FormulaError(f"expected <, = or in at position {op[2]} in {self.text!r}")
+        x, op = self._point(), self.next()
+        rel = next((r for r, sym in _RELATION.items() if sym == op[1]), None)
+        if rel is None:
+            raise FormulaError(f"expected <, = or in at position {op[2]} in {self.text!r}")
+        if rel is not Mem:
+            return rel(x, self._point())
+        Y = self.next()
+        if Y[0] != "id" or not is_set_var(Y[1]):
+            raise FormulaError(f"membership needs a set variable at position {Y[2]}, "
+                               f"got {Y[1]!r}")
+        return Mem(x, Y[1])
 
     def _group_atom(self) -> Formula:
         t = self.peek()
@@ -495,12 +483,9 @@ def _operand(t: Term) -> str:
 
 
 def _print(phi: Formula) -> str:
-    if isinstance(phi, Less):
-        return f"{phi.x} < {phi.y}"
-    if isinstance(phi, EqPt):
-        return f"{phi.x} = {phi.y}"
-    if isinstance(phi, Mem):
-        return f"{phi.x} in {phi.X}"
+    if type(phi) in _RELATION:
+        x, y = vars(phi).values()
+        return f"{x} {_RELATION[type(phi)]} {y}"
     if isinstance(phi, TermEq):
         return f"{print_term(phi.t)} = {print_term(phi.u)}"
     if isinstance(phi, GAtom):
@@ -515,12 +500,10 @@ def _print(phi: Formula) -> str:
 
 
 def _wrap(phi: Formula) -> str:
-    s = _print(phi)
-    if isinstance(phi, _BINARY):
-        return s  # already parenthesized
-    if isinstance(phi, (Less, EqPt, Mem, TermEq)) or type(phi) in QUANTIFIERS:
-        return f"({s})"
-    return s
+    """phi as the operand of `~` or the body of a quantifier: a relation, an
+    equation or a quantifier is parenthesized; a binary connective already is."""
+    t, s = type(phi), _print(phi)
+    return f"({s})" if t in _RELATION or t in QUANTIFIERS or t is TermEq else s
 
 
 def _side(phi: Formula) -> str:
@@ -575,8 +558,11 @@ MACROS: dict[str, Schema] = {
         "comp(x) & ~inf(x) & Ay (disj(x,y) -> y = 1)"
         " & Ay ((cof(y) & codesame(y, x*y*x^-1)) -> rational(y))",
     ),
+    # x and y fix the same points, each tested by conjugation as membership is
     "sameset": _schema(
-        ["x", "y"], "finrational(x) & finrational(y) & cont(x,y) & cont(y,x)"
+        ["x", "y"],
+        "finrational(x) & finrational(y)"
+        " & Az (cof(z) -> (codesame(z, x*z*x^-1) <-> codesame(z, y*z*y^-1)))",
     ),
 }
 
@@ -588,28 +574,20 @@ def instantiate(schema: Schema, args: tuple[Term, ...], names: Iterator[int]) ->
     and repeatable; a v_n that occurs in an argument is skipped, so no
     argument variable is captured."""
     params, body = schema
-    taken = set().union(*map(term_vars, args))
+    taken = set().union(*map(free_vars, args))
 
-    def term(t: Term, env: dict[str, Term]) -> Term:
-        if isinstance(t, GVar):
-            return env.get(t.name, t)
-        if isinstance(t, Mul):
-            return Mul(term(t.t, env), term(t.u, env))
-        if isinstance(t, Inv):
-            return Inv(term(t.t, env))
-        return t
-
-    def walk(phi: Formula, env: dict[str, Term]) -> Formula:
-        if isinstance(phi, TermEq):
-            return TermEq(term(phi.t, env), term(phi.u, env))
-        if isinstance(phi, GAtom):
-            return GAtom(phi.name, tuple(term(a, env) for a in phi.args))
-        if type(phi) in QUANTIFIERS:
-            v = f"{phi.var}_{next(names)}"
+    def walk(node, env: dict[str, Term]):
+        t = type(node)
+        if t is GVar:
+            return env.get(node.name, node)
+        if t in QUANTIFIERS:
+            v = f"{node.var}_{next(names)}"
             while v in taken:
-                v = f"{phi.var}_{next(names)}"
-            return type(phi)(v, walk(phi.body, {**env, phi.var: GVar(v)}))
-        return rebuild(phi, lambda sub: walk(sub, env))
+                v = f"{node.var}_{next(names)}"
+            return t(v, walk(node.body, {**env, node.var: GVar(v)}))
+        if t is GAtom:
+            return GAtom(node.name, tuple(walk(a, env) for a in node.args))
+        return t(*(walk(sub, env) for sub in vars(node).values()))
 
     return walk(body, dict(zip(params, args)))
 

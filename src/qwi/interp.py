@@ -41,9 +41,9 @@ from typing import Iterator, Optional
 from .numbers import NEG_INF, POS_INF, QInterval, Rat, gaps_of, is_finite, pick_fresh
 from .plmap import PLMap
 from .formulas import (
-    _BINARY, QUANTIFIERS, And, EqPt, Exists, Forall, Formula, GAtom, GVar, Iff,
-    Implies, Inv, Less, Mem, Mul, Not, Or, TermEq, free_vars, instantiate,
-    is_set_var, parse_group, rebuild,
+    _BINARY, _RELATION, QUANTIFIERS, And, EqPt, Exists, Forall, Formula, GAtom,
+    GVar, Iff, Implies, Inv, Less, Mem, Mul, Not, Or, TermEq, free_vars,
+    instantiate, is_set_var, parse_group, rebuild,
 )
 from .generators import make_bump
 from . import predicates as P
@@ -142,7 +142,7 @@ def translate(phi: Formula) -> Formula:
 
 
 def _tr(phi: Formula, names: Iterator[int]) -> Formula:
-    if isinstance(phi, (Less, EqPt, Mem)):
+    if type(phi) in _RELATION:
         x, y = vars(phi).values()
         if is_set_var(x) or (is_set_var(y) != isinstance(phi, Mem)):
             raise InterpError(f"a variable of the wrong sort in {phi!r}")

@@ -5,8 +5,10 @@ executable maps, decided exactly from support/fixed-point structure.
 `literal` reads the quantified definition of a macro, its schema in
 `formulas.MACROS`, over a pool plus constructive witnesses, and
 `discrepancy_search` compares that reading against the oracle over seeded
-pools: the two layers are deliberately distinct, because the literal macros
-quantify over the whole group and degenerate on dense supports.
+pools: the two layers are deliberately distinct.  A z disjoint from y has
+its support inside the interior of y's fixed set, so for any pool the
+literal cont(x, y) holds exactly when supp x lies in supp y joined across
+y's isolated fixed points, and differs from `cont_sem` when x moves one.
 
 `GroupEvaluator` is the evaluator of group formulas over maps: one memoised
 walk of group terms, which `literal` and the pull-back of `interp` share.
@@ -18,7 +20,7 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .numbers import FULL_LINE, QInterval, gaps_of, is_finite, pick_fresh
+from .numbers import FULL_LINE, POS_INF, QInterval, gaps_of, is_finite, pick_fresh
 from .plmap import PLMap, PLMapError
 from .formulas import MACROS, Evaluator, Formula, GVar, Inv, Mul, One, Term, TermEq
 from .generators import gen_plmap_rnd, make_bump
@@ -294,6 +296,11 @@ def _bump_between(x: PLMap, y: PLMap) -> list[PLMap]:
     return [] if gap.is_empty() else [make_bump(gap)]
 
 
+def _fixed_point_codes(*maps: PLMap) -> list[PLMap]:
+    """The right-side code, a bump on (q, ∞), of each point q that `maps` fix."""
+    return [make_bump(QInterval(q, POS_INF)) for f in maps for q in fixed_point_set(f)]
+
+
 #: The constructive witnesses that the quantifier of each literal macro's
 #: schema ranges over besides the pool, built from the schema's parameters.
 _WITNESSES = {
@@ -301,6 +308,7 @@ _WITNESSES = {
     "coterm": lambda e: _gap_bumps(e["x"]),
     "cof": lambda e: _translation_past(e["x"]),
     "oppsupport": lambda e: _bump_between(e["x"], e["y"]),
+    "sameset": lambda e: _fixed_point_codes(e["x"], e["y"]),
 }
 
 #: The macros whose `MACROS` schemas `literal` reads; codesame's schema has
@@ -376,9 +384,9 @@ def discrepancy_search(macro: str, trials: int, seed: int) -> list[tuple]:
 
     Each trial draws a pool and one map per schema parameter, and returns
     (inputs..., literal_value, oracle_value) wherever the two disagree.  The
-    cont macro is expected to diverge: a dense-support y has no disjoint
-    non-identity partner, so the literal ∀z clause is vacuously true no
-    matter what x does.  The codesame schema is read on the interpretation's
+    cont macro is expected to diverge, exactly where x moves an isolated
+    fixed point of y and meets no fixed interval of y (see the module
+    docstring).  The codesame schema is read on the interpretation's
     own elements (`_coded_pair`), where both supports are half-lines; half
     of the oppsupport pairs are codes of one shared endpoint
     (`_shared_end_pair`), where random maps almost never meet.
@@ -402,10 +410,10 @@ def discrepancy_search(macro: str, trials: int, seed: int) -> list[tuple]:
 
 
 def cont_degeneracy_example() -> tuple[PLMap, PLMap, bool, bool]:
-    """The canonical divergence: y with dense support and fixed points
-    {0, 1}, x a translation whose support is certainly not contained in
-    supp(y) — yet the literal macro holds vacuously.  Returns x, y and the
-    two readings, which the caller checks (lit true, sem false)."""
+    """The canonical divergence: y with dense support and isolated fixed
+    points {0, 1}, joined across which supp y is the whole line, and x a
+    translation, which moves both.  Returns x, y and the two readings,
+    which the caller checks (lit true, sem false)."""
     y = PLMap(0, 0, (0, Fraction(1, 3), 1), (Fraction(1, 2), 2, Fraction(1, 2), 2))
     x = PLMap.translation(1)
     return x, y, literal("cont", (x, y)), cont_sem(x, y)

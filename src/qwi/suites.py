@@ -357,8 +357,10 @@ def _suite_discrepancy(seed: int, cases: int):
         failures.append("cont degeneracy example did not reproduce")
     else:
         notes.append("expected finding: literal cont macro "
-                     "(forall z: disj(y,z) -> disj(x,z)) is vacuously true "
-                     "for dense-support y; e.g. "
+                     "(forall z: disj(y,z) -> disj(x,z)) holds exactly when "
+                     "supp x lies in supp y joined across y's isolated fixed "
+                     "points, so it differs from the oracle where x moves "
+                     "one of them; e.g. "
                      f"x={format_pl(x)} y={format_pl(y)} "
                      f"literal={lit} oracle={sem}")
     hits = P.discrepancy_search("cont", max(cases // 4, 50), seed)

@@ -157,3 +157,28 @@ def test_per_pair_gives_each_pair_its_calibration_and_ratios(bench_pairs):
                                {"base": [0.1], "change": [0.2]}, one)
     assert out == [{"calibration_s": {"base": 0.1, "change": 0.2},
                     "ratio": {"wmso": {m: None for m in metrics}}}]
+
+
+def test_snapshot_copies_untracked_files_and_leaves_ignored_ones(bench_pairs, tmp_path):
+    """The change side runs from a copy of what git tracks or would track,
+    so the caches and results a working tree gathers stay behind."""
+    import subprocess
+
+    repo, copy = tmp_path / "repo", tmp_path / "copy"
+    (repo / "pkg").mkdir(parents=True)
+    for name, text in {".gitignore": "results/\n", "pkg/kept.py": "a = 1\n",
+                       "pkg/gone.py": "b = 2\n"}.items():
+        (repo / name).write_text(text)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    subprocess.run([*git, "init", "-q"], cwd=repo, check=True)
+    subprocess.run([*git, "add", "."], cwd=repo, check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "files"], cwd=repo, check=True)
+    (repo / "pkg" / "gone.py").unlink()
+    (repo / "pkg" / "kept.py").write_text("a = 3\n")
+    (repo / "pkg" / "new.py").write_text("c = 4\n")
+    (repo / "results").mkdir()
+    (repo / "results" / "run.json").write_text("{}\n")
+    bench_pairs.snapshot(repo, copy)
+    assert sorted(str(p.relative_to(copy)) for p in copy.rglob("*") if p.is_file()) == [
+        ".gitignore", "pkg/kept.py", "pkg/new.py"]
+    assert (copy / "pkg" / "kept.py").read_text() == "a = 3\n"

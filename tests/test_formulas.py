@@ -21,6 +21,17 @@ def test_parse_wmso_basics():
     assert free_vars(parse_wmso("x in X")) == {"x", "X"}
 
 
+def test_free_vars_takes_terms_as_formulas():
+    """One walk answers for a formula and for each of its terms."""
+    eq = parse_group("x*y^-1 = 1")
+    assert free_vars(eq.t) == free_vars(eq) == {"x", "y"}
+    assert free_vars(eq.u) == set()
+    atom = parse_group("Ez codesame(z, w*z*w^-1)").body
+    assert [free_vars(a) for a in atom.args] == [{"z"}, {"w", "z"}]
+    with pytest.raises(FormulaError, match="unknown node"):
+        free_vars("x")
+
+
 def test_quantifier_prefix_scope_extends_to_the_end():
     # the quantifier captures the whole remaining subformula ...
     a = parse_wmso("Ex (x < y) & y = y")

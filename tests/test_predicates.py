@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qwi import predicates as P
 from qwi.formulas import MACROS, GAtom, parse_group
-from qwi.generators import make_bump
+from qwi.generators import gen_plmap_rnd, make_bump
 from qwi.numbers import NEG_INF, POS_INF, QInterval
 from qwi.plmap import PLMap, PLMapError
 
@@ -151,6 +152,56 @@ def test_codesame_schema_read_literally_decides_membership():
     for (p, f), (q, h) in product(codes, codes):
         lit = P.literal("codesame", (f, h))
         assert lit == P.codesame_sem(f, h) == (p == q), (f, h)
+
+
+def test_sameset_schema_read_literally_defines_sameset():
+    """Read through its schema, sameset compares the fixed points of two
+    finite-set codes, on every pair of codes of the subsets of {-1, 0, 1}
+    under both encoders and of two point codes."""
+    from qwi.interp import encode_finite_set, encode_finite_set_alt, encode_rational
+    zero, one = Fraction(0), Fraction(1)
+    assert not P.literal("sameset", (encode_finite_set([zero]), encode_finite_set([one])))
+    assert not P.literal("sameset", (encode_finite_set([]),
+                                     encode_finite_set([zero, one, Fraction(2)])))
+    codes = [enc(S) for r in range(4) for S in combinations((-one, zero, one), r)
+             for enc in (encode_finite_set, encode_finite_set_alt)]
+    codes += [encode_rational(zero), encode_rational(one, "left")]
+    held = 0
+    for f, g in product(codes, codes):
+        assert P.literal("sameset", (f, g)) == P.sameset_sem(f, g), (f, g)
+        held += P.sameset_sem(f, g)
+    assert len(codes) ** 2 == 324 and held == 32
+
+
+def _joined_support(y: PLMap) -> list[QInterval]:
+    """supp y with its isolated fixed points added: the components of supp y
+    joined where two of them share an endpoint."""
+    out: list[QInterval] = []
+    for iv in y.support():
+        if out and out[-1].hi == iv.lo:
+            iv = QInterval(out.pop().lo, iv.hi)
+        out.append(iv)
+    return out
+
+
+def test_cont_literal_is_containment_in_the_joined_support():
+    """For any pool, the literal cont(x, y) holds exactly when supp x lies
+    in supp y joined across y's isolated fixed points; so it differs from
+    the oracle exactly when, besides, x moves one of those points."""
+    rnd = random.Random("cont:joined")
+    differ = 0
+    for k in range(300):
+        x, y = gen_plmap_rnd(rnd, 4), gen_plmap_rnd(rnd, 4)
+        pool = [gen_plmap_rnd(rnd, 4) for _ in range(4 * (k % 3))]
+        joined = _joined_support(y)
+        within = all(any(v.lo <= u.lo and u.hi <= v.hi for v in joined)
+                     for u in x.support())
+        assert P.literal("cont", (x, y), pool) == within, (x, y)
+        isolated = [lo for lo, hi in y.fixed_items() if lo == hi]
+        moves_one = any(x.apply(q) != q for q in isolated)
+        assert (within and not P.cont_sem(x, y)) == (within and moves_one), (x, y)
+        differ += within and moves_one
+    assert differ >= 10, differ
 
 
 @given(plmaps)

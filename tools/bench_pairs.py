@@ -4,8 +4,10 @@
         [--workload all]
 
 Run from the root of a qwi checkout.  The base commit is exported with
-`git archive` into a temporary directory, and `perfbench/run.py` runs
-alternately there and in the working tree, ten pairs at the run length
+`git archive` into a temporary directory, and the working tree's files
+that git tracks or would track are copied into another (see `snapshot`),
+so that neither side holds the caches and results that runs leave behind.
+`perfbench/run.py` runs alternately in the two, ten pairs at the run length
 `run_seconds` of `BENCHMARK.json`, the first side of each pair swapping
 from pair to pair, so that a slow drift of the host falls on both sides
 alike.  The output holds, per workload and end-to-end metric, the
@@ -34,6 +36,7 @@ import io
 import json
 import os
 import pstats
+import shutil
 import statistics
 import subprocess
 import sys
@@ -141,6 +144,19 @@ def export(rev: str, into: Path) -> None:
         archive.extractall(into)
 
 
+def snapshot(root: Path, into: Path) -> None:
+    """Copy the files of the working tree at `root` that git tracks or
+    would track, untracked ones included and ignored ones left out, as
+    they are now; a tracked file deleted from the tree is skipped."""
+    names = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                            "--exclude-standard"], cwd=root, check=True,
+                           capture_output=True, text=True).stdout.split("\0")
+    for name in filter(None, names):
+        if (root / name).is_file():
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, into / name)
+
+
 def bench(root: Path, names: tuple[str, ...], seed: int, seconds: float) -> dict:
     """One `perfbench/run.py` run in `root`: its last line, parsed, with the
     input and verdict digests of each workload and the machine (with the
@@ -223,9 +239,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     names = WORKLOADS if args.workload == "all" else (args.workload,)
     calibration = [calibrate()]
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        sides = {"base": Path(tmp), "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        sides = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
         export(args.base, sides["base"])
+        snapshot(ROOT, sides["change"])
         runs: dict[str, list[dict]] = {"base": [], "change": []}
         readings: dict[str, list[float]] = {"base": [], "change": []}
         for k in range(PAIRS):
