@@ -4,21 +4,21 @@ regions, with ω-tails for elements that only exist symbolically.
 A pattern is a finite core of blocks plus an optional periodic word repeated
 descending toward -∞ (left tail) and/or ascending toward +∞ (right tail).
 Boundary kinds record whether a region edge is a rational, an irrational cut,
-or an infinity.  One facing rule, `_adjacent_ok`, says which kinds may face
-each other, on either side of a fixed region.  `classify_cofinal` and
-`lemma21_decompose` are written for the right side and read the left
-through `mirror_pattern`, the order-reversal; validation and the canonical
-form, which run on every pattern enumerated, state both sides directly.
-`canonical_pattern` absorbs the core into the tails, and when a core
-empties between two tails it moves the seam where the tails meet to one
-representative place.
+or an infinity.  The 24 blocks are interned, so they compare by identity, and
+each stores its text.  One facing rule, `_adjacent_ok`, says which kinds may
+face each other, on either side of a fixed region; the table `_FACING` over
+all pairs of blocks is built from it.  `classify_cofinal` and
+`lemma21_decompose` are written for the right side and read the left through
+`mirror_pattern`, the order-reversal; validation and the canonical form, which
+run on every pattern enumerated, state both sides directly.
+`canonical_pattern` absorbs the core into the tails, and when a core empties
+between two tails it moves the seam where the tails meet to one place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .numbers import NEG_INF, POS_INF, is_finite
 from .plmap import PLMap
@@ -40,41 +40,74 @@ MIN_AND_MAX = "min_and_max"      # 1 + η + 1
 _HAS_MIN = {SINGLETON, MIN_ONLY, MIN_AND_MAX}
 _HAS_MAX = {SINGLETON, MAX_ONLY, MIN_AND_MAX}
 
+_KIND_TOK = {MINUS_INF: "-inf", PLUS_INF: "inf", RATIONAL: "rat", IRRATIONAL: "irr"}
+_FIX_TOK = {EMPTY: "empty", SINGLETON: "single", NO_MIN_NO_MAX: "open",
+            MIN_ONLY: "min", MAX_ONLY: "max", MIN_AND_MAX: "minmax"}
+
 
 class PatternError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Moving:
-    parity: int  # +1 or -1
-    left: str
-    right: str
+class _Block:
+    """An interned block: the constructor checks its fields and builds the
+    one object for them when they are first met, and returns that object
+    from then on, so equality and hashing are identity."""
 
-    def __post_init__(self):
-        if self.parity not in (1, -1):
-            raise PatternError(f"moving parity must be ±1, got {self.parity}")
-        if self.left not in (MINUS_INF, RATIONAL, IRRATIONAL):
-            raise PatternError(f"bad left boundary {self.left}")
-        if self.right not in (PLUS_INF, RATIONAL, IRRATIONAL):
-            raise PatternError(f"bad right boundary {self.right}")
+    __slots__ = ("_key", "text")
+
+    @classmethod
+    def _intern(cls, key: tuple, **fields) -> _Block:
+        b = cls._made[key] = object.__new__(cls)
+        for name, value in dict(fields, _key=key).items():
+            object.__setattr__(b, name, value)
+        return b
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"block {self.text} is immutable")
+
+    def __reduce__(self):
+        return type(self), self._key
+
+    def __repr__(self):
+        return self.text
 
 
-@dataclass(frozen=True)
-class Fixed:
-    kind: str
+class Moving(_Block):
+    """An orbital: parity +1 or -1 and the kinds of its two ends."""
 
-    def __post_init__(self):
-        if self.kind not in (EMPTY, SINGLETON, NO_MIN_NO_MAX, MIN_ONLY, MAX_ONLY, MIN_AND_MAX):
-            raise PatternError(f"bad fixed-region kind {self.kind}")
+    __slots__ = ("parity", "left", "right")
+    _made: dict[tuple, Moving] = {}
 
-    @property
-    def has_min(self) -> bool:
-        return self.kind in _HAS_MIN
+    def __new__(cls, parity: int, left: str, right: str) -> Moving:
+        b = cls._made.get((parity, left, right))
+        if b is not None:
+            return b
+        if parity not in (1, -1):
+            raise PatternError(f"moving parity must be ±1, got {parity}")
+        if left not in (MINUS_INF, RATIONAL, IRRATIONAL):
+            raise PatternError(f"bad left boundary {left}")
+        if right not in (PLUS_INF, RATIONAL, IRRATIONAL):
+            raise PatternError(f"bad right boundary {right}")
+        sign = "+" if parity > 0 else "-"
+        return cls._intern((parity, left, right), parity=parity, left=left, right=right,
+                           text=f"M({sign},{_KIND_TOK[left]},{_KIND_TOK[right]})")
 
-    @property
-    def has_max(self) -> bool:
-        return self.kind in _HAS_MAX
+
+class Fixed(_Block):
+    """A fixed region of one of six order types."""
+
+    __slots__ = ("kind", "has_min", "has_max")
+    _made: dict[tuple, Fixed] = {}
+
+    def __new__(cls, kind: str) -> Fixed:
+        b = cls._made.get((kind,))
+        if b is not None:
+            return b
+        if kind not in _FIX_TOK:
+            raise PatternError(f"bad fixed-region kind {kind}")
+        return cls._intern((kind,), kind=kind, has_min=kind in _HAS_MIN,
+                           has_max=kind in _HAS_MAX, text=f"F({_FIX_TOK[kind]})")
 
 
 Block = Union[Moving, Fixed]
@@ -128,8 +161,17 @@ def _interior_ok(b: Block) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class OrbitalPattern:
+# all 24 blocks; the order of each list is the order of enumeration
+_CORE_BLOCKS = [Moving(p, l, r) for p in (1, -1)
+                for l in (MINUS_INF, RATIONAL, IRRATIONAL) for r in (RATIONAL, IRRATIONAL, PLUS_INF)]
+_CORE_BLOCKS += [Fixed(k) for k in (EMPTY, SINGLETON, NO_MIN_NO_MAX, MIN_ONLY, MAX_ONLY, MIN_AND_MAX)]
+_FIRST_BLOCKS = [b for b in _CORE_BLOCKS if _left_edge_ok(b)]
+_TAIL_BLOCKS = [b for b in _CORE_BLOCKS if _interior_ok(b)]
+# _FACING[a] holds each block that may lie just right of a
+_FACING = {a: frozenset(b for b in _CORE_BLOCKS if _adjacent_ok(a, b)) for a in _CORE_BLOCKS}
+
+
+class OrbitalPattern(NamedTuple):
     left_tail: Optional[tuple[Block, ...]]
     core: tuple[Block, ...]
     right_tail: Optional[tuple[Block, ...]]
@@ -173,12 +215,12 @@ def validate_pattern(p: OrbitalPattern) -> None:
         for b in word:
             if not _interior_ok(b):
                 raise PatternError(f"tail block {b} touches an infinity")
-        if not _adjacent_ok(word[-1], word[0]):
+        if word[0] not in _FACING[word[-1]]:
             raise PatternError(f"inconsistent tail seam {word[-1]} | {word[0]}")
     # one pass over the blocks as they lie on the line, each tail once
     line = (lt or ()) + core + (rt or ())
     for a, b in zip(line, line[1:]):
-        if not _adjacent_ok(a, b):
+        if b not in _FACING[a]:
             raise PatternError(f"inconsistent adjacency {a} | {b}")
     if lt is None and not _left_edge_ok(line[0]):
         raise PatternError(f"{line[0]} cannot be the leftmost block")
@@ -253,7 +295,7 @@ def _seam(lt: tuple[Block, ...],
     words denote one ℤ-indexed periodic order, and both become its rotation
     that prints least."""
     if lt == rt:
-        i = min(range(len(lt)), key=lambda i: list(map(_format_block, lt[i:] + lt[:i])))
+        i = min(range(len(lt)), key=lambda i: [b.text for b in lt[i:] + lt[:i]])
         return (lt, rt) if i == 0 else (lt[i:] + lt[:i],) * 2
     while lt[-1] == rt[-1]:
         lt, rt = lt[-1:] + lt[:-1], rt[-1:] + rt[:-1]
@@ -317,10 +359,7 @@ def classify_cofinal(p: OrbitalPattern) -> Optional[tuple[int, str, str]]:
 
 
 def has_inf_orbitals(p: OrbitalPattern) -> bool:
-    for word in (p.left_tail, p.right_tail):
-        if word is not None and any(isinstance(b, Moving) for b in word):
-            return True
-    return False
+    return any(w is not None and Moving in map(type, w) for w in (p.left_tail, p.right_tail))
 
 
 # ---------------------------------------------------------------------------
@@ -410,15 +449,6 @@ def inf_formula_holds(p: OrbitalPattern) -> bool:
 # exhaustive enumeration (desk-scale verification)
 # ---------------------------------------------------------------------------
 
-# every block, built once so that cores and tails share block objects; the
-# order of each list is the order of enumeration
-_CORE_BLOCKS = [Moving(p, l, r) for p in (1, -1)
-                for l in (MINUS_INF, RATIONAL, IRRATIONAL) for r in (RATIONAL, IRRATIONAL, PLUS_INF)]
-_CORE_BLOCKS += [Fixed(k) for k in (EMPTY, SINGLETON, NO_MIN_NO_MAX, MIN_ONLY, MAX_ONLY, MIN_AND_MAX)]
-_FIRST_BLOCKS = [b for b in _CORE_BLOCKS if _left_edge_ok(b)]
-_TAIL_BLOCKS = [b for b in _CORE_BLOCKS if _interior_ok(b)]
-
-
 def enumerate_cores(max_len: int) -> Iterator[tuple[Block, ...]]:
     """All consistency-valid finite cores (as tail-less patterns) up to
     max_len blocks."""
@@ -428,7 +458,7 @@ def enumerate_cores(max_len: int) -> Iterator[tuple[Block, ...]]:
         if len(seq) == max_len:
             return
         for b in _CORE_BLOCKS if seq else _FIRST_BLOCKS:
-            if seq and not _adjacent_ok(seq[-1], b):
+            if seq and b not in _FACING[seq[-1]]:
                 continue
             seq.append(b)
             yield from extend(seq)
@@ -445,8 +475,7 @@ def enumerate_tail_words(max_len: int) -> Iterator[tuple[Block, ...]]:
             if n == 1 and isinstance(combo[0], Fixed):
                 yield combo
                 continue
-            ok = all(_adjacent_ok(a, b) for a, b in zip(combo, combo[1:]))
-            if ok and _adjacent_ok(combo[-1], combo[0]):
+            if all(b in _FACING[a] for a, b in zip(combo, combo[1:] + combo[:1])):
                 yield combo
 
 
@@ -499,23 +528,9 @@ def enumerate_patterns(core_max: int, tail_max: int) -> Iterator[OrbitalPattern]
 # text format
 # ---------------------------------------------------------------------------
 
-_KIND_TOK = {MINUS_INF: "-inf", PLUS_INF: "inf", RATIONAL: "rat", IRRATIONAL: "irr"}
-_FIX_TOK = {EMPTY: "empty", SINGLETON: "single", NO_MIN_NO_MAX: "open",
-            MIN_ONLY: "min", MAX_ONLY: "max", MIN_AND_MAX: "minmax"}
-
-
-def _format_block(b: Block) -> str:
-    if isinstance(b, Moving):
-        sign = "+" if b.parity > 0 else "-"
-        return f"M({sign},{_KIND_TOK[b.left]},{_KIND_TOK[b.right]})"
-    return f"F({_FIX_TOK[b.kind]})"
-
-
 def format_pattern(p: OrbitalPattern) -> str:
     parts = ["pattern"]
-    if p.left_tail is not None:
-        parts.append("ltail=[" + " ".join(map(_format_block, p.left_tail)) + "]")
-    parts.append("core=[" + " ".join(map(_format_block, p.core)) + "]")
-    if p.right_tail is not None:
-        parts.append("rtail=[" + " ".join(map(_format_block, p.right_tail)) + "]")
+    for name, word in zip(("ltail", "core", "rtail"), p):
+        if word is not None:
+            parts.append(name + "=[" + " ".join([b.text for b in word]) + "]")
     return " ".join(parts)

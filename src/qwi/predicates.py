@@ -352,19 +352,21 @@ def literal(macro: str, args: Sequence[PLMap], pool: Sequence[PLMap] = ()) -> bo
     return _Literal(macro, args, pool, {}).read()
 
 
+def _draw_rational(rnd: random.Random) -> Fraction:
+    return Fraction(rnd.randint(-8, 8), rnd.randint(1, 3))
+
+
 def _coded_pair(rnd: random.Random) -> tuple[PLMap, PLMap]:
     """A point code f and either another point code or g·f·g⁻¹ for a
     finite-set code g: the pairs the interpretation's codesame atoms meet."""
     from .interp import encode_finite_set, encode_rational  # interp imports this module
 
-    def rat() -> Fraction:
-        return Fraction(rnd.randint(-8, 8), rnd.randint(1, 3))
-    q = rat()
+    q = _draw_rational(rnd)
     f = encode_rational(q, rnd.choice(("left", "right")))
     if rnd.random() < 0.5:
-        p = q if rnd.random() < 0.5 else rat()
+        p = q if rnd.random() < 0.5 else _draw_rational(rnd)
         return f, encode_rational(p, rnd.choice(("left", "right")))
-    S = [rat() for _ in range(rnd.randint(0, 4))] + ([q] if rnd.random() < 0.5 else [])
+    S = [_draw_rational(rnd) for _ in range(rnd.randint(0, 4))] + ([q] if rnd.random() < 0.5 else [])
     g = encode_finite_set(S)
     return f, g.compose(f).compose(g.inverse())
 
@@ -374,8 +376,21 @@ def _shared_end_pair(rnd: random.Random) -> list[PLMap]:
     them exactly when the sides differ."""
     from .interp import encode_rational  # interp imports this module
 
-    q = Fraction(rnd.randint(-8, 8), rnd.randint(1, 3))
+    q = _draw_rational(rnd)
     return [encode_rational(q, rnd.choice(("left", "right"))) for _ in "fg"]
+
+
+def _set_code_pair(rnd: random.Random) -> list[PLMap]:
+    """Two finite-set codes, each by either encoder; half code one set."""
+    from .interp import encode_finite_set, encode_finite_set_alt  # interp imports this module
+
+    S = [_draw_rational(rnd) for _ in range(rnd.randint(0, 3))]
+    T = S if rnd.random() < 0.5 else [_draw_rational(rnd) for _ in range(rnd.randint(0, 3))]
+    return [rnd.choice((encode_finite_set, encode_finite_set_alt))(X) for X in (S, T)]
+
+
+#: The pair draws of half the trials of these macros.
+_HALF_PAIRS = {"oppsupport": _shared_end_pair, "sameset": _set_code_pair}
 
 
 def discrepancy_search(macro: str, trials: int, seed: int) -> list[tuple]:
@@ -389,7 +404,8 @@ def discrepancy_search(macro: str, trials: int, seed: int) -> list[tuple]:
     docstring).  The codesame schema is read on the interpretation's
     own elements (`_coded_pair`), where both supports are half-lines; half
     of the oppsupport pairs are codes of one shared endpoint
-    (`_shared_end_pair`), where random maps almost never meet.
+    (`_shared_end_pair`), where random maps almost never meet, and half of
+    the sameset pairs are finite-set codes (`_set_code_pair`).
     """
     if macro not in LITERAL_MACROS:
         raise ValueError(f"unknown macro {macro!r}; expected one of {sorted(LITERAL_MACROS)}")
@@ -399,8 +415,8 @@ def discrepancy_search(macro: str, trials: int, seed: int) -> list[tuple]:
         pool = [gen_plmap_rnd(rnd, 4) for _ in range(8)]
         if macro == "codesame":
             args = _coded_pair(rnd)
-        elif macro == "oppsupport" and rnd.random() < 0.5:
-            args = _shared_end_pair(rnd)
+        elif macro in _HALF_PAIRS and rnd.random() < 0.5:
+            args = _HALF_PAIRS[macro](rnd)
         else:
             args = [gen_plmap_rnd(rnd, 4) for _ in MACROS[macro][0]]
         lit, sem = literal(macro, args, pool), ORACLES[macro](*args)

@@ -103,7 +103,8 @@ def test_criterion_9_macro_discrepancy_finding():
     """The literal cont macro degenerates on a dense-support element (with
     an explicit counterexample pair), while the literal coterm, cof,
     oppsupport and codesame macros agree with their oracles on 10^3 seeded
-    instances each."""
+    instances each, and the literal sameset on 250, half of them pairs of
+    finite-set codes."""
     x, y, lit, sem = P.cont_degeneracy_example()
     assert lit is True and sem is False
     assert P.finrational_sem(y)  # dense support is what makes it vacuous
@@ -111,3 +112,4 @@ def test_criterion_9_macro_discrepancy_finding():
     notes = _passes("discrepancy", cases=1000).notes
     assert any("expected finding" in n for n in notes)
     assert any(n.startswith("coterm:") for n in notes)
+    assert any(n.startswith("sameset:") for n in notes)

@@ -93,9 +93,9 @@ def test_calls_count_each_class_of_dataclass_method(bench_pairs):
     classes a run compares."""
     import cProfile
 
-    from qwi.patterns import Fixed, Moving
+    from qwi.formulas import EqPt, Less
 
-    a, b = Fixed("singleton"), Moving(1, "rational", "rational")
+    a, b = Less("x", "y"), EqPt("x", "y")
     counts = []
     for x, y in ((a, b), (a, a)):
         prof = cProfile.Profile()

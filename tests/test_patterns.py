@@ -1,4 +1,7 @@
+import copy
+import gc
 import hashlib
+import pickle
 from fractions import Fraction
 from itertools import combinations
 
@@ -39,13 +42,42 @@ def remove_moving(blocks, i):
     return tuple(blocks[:lo]) + (merged,) + tuple(blocks[hi:])
 
 
+def test_blocks_are_interned():
+    """A block's constructor returns the one object for its fields, and a
+    copy or a pickle round trip returns it again."""
+    for b in BLOCKS:
+        again = Moving(b.parity, b.left, b.right) if isinstance(b, Moving) else Fixed(b.kind)
+        assert again is b
+        assert copy.copy(b) is b and copy.deepcopy(b) is b
+        assert pickle.loads(pickle.dumps(b)) is b
+    with pytest.raises(AttributeError):
+        BLOCKS[0].parity = -1
+
+
+def test_enumeration_shares_the_24_blocks():
+    out = list(enumerate_patterns(5, 3))
+    blocks = [o for o in gc.get_objects() if isinstance(o, (Moving, Fixed))]
+    assert len(out) == 19677
+    assert sorted(type(b).__name__ for b in blocks) == ["Fixed"] * 6 + ["Moving"] * 18
+
+
+def test_facing_table_is_the_facing_rule():
+    for a in BLOCKS:
+        for b in BLOCKS:
+            assert (b in patterns._FACING[a]) == patterns._adjacent_ok(a, b), (a, b)
+
+
 def test_block_validation():
-    with pytest.raises(PatternError):
-        Moving(0, MINUS_INF, PLUS_INF)
-    with pytest.raises(PatternError):
-        Moving(1, PLUS_INF, RATIONAL)
-    with pytest.raises(PatternError):
-        Fixed("bogus")
+    for _ in range(2):  # a refused block is not kept, so it is refused again
+        with pytest.raises(PatternError):
+            Moving(0, MINUS_INF, PLUS_INF)
+        with pytest.raises(PatternError):
+            Moving(1, PLUS_INF, RATIONAL)
+        with pytest.raises(PatternError):
+            Moving(1, RATIONAL, MINUS_INF)
+        with pytest.raises(PatternError):
+            Fixed("bogus")
+    assert (len(Moving._made), len(Fixed._made)) == (18, 6)
 
 
 def test_adjacency_rules():
@@ -315,6 +347,20 @@ def test_seam_product_matches_the_triple_loop(core_max, tail_max, monkeypatch):
     tails = 1 + len(list(enumerate_tail_words(tail_max)))
     cores = len(list(enumerate_cores(core_max)))
     assert calls[0] <= cores * 2 * tails + tails ** 2
+
+
+def test_lemma21_on_every_omega_class_with_tails_of_up_to_four_blocks():
+    """Every ω-class of `enumerate_patterns(1, 4)`: 15,906 of the 17,358
+    decompose a tail whose period holds two orbitals, which the lemma
+    suites at (5, 3) never meet."""
+    n = two = 0
+    for c in filter(has_inf_orbitals, suites._canonical_patterns(1, 4)):
+        n += 1
+        w = c.right_tail if c.right_tail is not None else c.left_tail
+        two += sum(isinstance(b, Moving) for b in w) == 2
+        assert suites._lemma21_failure(c) is None, format_pattern(c)
+        assert inf_formula_holds(c), format_pattern(c)
+    assert (n, two) == (17358, 15906)
 
 
 @pytest.mark.parametrize("core_max,tail_max", [(3, 2), (4, 2), (5, 3)])

@@ -29,7 +29,7 @@ def test_negative_case_count_is_refused(name):
 
 def test_machine_line_format():
     r = SuiteReport("demo", 12, ["boom"], seed=3, wall_time=0.5)
-    assert r.machine_line() == "demo\t12\t1"
+    assert r.machine_line() == "demo\t12\t1\t0.500"
     assert not r.ok
     assert "FAIL boom" in r.render()
 

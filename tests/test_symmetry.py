@@ -7,7 +7,6 @@ piece's line passes through (−a, −f(a)) for the last cut a of f (or 0).
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 from qwi import predicates as P
@@ -27,7 +26,7 @@ def reverse(f: PLMap) -> PLMap:
 def flip_parities(p: OrbitalPattern) -> OrbitalPattern:
     def flip(word):
         return None if word is None else tuple(
-            replace(b, parity=-b.parity) if isinstance(b, Moving) else b for b in word)
+            Moving(-b.parity, b.left, b.right) if isinstance(b, Moving) else b for b in word)
 
     return OrbitalPattern(flip(p.left_tail), flip(p.core), flip(p.right_tail))
 
