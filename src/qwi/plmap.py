@@ -12,11 +12,12 @@ is group-element equality.  `compose` computes slopes and cuts only,
 yᵢ - xᵢ at the cuts.  The (slope, intercept) pieces belong to the text
 format: `parse_pl` alone reads them, and `pieces` derives them once per map.
 
-Only this module reads the storage.  Other modules read a map through the
-group operations (`compose`, `inverse`, `conjugate_by`), equality and
-hashing, and `apply`, `apply_inverse`, `germ`, `cuts_in`, `agrees_on`,
-`regions`, `fixed_items`, `support` and `signed_support`, so a change of
-storage stays inside this file.
+Only this module reads the storage, so a change of storage stays inside
+this file.  `predicates` (outside its constructor `restrict_map`),
+`patterns` and `interp` read a map through the group operations
+(`compose`, `inverse`, `conjugate_by`), equality and hashing, `apply`,
+`support`, `signed_support`, `fixed_items` and `regions`.  `conjugacy`
+also reads `germ`, `cuts_in`, `apply_inverse` and `agrees_on`.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """Semantic oracles for the group-language predicates.
 
 Each `*_sem` function implements the intended meaning of a predicate over
-executable maps, decided exactly from support/fixed-point structure.
-`literal` reads the quantified definition of a macro, its schema in
-`formulas.MACROS`, over a pool plus constructive witnesses, and
-`discrepancy_search` compares that reading against the oracle over seeded
-pools: the two layers are deliberately distinct.  A z disjoint from y has
-its support inside the interior of y's fixed set, so for any pool the
+executable maps, decided exactly from support/fixed-point structure, or
+for `restr` and `orbital` from z = x⁻¹·y.  `literal` reads the schema of a
+macro in `formulas.MACROS` over the macro's complete witnesses, so it
+reads the schema's truth in Aut(ℚ,<), and `discrepancy_search` compares
+that reading against the oracle: the two layers are deliberately distinct.
+A z disjoint from y moves only inside the interior of Fix(y), so the
 literal cont(x, y) holds exactly when supp x lies in supp y joined across
 y's isolated fixed points, and differs from `cont_sem` when x moves one.
 
@@ -29,28 +29,6 @@ from .generators import gen_plmap_rnd, make_bump
 # ---------------------------------------------------------------------------
 # structural helpers
 # ---------------------------------------------------------------------------
-
-def _meets(a: Sequence[QInterval], b: Sequence[QInterval]) -> bool:
-    """Whether two supports, each a tuple of components, share a point."""
-    for u in a:
-        for v in b:
-            if u.lo < v.hi and v.lo < u.hi:
-                return True
-    return False
-
-
-def _within(a: Sequence[QInterval], b: Sequence[QInterval]) -> bool:
-    """Point-set containment of two supports, each a tuple of components.
-    The components of b are separated by points outside b, so a component
-    of a lies in b only when it lies in a single component of b."""
-    for u in a:
-        for v in b:
-            if v.lo <= u.lo and u.hi <= v.hi:
-                break
-        else:
-            return False
-    return True
-
 
 def restrict_map(y: PLMap, comps: list[QInterval]) -> PLMap:
     """The automorphism equal to y on the given support components of y and
@@ -89,7 +67,12 @@ def apart_sem(f: PLMap, g: PLMap) -> bool:
 
 
 def disj_sem(f: PLMap, g: PLMap) -> bool:
-    return not _meets(f.support(), g.support())
+    sg = g.support()
+    for u in f.support():
+        for v in sg:
+            if u.lo < v.hi and v.lo < u.hi:
+                return False
+    return True
 
 
 def bump_sem(f: PLMap) -> bool:
@@ -97,40 +80,45 @@ def bump_sem(f: PLMap) -> bool:
 
 
 def orbital_sem(x: PLMap, y: PLMap) -> bool:
-    """x is a single orbital of y: a bump equal to y on one support
-    component of y."""
-    if not bump_sem(x):
-        return False
-    (iv_x, _), = x.signed_support()
-    for iv_y, _ in y.signed_support():
-        if iv_y == iv_x:
-            return x.agrees_on(y, iv_x)
-    return False
+    """x is a single orbital of y: a bump that is a restriction of y, so
+    equal to y on one support component of y and the identity elsewhere."""
+    return bump_sem(x) and restr_sem(x, y)
 
 
 def restr_sem(x: PLMap, y: PLMap) -> bool:
     """x is a restriction of y: on each support component of y, x is either
-    equal to y or the identity, and x moves nothing outside supp(y)."""
-    if not _within(x.support(), y.support()):
-        return False
-    for iv, _ in y.signed_support():
-        if not (x.agrees_on(y, iv) or x.agrees_on(PLMap.identity(), iv)):
-            return False
-    return True
+    equal to y or the identity, and x moves nothing outside supp(y).  It
+    holds exactly when the schema's one candidate witness is one."""
+    return restr_witness(x, y) is not None
 
 
 def restr_witness(x: PLMap, y: PLMap) -> Optional[PLMap]:
-    """z with disj(x, z) and x·z = y, or None when restr_sem fails."""
-    if not restr_sem(x, y):
-        return None
-    sx = x.support()
-    rest = [iv for iv, _ in y.signed_support() if not _meets(sx, (iv,))]
-    return restrict_map(y, rest)
+    """z with disj(x, z) and x·z = y, or None when restr(x, y) fails.
+
+    The schema `Ez (disj(x,z) & y = x*z)` has one candidate, z = x⁻¹·y.
+    If x is y or the identity on each support component of y, and the
+    identity outside, then z is the identity where x is y and y elsewhere,
+    so z is disjoint from x.  Conversely, if z is disjoint from x, each
+    fixes the other's support pointwise, so y = x·z is x on supp x, z on
+    supp z and the identity elsewhere.  Where supp x and supp z abut, the
+    end is fixed by y; so each support component of y lies in supp x,
+    where x is y, or in supp z, where x is the identity."""
+    z = x.inverse().compose(y)
+    return z if disj_sem(x, z) else None
 
 
 def cont_sem(x: PLMap, y: PLMap) -> bool:
-    """Support containment supp(x) ⊆ supp(y)."""
-    return _within(x.support(), y.support())
+    """Support containment supp(x) ⊆ supp(y).  The components of supp y are
+    separated by points outside it, so a component of supp x lies in supp y
+    only when it lies in a single component of supp y."""
+    sy = y.support()
+    for u in x.support():
+        for v in sy:
+            if v.lo <= u.lo and u.hi <= v.hi:
+                break
+        else:
+            return False
+    return True
 
 
 def coterm_sem(f: PLMap) -> bool:
@@ -273,8 +261,7 @@ class GroupEvaluator(Evaluator):
 # ---------------------------------------------------------------------------
 
 def _gap_bumps(y: PLMap) -> list[PLMap]:
-    """Bumps supported on the interior of each fixed region of y — the
-    constructive witnesses disjoint from y."""
+    """A bump on the interior of each fixed region of y."""
     return [make_bump(QInterval(lo, hi)) for lo, hi in y.fixed_items() if lo < hi]
 
 
@@ -287,8 +274,7 @@ def _translation_past(x: PLMap) -> list[PLMap]:
 
 
 def _bump_between(x: PLMap, y: PLMap) -> list[PLMap]:
-    """A bump on the gap between the supports of x and y, if there is one;
-    on the whole line when either support is empty."""
+    """A bump on the gap between the supports, or on ℚ if one is empty."""
     sx, sy = x.support(), y.support()
     if not sx or not sy:
         return [make_bump(FULL_LINE)]
@@ -301,13 +287,25 @@ def _fixed_point_codes(*maps: PLMap) -> list[PLMap]:
     return [make_bump(QInterval(q, POS_INF)) for f in maps for q in fixed_point_set(f)]
 
 
-#: The constructive witnesses that the quantifier of each literal macro's
-#: schema ranges over besides the pool, built from the schema's parameters.
+#: The witnesses that the quantifier of each literal macro's schema ranges
+#: over, built from its parameters.  Each list is complete: when some
+#: element of Aut(ℚ,<) satisfies the ∃ or falsifies the ∀, given the
+#: conjuncts before it, a listed one does, and each is a PL map.
 _WITNESSES = {
+    # A z disjoint from y moves only inside the interior of Fix(y) (Rubin,
+    # Trans. AMS 312, 1989); if it meets x, so does the bump on a component.
     "cont": lambda e: _gap_bumps(e["y"]),
+    # A z ≠ 1 disjoint from x needs a component of the interior of Fix(x)
+    # to move, and the bump on any such component is one.
     "coterm": lambda e: _gap_bumps(e["x"]),
+    # The bump x has one support interval; a conjugate w(supp x) misses it
+    # only when it is bounded, and then the translation past it does.
     "cof": lambda e: _translation_past(e["x"]),
+    # Disjoint cofinal x and y have supports (-∞, a) and (b, ∞), a ≤ b; a z
+    # disjoint from both moves only inside (a, b), as the bump between does.
     "oppsupport": lambda e: _bump_between(e["x"], e["y"]),
+    # For a cofinal z ending at q, codesame(z, x·z·x⁻¹) holds iff x fixes q;
+    # so only a point fixed by just one of x and y breaks the equivalence.
     "sameset": lambda e: _fixed_point_codes(e["x"], e["y"]),
 }
 
@@ -318,15 +316,14 @@ LITERAL_MACROS = (*_WITNESSES, "codesame")
 
 class _Literal(GroupEvaluator):
     """Reads the schema of one literal macro at `args`.  The quantifier
-    ranges over the pool plus the macro's witnesses, an equation of terms is
-    decided by map equality, a literal macro met as an atom is read in turn
-    with the same `coded`, and every other atom by its oracle."""
+    ranges over the macro's witnesses, an equation of terms is decided by
+    map equality, a literal macro met as an atom is read in turn with the
+    same `coded`, and every other atom by its oracle."""
 
-    def __init__(self, macro: str, args: Sequence[PLMap], pool: Sequence[PLMap],
-                 coded: dict[tuple, PLMap]):
+    def __init__(self, macro: str, args: Sequence[PLMap], coded: dict[tuple, PLMap]):
         super().__init__(coded)
         params, self.schema = MACROS[macro]
-        self.macro, self.env, self.pool = macro, dict(zip(params, args)), pool
+        self.macro, self.env = macro, dict(zip(params, args))
 
     def read(self) -> bool:
         return self.run(self.schema)
@@ -339,17 +336,18 @@ class _Literal(GroupEvaluator):
             return self.term(phi.t) == self.term(phi.u)
         args = [self.term(a) for a in phi.args]
         if phi.name in LITERAL_MACROS:
-            return _Literal(phi.name, args, self.pool, self.coded).read()
+            return _Literal(phi.name, args, self.coded).read()
         return ORACLES[phi.name](*args)
 
     def bind(self, phi: Formula):
-        return self.env, [*self.pool, *_WITNESSES[self.macro](self.env)]
+        return self.env, _WITNESSES[self.macro](self.env)
 
 
-def literal(macro: str, args: Sequence[PLMap], pool: Sequence[PLMap] = ()) -> bool:
+def literal(macro: str, args: Sequence[PLMap]) -> bool:
     """The schema `MACROS[macro]` of a literal macro read at `args`, its
-    quantifiers ranging over `pool` plus the macro's constructive witnesses."""
-    return _Literal(macro, args, pool, {}).read()
+    quantifiers ranging over the macro's complete witnesses, so its truth
+    in Aut(ℚ,<)."""
+    return _Literal(macro, args, {}).read()
 
 
 def _draw_rational(rnd: random.Random) -> Fraction:
@@ -397,7 +395,7 @@ def discrepancy_search(macro: str, trials: int, seed: int) -> list[tuple]:
     """Compare the schema of a literal macro, read by `literal`, against its
     oracle.
 
-    Each trial draws a pool and one map per schema parameter, and returns
+    Each trial draws one map per schema parameter, and returns
     (inputs..., literal_value, oracle_value) wherever the two disagree.  The
     cont macro is expected to diverge, exactly where x moves an isolated
     fixed point of y and meets no fixed interval of y (see the module
@@ -412,14 +410,13 @@ def discrepancy_search(macro: str, trials: int, seed: int) -> list[tuple]:
     rnd = random.Random(f"discrepancy:{macro}:{seed}")
     found = []
     for _ in range(trials):
-        pool = [gen_plmap_rnd(rnd, 4) for _ in range(8)]
         if macro == "codesame":
             args = _coded_pair(rnd)
         elif macro in _HALF_PAIRS and rnd.random() < 0.5:
             args = _HALF_PAIRS[macro](rnd)
         else:
             args = [gen_plmap_rnd(rnd, 4) for _ in MACROS[macro][0]]
-        lit, sem = literal(macro, args, pool), ORACLES[macro](*args)
+        lit, sem = literal(macro, args), ORACLES[macro](*args)
         if lit != sem:
             found.append((*args, lit, sem))
     return found

@@ -280,9 +280,10 @@ def brute_eval(phi: Formula, a: Assignment, pool: Sequence[Fraction]) -> bool:
     A variable's sort is the case of its name (`formulas.is_set_var`).
     Point quantifiers range over the landmarks plus one fresh point per gap,
     which is complete.  Set quantifiers range over ALL subsets of the fixed
-    pool together with the current landmarks, which is complete only when
-    the pool has enough points for the sentence (seven suffice for "some
-    finite set has at least 7 elements")."""
+    pool together with the current landmarks.  That is complete only where
+    the pool puts enough points into each gap between the fresh points:
+    with one pool point between the fresh points 0 and 1, "any two points
+    have two set members between them" reads False."""
     return _Brute(a, pool).run(phi)
 
 

@@ -102,8 +102,8 @@ def test_criterion_8_engine_ground_truth():
 def test_criterion_9_macro_discrepancy_finding():
     """The literal cont macro degenerates on a dense-support element (with
     an explicit counterexample pair), while the literal coterm, cof,
-    oppsupport and codesame macros agree with their oracles on 10^3 seeded
-    instances each, and the literal sameset on 250, half of them pairs of
+    oppsupport, codesame and sameset macros agree with their oracles on
+    10^3 seeded instances each, half of the sameset ones pairs of
     finite-set codes."""
     x, y, lit, sem = P.cont_degeneracy_example()
     assert lit is True and sem is False

@@ -201,8 +201,8 @@ def test_verify_reports_a_cont_degeneracy_that_does_not_reproduce(capsys, monkey
     """Were the literal cont macro read like its oracle, the discrepancy
     suite reports the lost finding as a failure; it does not raise."""
     literal = P.literal
-    monkeypatch.setattr(P, "literal", lambda macro, args, pool=(): (
-        P.cont_sem(*args) if macro == "cont" else literal(macro, args, pool)))
+    monkeypatch.setattr(P, "literal", lambda macro, args: (
+        P.cont_sem(*args) if macro == "cont" else literal(macro, args)))
     assert main(["verify", "--suite", "discrepancy", "--cases", "10"]) == 1
     assert "FAIL cont degeneracy example did not reproduce" in capsys.readouterr().out
 

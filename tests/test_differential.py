@@ -1,7 +1,11 @@
-"""Three deciders of WMSO over (ℚ,<) that share no enumerator must agree:
-the automaton (`decide`), the brute-force subset enumerator (`brute_eval`)
-and the pullback of the compiled sentence through the group, under both
-orientations (`pullback_eval`)."""
+"""Three deciders of WMSO over (ℚ,<) must agree: the automaton
+(`decide`), the brute-force subset enumerator (`brute_eval`) and the
+pullback of the compiled sentence through the group, under both
+orientations (`pullback_eval`).  They share no enumerator of points.  The
+pullback takes the candidates of a set quantifier from the automaton of
+the decompiled body, so for set quantifiers `brute_eval` is the only path
+independent of the automaton, and it is complete only where its pool lies
+well relative to the fresh points (see `TWO_BETWEEN`)."""
 
 import random
 import re
@@ -101,6 +105,25 @@ def test_named_sentences_are_true(text):
 def test_brute_force_reaches_seven_elements():
     assert brute_eval(parse_wmso(GE_7), EMPTY, POOL)
     assert not brute_eval(parse_wmso(GE_7), EMPTY, POOL[:6])
+
+
+#: True: any two points have two set members between them.  `brute_eval`
+#: over POOL reads it False, as it binds x and y to the fresh points 0 and 1
+#: and POOL holds only 1/2 between them; `decide` and the pullback do not
+#: read the pool.
+TWO_BETWEEN = "Ax Ay (x < y -> EX (Eu Ev (x < u & u < v & v < y & u in X & v in X)))"
+
+
+@pytest.mark.parametrize("text, truth", [
+    (TWO_BETWEEN, True),
+    ("Ex Ey (x < y & ~(EX (Eu Ev (x < u & u < v & v < y & u in X & v in X))))", False),
+])
+def test_two_set_members_between_any_two_points(text, truth):
+    phi = parse_wmso(text)
+    assert decide(phi) == truth
+    psi = translate(phi)
+    assert pullback_eval(psi, orientation="right") == truth
+    assert pullback_eval(psi, orientation="left") == truth
 
 
 ORIENTED = [

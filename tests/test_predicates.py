@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qwi import predicates as P
-from qwi.formulas import MACROS, GAtom, parse_group
+from qwi.formulas import ATOM_ARITY, MACROS, GAtom, parse_group
 from qwi.generators import gen_plmap_rnd, make_bump
 from qwi.numbers import NEG_INF, POS_INF, QInterval
 from qwi.plmap import PLMap, PLMapError
 
-from helpers import gen_plmap
+from helpers import gen_plmap, grid_maps
 
 plmaps = st.builds(gen_plmap, st.integers(0, 10**6), st.integers(0, 6))
 
@@ -173,35 +173,108 @@ def test_sameset_schema_read_literally_defines_sameset():
     assert len(codes) ** 2 == 324 and held == 32
 
 
-def _joined_support(y: PLMap) -> list[QInterval]:
-    """supp y with its isolated fixed points added: the components of supp y
-    joined where two of them share an endpoint."""
-    out: list[QInterval] = []
+def _within_joined(x: PLMap, y: PLMap) -> bool:
+    """supp x lies in supp y with its isolated fixed points added: in the
+    components of supp y joined where two of them share an endpoint."""
+    joined: list[QInterval] = []
     for iv in y.support():
-        if out and out[-1].hi == iv.lo:
-            iv = QInterval(out.pop().lo, iv.hi)
-        out.append(iv)
-    return out
+        if joined and joined[-1].hi == iv.lo:
+            iv = QInterval(joined.pop().lo, iv.hi)
+        joined.append(iv)
+    return all(any(v.lo <= u.lo and u.hi <= v.hi for v in joined) for u in x.support())
 
 
 def test_cont_literal_is_containment_in_the_joined_support():
-    """For any pool, the literal cont(x, y) holds exactly when supp x lies
-    in supp y joined across y's isolated fixed points; so it differs from
-    the oracle exactly when, besides, x moves one of those points."""
+    """The literal cont(x, y) holds exactly when supp x lies in supp y
+    joined across y's isolated fixed points; so it differs from the oracle
+    exactly when, besides, x moves one of those points."""
     rnd = random.Random("cont:joined")
     differ = 0
-    for k in range(300):
+    for _ in range(300):
         x, y = gen_plmap_rnd(rnd, 4), gen_plmap_rnd(rnd, 4)
-        pool = [gen_plmap_rnd(rnd, 4) for _ in range(4 * (k % 3))]
-        joined = _joined_support(y)
-        within = all(any(v.lo <= u.lo and u.hi <= v.hi for v in joined)
-                     for u in x.support())
-        assert P.literal("cont", (x, y), pool) == within, (x, y)
+        within = _within_joined(x, y)
+        assert P.literal("cont", (x, y)) == within, (x, y)
         isolated = [lo for lo, hi in y.fixed_items() if lo == hi]
         moves_one = any(x.apply(q) != q for q in isolated)
         assert (within and not P.cont_sem(x, y)) == (within and moves_one), (x, y)
         differ += within and moves_one
     assert differ >= 10, differ
+
+
+GRID = grid_maps()
+
+
+class _GridLiteral(P._Literal):
+    """The literal reading whose outermost quantifier ranges over every grid
+    map besides the macro's witnesses; nested reads are the library's."""
+
+    def bind(self, phi):
+        env, witnesses = super().bind(phi)
+        return env, [*witnesses, *GRID]
+
+
+@pytest.mark.parametrize("macro", P.LITERAL_MACROS)
+def test_literal_reads_the_oracle_on_every_grid_configuration(macro):
+    """On every tuple of the 41 maps whose region ends lie in {0, 1}, the
+    literal reading equals the oracle (for cont, containment in the joined
+    support, which differs from the oracle on 192 pairs), and adding every
+    grid map to the witnesses changes no reading: no map of the grid finds
+    what the witnesses miss."""
+    assert len(GRID) == 41
+    differ = 0
+    for args in product(GRID, repeat=ATOM_ARITY[macro]):
+        lit = P.literal(macro, args)
+        sem = P.ORACLES[macro](*args)
+        assert lit == (_within_joined(*args) if macro == "cont" else sem), args
+        assert _GridLiteral(macro, args, {}).read() == lit, args
+        differ += lit != sem
+    assert differ == (192 if macro == "cont" else 0)
+
+
+def _restr_by_pieces(x: PLMap, y: PLMap) -> bool:
+    """restr(x, y) read piece by piece: x moves nothing outside supp y, and
+    on each support component of y it agrees with y or with the identity."""
+    return P.cont_sem(x, y) and all(
+        x.agrees_on(y, iv) or x.agrees_on(PLMap.identity(), iv) for iv in y.support())
+
+
+def _orbital_by_pieces(x: PLMap, y: PLMap) -> bool:
+    """orbital(x, y) read piece by piece: x is a bump whose support is a
+    support component of y, on which it agrees with y."""
+    if not P.bump_sem(x):
+        return False
+    (iv,) = x.support()
+    return iv in y.support() and x.agrees_on(y, iv)
+
+
+def test_restr_and_orbital_through_the_group_agree_with_the_pieces():
+    """restr_sem and orbital_sem, read through z = x⁻¹·y, agree with the
+    piece-by-piece readings on every pair of grid maps and on seeded pairs,
+    four in ten of whose x's are built by `restrict_map`; restr_witness is
+    the restriction of y to the components that x fixes, or None."""
+    rnd = random.Random("restr:pieces")
+    pairs = list(product(GRID, GRID))
+    for _ in range(600):
+        y, roll = gen_plmap_rnd(rnd, 4), rnd.random()
+        if roll < 0.4:
+            x = P.restrict_map(y, [iv for iv in y.support() if rnd.random() < 0.5])
+        else:
+            x = y if roll < 0.6 else gen_plmap_rnd(rnd, 4)
+        pairs.append((x, y))
+    held = orbitals = 0
+    for x, y in pairs:
+        want = _restr_by_pieces(x, y)
+        assert P.restr_sem(x, y) == want, (x, y)
+        assert P.orbital_sem(x, y) == _orbital_by_pieces(x, y), (x, y)
+        z = P.restr_witness(x, y)
+        if want:
+            fixed = [iv for iv in y.support() if x.agrees_on(PLMap.identity(), iv)]
+            assert z == P.restrict_map(y, fixed), (x, y)
+        else:
+            assert z is None, (x, y)
+        held += want
+        orbitals += P.orbital_sem(x, y)
+    assert held >= 500 and orbitals >= 200, (held, orbitals)
 
 
 @given(plmaps)

@@ -83,23 +83,21 @@ def test_every_oracle_is_invariant_under_reversal_and_conjugation():
 
 
 def test_every_literal_macro_is_invariant_under_reversal_and_conjugation():
-    """The schema of a literal macro read with its quantifiers over a pool
-    keeps its value when the arguments and the pool are moved together."""
+    """The schema of a literal macro, read with its quantifiers over the
+    macro's witnesses, keeps its value when the arguments are moved."""
     rnd = random.Random("symmetry:literals")
     held = dict.fromkeys(P.LITERAL_MACROS, 0)
     for _ in range(60):
-        pool = [gen_plmap_rnd(rnd, 4) for _ in range(4)]
         h = gen_plmap_rnd(rnd, 4)
         for macro in P.LITERAL_MACROS:
             if macro == "codesame":
                 args = P._coded_pair(rnd)
-            elif macro == "oppsupport" and rnd.random() < 0.5:
-                args = P._shared_end_pair(rnd)
+            elif macro in ("cof", "oppsupport") and rnd.random() < 0.5:
+                args = P._shared_end_pair(rnd)[:ATOM_ARITY[macro]]
             else:
                 args = [gen_plmap_rnd(rnd, 4) for _ in range(ATOM_ARITY[macro])]
-            value = P.literal(macro, args, pool)
+            value = P.literal(macro, args)
             for move in (reverse, lambda a: a.conjugate_by(h)):
-                assert P.literal(macro, [*map(move, args)], [*map(move, pool)]) == value, (
-                    macro, args)
+                assert P.literal(macro, [*map(move, args)]) == value, (macro, args)
             held[macro] += value
     assert min(held.values()) >= 5, held
