@@ -13,10 +13,14 @@ all pairs of blocks is built from it.  `classify_cofinal` and
 run on every pattern enumerated, state both sides directly.
 `canonical_pattern` absorbs the core into the tails, and when a core empties
 between two tails it moves the seam where the tails meet to one place.
+Lemma 2.1 depends only on one side's canonical tail word, so `_lemma21`
+computes it once per (side, word) and keeps at most `_LEMMA21_BOUND` = 1,024;
+a test that patches a function under it calls `_lemma21.cache_clear()` first.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -392,19 +396,34 @@ def lemma21_decompose(p: OrbitalPattern) -> tuple[Moving, OrbitalPattern, Orbita
 
     The restriction keeps the first orbital of each period of a tail word
     and makes the rest of the period fixed (the thinning-out step), so that
-    dropping the first orbital g1 shifts the ω-sequence by one period.  A
-    left tail is read through the mirror.
+    dropping the first orbital g1 shifts the ω-sequence by one period.
+    `_lemma21` computes it once per (side, tail word), at most 1,024 kept;
+    a test that patches a function under it calls `cache_clear()` first.
     """
     if not has_inf_orbitals(p):
         raise PatternError("pattern has finitely many orbitals")
+    return _tail_shift(p)[0]
+
+
+def _tail_shift(p: OrbitalPattern):
+    """The `_lemma21` entry of p's canonical tail word, right side first."""
     c = canonical_pattern(p)
     if c.right_tail is not None:
-        return _decompose_right(c.right_tail)
-    g1, g2, g = _decompose_right(mirror_pattern(c).right_tail)
-    return (_mirror_block(g1), mirror_pattern(g2), mirror_pattern(g))
+        return _lemma21("right", c.right_tail)
+    return _lemma21("left", c.left_tail)
 
 
-def _decompose_right(word: tuple[Block, ...]) -> tuple[Moving, OrbitalPattern, OrbitalPattern]:
+_LEMMA21_BOUND = 1024  # (1, 4) has 432 distinct (side, word) keys, (5, 3) has 40
+
+
+@lru_cache(maxsize=_LEMMA21_BOUND)
+def _lemma21(side: str, word: tuple[Block, ...]):
+    """Lemma 2.1 on the canonical tail word of one side: the decomposition
+    (g1, g2, g) and whether g ≅ g2.  A left tail is read through the
+    mirror.  Each entry is immutable (interned blocks in tuples), so every
+    pattern with that tail shares it."""
+    if side == "left":
+        word = tuple(map(_mirror_block, reversed(word)))
     i = next(i for i, b in enumerate(word) if isinstance(b, Moving))
     g1 = word[i]
     # thinned period: the kept orbital, then the region the rest becomes
@@ -413,7 +432,9 @@ def _decompose_right(word: tuple[Block, ...]) -> tuple[Moving, OrbitalPattern, O
     g = make_pattern([initial], right_tail=gword)
     # g2: the first orbital of the tail becomes fixed
     g2 = make_pattern([_merged_segment((initial,) + gword)], right_tail=gword[2:] + gword[:2])
-    return (g1, g2, g)
+    if side == "left":
+        g1, g2, g = _mirror_block(g1), mirror_pattern(g2), mirror_pattern(g)
+    return (g1, g2, g), pattern_iso(g, g2)
 
 
 def _merged_segment(seg: Sequence[Block]) -> Fixed:
@@ -432,17 +453,15 @@ def _merged_segment(seg: Sequence[Block]) -> Fixed:
 def inf_formula_holds(p: OrbitalPattern) -> bool:
     """Does p admit a restriction y with orbital y1 such that y ≅ y minus y1?
 
-    For ω-tail patterns the thinned tail-shift witness is produced by
-    `lemma21_decompose`.  For a pattern with finitely many orbitals the
-    answer is False: a restriction y with k ≥ 1 orbitals and y minus one
-    orbital are tail-free patterns with k and k − 1 moving blocks, and a
-    tail-free pattern is its own canonical form, so they are never
-    isomorphic.
+    For ω-tail patterns, g ≅ g2 on `lemma21_decompose`'s witness is read
+    from its table (once per (side, tail word), at most 1,024 kept; a test
+    that patches a function under it calls `cache_clear()` first).  For a
+    pattern with finitely many orbitals the answer is False: a restriction
+    y with k ≥ 1 orbitals and y minus one orbital are tail-free patterns
+    with k and k − 1 moving blocks, and a tail-free pattern is its own
+    canonical form, so they are never isomorphic.
     """
-    if not has_inf_orbitals(p):
-        return False
-    _, g2, g = lemma21_decompose(p)
-    return pattern_iso(g, g2)
+    return has_inf_orbitals(p) and _tail_shift(p)[1]
 
 
 # ---------------------------------------------------------------------------

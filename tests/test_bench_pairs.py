@@ -67,6 +67,21 @@ def test_verdict_labels_each_metric(bench_pairs, base, change, better, want):
     assert bench_pairs.verdict(base, change, better, 0.25) == want
 
 
+@pytest.mark.parametrize("base, change, want", [
+    (1000, 999, "fewer"),
+    (1000, 0, "fewer"),
+    (1000, 1000, "same"),
+    (0, 0, "same"),
+    (1000, 1001, "more"),
+    (1000, 1050, "more"),    # exactly the bound
+    (1000, 1051, "worse"),
+    (0, 1, "worse"),
+])
+def test_count_verdict_reads_each_exact_count(bench_pairs, base, change, want):
+    assert bench_pairs.COUNT_BOUND == 0.05
+    assert bench_pairs.count_verdict(base, change) == want
+
+
 def test_won_pairs_counts_ties_for_neither(bench_pairs):
     assert bench_pairs.won_pairs([1.0, 2.0, 3.0], [2.0, 2.0, 1.0], "higher") == 1
     assert bench_pairs.won_pairs([1.0, 2.0, 3.0], [2.0, 2.0, 1.0], "lower") == 1

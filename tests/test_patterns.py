@@ -349,18 +349,46 @@ def test_seam_product_matches_the_triple_loop(core_max, tail_max, monkeypatch):
     assert calls[0] <= cores * 2 * tails + tails ** 2
 
 
-def test_lemma21_on_every_omega_class_with_tails_of_up_to_four_blocks():
+def test_lemma21_on_every_omega_class_with_tails_of_up_to_four_blocks(monkeypatch):
     """Every ω-class of `enumerate_patterns(1, 4)`: 15,906 of the 17,358
     decompose a tail whose period holds two orbitals, which the lemma
-    suites at (5, 3) never meet."""
-    n = two = 0
-    for c in filter(has_inf_orbitals, suites._canonical_patterns(1, 4)):
-        n += 1
-        w = c.right_tail if c.right_tail is not None else c.left_tail
-        two += sum(isinstance(b, Moving) for b in w) == 2
+    suites at (5, 3) never meet.  Both public readings agree with the
+    uncached Lemma 2.1, and its table misses once per (side, tail word)."""
+    table = patterns._lemma21
+    table.cache_clear()
+    classes = list(filter(has_inf_orbitals, suites._canonical_patterns(1, 4)))
+    keys = set()
+    two = 0
+    for c in classes:
+        key = ("right", c.right_tail) if c.right_tail is not None else ("left", c.left_tail)
+        keys.add(key)
+        two += sum(isinstance(b, Moving) for b in key[1]) == 2
         assert suites._lemma21_failure(c) is None, format_pattern(c)
         assert inf_formula_holds(c), format_pattern(c)
-    assert (n, two) == (17358, 15906)
+        assert (lemma21_decompose(c), inf_formula_holds(c)) == table.__wrapped__(*key)
+    assert (len(classes), two, len(keys)) == (17358, 15906, 432)
+    info = table.cache_info()
+    assert info.misses == len(keys) and info.currsize <= info.maxsize == patterns._LEMMA21_BOUND
+    # A mirror that rebuilds every fixed region from its ends, so that
+    # F(single) reads as F(minmax) and F(empty) as F(open), fills the table
+    # for the left tails.  The check mirrors through the same function, so
+    # it reads the entries once the true mirror is back.  Where a region
+    # merges with its neighbours the ends are all that count, so the mutant
+    # changes 4 entries, and the check refuses those 4.
+    mirror = patterns._mirror_block
+    left = [c for c in classes if c.right_tail is None]
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(patterns, "_mirror_block", lambda b: Fixed(fixed_kind(b.has_max, b.has_min))
+                      if isinstance(b, Fixed) else mirror(b))
+            table.cache_clear()
+            for c in left:
+                lemma21_decompose(c)
+        wrong = [c for c in left if lemma21_decompose(c) != table.__wrapped__("left", c.left_tail)[0]]
+        caught = [c for c in left if suites._lemma21_failure(c) is not None]
+    finally:
+        table.cache_clear()
+    assert len(wrong) == 4 and caught == wrong
 
 
 @pytest.mark.parametrize("core_max,tail_max", [(3, 2), (4, 2), (5, 3)])

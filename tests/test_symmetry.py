@@ -8,6 +8,7 @@ piece's line passes through (−a, −f(a)) for the last cut a of f (or 0).
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from qwi import predicates as P
 from qwi.conjugacy import conjugating_witness, verify_conjugator
@@ -15,6 +16,8 @@ from qwi.formulas import ATOM_ARITY
 from qwi.generators import gen_plmap_rnd
 from qwi.patterns import Moving, OrbitalPattern, mirror_pattern, pattern_of
 from qwi.plmap import PLMap
+
+from helpers import grid_maps
 
 
 def reverse(f: PLMap) -> PLMap:
@@ -59,11 +62,10 @@ def test_reversal_keeps_conjugacy_and_its_witnesses():
     assert witnessed >= 100
 
 
-def test_every_oracle_is_invariant_under_reversal_and_conjugation():
-    """Each predicate is defined in the group language, so every automorphism
-    of the group keeps it: ρ, and conjugation by any h."""
+def _drawn_moves():
+    """300 pairs from the samplers and plain draws, each map with its
+    reversal and its conjugate by a map drawn for that pair."""
     rnd = random.Random("symmetry:oracles")
-    held = dict.fromkeys(P.ORACLES, 0)
     for _ in range(300):
         roll = rnd.random()
         if roll < 0.3:
@@ -73,13 +75,31 @@ def test_every_oracle_is_invariant_under_reversal_and_conjugation():
         else:
             pair = [gen_plmap_rnd(rnd, 4) for _ in "fg"]
         h = gen_plmap_rnd(rnd, 4)
-        for name, oracle in P.ORACLES.items():
-            args = pair[:ATOM_ARITY[name]]
-            value = oracle(*args)
-            assert oracle(*map(reverse, args)) == value, (name, args)
-            assert oracle(*(a.conjugate_by(h) for a in args)) == value, (name, args, h)
-            held[name] += value
-    assert min(held.values()) >= 15, held
+        yield [(a, reverse(a), a.conjugate_by(h)) for a in pair]
+
+
+def _grid_moves():
+    """Every pair of the 41 maps of the {0, 1} grid (1,681 pairs), each map
+    with its reversal and its conjugate by one h that takes 0 and 1 off the
+    grid, computed once per map."""
+    h = PLMap(0, Fraction(1, 3), [Fraction(1, 2)], [2, Fraction(1, 3)])
+    moved = [(a, reverse(a), a.conjugate_by(h)) for a in grid_maps()]
+    return product(moved, repeat=2)
+
+
+def test_every_oracle_is_invariant_under_reversal_and_conjugation():
+    """Each predicate is defined in the group language, so every automorphism
+    of the group keeps it: ρ, and conjugation by any h."""
+    for moves in (_drawn_moves(), _grid_moves()):
+        held = dict.fromkeys(P.ORACLES, 0)
+        for pair in moves:
+            for name, oracle in P.ORACLES.items():
+                args, reversed_args, conjugated = zip(*pair[:ATOM_ARITY[name]])
+                value = oracle(*args)
+                assert oracle(*reversed_args) == value, (name, args)
+                assert oracle(*conjugated) == value, (name, args, conjugated)
+                held[name] += value
+        assert min(held.values()) >= 15, held
 
 
 def test_every_literal_macro_is_invariant_under_reversal_and_conjugation():

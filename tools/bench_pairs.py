@@ -20,7 +20,9 @@ comparable only within one file.  The rational construction count
 the library's `Rat` (a `Fraction` subclass), by name, so that it compares
 a side that builds rationals with `Fraction` and one that builds them
 with `Rat`.  It, the Python call count (cProfile, see `calls`), the
-library line count and the digests repeat exactly between runs.  A
+library line count and the digests repeat exactly between runs, so each
+count gets a verdict of its own, whatever the timings say (see
+`count_verdict`).  A
 `Fraction` sum of 40,000 terms, timed before and after the pairs and just
 before every run, records the speed of the host.  Next to each pair the
 output holds the readings taken in it and the change/base ratio of every
@@ -52,6 +54,10 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 METRICS = {m["name"]: (m["better"], m["bound"]) for m in SPEC["end_to_end"]}
 PAIRS = 10
 SECONDS = SPEC["run_seconds"]
+# the exact counts of each workload's tasks, and the share of the base's
+# count by which one may rise before it reads "worse"
+COUNTS = ("calls", "fraction_new")
+COUNT_BOUND = 0.05
 
 
 def summarise(values: list[float]) -> dict:
@@ -90,6 +96,15 @@ def verdict(base: list[float], change: list[float], better: str,
     if any(s["iqr"] > bound * s["median"] for s in (b, c)) and not beats_all:
         return "unresolved"
     return "no worse"
+
+
+def count_verdict(base: int, change: int) -> str:
+    """The reading of one exact count: "fewer", "same" or "more", and
+    "worse" when the change's count exceeds the base's by more than
+    `COUNT_BOUND` of it.  A count repeats exactly, so any move is real."""
+    if change > base * (1 + COUNT_BOUND):
+        return "worse"
+    return "fewer" if change < base else "same" if change == base else "more"
 
 
 def won_pairs(base: list[float], change: list[float], better: str) -> int:
@@ -268,7 +283,9 @@ def main(argv=None) -> int:
                               for side, v in vals.items()}}
             out[metric]["ratio_of_medians"] = (out[metric]["change"]["median"]
                                                / out[metric]["base"]["median"])
-        out["counts"] = counts[name]
+        out["counts"] = {**counts[name], "verdict": {
+            k: count_verdict(counts[name]["base"][k], counts[name]["change"][k])
+            for k in COUNTS}}
         out["digests"] = {side: sorted({r["digests"][name] for r in rs})
                           for side, rs in runs.items()}
         workloads[name] = out
