@@ -7,9 +7,9 @@ uppercase set variables; set quantification is over finite sets only.  The
 group language is first-order with terms built from `*`, `^-1` and the
 identity constant `1`, and a fixed signature of named atoms.  The two ASTs
 share their connectives and quantifiers; a WMSO variable's sort is the
-case of its name (`is_set_var`).  `free_vars` takes a formula or a term,
-and one table, `_RELATION`, holds the relation symbols as `_SYMBOL` holds
-the connectives'.
+case of its name (`is_set_var`), which `relation_vars` checks for every
+decider.  `free_vars` takes a formula or a term, and one table,
+`_RELATION`, holds the relation symbols as `_SYMBOL` holds the connectives'.
 
 Concrete syntax.  `~` binds tightest; then come the binary connectives of
 `_SYMBOL`, from `&` to `<->`: `&` and `|` associate to the left, `->` and
@@ -166,6 +166,18 @@ _RELATION = {Less: "<", EqPt: "=", Mem: "in"}
 def is_set_var(name: str) -> bool:
     """Whether a WMSO variable names a finite set: uppercase sets, lowercase points."""
     return name[:1].isupper()
+
+
+def relation_vars(phi: Formula) -> tuple[str, str]:
+    """The variables of a WMSO relation: two points, or a point and a set
+    for `in`.  Another node or a variable of the wrong sort raises."""
+    t = type(phi)
+    if t not in _RELATION:
+        raise FormulaError(f"not a formula over (Q,<): {phi!r}")
+    x, y = vars(phi).values()
+    if is_set_var(x) or is_set_var(y) != (t is Mem):
+        raise FormulaError(f"a variable of the wrong sort in {phi!r}")
+    return x, y
 
 
 def free_vars(phi: Union[Formula, Term]) -> set[str]:

@@ -25,11 +25,11 @@ sort picks (`_coding`; Hodges, *Model Theory*, CUP 1993, interpretations).
 each quantifier to pick the candidates and decides every atom by the
 semantic oracles.  A point ranges over the landmarks plus one fresh point
 per gap.  A set ranges over one set per reachable end state of the
-automaton (`wmso.automaton`) of the quantifier's body, decompiled back to an
-order formula by the inverse of the compiler, with the landmarks read in the
-direction of the orientation parameter.  Each family is complete for the
-order side, so the round-trip checks the group side against a decision
-procedure that shares no enumerator with it.
+automaton (`wmso.automaton`) of the quantifier's body, decompiled back to
+the order formula over its own names by the exact inverse of the compiler,
+with the landmarks read in the direction of the orientation parameter.
+Each family is complete for the order side, so the round-trip checks the
+group side against a decision procedure that shares no enumerator with it.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ from typing import Iterator, Optional
 from .numbers import NEG_INF, POS_INF, QInterval, Rat, gaps_of, is_finite, pick_fresh
 from .plmap import PLMap
 from .formulas import (
-    _BINARY, _RELATION, QUANTIFIERS, And, EqPt, Exists, Forall, Formula, GAtom,
-    GVar, Iff, Implies, Inv, Less, Mem, Mul, Not, Or, TermEq, free_vars,
-    instantiate, is_set_var, parse_group, rebuild,
+    _BINARY, QUANTIFIERS, And, EqPt, Exists, Forall, Formula, FormulaError,
+    GAtom, GVar, Iff, Implies, Inv, Less, Mem, Mul, Not, Or, TermEq, free_vars,
+    instantiate, is_set_var, parse_group, rebuild, relation_vars,
 )
 from .generators import make_bump
 from . import predicates as P
@@ -142,22 +142,20 @@ def translate(phi: Formula) -> Formula:
 
 
 def _tr(phi: Formula, names: Iterator[int]) -> Formula:
-    if type(phi) in _RELATION:
-        x, y = vars(phi).values()
-        if is_set_var(x) or (is_set_var(y) != isinstance(phi, Mem)):
-            raise InterpError(f"a variable of the wrong sort in {phi!r}")
-        x, y = GVar(_coding(x)[0]), GVar(_coding(y)[0])
-        if isinstance(phi, Less):
-            return instantiate(_LESS, (x, y, GVar(ORIENTATION_VAR)), names)
-        if isinstance(phi, EqPt):
-            return GAtom("codesame", (x, y))
-        # membership: g_X fixes x iff it conjugates f_x to a code of x
-        return GAtom("codesame", (x, Mul(Mul(y, x), Inv(y))))
     if isinstance(phi, (Not, *_BINARY)):
         return rebuild(phi, lambda sub: _tr(sub, names))
     if type(phi) in QUANTIFIERS:
         return _guarded(type(phi), *_coding(phi.var), _tr(phi.body, names))
-    raise InterpError(f"not an order-structure formula: {phi!r}")
+    try:
+        x, y = (GVar(_coding(v)[0]) for v in relation_vars(phi))
+    except FormulaError as e:
+        raise InterpError(str(e)) from None
+    if isinstance(phi, Less):
+        return instantiate(_LESS, (x, y, GVar(ORIENTATION_VAR)), names)
+    if isinstance(phi, EqPt):
+        return GAtom("codesame", (x, y))
+    # membership: g_X fixes x iff it conjugates f_x to a code of x
+    return GAtom("codesame", (x, Mul(Mul(y, x), Inv(y))))
 
 
 # ---------------------------------------------------------------------------
@@ -176,33 +174,32 @@ def _rightward(p: PLMap) -> bool:
 # ---------------------------------------------------------------------------
 
 def _decompile(psi: Formula) -> Formula:
-    """The order formula that `_tr` compiles to psi, with the compiled
-    variable names kept: f_x stays f_x, and g_X stays g_X.  Every other
-    shape raises InterpError.  Each atom and quantifier is accepted only if
-    compiling it back, with the two-letter prefix of each name stripped,
-    gives psi again."""
+    """The order formula that `_tr` compiles to psi, over the order names:
+    f_x becomes x, and g_X becomes X.  Every other shape raises InterpError.
+    Each atom and quantifier is accepted only if compiling it back gives psi
+    again, so `_decompile` is the exact inverse of `_tr`."""
     match psi:
         case Not() | And() | Or() | Implies() | Iff():
             return rebuild(psi, _decompile)
         case (Exists(v, And(GAtom(guard, (GVar(w),)), body))
               | Forall(v, Implies(GAtom(guard, (GVar(w),)), body))) if (
                 v == w and _coding(v[2:]) == (v, guard)):
-            return type(psi)(v, _decompile(body))
+            return type(psi)(v[2:], _decompile(body))
         case GAtom("codesame", (GVar(x), GVar(y))):
-            return _decompiled_atom(psi, EqPt(x, y))
+            return _decompiled_atom(psi, EqPt, x, y)
         case GAtom("codesame", (GVar(x), Mul(Mul(GVar(X), _), _))):
-            return _decompiled_atom(psi, Mem(x, X))
+            return _decompiled_atom(psi, Mem, x, X)
         case Exists(lf, And(GAtom("codesame", (_, GVar(x))),
                             Exists(lg, And(GAtom("codesame", (_, GVar(y))), _)))):
-            return _decompiled_atom(psi, Less(x, y), lf[3:], lg[3:])
+            return _decompiled_atom(psi, Less, x, y, lf[3:], lg[3:])
     raise InterpError(f"not a compiled order formula: {psi!r}")
 
 
-def _decompiled_atom(psi: Formula, atom: Formula, *numbers: str) -> Formula:
-    """`atom`, over compiled names, if `_tr` compiles it to psi when the
-    bound names of the order schema carry `numbers`."""
-    plain = type(atom)(*(v[2:] for v in vars(atom).values()))
-    if _tr(plain, iter(numbers)) != psi:
+def _decompiled_atom(psi: Formula, relation, x: str, y: str, *numbers: str) -> Formula:
+    """The relation over the order names of x and y, if `_tr` compiles it to
+    psi when the bound names of the order schema carry `numbers`."""
+    atom = relation(x[2:], y[2:])
+    if _tr(atom, iter(numbers)) != psi:
         raise InterpError(f"not a compiled order atom: {psi!r}")
     return atom
 
@@ -307,8 +304,11 @@ class _Pullback(P.GroupEvaluator):
         if ORIENTATION_VAR not in self.env:
             raise InterpError(f"set quantifier over {phi.var} outside the orientation prefix")
         right = _rightward(self.env[ORIENTATION_VAR])
-        marks, letters = landmark_word(dfa, self.a, phi.var, descending=not right)
-        n, bit, delta = len(marks), dfa.bit(phi.var), dfa.delta
+        # the automaton reads the order names: x for f_x, X for g_X
+        a = Assignment({v[2:]: q for v, q in self.a.points.items() if v[:2] == "f_"},
+                       {v[2:]: s for v, s in self.a.sets.items() if v[:2] == "g_"})
+        marks, letters = landmark_word(dfa, a, phi.var[2:], descending=not right)
+        n, bit, delta = len(marks), dfa.bit(phi.var[2:]), dfa.delta
         gaps = gaps_of(sorted(marks))
         if not right:
             gaps.reverse()

@@ -20,10 +20,10 @@ from fractions import Fraction
 from .numbers import FULL_LINE, is_finite
 from .plmap import PLMap, format_pl
 from .patterns import (
-    Fixed, Moving, OrbitalPattern, canonical_pattern, classify_cofinal,
-    enumerate_patterns, fixed_kind, format_pattern, has_inf_orbitals,
-    inf_formula_holds, lemma21_decompose, mirror_pattern, pattern_iso,
-    pattern_of,
+    MAX_ONLY, MIN_ONLY, MINUS_INF, PLUS_INF, Fixed, Moving, OrbitalPattern,
+    canonical_pattern, classify_cofinal, enumerate_patterns, fixed_kind,
+    format_pattern, has_inf_orbitals, inf_formula_holds, lemma21_decompose,
+    pattern_iso, pattern_of,
 )
 from .conjugacy import conjugating_witness, verify_conjugator
 from .generators import gen_plmap_rnd
@@ -175,9 +175,8 @@ def _canonical_patterns(core_max: int, tail_max: int):
     seen = set()
     for p in enumerate_patterns(core_max, tail_max):
         c = canonical_pattern(p)
-        key = format_pattern(c)
-        if key not in seen:
-            seen.add(key)
+        if c not in seen:  # interned blocks: equal patterns are equal tuples
+            seen.add(c)
             yield c
 
 
@@ -188,7 +187,7 @@ def _lemma21_failure(p) -> str | None:
     and g2 must be g with g1, the first orbital of g's tail, made fixed:
     the tail turns by two blocks, and g1 merges with the regions either
     side of it into the Fixed block that leads.  A decomposition of a left
-    tail is read through the mirror, and p with it."""
+    tail is read right to left (`_reversed`), and p with it."""
     g1, g2, g = lemma21_decompose(p)
     why = (f"pattern {format_pattern(p)}: decomposition g1={g1} "
            f"g={format_pattern(g)} g2={format_pattern(g2)}")
@@ -197,7 +196,7 @@ def _lemma21_failure(p) -> str | None:
     c = canonical_pattern(p)
     if g.right_tail is None:
         first = g.left_tail[-1]
-        c, g, g2 = mirror_pattern(c), mirror_pattern(g), mirror_pattern(g2)
+        c, g, g2 = _reversed(c), _reversed(g), _reversed(g2)
     else:
         first = g.right_tail[0]
     if not _restricts(c, g):
@@ -207,6 +206,19 @@ def _lemma21_failure(p) -> str | None:
     if first != g1 or g2 != OrbitalPattern(g.left_tail, g.core[:-1] + (lead,), w[2:] + w[:2]):
         return f"{why}: g2 is not g with g1 made fixed"
     return None
+
+
+#: The ends that reading right to left swaps, of orbitals and fixed regions.
+_SWAP = {MINUS_INF: PLUS_INF, PLUS_INF: MINUS_INF, MIN_ONLY: MAX_ONLY, MAX_ONLY: MIN_ONLY}
+
+
+def _reversed(p: OrbitalPattern) -> OrbitalPattern:
+    """p read right to left, by code of its own rather than `patterns`' mirror."""
+    def word(w):
+        return w and tuple(Fixed(_SWAP.get(b.kind, b.kind)) if isinstance(b, Fixed) else
+                           Moving(b.parity, _SWAP.get(b.right, b.right), _SWAP.get(b.left, b.left))
+                           for b in reversed(w))
+    return OrbitalPattern(word(p.right_tail), word(p.core), word(p.left_tail))
 
 
 def _restricts(p: OrbitalPattern, g: OrbitalPattern) -> bool:

@@ -18,18 +18,20 @@ over these words (Büchi 1960, Elgot 1961, Trakhtenbrot 1962), and
 - &, |, -> and <-> are products, and ~ is complement;
 - ∃x intersects with "x occurs exactly once" and projects x away, ∃X only
   projects; a letter that the projection empties is an ε-move, which the
-  subset construction closes over.  Whether x is a point is read from the
-  body's automaton (`Dfa.points`), not from the case of its name.
+  subset construction closes over.
 
 Every product and projection is minimised.  An automaton is meant only for
 well-formed words, where each free point variable occurs exactly once; what
-it does on other words is unspecified.  `decide` and `eval` are exact on
-every formula.  Their cost is the limit: a state has one transition per
-letter, so time and table size grow as 2^k in the number k of free
-variables of a subformula: "k pairwise distinct points" takes 0.005,
-0.03, 0.3 and 3.1 s for k = 4, 5, 6 and 7 on a 2-CPU host, ×10 a variable.
-`brute_eval` is an independent reference that enumerates candidates
-instead and shares no code with the automaton.
+it does on other words is unspecified.  A variable's sort is the case of
+its name (`formulas.is_set_var`), read at each atom through
+`formulas.relation_vars`, as MONA declares each variable's order.
+`decide` and `eval` are exact on every well-sorted formula; an ill-sorted
+atom raises FormulaError.  Their cost is the limit: a state has one
+transition per letter, so time and table size grow as 2^k in the number k
+of free variables of a subformula: "k pairwise distinct points" takes
+0.005, 0.03, 0.3 and 3.1 s for k = 4, 5, 6 and 7 on a 2-CPU host, ×10 a
+variable.  `brute_eval` is an independent reference that enumerates
+candidates instead and shares only that sort rule with the automaton.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 from .numbers import gaps_of, pick_fresh
 from .formulas import (
     And, EqPt, Evaluator, Exists, Forall, Formula, FormulaError, Iff, Implies,
-    Less, Mem, Not, Or, free_vars, is_set_var,
+    Less, Mem, Not, Or, free_vars, is_set_var, relation_vars,
 )
 
 
@@ -57,6 +59,14 @@ class Assignment:
 
     def with_set(self, var: str, s: Iterable[Fraction]) -> "Assignment":
         return Assignment(self.points, {**self.sets, var: tuple(sorted(set(s)))})
+
+    def value(self, var: str) -> Fraction | tuple[Fraction, ...]:
+        """The point or the set that var is bound to, by the case of its
+        name; an unbound variable raises FormulaError."""
+        sort, env = ("set", self.sets) if is_set_var(var) else ("point", self.points)
+        if var not in env:
+            raise FormulaError(f"unbound {sort} variable {var}")
+        return env[var]
 
     def landmarks(self) -> list[Fraction]:
         marks: set[Fraction] = set(self.points.values())
@@ -80,11 +90,10 @@ class Dfa(NamedTuple):
     """A complete deterministic automaton whose initial state is 0.
 
     A letter is a bitmask over `vars`: bit i says that vars[i] sits at the
-    position.  `delta[s][letter]` is the successor of state s, `accept[s]`
-    says whether s accepts, and `points` names the point variables."""
+    position.  `delta[s][letter]` is the successor of state s, and
+    `accept[s]` says whether s accepts."""
 
     vars: tuple[str, ...]
-    points: frozenset[str]
     delta: tuple[tuple[int, ...], ...]
     accept: tuple[bool, ...]
 
@@ -100,7 +109,7 @@ class Dfa(NamedTuple):
         return state
 
 
-def _explore(vars: tuple[str, ...], points: frozenset[str], start: Hashable,
+def _explore(vars: tuple[str, ...], start: Hashable,
              step: Callable[[Hashable, int], Hashable],
              accepting: Callable[[Hashable], bool]) -> Dfa:
     """The minimal DFA over the states reachable from `start`, where
@@ -117,10 +126,10 @@ def _explore(vars: tuple[str, ...], points: frozenset[str], start: Hashable,
                 order.append(t)
             row.append(index[t])
         delta.append(row)
-    return _minimise(vars, points, delta, [accepting(s) for s in order])
+    return _minimise(vars, delta, [accepting(s) for s in order])
 
 
-def _minimise(vars, points, delta, accept) -> Dfa:
+def _minimise(vars, delta, accept) -> Dfa:
     """Moore's partition refinement over reachable states.  Classes are
     numbered in order of their first state, so state 0 stays initial."""
     cls = [int(a) for a in accept]
@@ -134,13 +143,12 @@ def _minimise(vars, points, delta, accept) -> Dfa:
     first: dict[int, int] = {}
     for s, c in enumerate(new):
         first.setdefault(c, s)
-    return Dfa(vars, points,
+    return Dfa(vars,
                tuple(tuple(new[t] for t in delta[s]) for s in first.values()),
                tuple(accept[s] for s in first.values()))
 
 
-def _pattern(vars: tuple[str, ...], points: frozenset[str], watch: int,
-             wants: Sequence[int]) -> Dfa:
+def _pattern(vars: tuple[str, ...], watch: int, wants: Sequence[int]) -> Dfa:
     """The words whose letters that meet `watch` are exactly `wants`, in
     order; other letters are free."""
     dead = len(wants) + 1
@@ -149,24 +157,20 @@ def _pattern(vars: tuple[str, ...], points: frozenset[str], watch: int,
         if not a & watch:
             return i
         return i + 1 if i < len(wants) and a == wants[i] else dead
-    return _explore(vars, points, 0, step, lambda i: i == len(wants))
+    return _explore(vars, 0, step, lambda i: i == len(wants))
 
 
 def _atom(phi: Formula) -> Dfa:
-    t = type(phi)
-    if t is Mem:  # x occurs once, on a letter that carries X
-        vars = tuple(dict.fromkeys((phi.x, phi.X)))
-        return _pattern(vars, frozenset({phi.x}), 1, [(1 << len(vars)) - 1])
-    if t is Less or t is EqPt:
-        vars = tuple(dict.fromkeys((phi.x, phi.y)))
-        bx, by = 1 << vars.index(phi.x), 1 << vars.index(phi.y)
-        wants = [bx, by] if t is Less else [bx | by]
-        return _pattern(vars, frozenset(vars), bx | by, wants)
-    raise FormulaError(f"not a formula over (Q,<): {phi!r}")
+    x, y = relation_vars(phi)
+    vars = tuple(dict.fromkeys((x, y)))
+    bx, by = 1 << vars.index(x), 1 << vars.index(y)
+    if type(phi) is Mem:  # x occurs once, on a letter that carries X
+        return _pattern(vars, bx, [bx | by])
+    return _pattern(vars, bx | by, [bx, by] if type(phi) is Less else [bx | by])
 
 
 def _complement(a: Dfa) -> Dfa:
-    return Dfa(a.vars, a.points, a.delta, tuple(not x for x in a.accept))
+    return Dfa(a.vars, a.delta, tuple(not x for x in a.accept))
 
 
 def _product(a: Dfa, b: Dfa, op: Callable[[bool, bool], bool]) -> Dfa:
@@ -178,7 +182,7 @@ def _product(a: Dfa, b: Dfa, op: Callable[[bool, bool], bool]) -> Dfa:
         return [sum(1 << i for i, j in enumerate(at) if letter >> j & 1)
                 for letter in range(1 << len(vars))]
     ra, rb = restrict(a), restrict(b)
-    return _explore(vars, a.points | b.points, (0, 0),
+    return _explore(vars, (0, 0),
                     lambda s, x: (a.delta[s[0]][ra[x]], b.delta[s[1]][rb[x]]),
                     lambda s: op(a.accept[s[0]], b.accept[s[1]]))
 
@@ -203,15 +207,15 @@ def _project(a: Dfa, var: str) -> Dfa:
     def step(S, b):
         x = (b & low) | (b & ~low) << 1  # b with a 0 inserted at bit i
         return close([delta[s][x] for s in S] + [delta[s][x | eps] for s in S])
-    return _explore(a.vars[:i] + a.vars[i + 1:], a.points - {var}, close([0]),
-                    step, lambda S: any(a.accept[s] for s in S))
+    return _explore(a.vars[:i] + a.vars[i + 1:], close([0]), step,
+                    lambda S: any(a.accept[s] for s in S))
 
 
 def _exists(var: str, body: Dfa) -> Dfa:
     if var not in body.vars:  # ℚ is nonempty, and ∅ is a finite set
         return body
-    if var in body.points:  # an atom of the body reads var as a point
-        body = _product(body, _pattern((var,), frozenset({var}), 1, [1]), operator.and_)
+    if not is_set_var(var):  # a point occurs exactly once
+        body = _product(body, _pattern((var,), 1, [1]), operator.and_)
     return _project(body, var)
 
 
@@ -235,29 +239,21 @@ def automaton(phi: Formula) -> Dfa:
 def landmark_word(dfa: Dfa, a: Assignment, skip: str = "",
                   descending: bool = False) -> tuple[list[Fraction], list[int]]:
     """The landmarks where `a` places the variables of `dfa` other than
-    `skip`, in order, and the letter at each.  A variable that `a` does not
-    bind with its sort raises FormulaError."""
+    `skip`, in order, and the letter at each (see `Assignment.value`)."""
     at: dict[Fraction, int] = {}
     for i, v in enumerate(dfa.vars):
-        if v == skip:
-            continue
-        if v in dfa.points:
-            if v not in a.points:
-                raise FormulaError(f"unbound point variable {v}")
-            where: Iterable[Fraction] = (a.points[v],)
-        elif v in a.sets:
-            where = a.sets[v]
-        else:
-            raise FormulaError(f"unbound set variable {v}")
-        for q in where:
-            at[q] = at.get(q, 0) | 1 << i
+        if v != skip:
+            value = a.value(v)
+            for q in value if is_set_var(v) else (value,):
+                at[q] = at.get(q, 0) | 1 << i
     marks = sorted(at, reverse=descending)
     return marks, [at[q] for q in marks]
 
 
 def decide(phi: Formula) -> bool:
     """Truth value of a closed formula in (ℚ,<): whether the initial state
-    of its automaton accepts.  Exact on every sentence."""
+    of its automaton accepts.  Exact on every well-sorted sentence; an
+    ill-sorted atom raises FormulaError."""
     if free_vars(phi):
         raise FormulaError(f"formula has free variables {sorted(free_vars(phi))}")
     return automaton(phi).accept[0]
@@ -277,7 +273,8 @@ def eval(phi: Formula, a: Assignment) -> bool:  # noqa: A001
 def brute_eval(phi: Formula, a: Assignment, pool: Sequence[Fraction]) -> bool:
     """Reference evaluator by enumeration.
 
-    A variable's sort is the case of its name (`formulas.is_set_var`).
+    A variable's sort is the case of its name (`formulas.is_set_var`), as
+    for `decide`, and an ill-sorted atom raises FormulaError.
     Point quantifiers range over the landmarks plus one fresh point per gap,
     which is complete.  Set quantifiers range over ALL subsets of the fixed
     pool together with the current landmarks.  That is complete only where
@@ -285,6 +282,10 @@ def brute_eval(phi: Formula, a: Assignment, pool: Sequence[Fraction]) -> bool:
     with one pool point between the fresh points 0 and 1, "any two points
     have two set members between them" reads False."""
     return _Brute(a, pool).run(phi)
+
+
+#: Each relation's truth on the values of its two variables.
+_HOLDS = {Less: operator.lt, EqPt: operator.eq, Mem: lambda q, s: q in s}
 
 
 class _Brute(Evaluator):
@@ -296,16 +297,8 @@ class _Brute(Evaluator):
         self.pool = pool
 
     def atom(self, phi: Formula) -> bool:
-        t = type(phi)
-        if t is Less:
-            return self.pt(phi.x) < self.pt(phi.y)
-        if t is EqPt:
-            return self.pt(phi.x) == self.pt(phi.y)
-        if t is Mem:
-            if phi.X not in self.a.sets:
-                raise FormulaError(f"unbound set variable {phi.X}")
-            return self.pt(phi.x) in self.a.sets[phi.X]
-        raise FormulaError(f"not a formula over (Q,<): {phi!r}")
+        x, y = map(self.a.value, relation_vars(phi))
+        return _HOLDS[type(phi)](x, y)
 
     def bind(self, phi: Formula):
         if is_set_var(phi.var):
@@ -315,8 +308,3 @@ class _Brute(Evaluator):
     def subsets(self) -> Iterator[tuple[Fraction, ...]]:
         universe = sorted(set(self.pool) | set(self.a.landmarks()))
         return (s for r in range(len(universe) + 1) for s in combinations(universe, r))
-
-    def pt(self, x: str) -> Fraction:
-        if x not in self.a.points:
-            raise FormulaError(f"unbound point variable {x}")
-        return self.a.points[x]

@@ -1,11 +1,13 @@
 """Three deciders of WMSO over (ℚ,<) must agree: the automaton
 (`decide`), the brute-force subset enumerator (`brute_eval`) and the
 pullback of the compiled sentence through the group, under both
-orientations (`pullback_eval`).  They share no enumerator of points.  The
-pullback takes the candidates of a set quantifier from the automaton of
-the decompiled body, so for set quantifiers `brute_eval` is the only path
-independent of the automaton, and it is complete only where its pool lies
-well relative to the fresh points (see `TWO_BETWEEN`)."""
+orientations (`pullback_eval`).  They share one sort rule, the case of a
+name, read at each atom by `formulas.relation_vars`, and no enumerator of
+points.  The pullback takes the candidates of a set quantifier from the
+automaton of the body, decompiled back to the order formula over its own
+names, so for set quantifiers `brute_eval` is the only path independent of
+the automaton, and it is complete only where its pool lies well relative
+to the fresh points (see `TWO_BETWEEN`)."""
 
 import random
 import re
@@ -16,7 +18,7 @@ import pytest
 from qwi.corpus import load_corpus
 from qwi.formulas import parse_wmso
 from qwi.interp import ORIENTATION_VAR, _Pullback, _rightward, pullback_eval, translate
-from qwi.wmso import brute_eval, decide, landmark_word
+from qwi.wmso import Assignment, brute_eval, decide, landmark_word
 
 from helpers import EMPTY, qdepth
 
@@ -112,14 +114,23 @@ def test_brute_force_reaches_seven_elements():
 #: and POOL holds only 1/2 between them; `decide` and the pullback do not
 #: read the pool.
 TWO_BETWEEN = "Ax Ay (x < y -> EX (Eu Ev (x < u & u < v & v < y & u in X & v in X)))"
+NOT_TWO_BETWEEN = "Ex Ey (x < y & ~(EX (Eu Ev (x < u & u < v & v < y & u in X & v in X))))"
 
 
-@pytest.mark.parametrize("text, truth", [
-    (TWO_BETWEEN, True),
-    ("Ex Ey (x < y & ~(EX (Eu Ev (x < u & u < v & v < y & u in X & v in X))))", False),
+@pytest.mark.parametrize("text, truth, pool", [
+    pytest.param(TWO_BETWEEN, True, None, id=f"{TWO_BETWEEN}-True"),
+    pytest.param(NOT_TWO_BETWEEN, False, None, id=f"{NOT_TWO_BETWEEN}-False"),
+    pytest.param(TWO_BETWEEN, True, POOL, id="brute_eval over POOL", marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 21: brute_eval binds x and y to the fresh "
+                            "points 0 and 1, and POOL holds only 1/2 between them")),
 ])
-def test_two_set_members_between_any_two_points(text, truth):
+def test_two_set_members_between_any_two_points(text, truth, pool):
+    """`decide` and the pullback read the truth; `brute_eval` over POOL,
+    run where `pool` is given, does not yet."""
     phi = parse_wmso(text)
+    if pool is not None:
+        assert brute_eval(phi, EMPTY, pool) == truth
+        return
     assert decide(phi) == truth
     psi = translate(phi)
     assert pullback_eval(psi, orientation="right") == truth
@@ -153,7 +164,10 @@ def test_set_candidates_end_in_distinct_states(monkeypatch):
     def checked(self, phi):
         out = walk(self, phi)
         dfa, left = self.automata[id(phi)], not _rightward(self.env[ORIENTATION_VAR])
-        ends = [dfa.run(landmark_word(dfa, self.a.with_set(phi.var, s), descending=left)[1])
+        # the automaton of the decompiled body reads x for f_x and X for g_X
+        a = Assignment({v[2:]: q for v, q in self.a.points.items()},
+                       {v[2:]: s for v, s in self.a.sets.items()})
+        ends = [dfa.run(landmark_word(dfa, a.with_set(phi.var[2:], s), descending=left)[1])
                 for s in out]
         distinct.append(len(set(ends)) == len(ends))
         return out

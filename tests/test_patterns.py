@@ -371,10 +371,10 @@ def test_lemma21_on_every_omega_class_with_tails_of_up_to_four_blocks(monkeypatc
     assert info.misses == len(keys) and info.currsize <= info.maxsize == patterns._LEMMA21_BOUND
     # A mirror that rebuilds every fixed region from its ends, so that
     # F(single) reads as F(minmax) and F(empty) as F(open), fills the table
-    # for the left tails.  The check mirrors through the same function, so
-    # it reads the entries once the true mirror is back.  Where a region
-    # merges with its neighbours the ends are all that count, so the mutant
-    # changes 4 entries, and the check refuses those 4.
+    # for the left tails.  The check reverses left tails with its own code,
+    # so it refuses the mutant's entries while the mutant is still in place.
+    # Where a region merges with its neighbours the ends are all that count,
+    # so the mutant changes 4 entries, and the check refuses those 4.
     mirror = patterns._mirror_block
     left = [c for c in classes if c.right_tail is None]
     try:
@@ -382,10 +382,8 @@ def test_lemma21_on_every_omega_class_with_tails_of_up_to_four_blocks(monkeypatc
             m.setattr(patterns, "_mirror_block", lambda b: Fixed(fixed_kind(b.has_max, b.has_min))
                       if isinstance(b, Fixed) else mirror(b))
             table.cache_clear()
-            for c in left:
-                lemma21_decompose(c)
+            caught = [c for c in left if suites._lemma21_failure(c) is not None]
         wrong = [c for c in left if lemma21_decompose(c) != table.__wrapped__("left", c.left_tail)[0]]
-        caught = [c for c in left if suites._lemma21_failure(c) is not None]
     finally:
         table.cache_clear()
     assert len(wrong) == 4 and caught == wrong

@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 import qwi.wmso
 from qwi.corpus import load_corpus
 from qwi.formulas import (
-    And, EqPt, Exists, Forall, FormulaError, Mem, Not, parse_group, parse_wmso,
+    And, EqPt, Exists, Forall, FormulaError, Less, Mem, Not, parse_group,
+    parse_wmso,
 )
+from qwi.interp import InterpError, translate
 from qwi.numbers import NEG_INF, POS_INF, QInterval
 from qwi.wmso import (
     Assignment, automaton, brute_eval, decide, eval as wmso_eval,
@@ -66,16 +68,26 @@ def test_both_deciders_read_one_quantifier_node_for_both_sorts():
     assert brute_eval(phi, EMPTY, POOL) is decide(phi) is False
 
 
-def test_decide_reads_a_sort_from_the_atoms_not_the_case():
-    """∃s ∃x ∃y (x ≠ y ∧ x ∈ s ∧ y ∈ s) over the lowercase set name s, as
-    the decompiler of `interp` keeps compiled names such as g_X: s is a set
-    because membership reads it as one, so it may hold two points.  Where
-    the atoms read s as a point, it holds one."""
-    def holds_two(atom):
-        return Exists("s", Exists("x", Exists("y", And(
-            Not(EqPt("x", "y")), And(atom("x", "s"), atom("y", "s"))))))
-    assert decide(holds_two(Mem))
-    assert not decide(holds_two(EqPt))
+ILL_SORTED = [
+    Exists("s", Exists("x", Exists("y", And(
+        Not(EqPt("x", "y")), And(Mem("x", "s"), Mem("y", "s")))))),
+    Exists("X", Exists("y", Less("X", "y"))),
+    Exists("X", Exists("y", EqPt("y", "X"))),
+    Exists("X", Exists("Y", Mem("X", "Y"))),
+]
+
+
+@pytest.mark.parametrize("phi", ILL_SORTED, ids=[
+    "lowercase set in in", "set in <", "set in =", "uppercase member of in"])
+def test_every_decider_refuses_an_ill_sorted_atom(phi):
+    """The case of a name is its sort for every decider, so none answers
+    a formula whose atom reads a variable of the other sort."""
+    for decider in (decide, lambda phi: wmso_eval(phi, EMPTY),
+                    lambda phi: brute_eval(phi, EMPTY, POOL)):
+        with pytest.raises(FormulaError, match="wrong sort"):
+            decider(phi)
+    with pytest.raises(InterpError, match="wrong sort"):
+        translate(phi)
 
 
 def test_eval_with_assignment():
