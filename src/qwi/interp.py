@@ -307,7 +307,10 @@ class _Pullback(P.GroupEvaluator):
         # the automaton reads the order names: x for f_x, X for g_X
         a = Assignment({v[2:]: q for v, q in self.a.points.items() if v[:2] == "f_"},
                        {v[2:]: s for v, s in self.a.sets.items() if v[:2] == "g_"})
-        marks, letters = landmark_word(dfa, a, phi.var[2:], descending=not right)
+        try:
+            marks, letters = landmark_word(dfa, a, phi.var[2:], descending=not right)
+        except FormulaError as e:  # the body reads a point or set no coding guard bound
+            raise InterpError(f"set quantifier over {phi.var}: {e}") from None
         n, bit, delta = len(marks), dfa.bit(phi.var[2:]), dfa.delta
         gaps = gaps_of(sorted(marks))
         if not right:

@@ -1,7 +1,9 @@
 """What only the tests use: a seeded map generator, the maps of a grid,
-the empty assignment and the quantifier depth of a formula."""
+the empty assignment, the quantifier depth of a formula and a deadline."""
 
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -45,3 +47,18 @@ def qdepth(phi: Formula) -> int:
     if isinstance(phi, _BINARY):
         return max(qdepth(phi.a), qdepth(phi.b))
     return 0
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail, by TimeoutError, a block that runs longer than `seconds`."""
+    def fire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, fire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)

@@ -1,7 +1,5 @@
 import math
 import random
-import signal
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -14,7 +12,7 @@ from qwi.numbers import NEG_INF, POS_INF, QInterval, pick_fresh
 from qwi.patterns import pattern_iso, pattern_of
 from qwi.plmap import PLMap, parse_pl
 
-from helpers import gen_plmap
+from helpers import deadline, gen_plmap
 
 plmaps = st.builds(gen_plmap, st.integers(0, 10**6), st.integers(0, 5))
 
@@ -291,21 +289,6 @@ def test_verifier_refuses_an_orbital_over_a_fixed_point():
     assert h.apply(Fraction(-3, 4)) == Fraction(-3, 4)
     with deadline(5), pytest.raises(ValueError):
         h.apply(Fraction(-2))
-
-
-@contextmanager
-def deadline(seconds):
-    """Fail, by TimeoutError, a block that runs longer than `seconds`."""
-    def fire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    old = signal.signal(signal.SIGALRM, fire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
 
 
 half, two = Fraction(1, 2), Fraction(2)

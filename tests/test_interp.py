@@ -141,6 +141,9 @@ def test_pullback_rejects_foreign_formulas():
         "Ep (cof(p) & Eg_X (finrational(g_X) & Ef_x (rational(f_x)"
         " & codesame(f_x,(g_X*f_x)*f_x^-1))))",
         "Eg_X (finrational(g_X) & Ef_x (rational(f_x) & codesame(f_x,f_x)))",  # no ∃p
+        # the body reads a point that a non-coding guard bound
+        "Ep (cof(p) & Ef_x (cof(f_x) & Eabx (rational(abx) & Eg_X (finrational(g_X)"
+        " & codesame(f_x,(g_X*f_x)*g_X^-1)))))",
     ]:
         with pytest.raises(InterpError):
             pullback_eval(parse_group(text))
