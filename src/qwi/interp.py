@@ -28,8 +28,10 @@ per gap.  A set ranges over one set per reachable end state of the
 automaton (`wmso.automaton`) of the quantifier's body, decompiled back to
 the order formula over its own names by the exact inverse of the compiler,
 with the landmarks read in the direction of the orientation parameter.
-Each family is complete for the order side, so the round-trip checks the
-group side against a decision procedure that shares no enumerator with it.
+Each family is complete for the order side.  The point candidates share
+no enumerator with `wmso.decide`, but the set candidates are read off the
+automaton that `decide` runs too, so for a set quantifier the round-trip
+does not check the group side against an independent decision procedure.
 """
 
 from __future__ import annotations

@@ -3,14 +3,19 @@
 A map is stored in breakpoint form (Brin and Squier 1985; Cannon, Floyd
 and Parry 1996): its cuts xᵢ, their images yᵢ, one positive slope per gap
 and `c0`, the intercept of the first piece (a map with no cuts has no
-breakpoint to anchor it).  Every map is built by the one checked
-constructor, `PLMap(anchor, value, cuts, slopes)`: it walks the images from
-an anchor point, so a map is continuous by construction, and it merges
-equal adjacent slopes, so the storage is canonical and structural equality
-is group-element equality.  `compose` computes slopes and cuts only,
-`inverse` swaps the coordinates, and `regions` reads the displacement
-yᵢ - xᵢ at the cuts.  The (slope, intercept) pieces belong to the text
-format: `parse_pl` alone reads them, and `pieces` derives them once per map.
+breakpoint to anchor it).  No two adjacent slopes are equal, so the
+storage is canonical and structural equality is group-element equality.
+Caller input goes through the one checked constructor, `PLMap(anchor,
+value, cuts, slopes)`: it refuses non-increasing cuts, non-positive slopes
+and a wrong slope count, walks the images from an anchor point and merges
+equal adjacent slopes.  `compose` and `inverse` write their result's
+storage unchecked.  It is continuous and canonical by construction: each
+image is read off the operands, the merge of `compose` emits its cuts in
+increasing order and drops a cut between equal slopes, and every slope is
+a product or a reciprocal of positive slopes.  `regions` reads the
+displacement yᵢ - xᵢ at the cuts.  The (slope, intercept) pieces belong to
+the text format: `parse_pl` alone reads them, and `pieces` derives them
+once per map.
 
 Only this module reads the storage, so a change of storage stays inside
 this file.  `predicates` (outside its constructor `restrict_map`),
@@ -91,10 +96,18 @@ class PLMap:
             ys.append(ys[-1] + ms[-1] * (b - xs[-1]) if xs else ms[0] * b + c0)
             xs.append(b)
             ms.append(m)
-        self.cuts = tuple(xs)
+        self._store(tuple(xs), tuple(ys), tuple(ms), c0)
+
+    def _store(self, cuts: tuple[Rat, ...], image_cuts: tuple[Rat, ...],
+               slopes: tuple[Rat, ...], c0: Rat) -> "PLMap":
+        """Assign the storage as given, with no check: the caller makes every
+        value a `Rat`, the cuts increasing, the slopes positive with no two
+        adjacent equal, and each image the value at its cut of the pieces
+        that `c0` and the slopes fix.  Returns self."""
+        self.cuts = cuts
         #: the images f(xᵢ) of the cuts
-        self.image_cuts = tuple(ys)
-        self.slopes = tuple(ms)
+        self.image_cuts = image_cuts
+        self.slopes = slopes
         #: the intercept of the first piece: its line meets x = 0 at c0
         self.c0 = c0
         self._pieces: tuple[Piece, ...] | None = None
@@ -102,6 +115,7 @@ class PLMap:
         self._signed: tuple[tuple[QInterval, int], ...] | None = None
         self._support: tuple[QInterval, ...] | None = None
         self._hash: int | None = None
+        return self
 
     @staticmethod
     def identity() -> "PLMap":
@@ -169,36 +183,57 @@ class PLMap:
         """self ∘ other, i.e. x ↦ self(other(x)), by one merge in O(k_f + k_g).
 
         With f = self and g = other, walk the cuts b of g, in the order of
-        their images g(b), together with the cuts y of f.  A cut of g stays
-        as it is; a cut y of f becomes g⁻¹(y) = xᵢ + (y − yᵢ)/m_g from the
-        last cut (xᵢ, yᵢ) of g before it; where g(b) == y the two are one
-        cut.  Between cuts the slope is m_f·m_g.
+        their images g(b), together with the cuts y of f.  A cut of g stays,
+        with image f(g(b)) on f's piece at g(b); a cut y of f becomes
+        g⁻¹(y) = xᵢ + (y − yᵢ)/m_g from the last cut (xᵢ, yᵢ) of g before
+        it, with f's own image of y; where g(b) == y the two are one cut.
+        Between cuts the slope is m_f·m_g, and a cut between equal slopes is
+        dropped as the walk meets it, so the result is canonical as built.
         """
         gcuts, gimages, gslopes = other.cuts, other.image_cuts, other.slopes
-        fcuts, fslopes = self.cuts, self.slopes
+        fcuts, fimages, fslopes = self.cuts, self.image_cuts, self.slopes
         ng, nf = len(gcuts), len(fcuts)
         i = j = 0
         cuts: list[Rat] = []
+        images: list[Rat] = []
         slopes: list[Rat] = []
         while True:
-            slopes.append(fslopes[j] * gslopes[i])
+            m = fslopes[j] * gslopes[i]
+            if slopes and m == slopes[-1]:  # the last cut is no cut
+                cuts.pop()
+                images.pop()
+            else:
+                slopes.append(m)
             if i < ng and (j == nf or gimages[i] <= fcuts[j]):
-                if j < nf and gimages[i] == fcuts[j]:
+                y = gimages[i]
+                if j < nf and y == fcuts[j]:
+                    y = fimages[j]
                     j += 1
+                elif j:
+                    y = fimages[j - 1] + fslopes[j] * (y - fcuts[j - 1])
+                else:
+                    y = fslopes[0] * y + self.c0
                 cuts.append(gcuts[i])
+                images.append(y)
                 i += 1
             elif j < nf:
                 y = fcuts[j]
                 cuts.append(gcuts[i - 1] + (y - gimages[i - 1]) / gslopes[i] if i
                             else (y - other.c0) / gslopes[0])
+                images.append(fimages[j])
                 j += 1
             else:
-                return PLMap(0, fslopes[0] * other.c0 + self.c0, cuts, slopes)
+                return PLMap.__new__(PLMap)._store(
+                    tuple(cuts), tuple(images), tuple(slopes),
+                    fslopes[0] * other.c0 + self.c0)
 
     def inverse(self) -> "PLMap":
-        """The cuts and images swap and each slope m becomes 1/m; the first
-        piece's line passes through (0, c0), so its inverse's through (c0, 0)."""
-        return PLMap(self.c0, 0, self.image_cuts, [1 / m for m in self.slopes])
+        """The cuts and images swap and each slope m becomes 1/m, so adjacent
+        slopes stay distinct; the first piece's line passes through (0, c0),
+        so its inverse's meets x = 0 at -c0/m₀."""
+        return PLMap.__new__(PLMap)._store(
+            self.image_cuts, self.cuts, tuple(1 / m for m in self.slopes),
+            -self.c0 / self.slopes[0])
 
     def conjugate_by(self, g: "PLMap") -> "PLMap":
         """g ∘ self ∘ g⁻¹."""

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qwi.generators import gen_plmap_rnd, make_bump
-from qwi.numbers import NEG_INF, POS_INF, QInterval, is_finite, pick_fresh
+from qwi.numbers import NEG_INF, POS_INF, QInterval, Rat, is_finite, pick_fresh
 from qwi.plmap import PLMap, PLMapError, format_pl, parse_pl
 from qwi.predicates import comp_sem
 
@@ -388,6 +388,7 @@ def probes(*point_sets):
 
 
 def assert_canonical(f: PLMap):
+    assert all(type(x) is Rat for x in (f.c0, *f.cuts, *f.image_cuts, *f.slopes))
     assert len(f.slopes) == len(f.cuts) + 1 == len(f.image_cuts) + 1
     assert all(a < b for a, b in zip(f.cuts, f.cuts[1:]))
     assert all(m > 0 for m in f.slopes)
@@ -421,6 +422,31 @@ def test_breakpoint_storage_on_seeded_triples():
             assert ref_apply(conj, y) == ref_apply(g, ref_apply(f, ref_apply_inverse(g, y)))
         for m in (f, g, h, fg, inv, conj):
             assert m.regions() == ref_regions(m)
+
+
+def storage(f: PLMap):
+    return f.cuts, f.image_cuts, f.slopes, f.c0
+
+
+def test_group_operations_store_what_the_checked_constructor_builds():
+    # compose and inverse write their storage unchecked; the constructor
+    # rebuilds it from c0, cuts and slopes alone, merging any cut between
+    # equal slopes and walking every image again
+    rnd = random.Random("unchecked storage")
+    e, t = PLMap.identity(), PLMap.translation(Fraction(-3, 2))
+    pairs = [(F_SHARED, G_SHARED), (F_SHARED, H_SHARED)]
+    for m in (F_SHARED, G_SHARED, H_SHARED, t, e):
+        pairs += [(m, e), (e, m), (m, t), (t, m)]
+    for _ in range(200):
+        f, g, h = (gen_plmap_rnd(rnd, 8) for _ in range(3))
+        pairs += [(f, g), (g, h), (f.compose(g), h)]
+    for f, g in pairs:
+        for h in (f.compose(g), f.inverse(), f.conjugate_by(g), g.conjugate_by(f)):
+            assert_canonical(h)
+            assert storage(PLMap(0, h.c0, h.cuts, h.slopes)) == storage(h)
+        for h in (f.compose(f.inverse()), f.inverse().compose(f)):
+            assert h.is_identity() and storage(h) == storage(e)
+            assert_canonical(h)
 
 
 def test_text_format_is_unchanged():
