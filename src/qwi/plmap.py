@@ -8,21 +8,22 @@ storage is canonical and structural equality is group-element equality.
 Caller input goes through the one checked constructor, `PLMap(anchor,
 value, cuts, slopes)`: it refuses non-increasing cuts, non-positive slopes
 and a wrong slope count, walks the images from an anchor point and merges
-equal adjacent slopes.  `compose` and `inverse` write their result's
-storage unchecked.  It is continuous and canonical by construction: each
-image is read off the operands, the merge of `compose` emits its cuts in
-increasing order and drops a cut between equal slopes, and every slope is
-a product or a reciprocal of positive slopes.  `regions` reads the
-displacement yᵢ - xᵢ at the cuts.  The (slope, intercept) pieces belong to
-the text format: `parse_pl` alone reads them, and `pieces` derives them
-once per map.
+equal adjacent slopes.  `compose`, `inverse` and `restrict` write their
+result's storage unchecked.  It is continuous and canonical by
+construction: each image is read off the operands, each walk emits its
+cuts in increasing order and drops a cut between equal slopes, and every
+slope is a product or a reciprocal of positive slopes or one of the map's
+own; a restriction adds fixed cuts beside which the map moves points, so
+its slope there is not 1.  `regions` reads the displacement yᵢ - xᵢ at
+the cuts.  The (slope, intercept) pieces belong to the text format:
+`parse_pl` alone reads them, and `pieces` derives them once per map.
 
 Only this module reads the storage, so a change of storage stays inside
-this file.  `predicates` (outside its constructor `restrict_map`),
-`patterns` and `interp` read a map through the group operations
-(`compose`, `inverse`, `conjugate_by`), equality and hashing, `apply`,
-`support`, `signed_support`, `fixed_items` and `regions`.  `conjugacy`
-also reads `germ`, `cuts_in`, `apply_inverse` and `agrees_on`.
+this file.  `predicates`, `patterns` and `interp` read a map through the
+group operations (`compose`, `inverse`, `conjugate_by`), `restrict`,
+equality and hashing, `apply`, `support`, `signed_support`, `fixed_items`
+and `regions`.  `conjugacy` also reads `germ`, `cuts_in`, `apply_inverse`
+and `agrees_on`.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .numbers import (
 )
 
 Piece = tuple[Rat, Rat]  # (slope, intercept)
+_ONE = Rat(1)
 
 
 class PLMapError(ValueError):
@@ -238,6 +240,37 @@ class PLMap:
     def conjugate_by(self, g: "PLMap") -> "PLMap":
         """g ∘ self ∘ g⁻¹."""
         return g.compose(self).compose(g.inverse())
+
+    def restrict(self, comps: Sequence[QInterval]) -> "PLMap":
+        """Self on the given support components of self (any order, repeats
+        allowed) and the identity elsewhere, in one walk: the components'
+        finite ends become fixed cuts.  Refuses any other interval, as an
+        end that self moves would break the map there."""
+        support = self.support()
+        for iv in comps:
+            if iv not in support:
+                raise PLMapError(f"{iv} is not a support component of the map")
+        xs, ys, ms = self.cuts, self.image_cuts, self.slopes
+        cuts, images, slopes, c0 = [], [], [_ONE], Rat(0)
+        for lo, hi in ((iv.lo, iv.hi) for iv in support if iv in comps):
+            i, j = bisect_right(xs, lo), bisect_left(xs, hi)
+            if cuts and cuts[-1] == lo:  # the last kept component's hi
+                del cuts[-1], images[-1], slopes[-1]
+            if lo is NEG_INF:
+                slopes[0], c0 = ms[0], self.c0
+            elif ms[i] != slopes[-1]:  # else lo lies inside one piece of self
+                cuts.append(lo)
+                images.append(lo)
+                slopes.append(ms[i])
+            cuts += xs[i:j]
+            images += ys[i:j]
+            slopes += ms[i + 1:j + 1]
+            if hi is not POS_INF:
+                cuts.append(hi)
+                images.append(hi)
+                slopes.append(_ONE)
+        return PLMap.__new__(PLMap)._store(
+            tuple(cuts), tuple(images), tuple(slopes), c0)
 
     # -- fixed points and support ------------------------------------------
 

@@ -20,33 +20,13 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .numbers import FULL_LINE, POS_INF, QInterval, gaps_of, is_finite, pick_fresh
+from .numbers import FULL_LINE, POS_INF, QInterval, is_finite
 from .plmap import PLMap, PLMapError
 from .formulas import MACROS, Evaluator, Formula, GVar, Inv, Mul, One, Term, TermEq
 from .generators import gen_plmap_rnd, make_bump
 
-
-# ---------------------------------------------------------------------------
-# structural helpers
-# ---------------------------------------------------------------------------
-
-def restrict_map(y: PLMap, comps: list[QInterval]) -> PLMap:
-    """The automorphism equal to y on the given support components of y and
-    the identity elsewhere.  Refuses any other interval: the map is walked
-    from one anchor, so an endpoint y moves would silently shift it."""
-    support = y.support()
-    cuts: set[Fraction] = set()
-    for iv in comps:
-        if iv not in support:
-            raise PLMapError(f"restrict_map: {iv} is not a support component of y")
-        cuts.update(end for end in (iv.lo, iv.hi) if is_finite(end))
-        cuts.update(y.cuts_in(iv.lo, iv.hi))
-    xs = sorted(cuts)
-    identity, germs = (Fraction(1), Fraction(0)), []
-    for gap in gaps_of(xs):
-        x = pick_fresh(gap)
-        germs.append(y.germ(x) if any(iv.contains(x) for iv in comps) else identity)
-    return PLMap(0, germs[0][1], xs, [m for m, _ in germs])
+#: `restrict_map(y, comps)`: y on the given support components, 1 elsewhere
+restrict_map = PLMap.restrict
 
 
 # ---------------------------------------------------------------------------

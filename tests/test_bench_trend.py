@@ -26,12 +26,14 @@ def test_records_read_in_pr_order_with_missing_fields_as_dashes(tmp_path):
     record = {"lib_lines": {"base": 10, "change": 12}, "workloads": {"wmso": {
         "tasks_per_s": {"verdict": "gain", "change": {"median": 99.6}},
         "counts": {"verdict": {"calls": "fewer", "fraction_new": "same"}}}}}
-    for name in ("BENCH_9_seed1.json", "BENCH_9.json"):
-        (tmp_path / name).write_text(json.dumps(record))
+    (tmp_path / "BENCH_9_seed1.json").write_text(json.dumps(record))
+    record["workloads"]["wmso"]["tasks_per_s"]["base"] = {"median": 83, "iqr": 1.245}
+    (tmp_path / "BENCH_9.json").write_text(json.dumps(record))
     (tmp_path / "BENCH_10.json").write_text(json.dumps({"workloads": {"wmso": {}}}))
     assert trend(str(tmp_path)) == [
-        "BENCH_9.json | lib_lines 10->12 | wmso 100/s gain counts calls=fewer,fraction_new=same",
-        "BENCH_9_seed1.json | lib_lines 10->12 | wmso 100/s gain counts "
+        "BENCH_9.json | lib_lines 10->12 | wmso 100/s ×1.20 base IQR 1.5% gain counts "
         "calls=fewer,fraction_new=same",
-        "BENCH_10.json | lib_lines - | wmso - - counts -",
+        "BENCH_9_seed1.json | lib_lines 10->12 | wmso 100/s - base IQR - gain counts "
+        "calls=fewer,fraction_new=same",
+        "BENCH_10.json | lib_lines - | wmso - - base IQR - - counts -",
     ]

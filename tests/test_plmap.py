@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qwi.generators import gen_plmap_rnd, make_bump
-from qwi.numbers import NEG_INF, POS_INF, QInterval, Rat, is_finite, pick_fresh
+from qwi.numbers import NEG_INF, POS_INF, QInterval, Rat, gaps_of, is_finite, pick_fresh
 from qwi.plmap import PLMap, PLMapError, format_pl, parse_pl
 from qwi.predicates import comp_sem
 
@@ -447,6 +447,56 @@ def test_group_operations_store_what_the_checked_constructor_builds():
         for h in (f.compose(f.inverse()), f.inverse().compose(f)):
             assert h.is_identity() and storage(h) == storage(e)
             assert_canonical(h)
+
+
+def reference_restriction(y: PLMap, comps) -> PLMap:
+    """The restriction built from pieces: y's germ at a fresh point of every
+    gap that a kept component holds, the identity's elsewhere, through the
+    checked constructor."""
+    xs = sorted({b for iv in comps for b in (iv.lo, iv.hi, *y.cuts_in(iv.lo, iv.hi))
+                 if is_finite(b)})
+    germs = [y.germ(x) if any(iv.contains(x) for iv in comps) else (1, 0)
+             for x in map(pick_fresh, gaps_of(xs))]
+    return PLMap(0, germs[0][1], xs, [m for m, _ in germs])
+
+
+# Y_MEET moves (0, 5) up and (5, 8) down; the isolated fixed point 5 lies
+# inside its piece on [1, 7], so restricting to both orbitals merges there.
+Y_MEET = PLMap(0, 0, [0, 1, 7, 8], [1, 3, Fraction(1, 2), 2, 1])
+DOUBLING = PLMap(0, 0, [], [2])  # moves (-inf, 0) and (0, inf)
+
+
+def test_restriction_stores_what_the_pieces_build():
+    rnd = random.Random("restriction storage")
+    up, down = Y_MEET.support()
+    left, right = DOUBLING.support()
+    cases = [
+        (Y_MEET, [up, down]),                # meeting inside one piece of y
+        (Y_MEET, [down, up, down, up]),      # unsorted, with repeats
+        (Y_MEET, [up]), (Y_MEET, [down]),
+        (DOUBLING, [left]), (DOUBLING, [right]),  # unbounded on either side
+        (DOUBLING, [right, left]),
+    ]
+    meets = 0
+    for _ in range(300):
+        y = gen_plmap_rnd(rnd, 8)
+        comps = list(y.support())
+        cases += [(y, []), (y, comps)]
+        kept = [iv for iv in comps if rnd.random() < 0.5]
+        kept += rnd.sample(kept, len(kept) // 2)
+        rnd.shuffle(kept)
+        cases.append((y, kept))
+        meets += any(a.hi == b.lo and a.hi not in y.cuts and a in kept and b in kept
+                     for a, b in zip(comps, comps[1:]))
+    assert meets > 10
+    for y, comps in cases:
+        x = y.restrict(comps)
+        assert_canonical(x)
+        assert storage(x) == storage(reference_restriction(y, comps))
+        if not comps:
+            assert storage(x) == storage(PLMap.identity())
+        if set(comps) == set(y.support()):
+            assert storage(x) == storage(y)
 
 
 def test_text_format_is_unchanged():

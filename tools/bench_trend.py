@@ -6,8 +6,12 @@ Reads every `BENCH_<n>[suffix].json` that `tools/bench_pairs.py` wrote in
 DIR (default: the root of this checkout), in the order of n and then of
 the suffix, and prints for each: the library line count of the base and
 of the change, and for every workload the change side's median
-`tasks_per_s`, its verdict and the verdicts of the exact counts
-(`counts.verdict`).  A field that an older record lacks prints as "-".
+`tasks_per_s`, the change/base ratio of the two medians, the base side's
+interquartile range as a share of its median, the verdict and the verdicts
+of the exact counts (`counts.verdict`).  A field that an older record lacks
+prints as "-".  A gain smaller than the base side's spread cannot read as
+`gain`, so the IQR share shows which workloads can resolve a gain of a
+given size.
 Wall times are comparable only within one record, so the medians show
 the trend of a host as much as of the code; the verdicts and counts do not.
 Standard library only.
@@ -37,9 +41,13 @@ def line(path: Path) -> str:
     for name, workload in record.get("workloads", {}).items():
         tps = workload.get("tasks_per_s", {})
         median = tps.get("change", {}).get("median")
+        base, iqr = tps.get("base", {}).get("median"), tps.get("base", {}).get("iqr")
         counts = workload.get("counts", {}).get("verdict", {})
         fields.append(" ".join([
-            name, "-" if median is None else f"{median:.0f}/s", tps.get("verdict", "-"),
+            name, "-" if median is None else f"{median:.0f}/s",
+            "-" if median is None or not base else f"×{median / base:.2f}",
+            "base IQR", "-" if iqr is None or not base else f"{iqr / base:.1%}",
+            tps.get("verdict", "-"),
             "counts", ",".join(f"{k}={v}" for k, v in counts.items()) or "-"]))
     return " | ".join(fields)
 
