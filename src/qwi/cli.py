@@ -193,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=None,
-                   help="seeded cases to run; only group-laws, orbitals, predicates "
-                        "and discrepancy read it, the exhaustive suites ignore it")
+                   help="seeded cases to run; only group-laws, orbitals and "
+                        "predicates read it, the exhaustive suites ignore it")
     p.set_defaults(fn=_cmd_verify)
 
     return ap

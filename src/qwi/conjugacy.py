@@ -1,5 +1,5 @@
-"""Constructive conjugacy: from isomorphic orbital patterns to an exact
-conjugating automorphism.
+"""Constructive conjugacy: from two maps of one region shape, which is one
+orbital pattern, to an exact conjugating automorphism.
 
 A finite piecewise-linear conjugator rarely exists: near a fixed endpoint of
 an orbital, any finitely-cut map is eventually a single affine germ, and
@@ -33,7 +33,6 @@ from typing import Optional, Union
 
 from .numbers import NEG_INF, POS_INF, ExtRat, QInterval, Rat, is_finite, pick_fresh
 from .plmap import PLMap
-from .patterns import pattern_iso, pattern_of
 
 Affine = tuple[Fraction, Fraction]  # x ↦ m*x + c
 
@@ -214,12 +213,14 @@ class Conjugator:
 # ---------------------------------------------------------------------------
 
 def conjugating_witness(f: PLMap, g: PLMap) -> Optional[Conjugator]:
-    """An exact h with h∘f∘h⁻¹ = g, or None when the patterns differ."""
-    if not pattern_iso(pattern_of(f), pattern_of(g)):
-        return None
+    """An exact h with h∘f∘h⁻¹ = g, or None when the region shapes differ:
+    each region's sign and, for a fixed region, whether it is one point.
+    A conjugator keeps the shape, and for a `PLMap` equal shapes are equal
+    orbital patterns, since the ends at ±∞ are the outermost and every
+    other end is rational."""
     regions_f, regions_g = f.regions(), g.regions()
-    if [sign for _, _, sign in regions_f] != [sign for _, _, sign in regions_g]:
-        raise ConjugacyError("regions do not align under pattern iso")
+    if [(s, lo == hi) for lo, hi, s in regions_f] != [(s, lo == hi) for lo, hi, s in regions_g]:
+        return None
     return Conjugator([
         _orbital_seg(f, g, lo, hi, lo2, hi2, sign) if sign else _fixed_seg(lo, hi, lo2, hi2)
         for (lo, hi, sign), (lo2, hi2, _) in zip(regions_f, regions_g)])

@@ -1,14 +1,14 @@
-"""Seeded random generators for maps.
-
-Everything downstream (suites, discrepancy search, property tests) draws
-from here, so one seed fixes every case list.
+"""Generators of maps: `gen_plmap_rnd`, from which the seeded suites and
+property tests draw, so one seed fixes every case list, and `grid_maps`,
+every map whose region ends lie in a finite grid.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import combinations, product
 
-from .numbers import QInterval, Rat, is_finite
+from .numbers import NEG_INF, POS_INF, QInterval, Rat, is_finite
 from .plmap import PLMap
 
 
@@ -37,12 +37,28 @@ def gen_plmap_rnd(rnd: random.Random, complexity: int) -> PLMap:
     return PLMap(anchor, value, cuts, slopes)
 
 
+def grid_maps(grid: tuple = (0, 1)) -> list[PLMap]:
+    """Every map whose region ends lie in the increasing `grid`, each once:
+    a subset of the grid cuts the line, and each open piece is fixed, an up
+    bump or a down bump.  The grid {0, 1} gives 41 maps and {0, 1, 2} 153."""
+    maps = {}
+    for r in range(len(grid) + 1):
+        for cuts in combinations(map(Rat, grid), r):
+            ends = (NEG_INF, *cuts, POS_INF)
+            for kinds in product((None, True, False), repeat=r + 1):
+                f = PLMap.identity()
+                for lo, hi, up in zip(ends, ends[1:], kinds):
+                    if up is not None:
+                        f = f.compose(make_bump(QInterval(lo, hi), up=up))
+                maps[f] = None
+    return list(maps)
+
+
 def _rat(rnd: random.Random) -> Rat:
     return Rat(rnd.randint(-12, 12), rnd.choice([1, 1, 2, 3, 4]))
 
 
 def _rand_interval(rnd: random.Random) -> QInterval:
-    from .numbers import NEG_INF, POS_INF
     shape = rnd.random()
     a = _rat(rnd)
     if shape < 0.25:

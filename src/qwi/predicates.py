@@ -5,7 +5,8 @@ executable maps, decided exactly from support/fixed-point structure, or
 for `restr` and `orbital` from z = x⁻¹·y.  `literal` reads the schema of a
 macro in `formulas.MACROS` over the macro's complete witnesses, so it
 reads the schema's truth in Aut(ℚ,<), and `discrepancy_search` compares
-that reading against the oracle: the two layers are deliberately distinct.
+that reading against the oracle on every map, or pair of maps, whose
+region ends lie in {0, 1, 2}: the two layers are deliberately distinct.
 A z disjoint from y moves only inside the interior of Fix(y), so the
 literal cont(x, y) holds exactly when supp x lies in supp y joined across
 y's isolated fixed points, and differs from `cont_sem` when x moves one.
@@ -16,14 +17,14 @@ walk of group terms, which `literal` and the pull-back of `interp` share.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Sequence
 
 from .numbers import FULL_LINE, POS_INF, QInterval, is_finite
 from .plmap import PLMap, PLMapError
 from .formulas import MACROS, Evaluator, Formula, GVar, Inv, Mul, One, Term, TermEq
-from .generators import gen_plmap_rnd, make_bump
+from .generators import grid_maps, make_bump
 
 #: `restrict_map(y, comps)`: y on the given support components, 1 elsewhere
 restrict_map = PLMap.restrict
@@ -88,9 +89,11 @@ def restr_witness(x: PLMap, y: PLMap) -> Optional[PLMap]:
 
 
 def cont_sem(x: PLMap, y: PLMap) -> bool:
-    """Support containment supp(x) ⊆ supp(y).  The components of supp y are
-    separated by points outside it, so a component of supp x lies in supp y
-    only when it lies in a single component of supp y."""
+    """Point-set containment supp(x) ⊆ supp(y): points outside supp y
+    separate its components, so a component of supp x must lie in one.
+    The literal schema joins supp y across y's isolated fixed points (see
+    the module docstring); a cofinal y has none, so the two agree on it,
+    and compiled sentences give cont only cofinal elements."""
     sy = y.support()
     for u in x.support():
         for v in sy:
@@ -330,72 +333,24 @@ def literal(macro: str, args: Sequence[PLMap]) -> bool:
     return _Literal(macro, args, {}).read()
 
 
-def _draw_rational(rnd: random.Random) -> Fraction:
-    return Fraction(rnd.randint(-8, 8), rnd.randint(1, 3))
+#: The grid whose every map, or pair of maps, `discrepancy_search` reads.
+DISCREPANCY_GRID = (0, 1, 2)
 
 
-def _coded_pair(rnd: random.Random) -> tuple[PLMap, PLMap]:
-    """A point code f and either another point code or g·f·g⁻¹ for a
-    finite-set code g: the pairs the interpretation's codesame atoms meet."""
-    from .interp import encode_finite_set, encode_rational  # interp imports this module
-
-    q = _draw_rational(rnd)
-    f = encode_rational(q, rnd.choice(("left", "right")))
-    if rnd.random() < 0.5:
-        p = q if rnd.random() < 0.5 else _draw_rational(rnd)
-        return f, encode_rational(p, rnd.choice(("left", "right")))
-    S = [_draw_rational(rnd) for _ in range(rnd.randint(0, 4))] + ([q] if rnd.random() < 0.5 else [])
-    g = encode_finite_set(S)
-    return f, g.compose(f).compose(g.inverse())
-
-
-def _shared_end_pair(rnd: random.Random) -> list[PLMap]:
-    """Codes of one rational, each on a random side: oppsupport holds on
-    them exactly when the sides differ."""
-    from .interp import encode_rational  # interp imports this module
-
-    q = _draw_rational(rnd)
-    return [encode_rational(q, rnd.choice(("left", "right"))) for _ in "fg"]
-
-
-def _set_code_pair(rnd: random.Random) -> list[PLMap]:
-    """Two finite-set codes, each by either encoder; half code one set."""
-    from .interp import encode_finite_set, encode_finite_set_alt  # interp imports this module
-
-    S = [_draw_rational(rnd) for _ in range(rnd.randint(0, 3))]
-    T = S if rnd.random() < 0.5 else [_draw_rational(rnd) for _ in range(rnd.randint(0, 3))]
-    return [rnd.choice((encode_finite_set, encode_finite_set_alt))(X) for X in (S, T)]
-
-
-#: The pair draws of half the trials of these macros.
-_HALF_PAIRS = {"oppsupport": _shared_end_pair, "sameset": _set_code_pair}
-
-
-def discrepancy_search(macro: str, trials: int, seed: int) -> list[tuple]:
+def discrepancy_search(macro: str) -> list[tuple]:
     """Compare the schema of a literal macro, read by `literal`, against its
-    oracle.
-
-    Each trial draws one map per schema parameter, and returns
-    (inputs..., literal_value, oracle_value) wherever the two disagree.  The
-    cont macro is expected to diverge, exactly where x moves an isolated
-    fixed point of y and meets no fixed interval of y (see the module
-    docstring).  The codesame schema is read on the interpretation's
-    own elements (`_coded_pair`), where both supports are half-lines; half
-    of the oppsupport pairs are codes of one shared endpoint
-    (`_shared_end_pair`), where random maps almost never meet, and half of
-    the sameset pairs are finite-set codes (`_set_code_pair`).
-    """
+    oracle on every map, or pair of maps, of `grid_maps(DISCREPANCY_GRID)`
+    (153 maps, 23,409 pairs), built on each call, not at import.  Returns
+    (inputs..., literal_value, oracle_value) wherever the two disagree.
+    The grid holds the rare truths: four cofinal elements ending at each
+    grid point, one per side and direction, and two codes of each subset.
+    The cont macro is expected to diverge where x moves an isolated fixed
+    point of y and meets no fixed interval of y (see the module
+    docstring): on 3,288 pairs."""
     if macro not in LITERAL_MACROS:
         raise ValueError(f"unknown macro {macro!r}; expected one of {sorted(LITERAL_MACROS)}")
-    rnd = random.Random(f"discrepancy:{macro}:{seed}")
     found = []
-    for _ in range(trials):
-        if macro == "codesame":
-            args = _coded_pair(rnd)
-        elif macro in _HALF_PAIRS and rnd.random() < 0.5:
-            args = _HALF_PAIRS[macro](rnd)
-        else:
-            args = [gen_plmap_rnd(rnd, 4) for _ in MACROS[macro][0]]
+    for args in product(grid_maps(DISCREPANCY_GRID), repeat=len(MACROS[macro][0])):
         lit, sem = literal(macro, args), ORACLES[macro](*args)
         if lit != sem:
             found.append((*args, lit, sem))

@@ -5,9 +5,9 @@ laws and support covariance, the orbital-pattern conjugacy criterion with
 verified witnesses, predicate-oracle coherence, the tail decomposition, the
 pattern level `inf` formula, the eight cofinal classes, the WMSO automaton
 against its brute-force reference, the interpretation round-trip, and the
-literal-macro discrepancy report.  The criteria in `tests/test_acceptance.py`
-run them, passing `cases` to the seeded ones.  Every suite is deterministic
-under its seed.
+literal-macro discrepancy report over every map of the {0, 1, 2} grid.  The
+criteria in `tests/test_acceptance.py` run them, passing `cases` to the
+seeded ones.  Every suite is deterministic under its seed.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from .patterns import (
     pattern_iso, pattern_of,
 )
 from .conjugacy import conjugating_witness, verify_conjugator
-from .generators import gen_plmap_rnd
+from .generators import gen_plmap_rnd, grid_maps
 from . import predicates as P
 from .interp import pullback_eval, translate
-from .formulas import parse_wmso
+from .formulas import ATOM_ARITY, parse_wmso
 from .wmso import Assignment, brute_eval, decide
 from . import corpus as corpus_mod
 
@@ -116,15 +116,14 @@ def _suite_orbitals(seed: int, cases: int):
     failures = []
     for i in range(cases):
         f = gen_plmap_rnd(rnd, 5)
-        if rnd.random() < 0.5:
-            g = f.conjugate_by(gen_plmap_rnd(rnd, 5))
-        else:
-            g = gen_plmap_rnd(rnd, 5)
+        built = rnd.random() < 0.5
+        g = f.conjugate_by(gen_plmap_rnd(rnd, 5)) if built else gen_plmap_rnd(rnd, 5)
         iso = pattern_iso(pattern_of(f), pattern_of(g))
         w = conjugating_witness(f, g)
-        if (w is not None) != iso:
+        if (w is not None) != iso or (built and w is None):
             failures.append(f"case {i}: witness presence {w is not None} but "
-                            f"pattern_iso {iso}; f={format_pl(f)} g={format_pl(g)}")
+                            f"pattern_iso {iso}, built conjugate {built}; "
+                            f"f={format_pl(f)} g={format_pl(g)}")
         elif w is not None and not verify_conjugator(w, f, g):
             failures.append(f"case {i}: witness fails verification; "
                             f"f={format_pl(f)} g={format_pl(g)}")
@@ -375,21 +374,25 @@ def _suite_discrepancy(seed: int, cases: int):
                      "one of them; e.g. "
                      f"x={format_pl(x)} y={format_pl(y)} "
                      f"literal={lit} oracle={sem}")
+    maps = len(grid_maps(P.DISCREPANCY_GRID))
     for macro in P.LITERAL_MACROS:
-        bad = P.discrepancy_search(macro, cases, seed)
+        bad = P.discrepancy_search(macro)
+        read = maps ** ATOM_ARITY[macro]
         if macro == "cont":
             notes.append(f"cont: literal diverges from oracle on "
-                         f"{len(bad)}/{cases} seeded instances "
-                         "(expected, documented)")
-            if not bad:
-                failures.append("seeded search found no cont divergence")
+                         f"{len(bad)}/{read} grid pairs (expected, documented)")
+            odd = [b for b in bad if not (b[2] and not b[3] and any(
+                lo == hi and b[0](lo) != lo for lo, hi in b[1].fixed_items()))]
+            if not bad or odd:
+                failures.append(f"cont: {len(bad)} divergences, {len(odd)} not a true literal "
+                                f"where x moves an isolated fixed point of y: {odd[:1]!r}")
         elif bad:
             failures.append(f"{macro}: literal macro diverges from oracle "
-                            f"on {len(bad)} instances, e.g. {bad[0]!r}")
+                            f"on {len(bad)}/{read} grid tuples, e.g. {bad[0]!r}")
         else:
-            notes.append(f"{macro}: literal and oracle agree on "
-                         f"{cases} seeded instances")
-    return 1 + len(P.LITERAL_MACROS) * cases, failures, notes
+            notes.append(f"{macro}: literal and oracle agree on all "
+                         f"{read} grid tuples")
+    return 1 + sum(maps ** ATOM_ARITY[m] for m in P.LITERAL_MACROS), failures, notes
 
 
 _SUITES = {
@@ -401,7 +404,7 @@ _SUITES = {
     "classes8": (_suite_classes8, 0),
     "wmso": (_suite_wmso, 0),
     "roundtrip": (_suite_roundtrip, 0),
-    "discrepancy": (_suite_discrepancy, 200),
+    "discrepancy": (_suite_discrepancy, 0),
 }
 
 SUITE_NAMES = list(_SUITES) + ["all"]

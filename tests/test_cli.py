@@ -199,11 +199,13 @@ def test_verify_refuses_a_negative_case_count(capsys, argv):
 
 def test_verify_reports_a_cont_degeneracy_that_does_not_reproduce(capsys, monkeypatch):
     """Were the literal cont macro read like its oracle, the discrepancy
-    suite reports the lost finding as a failure; it does not raise."""
+    suite reports the lost finding as a failure; it does not raise.  It
+    reads the {0, 1} grid here, criterion 9 the full one."""
     literal = P.literal
     monkeypatch.setattr(P, "literal", lambda macro, args: (
         P.cont_sem(*args) if macro == "cont" else literal(macro, args)))
-    assert main(["verify", "--suite", "discrepancy", "--cases", "10"]) == 1
+    monkeypatch.setattr(P, "DISCREPANCY_GRID", (0, 1))
+    assert main(["verify", "--suite", "discrepancy"]) == 1
     assert "FAIL cont degeneracy example did not reproduce" in capsys.readouterr().out
 
 

@@ -1,13 +1,14 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qwi import conjugacy
 from qwi.conjugacy import Conjugator, OrbitalSeg, conjugating_witness, verify_conjugator
-from qwi.generators import gen_plmap_rnd, make_bump
+from qwi.generators import gen_plmap_rnd, grid_maps, make_bump
 from qwi.numbers import NEG_INF, POS_INF, QInterval, pick_fresh
 from qwi.patterns import pattern_iso, pattern_of
 from qwi.plmap import PLMap, parse_pl
@@ -97,6 +98,22 @@ def test_witness_conjugates_deep_orbit_points():
 @settings(max_examples=80, deadline=None)
 def test_witness_iff_pattern_iso_random_pairs(f, g):
     check_pair(f, g)
+
+
+def test_witness_iff_pattern_iso_on_every_grid_pair():
+    """On all 23,409 pairs of the maps whose region ends lie in {0, 1, 2},
+    the region shapes that `conjugating_witness` reads give a witness
+    exactly when the orbital patterns are isomorphic, and every witness
+    verifies."""
+    grid = [(f, pattern_of(f)) for f in grid_maps((0, 1, 2))]
+    conjugate = 0
+    for (f, p), (g, q) in product(grid, repeat=2):
+        w = conjugating_witness(f, g)
+        assert (w is not None) == pattern_iso(p, q), (f, g)
+        if w is not None:
+            assert verify_conjugator(w, f, g), (f, g)
+            conjugate += 1
+    assert conjugate == 333
 
 
 @given(plmaps, plmaps)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qwi.generators import gen_plmap_rnd, make_bump
+from qwi.generators import gen_plmap_rnd, grid_maps, make_bump
 from qwi.numbers import NEG_INF, POS_INF, QInterval, Rat, gaps_of, is_finite, pick_fresh
 from qwi.plmap import PLMap, PLMapError, format_pl, parse_pl
 from qwi.predicates import comp_sem
@@ -323,6 +323,17 @@ def test_make_bump_shapes():
     (iv, _), = half.signed_support()
     assert iv == QInterval(NEG_INF, Fraction(2))
     assert make_bump(QInterval(NEG_INF, POS_INF)) == PLMap.translation(1)
+
+
+@pytest.mark.parametrize("grid, count", [((0, 1), 41), ((0, 1, 2), 153)])
+def test_grid_maps_list_each_map_of_the_grid_once(grid, count):
+    """Each map is listed once and is canonical, and every finite end of
+    its regions lies in the grid; the counts pin that none is missing."""
+    maps = grid_maps(grid)
+    assert len(maps) == len(set(maps)) == count
+    for f in maps:
+        assert_canonical(f)
+        assert {e for lo, hi, _ in f.regions() for e in (lo, hi) if is_finite(e)} <= set(grid)
 
 
 # -- the breakpoint storage against references written here ------------------

@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from qwi import predicates as P
 from qwi.formulas import ATOM_ARITY, MACROS, GAtom, parse_group
-from qwi.generators import gen_plmap_rnd, make_bump
+from qwi.generators import gen_plmap_rnd, grid_maps, make_bump
 from qwi.numbers import NEG_INF, POS_INF, QInterval
 from qwi.plmap import PLMap, PLMapError
 
-from helpers import gen_plmap, grid_maps
+from helpers import gen_plmap
 
 plmaps = st.builds(gen_plmap, st.integers(0, 10**6), st.integers(0, 6))
 
@@ -299,13 +299,18 @@ def test_restrict_map_refuses_what_is_not_a_support_component(iv):
     assert P.restrict_map(y, [QInterval(Fraction(0), Fraction(2))]) == y
 
 
+def _grid_divergence(macro: str) -> int:
+    """How many tuples of the {0, 1} grid the literal reading of `macro`
+    and its oracle disagree on."""
+    return sum(P.literal(macro, args) != P.ORACLES[macro](*args)
+               for args in product(GRID, repeat=ATOM_ARITY[macro]))
+
+
 def test_cont_literal_degenerates_on_dense_support():
     x, y, lit, sem = P.cont_degeneracy_example()
     assert lit and not sem
     assert P.finrational_sem(y)  # dense support: nothing is disjoint from y
-    hits = P.discrepancy_search("cont", trials=100, seed=0)
-    assert hits, "expected the literal cont macro to diverge somewhere"
-    assert hits == P.discrepancy_search("cont", trials=100, seed=0)
+    assert _grid_divergence("cont"), "expected the literal cont macro to diverge somewhere"
 
 
 @pytest.mark.parametrize("macro, schema, searched", [
@@ -315,9 +320,9 @@ def test_cont_literal_degenerates_on_dense_support():
 ])
 def test_literal_reader_follows_the_schemas(monkeypatch, macro, schema, searched):
     """An edited schema is what gets compared with the oracle."""
-    assert P.discrepancy_search(searched, trials=50, seed=0) == []
+    assert _grid_divergence(searched) == 0
     monkeypatch.setitem(MACROS, macro, (MACROS[macro][0], parse_group(schema)))
-    assert P.discrepancy_search(searched, trials=50, seed=0)
+    assert _grid_divergence(searched)
 
 
 def _atom_names(node) -> set[str]:
@@ -334,4 +339,4 @@ def test_literal_schemas_use_oracles_and_literal_macros(macro):
 
 def test_discrepancy_search_rejects_unknown_macro():
     with pytest.raises(ValueError):
-        P.discrepancy_search("bump", 10, 0)
+        P.discrepancy_search("bump")

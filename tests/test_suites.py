@@ -1,6 +1,6 @@
 import pytest
 
-from qwi import suites
+from qwi import predicates as P, suites
 from qwi.patterns import (
     EMPTY, IRRATIONAL, MAX_ONLY, MIN_AND_MAX, NO_MIN_NO_MAX, RATIONAL, SINGLETON,
     Fixed, Moving,
@@ -42,7 +42,9 @@ def test_seeded_suites_pass_and_are_deterministic(name):
     assert (a.cases, a.failures, a.notes) == (b.cases, b.failures, b.notes)
 
 
-def test_all_runs_each_suite_exactly_once():
+def test_all_runs_each_suite_exactly_once(monkeypatch):
+    # small scale throughout: criterion 9 reads the {0, 1, 2} grid
+    monkeypatch.setattr(P, "DISCREPANCY_GRID", (0, 1))
     reports = run_suite("all", seed=0, cases=15)
     names = [r.suite for r in reports]
     assert sorted(names) == sorted(n for n in SUITE_NAMES if n != "all")

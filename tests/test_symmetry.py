@@ -13,11 +13,9 @@ from itertools import product
 from qwi import predicates as P
 from qwi.conjugacy import conjugating_witness, verify_conjugator
 from qwi.formulas import ATOM_ARITY
-from qwi.generators import gen_plmap_rnd
+from qwi.generators import gen_plmap_rnd, grid_maps
 from qwi.patterns import Moving, OrbitalPattern, mirror_pattern, pattern_of
 from qwi.plmap import PLMap
-
-from helpers import grid_maps
 
 
 def reverse(f: PLMap) -> PLMap:
@@ -62,29 +60,35 @@ def test_reversal_keeps_conjugacy_and_its_witnesses():
     assert witnessed >= 100
 
 
+def _moved(maps):
+    """Each map with its reversal and its conjugate by one h that takes 0
+    and 1 off the grid."""
+    h = PLMap(0, Fraction(1, 3), [Fraction(1, 2)], [2, Fraction(1, 3)])
+    return [(a, reverse(a), a.conjugate_by(h)) for a in maps]
+
+
+def _codes(grid):
+    """The maps of the grid that code a point or a finite set, where
+    codesame, oppsupport and sameset hold: 16 for {0, 1}, 28 for {0, 1, 2}."""
+    return [f for f in grid_maps(grid) if P.cof_sem(f) or P.finrational_sem(f)]
+
+
 def _drawn_moves():
-    """300 pairs from the samplers and plain draws, each map with its
+    """Every pair of the codes of the {0, 1, 2} grid (784 pairs), each map
+    moved as in `_grid_moves`, then 300 seeded pairs, each map with its
     reversal and its conjugate by a map drawn for that pair."""
+    yield from product(_moved(_codes((0, 1, 2))), repeat=2)
     rnd = random.Random("symmetry:oracles")
     for _ in range(300):
-        roll = rnd.random()
-        if roll < 0.3:
-            pair = P._coded_pair(rnd)
-        elif roll < 0.51:
-            pair = P._shared_end_pair(rnd)
-        else:
-            pair = [gen_plmap_rnd(rnd, 4) for _ in "fg"]
+        pair = [gen_plmap_rnd(rnd, 4) for _ in "fg"]
         h = gen_plmap_rnd(rnd, 4)
         yield [(a, reverse(a), a.conjugate_by(h)) for a in pair]
 
 
 def _grid_moves():
     """Every pair of the 41 maps of the {0, 1} grid (1,681 pairs), each map
-    with its reversal and its conjugate by one h that takes 0 and 1 off the
-    grid, computed once per map."""
-    h = PLMap(0, Fraction(1, 3), [Fraction(1, 2)], [2, Fraction(1, 3)])
-    moved = [(a, reverse(a), a.conjugate_by(h)) for a in grid_maps()]
-    return product(moved, repeat=2)
+    moved once (see `_moved`)."""
+    return product(_moved(grid_maps()), repeat=2)
 
 
 def test_every_oracle_is_invariant_under_reversal_and_conjugation():
@@ -104,18 +108,23 @@ def test_every_oracle_is_invariant_under_reversal_and_conjugation():
 
 def test_every_literal_macro_is_invariant_under_reversal_and_conjugation():
     """The schema of a literal macro, read with its quantifiers over the
-    macro's witnesses, keeps its value when the arguments are moved."""
-    rnd = random.Random("symmetry:literals")
+    macro's witnesses, keeps its value when the arguments are moved: on
+    every tuple of the codes of the {0, 1} grid, moved as in `_grid_moves`,
+    and on 60 seeded tuples, moved by a map drawn for each."""
     held = dict.fromkeys(P.LITERAL_MACROS, 0)
+    moved = _moved(_codes((0, 1)))
+    for macro in P.LITERAL_MACROS:
+        for tup in product(moved, repeat=ATOM_ARITY[macro]):
+            args, reversed_args, conjugated = zip(*tup)
+            value = P.literal(macro, args)
+            assert P.literal(macro, reversed_args) == value, (macro, args)
+            assert P.literal(macro, conjugated) == value, (macro, args)
+            held[macro] += value
+    rnd = random.Random("symmetry:literals")
     for _ in range(60):
         h = gen_plmap_rnd(rnd, 4)
         for macro in P.LITERAL_MACROS:
-            if macro == "codesame":
-                args = P._coded_pair(rnd)
-            elif macro in ("cof", "oppsupport") and rnd.random() < 0.5:
-                args = P._shared_end_pair(rnd)[:ATOM_ARITY[macro]]
-            else:
-                args = [gen_plmap_rnd(rnd, 4) for _ in range(ATOM_ARITY[macro])]
+            args = [gen_plmap_rnd(rnd, 4) for _ in range(ATOM_ARITY[macro])]
             value = P.literal(macro, args)
             for move in (reverse, lambda a: a.conjugate_by(h)):
                 assert P.literal(macro, [*map(move, args)]) == value, (macro, args)
