@@ -197,6 +197,14 @@ def free_vars(phi: Union[Formula, Term]) -> set[str]:
     raise FormulaError(f"unknown node {phi!r}")
 
 
+def quantifier_rank(phi: Formula) -> int:
+    """The deepest nesting of quantifiers in phi, of either sort."""
+    t = type(phi)
+    if t is Not or t in _BINARY:
+        return max(map(quantifier_rank, vars(phi).values()))
+    return 1 + quantifier_rank(phi.body) if t in QUANTIFIERS else 0
+
+
 def rebuild(phi: Formula, f) -> Formula:
     """phi with `f` applied to each immediate subformula: the operand of a
     negation, both sides of a binary connective, or a quantifier's body.

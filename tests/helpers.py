@@ -1,11 +1,10 @@
-"""What only the tests use: a seeded map generator, the empty assignment,
-the quantifier depth of a formula and a deadline."""
+"""What only the tests use: a seeded map generator, the empty assignment
+and a deadline."""
 
 import random
 import signal
 from contextlib import contextmanager
 
-from qwi.formulas import _BINARY, QUANTIFIERS, Formula, Not
 from qwi.generators import gen_plmap_rnd
 from qwi.plmap import PLMap
 from qwi.wmso import Assignment
@@ -17,16 +16,6 @@ def gen_plmap(seed: int, complexity: int) -> PLMap:
     """A random canonical map with at most `complexity` cuts, fixed by the
     seed and the complexity (see `gen_plmap_rnd`)."""
     return gen_plmap_rnd(random.Random(f"plmap:{seed}:{complexity}"), complexity)
-
-
-def qdepth(phi: Formula) -> int:
-    if type(phi) in QUANTIFIERS:
-        return 1 + qdepth(phi.body)
-    if isinstance(phi, Not):
-        return qdepth(phi.sub)
-    if isinstance(phi, _BINARY):
-        return max(qdepth(phi.a), qdepth(phi.b))
-    return 0
 
 
 @contextmanager

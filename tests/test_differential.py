@@ -1,13 +1,14 @@
 """Three deciders of WMSO over (ℚ,<) must agree: the automaton
-(`decide`), the brute-force subset enumerator (`brute_eval`) and the
-pullback of the compiled sentence through the group, under both
-orientations (`pullback_eval`).  They share one sort rule, the case of a
-name, read at each atom by `formulas.relation_vars`, and no enumerator of
-points.  The pullback takes the candidates of a set quantifier from the
-automaton of the body, decompiled back to the order formula over its own
-names, so for set quantifiers `brute_eval` is the only path independent of
-the automaton, and it is complete only where its pool lies well relative
-to the fresh points (see `TWO_BETWEEN`)."""
+(`decide`), the brute-force enumerator (`brute_eval`) and the pullback of
+the compiled sentence through the group, under both orientations
+(`pullback_eval`).  They share one sort rule, the case of a name, read at
+each atom by `formulas.relation_vars`, and no enumerator of points.  The
+pullback takes the candidates of a set quantifier from the automaton of
+the body, decompiled back to the order formula over its own names, so for
+set quantifiers `brute_eval` is the only path independent of the
+automaton.  It puts up to 2^r − 1 fresh points of a set into each gap for
+a body of quantifier rank r, which its docstring proves enough for a body
+without set quantifiers (see `GE_7` and `TWO_BETWEEN`)."""
 
 import random
 import re
@@ -15,15 +16,13 @@ from fractions import Fraction
 
 import pytest
 
+import qwi.wmso
 from qwi.corpus import load_corpus
-from qwi.formulas import parse_wmso
+from qwi.formulas import parse_wmso, quantifier_rank
 from qwi.interp import ORIENTATION_VAR, _Pullback, _rightward, pullback_eval, translate
-from qwi.wmso import Assignment, brute_eval, decide, landmark_word
+from qwi.wmso import Assignment, brute_eval, decide, eval as wmso_eval, landmark_word
 
-from helpers import EMPTY, qdepth
-
-POOL = [Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 2),
-        Fraction(1), Fraction(2), Fraction(3)]
+from helpers import EMPTY
 
 
 def _formula(rnd, depth, pts, sets, names, set_quantifiers):
@@ -63,14 +62,31 @@ def test_automaton_brute_force_and_pullback_agree_on_random_sentences():
     # every point quantifier scopes over the rest of the text after it
     assert sum(bool(re.search(r"[AE]x\d+ .*[AE]S\d+", t)) for t in texts) >= 10
     sentences = [parse_wmso(text) for text in texts]
-    seen = {(qdepth(phi), decide(phi)) for phi in sentences}
+    seen = {(quantifier_rank(phi), decide(phi)) for phi in sentences}
     assert {d for d, _ in seen} == {1, 2, 3, 4} and {t for _, t in seen} == {True, False}
     for phi in sentences:
         truth = decide(phi)
-        assert brute_eval(phi, EMPTY, POOL) == truth, phi
+        assert brute_eval(phi, EMPTY) == truth, phi
         psi = translate(phi)
         assert pullback_eval(psi, orientation="right") == truth, phi
         assert pullback_eval(psi, orientation="left") == truth, phi
+
+
+def test_brute_force_agrees_with_the_automaton_on_open_formulas():
+    """On formulas with free a, b and A, under two seeded assignments each,
+    `brute_eval` reads what the automaton reads on the landmark word."""
+    rnd = random.Random("differential:open")
+    points = [Fraction(n, 2) for n in range(-2, 5)]
+    seen = set()
+    for i in range(150):
+        phi = parse_wmso(_formula(rnd, 1 + i % 2, ["a", "b"], ["A"], iter(range(1, 99)), 1))
+        for _ in range(2):
+            a = (Assignment({"a": rnd.choice(points), "b": rnd.choice(points)})
+                 .with_set("A", rnd.sample(points, rnd.randint(0, 3))))
+            truth = wmso_eval(phi, a)
+            assert brute_eval(phi, a) == truth, (phi, a)
+            seen.add(truth)
+    assert seen == {True, False}
 
 
 GE_7 = ("EX Ea (a in X & (Eb (b < a & b in X & (Ec (c < b & c in X))"
@@ -104,37 +120,44 @@ def test_named_sentences_are_true(text):
     assert pullback_eval(psi, orientation="left")
 
 
-def test_brute_force_reaches_seven_elements():
-    assert brute_eval(parse_wmso(GE_7), EMPTY, POOL)
-    assert not brute_eval(parse_wmso(GE_7), EMPTY, POOL[:6])
+def test_brute_force_reaches_seven_elements(monkeypatch):
+    """GE_7's set quantifier has a body of rank 3, so `brute_eval` tries up
+    to 2^3 − 1 = 7 fresh members, which is enough, and 6 is not."""
+    phi = parse_wmso(GE_7)
+    assert quantifier_rank(phi.body) == 3
+    assert brute_eval(phi, EMPTY)
+    monkeypatch.setattr(qwi.wmso, "fresh_per_gap", lambda rank: 2 ** rank - 2)
+    assert not brute_eval(phi, EMPTY)
 
 
-#: True: any two points have two set members between them.  `brute_eval`
-#: over POOL reads it False, as it binds x and y to the fresh points 0 and 1
-#: and POOL holds only 1/2 between them; `decide` and the pullback do not
-#: read the pool.
+def test_brute_force_reaches_fifteen_elements():
+    assert brute_eval(parse_wmso(GE_15), EMPTY)
+
+
+#: True: any two points have two set members between them.  x and y take
+#: the fresh points 0 and 1, so a set needs two fresh members in the gap
+#: between them: one fresh point per gap reads the sentence False.
 TWO_BETWEEN = "Ax Ay (x < y -> EX (Eu Ev (x < u & u < v & v < y & u in X & v in X)))"
 NOT_TWO_BETWEEN = "Ex Ey (x < y & ~(EX (Eu Ev (x < u & u < v & v < y & u in X & v in X))))"
 
 
-@pytest.mark.parametrize("text, truth, pool", [
-    pytest.param(TWO_BETWEEN, True, None, id=f"{TWO_BETWEEN}-True"),
-    pytest.param(NOT_TWO_BETWEEN, False, None, id=f"{NOT_TWO_BETWEEN}-False"),
-    pytest.param(TWO_BETWEEN, True, POOL, id="brute_eval over POOL", marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 21: brute_eval binds x and y to the fresh "
-                            "points 0 and 1, and POOL holds only 1/2 between them")),
-])
-def test_two_set_members_between_any_two_points(text, truth, pool):
-    """`decide` and the pullback read the truth; `brute_eval` over POOL,
-    run where `pool` is given, does not yet."""
+@pytest.mark.parametrize("text, truth", [(TWO_BETWEEN, True), (NOT_TWO_BETWEEN, False)])
+def test_two_set_members_between_any_two_points(text, truth):
     phi = parse_wmso(text)
-    if pool is not None:
-        assert brute_eval(phi, EMPTY, pool) == truth
-        return
     assert decide(phi) == truth
     psi = translate(phi)
     assert pullback_eval(psi, orientation="right") == truth
     assert pullback_eval(psi, orientation="left") == truth
+
+
+@pytest.mark.parametrize("text, truth", [(TWO_BETWEEN, True), (NOT_TWO_BETWEEN, False)])
+def test_brute_force_reads_two_set_members_between_any_two_points(text, truth):
+    assert brute_eval(parse_wmso(text), EMPTY) == truth
+
+
+def test_one_fresh_point_per_gap_misses_two_set_members_between(monkeypatch):
+    monkeypatch.setattr(qwi.wmso, "fresh_per_gap", lambda rank: 1)
+    assert not brute_eval(parse_wmso(TWO_BETWEEN), EMPTY)
 
 
 ORIENTED = [

@@ -5,10 +5,8 @@ from qwi.formulas import (
     ATOM_ARITY, MAX_DEPTH, QUANTIFIERS, And, EqPt, Evaluator, Exists, Forall,
     FormulaError, GAtom, GVar, Iff, Implies, Inv, Less, MACROS, Mem, Mul, Not,
     One, Or, TermEq, _depth, expand, free_vars, is_set_var, parse_group,
-    parse_wmso, print_group, print_term, print_wmso,
+    parse_wmso, print_group, print_term, print_wmso, quantifier_rank,
 )
-
-from helpers import qdepth
 
 
 def test_parse_wmso_basics():
@@ -16,7 +14,8 @@ def test_parse_wmso_basics():
     assert phi == Forall("x", Exists("y", Less("x", "y")))
     assert parse_wmso("EX Ax (x in X)") == Exists("X", Forall("x", Mem("x", "X")))
     assert parse_wmso("x = y") == EqPt("x", "y")
-    assert qdepth(phi) == 2
+    assert quantifier_rank(phi) == 2
+    assert quantifier_rank(parse_wmso("~(EX Ex (x in X)) | Ay (y = y)")) == 2
     assert free_vars(phi) == set()
     assert free_vars(parse_wmso("x in X")) == {"x", "X"}
 

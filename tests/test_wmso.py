@@ -9,22 +9,19 @@ import qwi.wmso
 from qwi.corpus import load_corpus
 from qwi.formulas import (
     _BINARY, QUANTIFIERS, And, EqPt, Exists, Forall, Formula, FormulaError,
-    Less, Mem, Not, is_set_var, parse_group, parse_wmso, relation_vars,
+    Less, Mem, Not, is_set_var, parse_group, parse_wmso, quantifier_rank, relation_vars,
 )
 from qwi.interp import InterpError, translate
 from qwi.numbers import NEG_INF, POS_INF, QInterval
 from qwi.wmso import (
-    _CONNECTIVES, Assignment, Dfa, _complement, _explore, _pattern, _product,
+    _CONNECTIVES, Assignment, Dfa, _Brute, _complement, _explore, _pattern, _product,
     automaton, brute_eval, decide, eval as wmso_eval, gaps_of, point_candidates,
 )
 
-from helpers import EMPTY, deadline, qdepth
+from helpers import EMPTY, deadline
 from test_differential import _sentences
 
 rationals = st.fractions(max_denominator=30)
-
-POOL = [Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 2),
-        Fraction(1), Fraction(3)]
 
 
 def test_assignment_landmarks():
@@ -63,12 +60,23 @@ def test_eval_rejects_free_and_unbound_vars():
 
 def test_brute_eval_rejects_a_group_atom():
     with pytest.raises(FormulaError, match="not a formula over"):
-        brute_eval(parse_group("Ax x = x"), Assignment(), [])
+        brute_eval(parse_group("Ax x = x"), Assignment())
 
 
 def test_both_deciders_read_one_quantifier_node_for_both_sorts():
     phi = Exists("X", Forall("x", Mem("x", "X")))  # no finite set holds ℚ
-    assert brute_eval(phi, EMPTY, POOL) is decide(phi) is False
+    assert brute_eval(phi, EMPTY) is decide(phi) is False
+
+
+def test_brute_force_yields_set_candidates_lazily():
+    """At 4 landmarks a body of rank 5 meets 2^4 · 32^5 ≈ 5·10^8 candidate
+    sets, and the first of them comes at once."""
+    phi = parse_wmso("EX Ex1 Ex2 Ex3 Ex4 Ex5 (x5 in X)")
+    assert quantifier_rank(phi.body) == 5
+    brute = _Brute(Assignment({v: Fraction(i) for i, v in enumerate("abcd")}))
+    with deadline(1):
+        _, candidates = brute.bind(phi)
+        assert next(iter(candidates)) == ()
 
 
 ILL_SORTED = [
@@ -86,7 +94,7 @@ def test_every_decider_refuses_an_ill_sorted_atom(phi):
     """The case of a name is its sort for every decider, so none answers
     a formula whose atom reads a variable of the other sort."""
     for decider in (decide, lambda phi: wmso_eval(phi, EMPTY),
-                    lambda phi: brute_eval(phi, EMPTY, POOL)):
+                    lambda phi: brute_eval(phi, EMPTY)):
         with pytest.raises(FormulaError, match="wrong sort"):
             decider(phi)
     with pytest.raises(InterpError, match="wrong sort"):
@@ -137,8 +145,8 @@ def test_automata_are_minimal_and_small():
 def test_corpus_brute_agreement_small_depth():
     for truth, text, note in load_corpus():
         phi = parse_wmso(text)
-        if qdepth(phi) <= 3:
-            assert brute_eval(phi, EMPTY, POOL) == truth, text
+        if quantifier_rank(phi) <= 3:
+            assert brute_eval(phi, EMPTY) == truth, text
 
 
 def test_corpus_is_large_and_balanced():
