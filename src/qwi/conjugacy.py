@@ -18,8 +18,9 @@ two sides and inverting its explicit pieces.
 `verify_conjugator` trusts only the f and g it is given, never the
 witness: it proves that h tiles ℚ, that the fixed regions are fixed, that
 f and g are pure affine germs on each orbital's tails and equal to the
-germs h stores there, and the identity on a complete breakpoint
-refinement of the explicit windows, each probe checked once.
+germs h stores there, and the identity piece by piece between the
+breakpoints of both sides over the explicit windows, then at a chain of
+deep points in each tail.
 """
 
 from __future__ import annotations
@@ -322,12 +323,23 @@ def verify_conjugator(h: Conjugator, f: PLMap, g: PLMap) -> bool:
       stored germs alpha and alpha_top, which fix a finite end and at an
       infinite end keep moving points up; likewise for G on (c, d), read
       through the inverse segment;
-    - complete refinement: h(F(x)) == G(h(x)) at every breakpoint of
-      either side over [F⁻¹(p0), top_lo] and at the midpoints between, so
-      the two piecewise-affine sides agree there; the germ recursion that
-      defines h on the tails carries the identity over the whole orbital.
-      h ∘ f⁻¹ = g⁻¹ ∘ h on an orbital is equivalent to h ∘ f = g ∘ h, so
-      this is the identity whichever way f moves it.
+    - the identity piece by piece: F maps [lo_ext, top_lo], lo_ext =
+      α⁻¹(p0), onto the windows, so there h∘F is W∘F for the window stack
+      W, and h is W on [p0, top_lo] and β⁻¹∘W∘α on [lo_ext, p0).  The
+      breakpoints of either side cut the range into gaps; on each gap both
+      sides are one affine piece, and the two pieces must be equal.  Both
+      sides are continuous, and h is continuous at p0 once the pieces agree
+      on either side of it, as G is injective; so h∘F = G∘h on the closed
+      range [lo_ext, top_lo], and the germ recursion that defines h on the
+      tails carries the identity over the whole orbital;
+    - deep probes, read as chains: at x_j = α⁻ʲ(p0) and y_j =
+      α_topʲ(windows' end), j = 1..3, germ purity gives F(x_j) = x_{j−1}
+      and F(y_j) = y_{j+1}, so h(x_{j−1}) = G(h(x_j)) and h(y_{j+1}) =
+      G(h(y_j)) are checked with one evaluation of h per point; the first
+      is the identity at lo_ext = x_1 through `OrbitalSeg.apply`.
+
+    h ∘ f⁻¹ = g⁻¹ ∘ h on an orbital is equivalent to h ∘ f = g ∘ h, so the
+    identity is proved whichever way f moves it.
     """
     if not _tiles(h.segments):
         return False
@@ -405,30 +417,65 @@ def _verify_orbital(seg: OrbitalSeg, f: PLMap, g: PLMap,
     inv = seg.inverse()
     if not _germ_side(inv, G):
         return False
-    # the conjugation identity on the explicit region, complete refinement:
-    # check h(F(x)) == G(h(x)) for x in [lo_ext, top_lo] at every breakpoint
-    # of either side and at the midpoints in between.  No point needs a
-    # range filter: F⁻¹ maps the windows onto [lo_ext, top_lo], and germ
-    # purity puts G's cuts inside (c, d) in h([p0, top_lo]).
-    win_lo, win_hi = seg.windows[0][0], seg.windows[-1][1]
-    lo_ext = _ap_inv(seg.alpha, win_lo)
-    bpts = {lo_ext, seg.top_lo}
-    for lo, _, _, _ in seg.windows:
-        if lo <= seg.top_lo:
-            bpts.add(lo)
-        bpts.add(F.apply_inverse(lo))
-    bpts.update(F.cuts_in(lo_ext, seg.top_lo))
-    bpts.update(inv.apply(cg) for cg in G.cuts_in(seg.c, seg.d))
-    xs = sorted(bpts)
-    probes = list(xs)
-    probes += [(u + v) / 2 for u, v in zip(xs, xs[1:])]
-    # a few deep zone probes on both tails
-    x_dn, x_up = win_lo, win_hi
+    # the conjugation identity on [lo_ext, top_lo], which F maps onto the
+    # windows: there h∘F is W∘F, W the window stack, and h is W on
+    # [p0, top_lo] and β⁻¹∘W∘α on [lo_ext, p0).  bpts holds the breakpoints
+    # of both sides, with no range filter: F⁻¹ maps the windows onto
+    # [lo_ext, top_lo], and germ purity puts G's cuts inside (c, d) in
+    # h([p0, top_lo]).  On each gap (u, v) between two of them the two sides
+    # are single affine pieces, read just right of u by pointers that only
+    # move right, and must be equal.
+    windows, p0, top_lo = seg.windows, seg.p0, seg.top_lo
+    lo_ext = _ap_inv(seg.alpha, p0)
+    pre = [F.apply_inverse(lo) for lo, _, _, _ in windows]
+    g_pre = [inv.apply(cg) for cg in G.cuts_in(seg.c, seg.d)]
+    bpts = {lo_ext, top_lo, *pre, *g_pre}
+    bpts.update(lo for lo, _, _, _ in windows if lo <= top_lo)
+    bpts.update(F.cuts_in(lo_ext, top_lo))
+    # F's pieces end at its cuts; the window in force at F(u) and G's piece
+    # at h(u) change where u passes the pre-image of their left end
+    f_pieces, g_pieces = F.pieces_in(lo_ext, top_lo), G.pieces_in(seg.c, seg.d)
+    w_ends, g_ends = pre[1:] + [top_lo], g_pre + [top_lo]
+    (ma, ca), (mb, cb) = seg.alpha, seg.beta
+    i = j = k = n = 0
+    for u in sorted(bpts)[:-1]:
+        while f_pieces[i][1] <= u:
+            i += 1
+        while w_ends[j] <= u:
+            j += 1
+        while g_ends[n] <= u:
+            n += 1
+        _, _, mF, cF = f_pieces[i]
+        _, _, mW, cW = windows[j]
+        _, _, mG, cG = g_pieces[n]
+        if u < p0:  # F is α here, so W's piece at α(u) is the one at F(u)
+            mh, ch = mW * ma / mb, (mW * ca + cW - cb) / mb
+        else:
+            while windows[k][1] <= u:
+                k += 1
+            _, _, mh, ch = windows[k]
+        if mW * mF != mG * mh or mW * cF + cW != mG * ch + cG:
+            return False
+    # the deep probes x_j = α⁻ʲ(p0) and y_j = α_topʲ(windows' end), j = 1..3,
+    # read as chains: germ purity gives F(x_j) = x_{j-1} and F(y_j) = y_{j+1}, so
+    # each link costs one evaluation of h.  The first link is the identity
+    # at x_1 = lo_ext through `seg.apply`.
+    apply = seg.apply
+    x, hx = p0, apply(p0)
+    y = _ap(seg.alpha_top, windows[-1][1])
+    hy = apply(y)
     for _ in range(3):
-        x_dn = _ap_inv(seg.alpha, x_dn)
-        x_up = _ap(seg.alpha_top, x_up)
-        probes += [x_dn, x_up]
-    return all(seg.apply(F.apply(x)) == G.apply(seg.apply(x)) for x in probes)
+        x = _ap_inv(seg.alpha, x)
+        h_next = apply(x)
+        if hx != G.apply(h_next):
+            return False
+        hx = h_next
+        y = _ap(seg.alpha_top, y)
+        h_next = apply(y)
+        if h_next != G.apply(hy):
+            return False
+        hy = h_next
+    return True
 
 
 def _germ_side(s: OrbitalSeg, S: PLMap) -> bool:

@@ -22,8 +22,8 @@ Only this module reads the storage, so a change of storage stays inside
 this file.  `predicates`, `patterns` and `interp` read a map through the
 group operations (`compose`, `inverse`, `conjugate_by`), `restrict`,
 equality and hashing, `apply`, `support`, `signed_support`, `fixed_items`
-and `regions`.  `conjugacy` also reads `germ`, `cuts_in`, `apply_inverse`
-and `agrees_on`.
+and `regions`.  `conjugacy` also reads `germ`, `cuts_in`, `pieces_in`,
+`apply_inverse` and `agrees_on`.
 """
 
 from __future__ import annotations
@@ -149,6 +149,14 @@ class PLMap:
         """The cuts strictly between lo and hi, left to right."""
         cuts = self.cuts
         return cuts[bisect_right(cuts, lo):bisect_left(cuts, hi)]
+
+    def pieces_in(self, lo: ExtRat, hi: ExtRat) -> list[tuple[ExtRat, ExtRat, Rat, Rat]]:
+        """The pieces over (lo, hi), left to right, as (start, end, slope,
+        intercept): one per gap that `cuts_in(lo, hi)` cuts (lo, hi) into."""
+        cuts = self.cuts
+        i, j = bisect_right(cuts, lo), bisect_left(cuts, hi)
+        ends = (lo, *cuts[i:j], hi)
+        return [(u, v, m, c) for u, v, (m, c) in zip(ends, ends[1:], self.pieces[i:j + 1])]
 
     def apply(self, q: Fraction) -> Rat:
         if type(q) is not Rat:

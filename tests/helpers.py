@@ -1,7 +1,8 @@
-"""What only the tests use: a seeded map generator, the empty assignment
-and a deadline."""
+"""What only the tests use: a seeded map generator, the empty assignment,
+a deadline and a memory limit."""
 
 import random
+import resource
 import signal
 from contextlib import contextmanager
 
@@ -31,3 +32,18 @@ def deadline(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
+
+
+@contextmanager
+def memory_limit(megabytes):
+    """Fail, by MemoryError, a block that grows the process's address space
+    by more than `megabytes` (Linux: the current size is read from
+    /proc/self/statm)."""
+    with open("/proc/self/statm") as statm:
+        size = int(statm.read().split()[0]) * resource.getpagesize()
+    old = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (size + megabytes * 2**20, old[1]))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, old)

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qwi import conjugacy
-from qwi.conjugacy import Conjugator, OrbitalSeg, conjugating_witness, verify_conjugator
+from qwi.conjugacy import (
+    Conjugator, FixedSeg, OrbitalSeg, conjugating_witness, verify_conjugator)
 from qwi.generators import gen_plmap_rnd, grid_maps, make_bump
 from qwi.numbers import NEG_INF, POS_INF, QInterval, pick_fresh
 from qwi.patterns import pattern_iso, pattern_of
@@ -367,3 +369,102 @@ def test_piece_bisection_matches_the_linear_scan():
             for lookup in (conjugacy._piece, linear_piece):
                 with pytest.raises(ValueError):
                     lookup(pieces, x)
+
+
+def reference_orbital(seg, f, g, f_inv, g_inv):
+    """The orbital check of `verify_conjugator` by point probes: h(F(x)) ==
+    G(h(x)) at every breakpoint of either side over [lo_ext, top_lo], at the
+    midpoint of every gap between them and at three deep points in each
+    germ tail, each probe through `OrbitalSeg.apply`."""
+    prev = None
+    for lo, hi, m, c in seg.windows:
+        if m <= 0 or not lo < hi:
+            return False
+        if prev is not None and (prev[0] != lo or prev[1] != m * lo + c):
+            return False
+        prev = (hi, m * hi + c)
+    F, G = (f, g) if f.apply(seg.p0) > seg.p0 else (f_inv, g_inv)
+    inv = seg.inverse()
+    if not (conjugacy._germ_side(seg, F) and conjugacy._germ_side(inv, G)):
+        return False
+    win_lo, win_hi = seg.windows[0][0], seg.windows[-1][1]
+    lo_ext = conjugacy._ap_inv(seg.alpha, win_lo)
+    bpts = {lo_ext, seg.top_lo}
+    for lo, _, _, _ in seg.windows:
+        if lo <= seg.top_lo:
+            bpts.add(lo)
+        bpts.add(F.apply_inverse(lo))
+    bpts.update(F.cuts_in(lo_ext, seg.top_lo))
+    bpts.update(inv.apply(cg) for cg in G.cuts_in(seg.c, seg.d))
+    xs = sorted(bpts)
+    probes = list(xs)
+    probes += [(u + v) / 2 for u, v in zip(xs, xs[1:])]
+    x_dn, x_up = win_lo, win_hi
+    for _ in range(3):
+        x_dn = conjugacy._ap_inv(seg.alpha, x_dn)
+        x_up = conjugacy._ap(seg.alpha_top, x_up)
+        probes += [x_dn, x_up]
+    return all(seg.apply(F.apply(x)) == G.apply(seg.apply(x)) for x in probes)
+
+
+def reference_verify(h, f, g):
+    """`verify_conjugator` with the point-probing orbital check."""
+    if not conjugacy._tiles(h.segments):
+        return False
+    f_inv, g_inv = f.inverse(), g.inverse()
+    return all(conjugacy._verify_fixed(seg, f, g) if isinstance(seg, FixedSeg)
+               else reference_orbital(seg, f, g, f_inv, g_inv)
+               for seg in h.segments)
+
+
+def tamperings(w):
+    """(name, conjugator) for each tampering of each orbital segment of w
+    that changes the segment."""
+    for k, seg in enumerate(w.segments):
+        if not isinstance(seg, OrbitalSeg):
+            continue
+
+        def swap(**changes):
+            return Conjugator(w.segments[:k] + [replace(seg, **changes)] + w.segments[k + 1:])
+
+        ws = seg.windows
+        i = len(ws) // 2
+        lo, hi, m, c = ws[i]
+        yield "intercept", swap(windows=ws[:i] + [(lo, hi, m, c + Fraction(1, 7))] + ws[i + 1:])
+        # the left half of the middle window steeper by half, the right half
+        # joining it back to the window's end: continuous and increasing
+        x, m1 = (lo + hi) / 2, 3 * m / 2
+        y = m * lo + c + m1 * (x - lo)
+        m2 = (m * hi + c - y) / (hi - x)
+        split = [(lo, x, m1, y - m1 * x), (x, hi, m2, y - m2 * x)]
+        yield "split", swap(windows=ws[:i] + split + ws[i + 1:])
+        if seg.alpha != seg.beta:
+            yield "alpha-beta", swap(alpha=seg.beta, beta=seg.alpha)
+        later = [lo for lo, _, _, _ in ws if lo > seg.top_lo]
+        if later:
+            yield "top_lo", swap(top_lo=later[0])
+
+
+def test_verifier_agrees_with_the_point_probes():
+    """On seeded witnesses and on each tampering of them, the piecewise
+    comparison gives the point probes' verdict, and refuses every
+    tampered witness and every wrong target."""
+    rnd = random.Random("conjugacy-test:reference")
+    witnesses, refused = 0, {}
+    while witnesses < 120:
+        f = gen_plmap_rnd(rnd, 5)
+        g = f.conjugate_by(gen_plmap_rnd(rnd, 5))
+        w = conjugating_witness(f, g)
+        if not any(isinstance(s, OrbitalSeg) for s in w.segments):
+            continue
+        witnesses += 1
+        assert verify_conjugator(w, f, g) and reference_verify(w, f, g)
+        cases = [(name, t, g) for name, t in tamperings(w)]
+        other = f.conjugate_by(gen_plmap_rnd(rnd, 5))
+        if other != g:
+            cases.append(("wrong target", w, other))
+        for name, t, target in cases:
+            assert not reference_verify(t, f, target), name
+            assert not verify_conjugator(t, f, target), name
+            refused[name] = refused.get(name, 0) + 1
+    assert min(refused.values()) >= 30 and len(refused) == 5, refused

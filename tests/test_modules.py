@@ -19,3 +19,17 @@ def test_no_module_imports_inside_a_function():
                 inside += [f"{path.name}:{node.lineno} in {fn.name}" for node in ast.walk(fn)
                            if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert inside == []
+
+
+#: The breakpoint storage of a `PLMap` and the private method that writes it.
+STORAGE = {"cuts", "image_cuts", "slopes", "c0", "_store"}
+
+
+def test_only_plmap_reads_the_map_storage():
+    """No library module but `plmap` reads a map's storage, as the `plmap`
+    docstring claims, so a change of storage stays inside that file."""
+    reads = [f"{path.name}:{node.lineno} .{node.attr}"
+             for path in MODULES if path.name != "plmap.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr in STORAGE]
+    assert reads == []

@@ -251,6 +251,19 @@ def test_cuts_in_is_the_cuts_strictly_inside(f, q):
 
 @given(plmaps, rationals)
 @example(F_SHARED, Fraction(1, 2))
+def test_pieces_in_are_the_germs_between_the_cuts_inside(f, q):
+    ends = [NEG_INF, POS_INF, q, *f.cuts]
+    for lo in ends:
+        for hi in ends:
+            if lo < hi:
+                pieces = f.pieces_in(lo, hi)
+                cuts = f.cuts_in(lo, hi)
+                assert [(u, v) for u, v, _, _ in pieces] == list(zip((lo, *cuts), (*cuts, hi)))
+                assert [(m, c) for u, _, m, c in pieces] == [f.germ(u) for u, _, _, _ in pieces]
+
+
+@given(plmaps, rationals)
+@example(F_SHARED, Fraction(1, 2))
 def test_germ_is_the_piece_right_of_x(f, q):
     mids = [(a + b) / 2 for a, b in zip(f.cuts, f.cuts[1:])]
     for x in [NEG_INF, POS_INF, q, *f.cuts, *mids]:
