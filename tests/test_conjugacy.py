@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from dataclasses import replace
@@ -371,11 +372,32 @@ def test_piece_bisection_matches_the_linear_scan():
                     lookup(pieces, x)
 
 
-def reference_orbital(seg, f, g, f_inv, g_inv):
+def upward(seg, f, g):
+    """F and G, the maps f and g or their inverses that act upward on seg."""
+    return (f, g) if f.apply(seg.p0) > seg.p0 else (f.inverse(), g.inverse())
+
+
+def breakpoints(seg, F, G):
+    """The breakpoints of h∘F and G∘h over [lo_ext, top_lo], lo_ext =
+    α⁻¹(p0), sorted."""
+    lo_ext = conjugacy._ap_inv(seg.alpha, seg.p0)
+    bpts = {lo_ext, seg.top_lo}
+    for lo, _, _, _ in seg.windows:
+        if lo <= seg.top_lo:
+            bpts.add(lo)
+        bpts.add(F.apply_inverse(lo))
+    bpts.update(F.cuts_in(lo_ext, seg.top_lo))
+    bpts.update(seg.inverse().apply(cg) for cg in G.cuts_in(seg.c, seg.d))
+    return sorted(bpts)
+
+
+def reference_orbital(seg, f, g):
     """The orbital check of `verify_conjugator` by point probes: h(F(x)) ==
     G(h(x)) at every breakpoint of either side over [lo_ext, top_lo], at the
     midpoint of every gap between them and at three deep points in each
-    germ tail, each probe through `OrbitalSeg.apply`."""
+    germ tail, each probe through `OrbitalSeg.apply`.  It keeps, as the
+    reference, the two parts that germ purity makes redundant in the
+    verifier: the gaps below p0 and the deep points."""
     prev = None
     for lo, hi, m, c in seg.windows:
         if m <= 0 or not lo < hi:
@@ -383,23 +405,13 @@ def reference_orbital(seg, f, g, f_inv, g_inv):
         if prev is not None and (prev[0] != lo or prev[1] != m * lo + c):
             return False
         prev = (hi, m * hi + c)
-    F, G = (f, g) if f.apply(seg.p0) > seg.p0 else (f_inv, g_inv)
-    inv = seg.inverse()
-    if not (conjugacy._germ_side(seg, F) and conjugacy._germ_side(inv, G)):
+    F, G = upward(seg, f, g)
+    if not (conjugacy._germ_side(seg, F) and conjugacy._germ_side(seg.inverse(), G)):
         return False
-    win_lo, win_hi = seg.windows[0][0], seg.windows[-1][1]
-    lo_ext = conjugacy._ap_inv(seg.alpha, win_lo)
-    bpts = {lo_ext, seg.top_lo}
-    for lo, _, _, _ in seg.windows:
-        if lo <= seg.top_lo:
-            bpts.add(lo)
-        bpts.add(F.apply_inverse(lo))
-    bpts.update(F.cuts_in(lo_ext, seg.top_lo))
-    bpts.update(inv.apply(cg) for cg in G.cuts_in(seg.c, seg.d))
-    xs = sorted(bpts)
+    xs = breakpoints(seg, F, G)
     probes = list(xs)
     probes += [(u + v) / 2 for u, v in zip(xs, xs[1:])]
-    x_dn, x_up = win_lo, win_hi
+    x_dn, x_up = seg.windows[0][0], seg.windows[-1][1]
     for _ in range(3):
         x_dn = conjugacy._ap_inv(seg.alpha, x_dn)
         x_up = conjugacy._ap(seg.alpha_top, x_up)
@@ -411,13 +423,25 @@ def reference_verify(h, f, g):
     """`verify_conjugator` with the point-probing orbital check."""
     if not conjugacy._tiles(h.segments):
         return False
-    f_inv, g_inv = f.inverse(), g.inverse()
     return all(conjugacy._verify_fixed(seg, f, g) if isinstance(seg, FixedSeg)
-               else reference_orbital(seg, f, g, f_inv, g_inv)
+               else reference_orbital(seg, f, g)
                for seg in h.segments)
 
 
-def tamperings(w):
+def chord(seg, u):
+    """The changes to seg that make h on [p0, u] the chord from a lower
+    h(p0) to the unchanged h(u), u ≤ the first window's end, and move q0
+    down with it, so that the inverse segment still starts at q0.  h is
+    then wrong on [p0, u) alone, and what shows it there is the identity
+    at p0."""
+    lo, hi, m, c = seg.windows[0]
+    q0 = (seg.q0 + conjugacy._ap_inv(seg.beta, seg.q0)) / 2
+    m1 = (m * u + c - q0) / (u - lo)
+    head = [(lo, u, m1, q0 - m1 * lo)] + ([(u, hi, m, c)] if u < hi else [])
+    return {"q0": q0, "windows": head + seg.windows[1:]}
+
+
+def tamperings(w, f, g):
     """(name, conjugator) for each tampering of each orbital segment of w
     that changes the segment."""
     for k, seg in enumerate(w.segments):
@@ -443,28 +467,120 @@ def tamperings(w):
         later = [lo for lo, _, _, _ in ws if lo > seg.top_lo]
         if later:
             yield "top_lo", swap(top_lo=later[0])
+        # h wrong on the first gap [p0, u1) of the verifier's comparison
+        above = [x for x in breakpoints(seg, *upward(seg, f, g)) if x > seg.p0]
+        if above:
+            yield "chord", swap(**chord(seg, above[0]))
+
+
+@functools.cache
+def seeded_witnesses():
+    """120 seeded (f, g, w, other): w conjugates f to g and has an orbital
+    segment, and other is another conjugate of f."""
+    rnd = random.Random("conjugacy-test:reference")
+    out = []
+    while len(out) < 120:
+        f = gen_plmap_rnd(rnd, 5)
+        g = f.conjugate_by(gen_plmap_rnd(rnd, 5))
+        w = conjugating_witness(f, g)
+        if any(isinstance(s, OrbitalSeg) for s in w.segments):
+            out.append((f, g, w, f.conjugate_by(gen_plmap_rnd(rnd, 5))))
+    return out
 
 
 def test_verifier_agrees_with_the_point_probes():
     """On seeded witnesses and on each tampering of them, the piecewise
     comparison gives the point probes' verdict, and refuses every
     tampered witness and every wrong target."""
-    rnd = random.Random("conjugacy-test:reference")
-    witnesses, refused = 0, {}
-    while witnesses < 120:
-        f = gen_plmap_rnd(rnd, 5)
-        g = f.conjugate_by(gen_plmap_rnd(rnd, 5))
-        w = conjugating_witness(f, g)
-        if not any(isinstance(s, OrbitalSeg) for s in w.segments):
-            continue
-        witnesses += 1
+    refused = {}
+    for f, g, w, other in seeded_witnesses():
         assert verify_conjugator(w, f, g) and reference_verify(w, f, g)
-        cases = [(name, t, g) for name, t in tamperings(w)]
-        other = f.conjugate_by(gen_plmap_rnd(rnd, 5))
+        cases = [(name, t, g) for name, t in tamperings(w, f, g)]
         if other != g:
             cases.append(("wrong target", w, other))
         for name, t, target in cases:
             assert not reference_verify(t, f, target), name
             assert not verify_conjugator(t, f, target), name
             refused[name] = refused.get(name, 0) + 1
-    assert min(refused.values()) >= 30 and len(refused) == 5, refused
+    assert min(refused.values()) >= 30 and len(refused) == 6, refused
+
+
+@pytest.mark.parametrize("text, gaps", [
+    # [p0, top_lo] = [-2/3, 0] is a single gap
+    ("pl cuts=[-2,0,2] pieces=[(1,0),(3/2,1),(1/2,1),(1,0)]", 1),
+    # the gaps are [-2/5, 0) and [0, 1)
+    ("pl cuts=[-2,0,1,2] pieces=[(1,0),(5/4,1/2),(1,1/2),(1/2,1),(1,0)]", 2),
+], ids=["one-gap", "two-gaps"])
+def test_verifier_refuses_a_chord_on_the_first_gap_up_to_0(text, gaps):
+    """The chord changes h on the first gap [p0, 0) alone and keeps h(0)
+    and h(top_lo), so only a comparison on that gap sees it, and there only
+    the slopes and the values left of 0 differ, not the values at 0.  Both
+    verifiers refuse it."""
+    f = parse_pl(text)
+    w = conjugating_witness(f, f)
+    fixed_lo, seg, fixed_hi = w.segments
+    xs = [x for x in breakpoints(seg, f, f) if x >= seg.p0]
+    assert len(xs) == gaps + 1 and xs[1] == 0
+    assert verify_conjugator(w, f, f) and reference_verify(w, f, f)
+    t = Conjugator([fixed_lo, replace(seg, **chord(seg, xs[1])), fixed_hi])
+    assert not verify_conjugator(t, f, f)
+    assert not reference_verify(t, f, f)
+
+
+def test_walk_and_power_match_the_germ_step_by_step():
+    """On seeded germs, translations and slopes above and below 1, walking
+    forward and backward: `_walk` takes the fewest germ steps that carry x
+    to or past the edge, and `_power` applies the germ that many times."""
+    rnd = random.Random("conjugacy-test:walk")
+    seen = set()
+    for _ in range(300):
+        kind = rnd.choice(("translation", "above 1", "below 1"))
+        d = [Fraction(rnd.randint(1, 200), rnd.randint(1, 9)) for _ in range(2)]
+        if kind == "translation":
+            germ = (Fraction(1), Fraction(rnd.randint(1, 30), rnd.randint(1, 7)))
+            x, edge = d
+        else:
+            # points on the side of the fixed point z where the germ moves up
+            m = Fraction(rnd.randint(11, 40), 10) if kind == "above 1" else Fraction(rnd.randint(1, 9), 10)
+            z = Fraction(rnd.randint(-20, 20), rnd.randint(1, 5))
+            germ, sign = (m, z * (1 - m)), 1 if m > 1 else -1
+            x, edge = z + sign * d[0], z + sign * d[1]
+        if x == edge:
+            continue
+        forward = x < edge
+        seen.add((kind, forward))
+        y, k = x, 0
+        while y < edge if forward else y > edge:
+            y = conjugacy._ap(germ, y) if forward else conjugacy._ap_inv(germ, y)
+            k += 1
+        assert conjugacy._walk(germ, x, edge) == (k, y)
+        for j in (0, 1, 2, k):
+            power, z = conjugacy._power(germ, j), x
+            for _ in range(j):
+                z = conjugacy._ap(germ, z)
+            assert conjugacy._ap(power, x) == z
+    assert len(seen) == 6
+
+
+def test_orbital_tails_follow_the_germ_recursion():
+    """On each orbital of the seeded witnesses, at x_j = α⁻ʲ(p0) and y_j =
+    α_topʲ(windows' end), j = 1..3, and halfway to the next of them, h read
+    through `Conjugator.apply` is the transport computed one germ step at a
+    time, and h∘F = G∘h: the part of the identity that `verify_conjugator`
+    proves from germ purity for the h the segment defines."""
+    probes = 0
+    for f, g, w, _ in seeded_witnesses():
+        for seg in w.segments:
+            if not isinstance(seg, OrbitalSeg):
+                continue
+            F, G = upward(seg, f, g)
+            x, y = seg.p0, seg.windows[-1][1]
+            for _ in range(3):
+                x_next = conjugacy._ap_inv(seg.alpha, x)
+                y_next = conjugacy._ap(seg.alpha_top, y)
+                for q in (x_next, (x + x_next) / 2, y_next, (y + y_next) / 2):
+                    assert w.apply(q) == walked(w, q)
+                    assert w.apply(F.apply(q)) == G.apply(w.apply(q))
+                    probes += 1
+                x, y = x_next, y_next
+    assert probes >= 120 * 12
