@@ -18,9 +18,9 @@ two sides and inverting its explicit pieces.
 `verify_conjugator` trusts only the f and g it is given, never the
 witness: it proves that h tiles ℚ, that the fixed regions are fixed, that
 f and g are pure affine germs on each orbital's tails and equal to the
-germs h stores there, and the identity piece by piece between the
-breakpoints of both sides over the explicit windows; germ purity carries
-it over the tails.
+germs h stores there, and W∘F = G∘W for the window stack W as one map,
+on the range that F maps into the windows, by `PLMap.compose` and
+`PLMap.agrees_on`; germ purity carries the identity over the tails.
 """
 
 from __future__ import annotations
@@ -321,24 +321,24 @@ def verify_conjugator(h: Conjugator, f: PLMap, g: PLMap) -> bool:
       stored germs alpha and alpha_top, which fix a finite end and at an
       infinite end keep moving points up; likewise for G on (c, d), read
       through the inverse segment;
-    - the identity piece by piece on [p0, top_lo]: F maps it into the
-      windows, so there h∘F is W∘F for the window stack W, and h is W.  The
-      breakpoints of either side cut the range into gaps; on each gap both
-      sides are one affine piece, and the two pieces must be equal.  Both
-      sides are continuous, so h∘F = G∘h on the closed range [p0, top_lo].
+    - W∘F = G∘W as maps on (p0, top_lo), W the window stack as one
+      `PLMap`: F maps [p0, top_lo] into the windows, so there h∘F is W∘F
+      and h is W.  Both sides are continuous, so the identity holds on the
+      closed range [p0, top_lo].
 
     The rest of the orbital needs no check of its own:
 
-    1. anchor at top_lo: `_germ_side(inv, G)` checks that G carries
-       inv.top_lo to inv's windows' end, and inv.top_lo = W(top_lo), so
-       W(F(top_lo)) = G(W(top_lo)) holds before any gap is compared.  This
-       covers a segment with top_lo = p0, which has no gap, and makes h
-       continuous at the windows' end F(top_lo).
+    1. anchor at top_lo: for the inverse segment inv, `_germ_side(inv, G)`
+       checks that G carries inv.top_lo to inv's windows' end, and
+       inv.top_lo = W(top_lo), so W(F(top_lo)) = G(W(top_lo)) holds
+       before the maps are compared.  This covers a segment with top_lo = p0, whose open range is empty,
+       and makes h continuous at the windows' end F(top_lo).
     2. below p0: on [α⁻¹(p0), p0) F is α and h is β⁻¹∘W∘α, so h∘F is W∘α
        and G∘h is G∘β⁻¹∘W∘α.  That is W∘α too as long as h(u) < q0, where
        G is β; and it is, since α(u) < F(p0) and W(F(p0)) = G(q0) = β(q0),
-       which the first gap proves by continuity (the anchor, when
-       top_lo = p0).  The same equation makes h continuous at p0.
+       which the comparison on (p0, top_lo) proves by continuity (the
+       anchor, when top_lo = p0).  The same equation makes h continuous
+       at p0.
     3. the tails: further down h is β⁻ᵏ∘W∘αᵏ; above top_lo F is α_top,
        G is β_top on h([top_lo, b)), and past the windows h is
        β_topᵏ∘W∘α_top⁻ᵏ.  So each step of a germ on the left is one step
@@ -421,49 +421,17 @@ def _verify_orbital(seg: OrbitalSeg, f: PLMap, g: PLMap,
         prev = (hi, m * hi + c)
     # F and G act upward; the direction is read from f and g takes the same
     F, G = (f, g) if f.apply(seg.p0) > seg.p0 else (f_inv, g_inv)
-    if not _germ_side(seg, F):
-        return False
-    inv = seg.inverse()
-    if not _germ_side(inv, G):
+    if not (_germ_side(seg, F) and _germ_side(seg.inverse(), G)):
         return False
     # the conjugation identity on [p0, top_lo], which F maps into the
-    # windows: there h∘F is W∘F and h is W, W the window stack.  bpts holds
-    # the breakpoints of both sides in [p0, top_lo]: F's cuts, the window
-    # starts, F⁻¹ of the window starts and h⁻¹ of G's cuts inside (c, d),
-    # which germ purity puts in h([p0, top_lo]).  On each gap (u, v) between
-    # two of them the two sides are single affine pieces, read just right of
-    # u by pointers that only move right, and must be equal.  No point below
-    # p0 or past the windows is read: germ purity carries the identity
-    # there (see `verify_conjugator`).
-    windows, p0, top_lo = seg.windows, seg.p0, seg.top_lo
-    pre = [F.apply_inverse(lo) for lo, _, _, _ in windows]
-    g_pre = [inv.apply(cg) for cg in G.cuts_in(seg.c, seg.d)]
-    bpts = {p0, top_lo, *g_pre}
-    bpts.update(u for u in pre if u > p0)
-    bpts.update(lo for lo, _, _, _ in windows if lo <= top_lo)
-    bpts.update(F.cuts_in(p0, top_lo))
-    # F's pieces end at its cuts; the window in force at F(u) and G's piece
-    # at h(u) change where u passes the pre-image of their left end.  w_ends
-    # keeps the pre-images below p0 too, so j finds the window at F(p0).
-    f_pieces, g_pieces = F.pieces_in(p0, top_lo), G.pieces_in(seg.c, seg.d)
-    w_ends, g_ends = pre[1:] + [top_lo], g_pre + [top_lo]
-    i = j = k = n = 0
-    for u in sorted(bpts)[:-1]:
-        while f_pieces[i][1] <= u:
-            i += 1
-        while w_ends[j] <= u:
-            j += 1
-        while g_ends[n] <= u:
-            n += 1
-        while windows[k][1] <= u:
-            k += 1
-        _, _, mF, cF = f_pieces[i]
-        _, _, mW, cW = windows[j]
-        _, _, mG, cG = g_pieces[n]
-        _, _, mh, ch = windows[k]
-        if mW * mF != mG * mh or mW * cF + cW != mG * ch + cG:
-            return False
-    return True
+    # windows: there h∘F is W∘F and h is W, for the window stack W as one
+    # map.  No point below p0 or past the windows is read: germ purity
+    # carries the identity there (see `verify_conjugator`).
+    windows, p0 = seg.windows, seg.p0
+    _, _, m0, c0 = windows[0]
+    W = PLMap(p0, m0 * p0 + c0, [lo for lo, _, _, _ in windows[1:]],
+              [m for _, _, m, _ in windows])
+    return W.compose(F).agrees_on(G.compose(W), QInterval(p0, seg.top_lo))
 
 
 def _germ_side(s: OrbitalSeg, S: PLMap) -> bool:

@@ -22,8 +22,8 @@ Only this module reads the storage, so a change of storage stays inside
 this file.  `predicates`, `patterns` and `interp` read a map through the
 group operations (`compose`, `inverse`, `conjugate_by`), `restrict`,
 equality and hashing, `apply`, `support`, `signed_support`, `fixed_items`
-and `regions`.  `conjugacy` also reads `germ`, `cuts_in`, `pieces_in`,
-`apply_inverse` and `agrees_on`.
+and `regions`.  `conjugacy` also reads `germ`, `cuts_in`, `apply_inverse`
+and `agrees_on`.
 """
 
 from __future__ import annotations
@@ -150,14 +150,6 @@ class PLMap:
         cuts = self.cuts
         return cuts[bisect_right(cuts, lo):bisect_left(cuts, hi)]
 
-    def pieces_in(self, lo: ExtRat, hi: ExtRat) -> list[tuple[ExtRat, ExtRat, Rat, Rat]]:
-        """The pieces over (lo, hi), left to right, as (start, end, slope,
-        intercept): one per gap that `cuts_in(lo, hi)` cuts (lo, hi) into."""
-        cuts = self.cuts
-        i, j = bisect_right(cuts, lo), bisect_left(cuts, hi)
-        ends = (lo, *cuts[i:j], hi)
-        return [(u, v, m, c) for u, v, (m, c) in zip(ends, ends[1:], self.pieces[i:j + 1])]
-
     def apply(self, q: Fraction) -> Rat:
         if type(q) is not Rat:
             q = Rat(q)
@@ -173,19 +165,27 @@ class PLMap:
         m, c = self.pieces[i]
         return (q - c) / m
 
+    def _intercept(self, i: int) -> Rat:
+        """Where the line of piece i meets x = 0."""
+        return self.image_cuts[i - 1] - self.slopes[i] * self.cuts[i - 1] if i else self.c0
+
     def agrees_on(self, other: "PLMap", iv: QInterval) -> bool:
-        """Exact equality of self and other on the open interval `iv`: both
-        have the same cuts inside it, the same piece at its left end and the
-        same slopes after each of those cuts (canonical maps change slope at
-        every cut)."""
+        """Exact equality of self and other on the open interval `iv`: the
+        same cuts inside it, the same slope on every gap they leave and one
+        equal value, at the first of those cuts or, where there is none, the
+        one piece's intercept.  Both maps are continuous."""
         if iv.is_empty():
             return True
         lo, hi = iv.lo, iv.hi
         cuts = self.cuts_in(lo, hi)
-        if cuts != other.cuts_in(lo, hi) or self.germ(lo) != other.germ(lo):
+        if cuts != other.cuts_in(lo, hi):
             return False
         i, j, n = bisect_right(self.cuts, lo), bisect_right(other.cuts, lo), len(cuts)
-        return self.slopes[i:i + n + 1] == other.slopes[j:j + n + 1]
+        if self.slopes[i:i + n + 1] != other.slopes[j:j + n + 1]:
+            return False
+        if n:
+            return self.image_cuts[i] == other.image_cuts[j]
+        return self._intercept(i) == other._intercept(j)
 
     # -- group operations --------------------------------------------------
 

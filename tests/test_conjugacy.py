@@ -103,16 +103,23 @@ def test_witness_iff_pattern_iso_random_pairs(f, g):
     check_pair(f, g)
 
 
-def test_witness_iff_pattern_iso_on_every_grid_pair():
-    """On all 23,409 pairs of the maps whose region ends lie in {0, 1, 2},
-    the region shapes that `conjugating_witness` reads give a witness
-    exactly when the orbital patterns are isomorphic, and every witness
-    verifies."""
+@functools.cache
+def grid_witnesses():
+    """(f, g, conjugating_witness(f, g), whether the orbital patterns of f
+    and g are isomorphic) for all 23,409 pairs of the maps whose region
+    ends lie in {0, 1, 2}."""
     grid = [(f, pattern_of(f)) for f in grid_maps((0, 1, 2))]
+    return [(f, g, conjugating_witness(f, g), pattern_iso(p, q))
+            for (f, p), (g, q) in product(grid, repeat=2)]
+
+
+def test_witness_iff_pattern_iso_on_every_grid_pair():
+    """On every grid pair, the region shapes that `conjugating_witness`
+    reads give a witness exactly when the orbital patterns are isomorphic,
+    and every witness verifies."""
     conjugate = 0
-    for (f, p), (g, q) in product(grid, repeat=2):
-        w = conjugating_witness(f, g)
-        assert (w is not None) == pattern_iso(p, q), (f, g)
+    for f, g, w, iso in grid_witnesses():
+        assert (w is not None) == iso, (f, g)
         if w is not None:
             assert verify_conjugator(w, f, g), (f, g)
             conjugate += 1
@@ -441,6 +448,16 @@ def chord(seg, u):
     return {"q0": q0, "windows": head + seg.windows[1:]}
 
 
+def bend(lo, hi, m, c):
+    """The piece (lo, hi, m, c) as two: the left half steeper by half, the
+    right half joining it back to the piece's end, so that the two are
+    continuous and increasing."""
+    x, m1 = (lo + hi) / 2, 3 * m / 2
+    y = m * lo + c + m1 * (x - lo)
+    m2 = (m * hi + c - y) / (hi - x)
+    return [(lo, x, m1, y - m1 * x), (x, hi, m2, y - m2 * x)]
+
+
 def tamperings(w, f, g):
     """(name, conjugator) for each tampering of each orbital segment of w
     that changes the segment."""
@@ -455,22 +472,27 @@ def tamperings(w, f, g):
         i = len(ws) // 2
         lo, hi, m, c = ws[i]
         yield "intercept", swap(windows=ws[:i] + [(lo, hi, m, c + Fraction(1, 7))] + ws[i + 1:])
-        # the left half of the middle window steeper by half, the right half
-        # joining it back to the window's end: continuous and increasing
-        x, m1 = (lo + hi) / 2, 3 * m / 2
-        y = m * lo + c + m1 * (x - lo)
-        m2 = (m * hi + c - y) / (hi - x)
-        split = [(lo, x, m1, y - m1 * x), (x, hi, m2, y - m2 * x)]
-        yield "split", swap(windows=ws[:i] + split + ws[i + 1:])
+        yield "split", swap(windows=ws[:i] + bend(lo, hi, m, c) + ws[i + 1:])
         if seg.alpha != seg.beta:
             yield "alpha-beta", swap(alpha=seg.beta, beta=seg.alpha)
         later = [lo for lo, _, _, _ in ws if lo > seg.top_lo]
         if later:
             yield "top_lo", swap(top_lo=later[0])
-        # h wrong on the first gap [p0, u1) of the verifier's comparison
-        above = [x for x in breakpoints(seg, *upward(seg, f, g)) if x > seg.p0]
+        F, G = upward(seg, f, g)
+        # h wrong on [p0, u1) alone, u1 the first breakpoint of either side
+        # above p0
+        above = [x for x in breakpoints(seg, F, G) if x > seg.p0]
         if above:
             yield "chord", swap(**chord(seg, above[0]))
+        # h wrong on (a, hi) alone, the part of the last window above
+        # top_lo and above F(s), s the last window start ≤ top_lo: only h∘F
+        # on (s, top_lo) reads h there
+        u, hi, m, c = ws[-1]
+        s = max(lo for lo, _, _, _ in ws if lo <= seg.top_lo)
+        a = max(u, seg.top_lo, F.apply(s))
+        if a < hi:
+            head = [(u, a, m, c)] if u < a else []
+            yield "top bend", swap(windows=ws[:-1] + head + bend(a, hi, m, c))
 
 
 @functools.cache
@@ -489,9 +511,9 @@ def seeded_witnesses():
 
 
 def test_verifier_agrees_with_the_point_probes():
-    """On seeded witnesses and on each tampering of them, the piecewise
-    comparison gives the point probes' verdict, and refuses every
-    tampered witness and every wrong target."""
+    """On seeded witnesses and on each tampering of them, the comparison
+    of W∘F with G∘W as maps gives the point probes' verdict, and refuses
+    every tampered witness and every wrong target."""
     refused = {}
     for f, g, w, other in seeded_witnesses():
         assert verify_conjugator(w, f, g) and reference_verify(w, f, g)
@@ -502,7 +524,25 @@ def test_verifier_agrees_with_the_point_probes():
             assert not reference_verify(t, f, target), name
             assert not verify_conjugator(t, f, target), name
             refused[name] = refused.get(name, 0) + 1
-    assert min(refused.values()) >= 30 and len(refused) == 6, refused
+    assert min(refused.values()) >= 30 and len(refused) == 7, refused
+
+
+def test_verifier_refuses_every_tampering_of_the_grid_witnesses():
+    """Both verifiers refuse each tampering of each grid witness that has
+    an orbital segment, which is every one but the identity's."""
+    refused, witnesses = {}, 0
+    for f, g, w, _ in grid_witnesses():
+        if w is None or not any(isinstance(s, OrbitalSeg) for s in w.segments):
+            continue
+        witnesses += 1
+        for name, t in tamperings(w, f, g):
+            assert not verify_conjugator(t, f, g), (name, f, g)
+            assert not reference_verify(t, f, g), (name, f, g)
+            refused[name] = refused.get(name, 0) + 1
+    # one of each per orbital segment, and alpha-beta where the germs differ
+    assert witnesses == 332
+    assert refused == {"intercept": 744, "split": 744, "chord": 744, "top bend": 744,
+                       "alpha-beta": 272}
 
 
 @pytest.mark.parametrize("text, gaps", [
@@ -513,8 +553,8 @@ def test_verifier_agrees_with_the_point_probes():
 ], ids=["one-gap", "two-gaps"])
 def test_verifier_refuses_a_chord_on_the_first_gap_up_to_0(text, gaps):
     """The chord changes h on the first gap [p0, 0) alone and keeps h(0)
-    and h(top_lo), so only a comparison on that gap sees it, and there only
-    the slopes and the values left of 0 differ, not the values at 0.  Both
+    and h(top_lo), so W∘F and G∘W differ left of 0 alone, in their slopes
+    and values there, not in their values at 0 or at top_lo.  Both
     verifiers refuse it."""
     f = parse_pl(text)
     w = conjugating_witness(f, f)

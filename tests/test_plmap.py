@@ -1,5 +1,6 @@
 import hashlib
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -151,6 +152,49 @@ def test_agrees_on_compares_the_slopes_after_shared_cuts():
         assert not f.agrees_on(g, iv) and not g.agrees_on(f, iv)
 
 
+def reference_agrees_on(f: PLMap, g: PLMap, iv: QInterval) -> bool:
+    """`agrees_on` through the pieces: the same cuts inside iv, the same
+    piece at its left end and the same slopes after each of those cuts."""
+    if iv.is_empty():
+        return True
+    lo, hi = iv.lo, iv.hi
+    cuts = f.cuts_in(lo, hi)
+    if cuts != g.cuts_in(lo, hi) or f.germ(lo) != g.germ(lo):
+        return False
+    i, j, n = bisect_right(f.cuts, lo), bisect_right(g.cuts, lo), len(cuts)
+    return f.slopes[i:i + n + 1] == g.slopes[j:j + n + 1]
+
+
+def resloped(f: PLMap) -> PLMap:
+    """f with its last slope doubled: the same cuts, a different last gap."""
+    return PLMap(0, f.apply(0), f.cuts, [*f.slopes[:-1], 2 * f.slopes[-1]])
+
+
+@given(plmaps, plmaps, rationals, rationals)
+@example(F_SHARED, G_SHARED, Fraction(-1), Fraction(1, 2))
+@example(PLMap.identity(), PLMap.translation(1), Fraction(0), Fraction(1))
+def test_agrees_on_reads_the_storage_as_the_pieces_do(f, h, q, r):
+    """On pairs that agree, differ by a constant, share their cuts but not
+    their slopes, or are composed as the verifier composes them (h∘f and
+    g∘h for g = h∘f∘h⁻¹, also with a bump after g∘h), over intervals with
+    ends at ±∞, at cuts of either map and between them, with and without
+    a cut inside: `agrees_on` gives the verdict of the pieces."""
+    g = f.conjugate_by(h)
+    pairs = [(f, f), (f, h), (f, PLMap.translation(1).compose(f)), (f, resloped(f)),
+             (f.compose(h), h.compose(f)), (f.compose(h), f.compose(resloped(h))),
+             (h.compose(f), g.compose(h))]
+    if q != r:
+        bump = make_bump(QInterval(min(q, r), max(q, r)))
+        pairs.append((h.compose(f), g.compose(h).compose(bump)))
+    for g0, g1 in pairs:
+        ends = sorted({NEG_INF, POS_INF, q, r, *g0.cuts, *g1.cuts})
+        for lo in ends:
+            for hi in ends:
+                iv = QInterval(lo, hi)
+                assert g0.agrees_on(g1, iv) == reference_agrees_on(g0, g1, iv), (g0, g1, iv)
+                assert g1.agrees_on(g0, iv) == reference_agrees_on(g1, g0, iv), (g0, g1, iv)
+
+
 @given(plmaps)
 def test_signed_support_signs(f):
     for iv, sign in f.signed_support():
@@ -247,19 +291,6 @@ def test_cuts_in_is_the_cuts_strictly_inside(f, q):
     for lo in ends:
         for hi in ends:
             assert f.cuts_in(lo, hi) == tuple(c for c in f.cuts if lo < c < hi)
-
-
-@given(plmaps, rationals)
-@example(F_SHARED, Fraction(1, 2))
-def test_pieces_in_are_the_germs_between_the_cuts_inside(f, q):
-    ends = [NEG_INF, POS_INF, q, *f.cuts]
-    for lo in ends:
-        for hi in ends:
-            if lo < hi:
-                pieces = f.pieces_in(lo, hi)
-                cuts = f.cuts_in(lo, hi)
-                assert [(u, v) for u, v, _, _ in pieces] == list(zip((lo, *cuts), (*cuts, hi)))
-                assert [(m, c) for u, _, m, c in pieces] == [f.germ(u) for u, _, _, _ in pieces]
 
 
 @given(plmaps, rationals)
