@@ -9,7 +9,9 @@ though their patterns agree.  The witnesses built here are still exact,
 finitely presented automorphisms of ℚ: affine on fixed regions, and on each
 orbital a finite stack of explicit affine windows together with two periodic
 germ tails (the fundamental-domain transport h = gⁿ ∘ φ ∘ f⁻ⁿ, whose
-breakpoints accumulate geometrically at the orbital ends).
+breakpoints accumulate geometrically at the orbital ends).  Each window is
+the one before it composed as g ∘ h ∘ f⁻¹ by `PLMap.compose`, with g and
+f⁻¹ clipped to the intervals that the composite reads of them.
 
 The inverse needs no code of its own: h⁻¹ = fⁿ ∘ φ⁻¹ ∘ g⁻ⁿ is the same
 transport with f and g exchanged, so every segment inverts by swapping its
@@ -19,8 +21,9 @@ two sides and inverting its explicit pieces.
 witness: it proves that h tiles ℚ, that the fixed regions are fixed, that
 f and g are pure affine germs on each orbital's tails and equal to the
 germs h stores there, and W∘F = G∘W for the window stack W as one map,
-on the range that F maps into the windows, by `PLMap.compose` and
-`PLMap.agrees_on`; germ purity carries the identity over the tails.
+on the range that F maps into the windows, by `PLMap.compose` on F and G
+clipped to what that range reads of them and `PLMap.agrees_on`; germ
+purity carries the identity over the tails.
 """
 
 from __future__ import annotations
@@ -243,49 +246,27 @@ def _cut_span(F: PLMap, a: ExtRat, b: ExtRat) -> tuple[Fraction, Fraction]:
 
 
 def _orbital_seg(f: PLMap, g: PLMap, a, b, c, d, parity: int) -> OrbitalSeg:
-    F = f if parity > 0 else f.inverse()
+    F, F_inv = (f, f.inverse()) if parity > 0 else (f.inverse(), f)
     G = g if parity > 0 else g.inverse()
     t_f, s_f = _cut_span(F, a, b)
     t_g, s_g = _cut_span(G, c, d)
     p0, q0 = F.apply_inverse(t_f), G.apply_inverse(t_g)
-    alpha, beta = F.germ(a), G.germ(c)
-    alpha_top, beta_top = F.germ(s_f), G.germ(s_g)
-    # explicit windows: transport φ upward until both sides sit in the top germ
-    phi_m = (t_g - q0) / (t_f - p0)
-    window: list[LocalPiece] = [(p0, t_f, phi_m, q0 - phi_m * p0)]
-    pieces = list(window)
-    x_lo = p0
-    n = 0
-    while not (x_lo >= s_f and _eval_local(pieces, x_lo) >= s_g):
-        window = _push_window(window, F, G)
-        pieces.extend(window)
-        x_lo = window[0][0]
-        n += 1
-        if n > 100000:
-            raise ConjugacyError("orbital transport did not stabilize")
-    return OrbitalSeg(a, b, c, d, p0, q0, _merge_local(pieces), x_lo,
-                      alpha, beta, alpha_top, beta_top)
-
-
-def _push_window(window: list[LocalPiece], F: PLMap, G: PLMap) -> list[LocalPiece]:
-    """Given h's pieces on [u0,u1], its pieces on [F(u0), F(u1)]:
-    h = G ∘ h_prev ∘ F⁻¹ there."""
-    u0, u1 = window[0][0], window[-1][1]
-    v0, v1 = _eval_local(window, u0), _eval_local(window, u1)
-    bpts = {F.apply(p[0]) for p in window} | {F.apply(u1)}
-    bpts.update(F.apply(cut) for cut in F.cuts_in(u0, u1))
-    inv = _inverse_pieces(window)
-    bpts.update(F.apply(_eval_local(inv, cg)) for cg in G.cuts_in(v0, v1))
-    xs = sorted(bpts)
-    out: list[LocalPiece] = []
-    for lo, hi in zip(xs, xs[1:]):
-        # F⁻¹ at the midpoint, then h_prev, then G
-        u = F.apply_inverse((lo + hi) / 2)
-        mF, cF = F.germ(u)
-        _, _, m, c = _piece(window, u)
-        mG, cG = G.germ(m * u + c)
-        out.append((lo, hi, mG * m / mF, mG * (c - m * cF / mF) + cG))
-    return _merge_local(out)
+    # explicit windows: transport φ upward until both sides sit in the top
+    # germ.  w is h on the window [u0, u1 = F(u0)] onto [v0, v1 = G(v0)], and
+    # the next window is G ∘ w ∘ F⁻¹ with G and F⁻¹ clipped to what it reads
+    w = PLMap(p0, q0, (), ((t_g - q0) / (t_f - p0),))
+    u0, u1, v0, v1 = p0, t_f, q0, t_g
+    pieces: list[LocalPiece] = []
+    for _ in range(100000):
+        ends = (u0, *w.cuts_in(u0, u1), u1)  # w's cuts all lie inside
+        pieces += [(lo, hi, *piece) for lo, hi, piece in zip(ends, ends[1:], w.pieces)]
+        if u0 >= s_f and v0 >= s_g:
+            return OrbitalSeg(a, b, c, d, p0, q0, _merge_local(pieces), u0,
+                              F.germ(a), G.germ(c), F.germ(s_f), G.germ(s_g))
+        u2 = F.apply(u1)
+        w = G.clip(v0, v1).compose(w).compose(F_inv.clip(u1, u2))
+        u0, u1, v0, v1 = u1, u2, v1, G.apply(v1)
+    raise ConjugacyError("orbital transport did not stabilize")
 
 
 def _merge_local(pieces: list[LocalPiece]) -> list[LocalPiece]:
@@ -319,20 +300,24 @@ def verify_conjugator(h: Conjugator, f: PLMap, g: PLMap) -> bool:
     - germ purity and germ equality: every cut of F inside (a, b) lies in
       [p0, top_lo], and the pieces of F right of a and of top_lo are the
       stored germs alpha and alpha_top, which fix a finite end and at an
-      infinite end keep moving points up; likewise for G on (c, d), read
-      through the inverse segment;
+      infinite end keep moving points up; likewise for G on (c, d), with
+      beta and beta_top, q0 = W(p0), W(top_lo) and W(end) in place of
+      alpha and alpha_top, p0, top_lo and the windows' end;
     - W∘F = G∘W as maps on (p0, top_lo), W the window stack as one
       `PLMap`: F maps [p0, top_lo] into the windows, so there h∘F is W∘F
       and h is W.  Both sides are continuous, so the identity holds on the
-      closed range [p0, top_lo].
+      closed range [p0, top_lo].  The two sides compose
+      F.clip(p0, top_lo) and G.clip(W(p0), W(top_lo)), which agree with F
+      and G where W∘F and G∘W read them on (p0, top_lo): F at the points
+      of (p0, top_lo) and G at their images under the increasing W.
 
     The rest of the orbital needs no check of its own:
 
-    1. anchor at top_lo: for the inverse segment inv, `_germ_side(inv, G)`
-       checks that G carries inv.top_lo to inv's windows' end, and
-       inv.top_lo = W(top_lo), so W(F(top_lo)) = G(W(top_lo)) holds
-       before the maps are compared.  This covers a segment with top_lo = p0, whose open range is empty,
-       and makes h continuous at the windows' end F(top_lo).
+    1. anchor at top_lo: `_germ_side` on G's side checks that G carries
+       W(top_lo) to W(end), end = F(top_lo) the windows' end, so
+       W(F(top_lo)) = G(W(top_lo)) holds before the maps are compared.
+       This covers a segment with top_lo = p0, whose open range is empty,
+       and makes h continuous at the windows' end.
     2. below p0: on [α⁻¹(p0), p0) F is α and h is β⁻¹∘W∘α, so h∘F is W∘α
        and G∘h is G∘β⁻¹∘W∘α.  That is W∘α too as long as h(u) < q0, where
        G is β; and it is, since α(u) < F(p0) and W(F(p0)) = G(q0) = β(q0),
@@ -421,39 +406,44 @@ def _verify_orbital(seg: OrbitalSeg, f: PLMap, g: PLMap,
         prev = (hi, m * hi + c)
     # F and G act upward; the direction is read from f and g takes the same
     F, G = (f, g) if f.apply(seg.p0) > seg.p0 else (f_inv, g_inv)
-    if not (_germ_side(seg, F) and _germ_side(seg.inverse(), G)):
+    # the window stack W as one map: G's side of the orbital is its image
+    windows, p0, top_lo, end = seg.windows, seg.p0, seg.top_lo, seg.windows[-1][1]
+    _, _, m0, c0 = windows[0]
+    w0 = m0 * p0 + c0
+    W = PLMap(p0, w0, [lo for lo, _, _, _ in windows[1:]], [m for _, _, m, _ in windows])
+    w_top = W.apply(top_lo)
+    if not (_germ_side(F, seg.a, seg.b, p0, windows[0][0], top_lo, end, seg.alpha, seg.alpha_top)
+            and _germ_side(G, seg.c, seg.d, seg.q0, w0, w_top, W.apply(end),
+                           seg.beta, seg.beta_top)):
         return False
     # the conjugation identity on [p0, top_lo], which F maps into the
-    # windows: there h∘F is W∘F and h is W, for the window stack W as one
-    # map.  No point below p0 or past the windows is read: germ purity
-    # carries the identity there (see `verify_conjugator`).
-    windows, p0 = seg.windows, seg.p0
-    _, _, m0, c0 = windows[0]
-    W = PLMap(p0, m0 * p0 + c0, [lo for lo, _, _, _ in windows[1:]],
-              [m for _, _, m, _ in windows])
-    return W.compose(F).agrees_on(G.compose(W), QInterval(p0, seg.top_lo))
+    # windows: there h∘F is W∘F and h is W.  No point below p0 or past the
+    # windows is read: germ purity carries the identity there (see
+    # `verify_conjugator`).
+    return W.compose(F.clip(p0, top_lo)).agrees_on(
+        G.clip(w0, w_top).compose(W), QInterval(p0, top_lo))
 
 
-def _germ_side(s: OrbitalSeg, S: PLMap) -> bool:
-    """The hypotheses of the germ recursion on one side of an orbital,
-    read from S, the caller's map that should act upward there: the
-    windows run from p0 inside (a, b) past top_lo, and S moves p0 up and
-    carries top_lo to the windows' end; every cut of S inside (a, b) lies
-    in [p0, top_lo] and the pieces right of a and of top_lo are exactly
-    alpha and alpha_top, so S is alpha on (a, p0] and alpha_top on
+def _germ_side(S: PLMap, a: ExtRat, b: ExtRat, p0: Fraction, lo: Fraction,
+               top_lo: Fraction, hi: Fraction, alpha: Affine, alpha_top: Affine) -> bool:
+    """The hypotheses of the germ recursion on one side of an orbital
+    (a, b), read from S, the caller's map that should act upward there:
+    the windows run from lo = p0 inside (a, b) past top_lo to hi, and S
+    moves p0 up and carries top_lo to hi; every cut of S inside (a, b)
+    lies in [p0, top_lo] and the pieces right of a and of top_lo are
+    exactly alpha and alpha_top, so S is alpha on (a, p0] and alpha_top on
     [top_lo, b); alpha fixes a finite a, alpha_top a finite b, and at an
     infinite end the germ's slope keeps S above the identity, so S has no
     fixed point in the tails."""
-    lo, hi = s.windows[0][0], s.windows[-1][1]
-    if not (s.a < s.p0 == lo <= s.top_lo < hi < s.b):
+    if not (a < p0 == lo <= top_lo < hi < b):
         return False
-    if not (S.apply(s.p0) > s.p0 and S.apply(s.top_lo) == hi):
+    if not (S.apply(p0) > p0 and S.apply(top_lo) == hi):
         return False
-    cuts = S.cuts_in(s.a, s.b)
-    if cuts and not (lo <= cuts[0] and cuts[-1] <= s.top_lo):
+    cuts = S.cuts_in(a, b)
+    if cuts and not (lo <= cuts[0] and cuts[-1] <= top_lo):
         return False
-    if S.germ(s.a) != s.alpha or S.germ(s.top_lo) != s.alpha_top:
+    if S.germ(a) != alpha or S.germ(top_lo) != alpha_top:
         return False
-    bottom = _ap(s.alpha, s.a) == s.a if is_finite(s.a) else s.alpha[0] <= 1
-    top = _ap(s.alpha_top, s.b) == s.b if is_finite(s.b) else s.alpha_top[0] >= 1
+    bottom = _ap(alpha, a) == a if is_finite(a) else alpha[0] <= 1
+    top = _ap(alpha_top, b) == b if is_finite(b) else alpha_top[0] >= 1
     return bottom and top

@@ -8,22 +8,23 @@ storage is canonical and structural equality is group-element equality.
 Caller input goes through the one checked constructor, `PLMap(anchor,
 value, cuts, slopes)`: it refuses non-increasing cuts, non-positive slopes
 and a wrong slope count, walks the images from an anchor point and merges
-equal adjacent slopes.  `compose`, `inverse` and `restrict` write their
-result's storage unchecked.  It is continuous and canonical by
+equal adjacent slopes.  `compose`, `inverse`, `restrict` and `clip` write
+their result's storage unchecked.  It is continuous and canonical by
 construction: each image is read off the operands, each walk emits its
 cuts in increasing order and drops a cut between equal slopes, and every
 slope is a product or a reciprocal of positive slopes or one of the map's
 own; a restriction adds fixed cuts beside which the map moves points, so
-its slope there is not 1.  `regions` reads the displacement yᵢ - xᵢ at
-the cuts.  The (slope, intercept) pieces belong to the text format:
+its slope there is not 1, and a clip keeps one slice of the storage.
+`regions` reads the displacement yᵢ - xᵢ at the cuts.  The (slope,
+intercept) pieces belong to the text format:
 `parse_pl` alone reads them, and `pieces` derives them once per map.
 
 Only this module reads the storage, so a change of storage stays inside
 this file.  `predicates`, `patterns` and `interp` read a map through the
 group operations (`compose`, `inverse`, `conjugate_by`), `restrict`,
 equality and hashing, `apply`, `support`, `signed_support`, `fixed_items`
-and `regions`.  `conjugacy` also reads `germ`, `cuts_in`, `apply_inverse`
-and `agrees_on`.
+and `regions`.  `conjugacy` also reads `germ`, `pieces`, `cuts_in`,
+`apply_inverse`, `agrees_on` and `clip`.
 """
 
 from __future__ import annotations
@@ -186,6 +187,14 @@ class PLMap:
         if n:
             return self.image_cuts[i] == other.image_cuts[j]
         return self._intercept(i) == other._intercept(j)
+
+    def clip(self, lo: ExtRat, hi: ExtRat) -> "PLMap":
+        """Self on [lo, hi], its end pieces extended: a slice of the storage,
+        so canonical.  Where hi ≤ lo it is the piece right of lo."""
+        i = bisect_right(self.cuts, lo)
+        j = bisect_left(self.cuts, hi, i)
+        return PLMap.__new__(PLMap)._store(self.cuts[i:j], self.image_cuts[i:j],
+                                           self.slopes[i:j + 1], self._intercept(i))
 
     # -- group operations --------------------------------------------------
 

@@ -12,7 +12,7 @@ from qwi import conjugacy
 from qwi.conjugacy import (
     Conjugator, FixedSeg, OrbitalSeg, conjugating_witness, verify_conjugator)
 from qwi.generators import gen_plmap_rnd, grid_maps, make_bump
-from qwi.numbers import NEG_INF, POS_INF, QInterval, pick_fresh
+from qwi.numbers import NEG_INF, POS_INF, QInterval, is_finite, pick_fresh
 from qwi.patterns import pattern_iso, pattern_of
 from qwi.plmap import PLMap, parse_pl
 
@@ -124,6 +124,64 @@ def test_witness_iff_pattern_iso_on_every_grid_pair():
             assert verify_conjugator(w, f, g), (f, g)
             conjugate += 1
     assert conjugate == 333
+
+
+def reference_push_window(window, F, G):
+    """Given h's pieces on [u0,u1], its pieces on [F(u0), F(u1)]:
+    h = G ∘ h_prev ∘ F⁻¹ there, one piece per gap between the images under
+    F of the breakpoints of h_prev, F and G∘h_prev, read at the gap's
+    midpoint."""
+    u0, u1 = window[0][0], window[-1][1]
+    v0, v1 = conjugacy._eval_local(window, u0), conjugacy._eval_local(window, u1)
+    bpts = {F.apply(p[0]) for p in window} | {F.apply(u1)}
+    bpts.update(F.apply(cut) for cut in F.cuts_in(u0, u1))
+    inv = conjugacy._inverse_pieces(window)
+    bpts.update(F.apply(conjugacy._eval_local(inv, cg)) for cg in G.cuts_in(v0, v1))
+    xs = sorted(bpts)
+    out = []
+    for lo, hi in zip(xs, xs[1:]):
+        # F⁻¹ at the midpoint, then h_prev, then G
+        u = F.apply_inverse((lo + hi) / 2)
+        mF, cF = F.germ(u)
+        _, _, m, c = conjugacy._piece(window, u)
+        mG, cG = G.germ(m * u + c)
+        out.append((lo, hi, mG * m / mF, mG * (c - m * cF / mF) + cG))
+    return conjugacy._merge_local(out)
+
+
+def reference_windows(f, g):
+    """(windows, top_lo) of each orbital, built window by window with
+    `reference_push_window` from φ until both sides sit in the top germ:
+    the construction that `conjugating_witness` makes with `compose`."""
+    out = []
+    for (a, b, parity), (c, d, _) in zip(f.regions(), g.regions()):
+        if not parity:
+            continue
+        F, G = (f, g) if parity > 0 else (f.inverse(), g.inverse())
+        t_f, s_f = conjugacy._cut_span(F, a, b)
+        t_g, s_g = conjugacy._cut_span(G, c, d)
+        p0, q0 = F.apply_inverse(t_f), G.apply_inverse(t_g)
+        phi_m = (t_g - q0) / (t_f - p0)
+        window = [(p0, t_f, phi_m, q0 - phi_m * p0)]
+        pieces, x_lo = list(window), p0
+        while not (x_lo >= s_f and conjugacy._eval_local(pieces, x_lo) >= s_g):
+            window = reference_push_window(window, F, G)
+            pieces.extend(window)
+            x_lo = window[0][0]
+        out.append((conjugacy._merge_local(pieces), x_lo))
+    return out
+
+
+def test_windows_match_the_window_by_window_reference():
+    """On every conjugate grid pair and every seeded pair, the windows and
+    top_lo that `conjugating_witness` composes from clipped maps are those
+    of the window-by-window reference."""
+    grid = [(f, g, w) for f, g, w, _ in grid_witnesses() if w is not None]
+    seeded = [(f, g, w) for f, g, w, _ in seeded_witnesses()]
+    assert len(grid) == 333 and len(seeded) == 120
+    for f, g, w in grid + seeded:
+        built = [(s.windows, s.top_lo) for s in w.segments if isinstance(s, OrbitalSeg)]
+        assert built == reference_windows(f, g), (f, g)
 
 
 @given(plmaps, plmaps)
@@ -321,6 +379,21 @@ def test_verifier_refuses_an_orbital_over_a_fixed_point():
 half, two = Fraction(1, 2), Fraction(2)
 
 
+def test_verifier_accepts_a_single_window_from_a_cut_of_f():
+    """f = 2x on [0, 1/3] and x/2 + 1/2 on [1/3, 1] has its one inner cut
+    at 1/3.  The identity, as one window [1/3, 2/3] with top_lo = p0 = 1/3,
+    conjugates f to itself; the verifier clips f to the single point 1/3
+    there and accepts it, and refuses the window moved up by 1/9."""
+    f = PLMap(0, 0, [0, Fraction(1, 3), 1], [1, 2, half, 1])
+    third, one, zero = Fraction(1, 3), Fraction(1), Fraction(0)
+    seg = OrbitalSeg(zero, one, zero, one, third, third, [(third, 2 * third, one, zero)],
+                     third, (two, zero), (two, zero), (half, half), (half, half))
+    fixed = [FixedSeg(NEG_INF, zero, (one, zero)), FixedSeg(one, POS_INF, (one, zero))]
+    assert verify_conjugator(Conjugator([fixed[0], seg, fixed[1]]), f, f)
+    moved = replace(seg, windows=[(third, 2 * third, one, Fraction(1, 9))])
+    assert not verify_conjugator(Conjugator([fixed[0], moved, fixed[1]]), f, f)
+
+
 @pytest.mark.parametrize("germ, x, edge", [
     # the germ moves x away from the edge: down toward its fixed point 0,
     # forward, and up toward it, backward
@@ -398,6 +471,29 @@ def breakpoints(seg, F, G):
     return sorted(bpts)
 
 
+def reference_germ_side(s, S):
+    """The germ-recursion hypotheses of `verify_conjugator` read from the
+    segment s itself, the inverse segment on g's side: the windows run
+    from p0 inside (a, b) past top_lo, S moves p0 up and carries top_lo to
+    the windows' end, every cut of S inside (a, b) lies in [p0, top_lo],
+    the pieces of S right of a and of top_lo are alpha and alpha_top, and
+    these germs fix a finite end and keep S above the identity at an
+    infinite one."""
+    lo, hi = s.windows[0][0], s.windows[-1][1]
+    if not (s.a < s.p0 == lo <= s.top_lo < hi < s.b):
+        return False
+    if not (S.apply(s.p0) > s.p0 and S.apply(s.top_lo) == hi):
+        return False
+    cuts = S.cuts_in(s.a, s.b)
+    if cuts and not (lo <= cuts[0] and cuts[-1] <= s.top_lo):
+        return False
+    if S.germ(s.a) != s.alpha or S.germ(s.top_lo) != s.alpha_top:
+        return False
+    bottom = conjugacy._ap(s.alpha, s.a) == s.a if is_finite(s.a) else s.alpha[0] <= 1
+    top = conjugacy._ap(s.alpha_top, s.b) == s.b if is_finite(s.b) else s.alpha_top[0] >= 1
+    return bottom and top
+
+
 def reference_orbital(seg, f, g):
     """The orbital check of `verify_conjugator` by point probes: h(F(x)) ==
     G(h(x)) at every breakpoint of either side over [lo_ext, top_lo], at the
@@ -413,7 +509,7 @@ def reference_orbital(seg, f, g):
             return False
         prev = (hi, m * hi + c)
     F, G = upward(seg, f, g)
-    if not (conjugacy._germ_side(seg, F) and conjugacy._germ_side(seg.inverse(), G)):
+    if not (reference_germ_side(seg, F) and reference_germ_side(seg.inverse(), G)):
         return False
     xs = breakpoints(seg, F, G)
     probes = list(xs)

@@ -554,6 +554,29 @@ def test_restriction_stores_what_the_pieces_build():
             assert storage(x) == storage(y)
 
 
+@given(plmaps, rationals, rationals)
+@example(F_SHARED, Fraction(0), Fraction(1))
+@example(PLMap.identity(), Fraction(0), Fraction(1))
+def test_clip_is_the_map_on_the_interval(f, q, r):
+    """Over every interval whose ends lie at ±∞, at f's cuts or at two
+    more points, some holding no cut of f: the clip agrees with f inside,
+    has f's values at the finite ends, has no cut outside, and stores what
+    the checked constructor builds from its cuts and slopes.  At a single
+    point it is f's piece right of it."""
+    ends = sorted({NEG_INF, POS_INF, q, r, *f.cuts})
+    for k, lo in enumerate(ends):
+        for hi in ends[k + 1:]:
+            c = f.clip(lo, hi)
+            assert c.agrees_on(f, QInterval(lo, hi)), (f, lo, hi)
+            assert all(c.apply(x) == f.apply(x) for x in (lo, hi) if is_finite(x))
+            assert all(lo < x < hi for x in c.cuts)
+            assert_canonical(c)
+            assert storage(PLMap(0, c.c0, c.cuts, c.slopes)) == storage(c)
+    for x in ends[1:-1]:
+        c = f.clip(x, x)
+        assert c.cuts == () and c.pieces == (f.germ(x),)
+
+
 def test_text_format_is_unchanged():
     text = "\n".join(format_pl(gen_plmap(s, 8)) for s in range(300))
     assert hashlib.sha256(text.encode()).hexdigest() == FORMAT_SHA256
