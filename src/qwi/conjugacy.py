@@ -259,7 +259,7 @@ def _orbital_seg(f: PLMap, g: PLMap, a, b, c, d, parity: int) -> OrbitalSeg:
     pieces: list[LocalPiece] = []
     for _ in range(100000):
         ends = (u0, *w.cuts_in(u0, u1), u1)  # w's cuts all lie inside
-        pieces += [(lo, hi, *piece) for lo, hi, piece in zip(ends, ends[1:], w.pieces)]
+        pieces += [(lo, hi, *w.germ(lo)) for lo, hi in zip(ends, ends[1:])]
         if u0 >= s_f and v0 >= s_g:
             return OrbitalSeg(a, b, c, d, p0, q0, _merge_local(pieces), u0,
                               F.germ(a), G.germ(c), F.germ(s_f), G.germ(s_g))
@@ -337,12 +337,11 @@ def verify_conjugator(h: Conjugator, f: PLMap, g: PLMap) -> bool:
     """
     if not _tiles(h.segments):
         return False
-    f_inv, g_inv = f.inverse(), g.inverse()
     for seg in h.segments:
         if isinstance(seg, FixedSeg):
             if not _verify_fixed(seg, f, g):
                 return False
-        elif not _verify_orbital(seg, f, g, f_inv, g_inv):
+        elif not _verify_orbital(seg, f, g):
             return False
     return True
 
@@ -394,8 +393,7 @@ def _fixes(f: PLMap, lo: ExtRat, hi: ExtRat) -> bool:
     return f.agrees_on(PLMap.identity(), QInterval(lo, hi))
 
 
-def _verify_orbital(seg: OrbitalSeg, f: PLMap, g: PLMap,
-                    f_inv: PLMap, g_inv: PLMap) -> bool:
+def _verify_orbital(seg: OrbitalSeg, f: PLMap, g: PLMap) -> bool:
     # windows must be continuous and increasing
     prev = None
     for lo, hi, m, c in seg.windows:
@@ -405,7 +403,7 @@ def _verify_orbital(seg: OrbitalSeg, f: PLMap, g: PLMap,
             return False
         prev = (hi, m * hi + c)
     # F and G act upward; the direction is read from f and g takes the same
-    F, G = (f, g) if f.apply(seg.p0) > seg.p0 else (f_inv, g_inv)
+    F, G = (f, g) if f.apply(seg.p0) > seg.p0 else (f.inverse(), g.inverse())
     # the window stack W as one map: G's side of the orbital is its image
     windows, p0, top_lo, end = seg.windows, seg.p0, seg.top_lo, seg.windows[-1][1]
     _, _, m0, c0 = windows[0]

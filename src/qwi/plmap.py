@@ -15,16 +15,17 @@ cuts in increasing order and drops a cut between equal slopes, and every
 slope is a product or a reciprocal of positive slopes or one of the map's
 own; a restriction adds fixed cuts beside which the map moves points, so
 its slope there is not 1, and a clip keeps one slice of the storage.
-`regions` reads the displacement yᵢ - xᵢ at the cuts.  The (slope,
-intercept) pieces belong to the text format:
-`parse_pl` alone reads them, and `pieces` derives them once per map.
+`regions` reads the displacement yᵢ - xᵢ at the cuts, and `germ` one
+(slope, intercept) piece, its intercept from the cut at its left end and
+that cut's image, or `c0` for the first piece.  The text format prints
+the pieces, and `parse_pl` alone reads them.
 
 Only this module reads the storage, so a change of storage stays inside
 this file.  `predicates`, `patterns` and `interp` read a map through the
 group operations (`compose`, `inverse`, `conjugate_by`), `restrict`,
 equality and hashing, `apply`, `support`, `signed_support`, `fixed_items`
-and `regions`.  `conjugacy` also reads `germ`, `pieces`, `cuts_in`,
-`apply_inverse`, `agrees_on` and `clip`.
+and `regions`.  `conjugacy` also reads `germ`, `cuts_in`, `apply_inverse`,
+`agrees_on` and `clip`.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ class PLMap:
     """An order-automorphism of ℚ in breakpoint form: `len(cuts)` cuts and
     their images, `len(cuts)+1` slopes and the first piece's intercept."""
 
-    __slots__ = ("cuts", "image_cuts", "slopes", "c0", "_pieces", "_regions",
-                 "_signed", "_support", "_hash")
+    __slots__ = ("cuts", "image_cuts", "slopes", "c0", "_regions", "_signed",
+                 "_support", "_hash")
 
     # -- construction ------------------------------------------------------
 
@@ -113,7 +114,6 @@ class PLMap:
         self.slopes = slopes
         #: the intercept of the first piece: its line meets x = 0 at c0
         self.c0 = c0
-        self._pieces: tuple[Piece, ...] | None = None
         self._regions: tuple[tuple[ExtRat, ExtRat, int], ...] | None = None
         self._signed: tuple[tuple[QInterval, int], ...] | None = None
         self._support: tuple[QInterval, ...] | None = None
@@ -130,21 +130,13 @@ class PLMap:
 
     # -- basic queries -----------------------------------------------------
 
-    @property
-    def pieces(self) -> tuple[Piece, ...]:
-        """The (slope, intercept) of each gap, derived once per map."""
-        if self._pieces is None:
-            ms = self.slopes
-            self._pieces = ((ms[0], self.c0), *(
-                (m, y - m * x) for x, y, m in zip(self.cuts, self.image_cuts, ms[1:])))
-        return self._pieces
-
     def is_identity(self) -> bool:
         return not self.cuts and self.slopes[0] == 1 and not self.c0
 
     def germ(self, x: ExtRat) -> Piece:
         """The affine piece in force just right of x; x may be ±∞."""
-        return self.pieces[bisect_right(self.cuts, x)]
+        i = bisect_right(self.cuts, x)
+        return self.slopes[i], self._intercept(i)
 
     def cuts_in(self, lo: ExtRat, hi: ExtRat) -> tuple[Rat, ...]:
         """The cuts strictly between lo and hi, left to right."""
@@ -163,8 +155,7 @@ class PLMap:
         if type(q) is not Rat:
             q = Rat(q)
         i = bisect_right(self.image_cuts, q)
-        m, c = self.pieces[i]
-        return (q - c) / m
+        return (q - self._intercept(i)) / self.slopes[i]
 
     def _intercept(self, i: int) -> Rat:
         """Where the line of piece i meets x = 0."""
@@ -388,7 +379,7 @@ def format_pl(f: PLMap) -> str:
     if f.is_identity():
         return "pl id"
     cuts = ",".join(str(c) for c in f.cuts)
-    pieces = ",".join(f"({m},{c})" for m, c in f.pieces)
+    pieces = ",".join(f"({m},{c})" for m, c in map(f.germ, (NEG_INF, *f.cuts)))
     return f"pl cuts=[{cuts}] pieces=[{pieces}]"
 
 

@@ -319,6 +319,17 @@ def one_bump_witness():
     return f, conjugating_witness(f, f)
 
 
+def test_verifier_inverts_f_and_g_only_for_an_orbital_that_f_moves_down(monkeypatch):
+    f, w = one_bump_witness()
+    down = f.inverse()
+    w_down = conjugating_witness(down, down)
+    calls = []
+    real = PLMap.inverse
+    monkeypatch.setattr(PLMap, "inverse", lambda self: calls.append(self) or real(self))
+    assert verify_conjugator(w, f, f) and calls == []
+    assert verify_conjugator(w_down, down, down) and calls == [down, down]
+
+
 def test_verifier_refuses_a_conjugator_that_does_not_tile():
     f, w = one_bump_witness()
     assert [type(s).__name__ for s in w.segments] == ["FixedSeg", "OrbitalSeg", "FixedSeg"]

@@ -31,6 +31,15 @@ G_SHARED = parse_pl("pl cuts=[-1,1/2] pieces=[(1,1),(2/3,2/3),(1,1/2)]")
 H_SHARED = parse_pl("pl cuts=[0] pieces=[(1,1),(2,1)]")
 
 
+def reference_pieces(f: PLMap) -> tuple[tuple[Rat, Rat], ...]:
+    """The (slope, intercept) of each gap, derived from the breakpoint
+    storage all at once: the piece table that `germ`, `apply`,
+    `apply_inverse` and `format_pl` each read one piece of."""
+    ms = f.slopes
+    return ((ms[0], f.c0), *(
+        (m, y - m * x) for x, y, m in zip(f.cuts, f.image_cuts, ms[1:])))
+
+
 def test_constructor_rejects_bad_data():
     for text, message in [
         ("pl cuts=[0] pieces=[(1,0)]", "1 cuts need 2 pieces, got 1"),
@@ -207,7 +216,7 @@ def displacement_signs(f: PLMap) -> set[int]:
     pieces without the region walk: the reference for `comp_sem`."""
     signs: set[int] = set()
     ends = [NEG_INF, *f.cuts, POS_INF]
-    for (m, c), lo, hi in zip(f.pieces, ends, ends[1:]):
+    for (m, c), lo, hi in zip(reference_pieces(f), ends, ends[1:]):
         # d(x) = (m-1)x + c is affine; its sign range on [lo, hi] is
         # determined by the (limit) values at the two ends.
         for end in (lo, hi):
@@ -298,7 +307,7 @@ def test_cuts_in_is_the_cuts_strictly_inside(f, q):
 def test_germ_is_the_piece_right_of_x(f, q):
     mids = [(a + b) / 2 for a, b in zip(f.cuts, f.cuts[1:])]
     for x in [NEG_INF, POS_INF, q, *f.cuts, *mids]:
-        assert f.germ(x) == f.pieces[sum(1 for c in f.cuts if c <= x)]
+        assert f.germ(x) == reference_pieces(f)[sum(1 for c in f.cuts if c <= x)]
 
 
 @given(plmaps)
@@ -410,7 +419,7 @@ def ref_regions(f: PLMap):
     (m, c), orbital signs from f(x) - x at one fresh point of each orbital."""
     fixed = []
     ends = [NEG_INF, *f.cuts, POS_INF]
-    for (m, c), lo, hi in zip(f.pieces, ends, ends[1:]):
+    for (m, c), lo, hi in zip(reference_pieces(f), ends, ends[1:]):
         if m == 1:
             if c != 0:
                 continue
@@ -449,7 +458,7 @@ def assert_canonical(f: PLMap):
     assert all(m > 0 for m in f.slopes)
     assert all(a != b for a, b in zip(f.slopes, f.slopes[1:]))
     assert f.image_cuts == tuple(ref_apply(f, b) for b in f.cuts)
-    assert f.pieces[0] == (f.slopes[0], f.c0)
+    assert [f.germ(x) for x in (NEG_INF, *f.cuts)] == list(reference_pieces(f))
     assert parse_pl(format_pl(f)) == f
 
 
@@ -574,7 +583,28 @@ def test_clip_is_the_map_on_the_interval(f, q, r):
             assert storage(PLMap(0, c.c0, c.cuts, c.slopes)) == storage(c)
     for x in ends[1:-1]:
         c = f.clip(x, x)
-        assert c.cuts == () and c.pieces == (f.germ(x),)
+        assert reference_pieces(c) == (f.germ(x),)
+
+
+def test_each_reader_of_a_piece_matches_the_reference_table():
+    """germ, apply, apply_inverse and format_pl read one piece at a time
+    off the storage; on seeded maps and maps without cuts each equals the
+    piece table built all at once: the germs at -∞ and at every cut, the
+    values at the cuts, between them and beyond both ends, the preimages
+    of those values and the printed pieces."""
+    rnd = random.Random("piece readers")
+    no_cuts = [PLMap.identity(), PLMap.translation(Fraction(-3, 2)),
+               PLMap(1, 2, (), (Fraction(5, 3),))]
+    for f in [*(gen_plmap_rnd(rnd, 8) for _ in range(300)), *no_cuts]:
+        pieces = reference_pieces(f)
+        assert tuple(f.germ(x) for x in (NEG_INF, *f.cuts)) == pieces
+        for x in probes(f.cuts):
+            m, c = pieces[sum(1 for b in f.cuts if b <= x)]
+            assert f.apply(x) == m * x + c
+            assert f.apply_inverse(m * x + c) == x
+        printed = ",".join(f"({m},{c})" for m, c in pieces)
+        assert format_pl(f) == ("pl id" if f.is_identity() else
+                                f"pl cuts=[{','.join(map(str, f.cuts))}] pieces=[{printed}]")
 
 
 def test_text_format_is_unchanged():

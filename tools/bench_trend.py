@@ -7,9 +7,10 @@ DIR (default: the root of this checkout), in the order of n and then of
 the suffix, and prints for each: the library line count of the base and
 of the change, and for every workload the change side's median
 `tasks_per_s`, the change/base ratio of the two medians, the base side's
-interquartile range as a share of its median, the verdict and the verdicts
-of the exact counts (`counts.verdict`).  A field that an older record lacks
-prints as "-".  A gain smaller than the base side's spread cannot read as
+interquartile range as a share of its median and the verdict, then the
+verdicts of the other end-to-end metrics, `setup_s` and `peak_rss_mb`,
+and those of the exact counts (`counts.verdict`).  A field that an older
+record lacks prints as "-".  A gain smaller than the base side's spread cannot read as
 `gain`, so the IQR share shows which workloads can resolve a gain of a
 given size.
 Wall times are comparable only within one record, so the medians show
@@ -48,6 +49,8 @@ def line(path: Path) -> str:
             "-" if median is None or not base else f"×{median / base:.2f}",
             "base IQR", "-" if iqr is None or not base else f"{iqr / base:.1%}",
             tps.get("verdict", "-"),
+            *(f"{metric} {workload.get(metric, {}).get('verdict', '-')}"
+              for metric in ("setup_s", "peak_rss_mb")),
             "counts", ",".join(f"{k}={v}" for k, v in counts.items()) or "-"]))
     return " | ".join(fields)
 
