@@ -10,9 +10,9 @@ of the change, and for every workload the change side's median
 interquartile range as a share of its median and the verdict, then the
 verdicts of the other end-to-end metrics, `setup_s` and `peak_rss_mb`,
 and those of the exact counts (`counts.verdict`).  A field that an older
-record lacks prints as "-".  A gain smaller than the base side's spread cannot read as
-`gain`, so the IQR share shows which workloads can resolve a gain of a
-given size.
+record lacks prints as "-".  A gain smaller than the base side's spread
+cannot read as `gain`, so the IQR share shows which workloads can resolve
+a gain of a given size.
 Wall times are comparable only within one record, so the medians show
 the trend of a host as much as of the code; the verdicts and counts do not.
 Standard library only.
