@@ -22,8 +22,8 @@ witness: it proves that h tiles ℚ, that the fixed regions are fixed, that
 f and g are pure affine germs on each orbital's tails and equal to the
 germs h stores there, and W∘F = G∘W for the window stack W as one map,
 on the range that F maps into the windows, by `PLMap.compose` on F and G
-clipped to what that range reads of them and `PLMap.agrees_on`; germ
-purity carries the identity over the tails.
+clipped to what that range reads of them and equal clips of the two sides
+to that range; germ purity carries the identity over the tails.
 """
 
 from __future__ import annotations
@@ -223,8 +223,13 @@ def conjugating_witness(f: PLMap, g: PLMap) -> Optional[Conjugator]:
     regions_f, regions_g = f.regions(), g.regions()
     if [(s, lo == hi) for lo, hi, s in regions_f] != [(s, lo == hi) for lo, hi, s in regions_g]:
         return None
+    # F, F⁻¹ and G act upward: f, f⁻¹, g on an up orbital, f⁻¹, f, g⁻¹ on a down one
+    f_inv = f.inverse()
+    up = (f, f_inv, g)
+    down = (f_inv, f, g.inverse()) if any(s < 0 for _, _, s in regions_f) else None
     return Conjugator([
-        _orbital_seg(f, g, lo, hi, lo2, hi2, sign) if sign else _fixed_seg(lo, hi, lo2, hi2)
+        _orbital_seg(*(up if sign > 0 else down), lo, hi, lo2, hi2) if sign
+        else _fixed_seg(lo, hi, lo2, hi2)
         for (lo, hi, sign), (lo2, hi2, _) in zip(regions_f, regions_g)])
 
 
@@ -245,12 +250,13 @@ def _cut_span(F: PLMap, a: ExtRat, b: ExtRat) -> tuple[Fraction, Fraction]:
     return inside[0], inside[-1]
 
 
-def _orbital_seg(f: PLMap, g: PLMap, a, b, c, d, parity: int) -> OrbitalSeg:
-    F, F_inv = (f, f.inverse()) if parity > 0 else (f.inverse(), f)
-    G = g if parity > 0 else g.inverse()
+def _orbital_seg(F: PLMap, F_inv: PLMap, G: PLMap, a, b, c, d) -> OrbitalSeg:
     t_f, s_f = _cut_span(F, a, b)
     t_g, s_g = _cut_span(G, c, d)
-    p0, q0 = F.apply_inverse(t_f), G.apply_inverse(t_g)
+    # F is its bottom germ alpha on (a, t_f] and moves points up, so
+    # F⁻¹(t_f) = alpha⁻¹(t_f); likewise for G
+    alpha, beta = F.germ(a), G.germ(c)
+    p0, q0 = _ap_inv(alpha, t_f), _ap_inv(beta, t_g)
     # explicit windows: transport φ upward until both sides sit in the top
     # germ.  w is h on the window [u0, u1 = F(u0)] onto [v0, v1 = G(v0)], and
     # the next window is G ∘ w ∘ F⁻¹ with G and F⁻¹ clipped to what it reads
@@ -262,7 +268,7 @@ def _orbital_seg(f: PLMap, g: PLMap, a, b, c, d, parity: int) -> OrbitalSeg:
         pieces += [(lo, hi, *w.germ(lo)) for lo, hi in zip(ends, ends[1:])]
         if u0 >= s_f and v0 >= s_g:
             return OrbitalSeg(a, b, c, d, p0, q0, _merge_local(pieces), u0,
-                              F.germ(a), G.germ(c), F.germ(s_f), G.germ(s_g))
+                              alpha, beta, F.germ(s_f), G.germ(s_g))
         u2 = F.apply(u1)
         w = G.clip(v0, v1).compose(w).compose(F_inv.clip(u1, u2))
         u0, u1, v0, v1 = u1, u2, v1, G.apply(v1)
@@ -288,7 +294,8 @@ def verify_conjugator(h: Conjugator, f: PLMap, g: PLMap) -> bool:
 
     Only f and g are trusted.  The segments of h are data to be checked,
     and the maps F, G that act upward on an orbital are f, g or their
-    inverses, chosen by the direction f moves the orbital's p0.  Proved:
+    inverses (taken once, if f moves some orbital down), chosen by the
+    direction f moves the orbital's p0.  Proved:
 
     - tiling: the segments alternate between fixed regions and orbitals
       and abut from -∞ to +∞, and so do their images;
@@ -309,7 +316,8 @@ def verify_conjugator(h: Conjugator, f: PLMap, g: PLMap) -> bool:
       closed range [p0, top_lo].  The two sides compose
       F.clip(p0, top_lo) and G.clip(W(p0), W(top_lo)), which agree with F
       and G where W∘F and G∘W read them on (p0, top_lo): F at the points
-      of (p0, top_lo) and G at their images under the increasing W.
+      of (p0, top_lo) and G at their images under the increasing W.  The
+      two sides are compared by equal clips to (p0, top_lo).
 
     The rest of the orbital needs no check of its own:
 
@@ -337,11 +345,16 @@ def verify_conjugator(h: Conjugator, f: PLMap, g: PLMap) -> bool:
     """
     if not _tiles(h.segments):
         return False
+    f_inv = g_inv = None
     for seg in h.segments:
         if isinstance(seg, FixedSeg):
-            if not _verify_fixed(seg, f, g):
-                return False
-        elif not _verify_orbital(seg, f, g):
+            ok = _verify_fixed(seg, f, g)
+        elif f.apply(seg.p0) > seg.p0:
+            ok = _verify_orbital(seg, f, g)
+        else:  # f moves the orbital down, so F and G are the inverses
+            f_inv, g_inv = f_inv or f.inverse(), g_inv or g.inverse()
+            ok = _verify_orbital(seg, f_inv, g_inv)
+        if not ok:
             return False
     return True
 
@@ -387,13 +400,14 @@ def _verify_fixed(seg: FixedSeg, f: PLMap, g: PLMap) -> bool:
 
 def _fixes(f: PLMap, lo: ExtRat, hi: ExtRat) -> bool:
     """Whether f is the identity on [lo, hi], structurally: f fixes the one
-    (finite) point, or every piece of f on (lo, hi) is the identity's."""
+    (finite) point, or f's clip to (lo, hi) equals the identity (equal
+    clips), so f has no cut inside and its one piece there is x ↦ x."""
     if lo == hi:
         return is_finite(lo) and f.apply(lo) == lo
-    return f.agrees_on(PLMap.identity(), QInterval(lo, hi))
+    return f.clip(lo, hi) == PLMap.identity()
 
 
-def _verify_orbital(seg: OrbitalSeg, f: PLMap, g: PLMap) -> bool:
+def _verify_orbital(seg: OrbitalSeg, F: PLMap, G: PLMap) -> bool:
     # windows must be continuous and increasing
     prev = None
     for lo, hi, m, c in seg.windows:
@@ -402,8 +416,6 @@ def _verify_orbital(seg: OrbitalSeg, f: PLMap, g: PLMap) -> bool:
         if prev is not None and (prev[0] != lo or prev[1] != m * lo + c):
             return False
         prev = (hi, m * hi + c)
-    # F and G act upward; the direction is read from f and g takes the same
-    F, G = (f, g) if f.apply(seg.p0) > seg.p0 else (f.inverse(), g.inverse())
     # the window stack W as one map: G's side of the orbital is its image
     windows, p0, top_lo, end = seg.windows, seg.p0, seg.top_lo, seg.windows[-1][1]
     _, _, m0, c0 = windows[0]
@@ -417,9 +429,9 @@ def _verify_orbital(seg: OrbitalSeg, f: PLMap, g: PLMap) -> bool:
     # the conjugation identity on [p0, top_lo], which F maps into the
     # windows: there h∘F is W∘F and h is W.  No point below p0 or past the
     # windows is read: germ purity carries the identity there (see
-    # `verify_conjugator`).
-    return W.compose(F.clip(p0, top_lo)).agrees_on(
-        G.clip(w0, w_top).compose(W), QInterval(p0, top_lo))
+    # `verify_conjugator`).  A one-point range is the anchor's, not a clip's.
+    return p0 == top_lo or (W.compose(F.clip(p0, top_lo)).clip(p0, top_lo)
+                            == G.clip(w0, w_top).compose(W).clip(p0, top_lo))
 
 
 def _germ_side(S: PLMap, a: ExtRat, b: ExtRat, p0: Fraction, lo: Fraction,

@@ -21,11 +21,12 @@ that cut's image, or `c0` for the first piece.  The text format prints
 the pieces, and `parse_pl` alone reads them.
 
 Only this module reads the storage, so a change of storage stays inside
-this file.  `predicates`, `patterns` and `interp` read a map through the
-group operations (`compose`, `inverse`, `conjugate_by`), `restrict`,
-equality and hashing, `apply`, `support`, `signed_support`, `fixed_items`
-and `regions`.  `conjugacy` also reads `germ`, `cuts_in`, `apply_inverse`,
-`agrees_on` and `clip`.
+this file.  What other modules read of a map is listed here and nowhere
+else.  `predicates`, `patterns` and `interp` read `identity`,
+`translation`, the group operations (`compose`, `inverse`, `conjugate_by`),
+`restrict`, equality and hashing, `apply`, `support`, `signed_support`,
+`fixed_items` and `regions`.  `conjugacy` also reads `germ`, `cuts_in` and
+`clip`.
 """
 
 from __future__ import annotations
@@ -161,27 +162,10 @@ class PLMap:
         """Where the line of piece i meets x = 0."""
         return self.image_cuts[i - 1] - self.slopes[i] * self.cuts[i - 1] if i else self.c0
 
-    def agrees_on(self, other: "PLMap", iv: QInterval) -> bool:
-        """Exact equality of self and other on the open interval `iv`: the
-        same cuts inside it, the same slope on every gap they leave and one
-        equal value, at the first of those cuts or, where there is none, the
-        one piece's intercept.  Both maps are continuous."""
-        if iv.is_empty():
-            return True
-        lo, hi = iv.lo, iv.hi
-        cuts = self.cuts_in(lo, hi)
-        if cuts != other.cuts_in(lo, hi):
-            return False
-        i, j, n = bisect_right(self.cuts, lo), bisect_right(other.cuts, lo), len(cuts)
-        if self.slopes[i:i + n + 1] != other.slopes[j:j + n + 1]:
-            return False
-        if n:
-            return self.image_cuts[i] == other.image_cuts[j]
-        return self._intercept(i) == other._intercept(j)
-
     def clip(self, lo: ExtRat, hi: ExtRat) -> "PLMap":
         """Self on [lo, hi], its end pieces extended: a slice of the storage,
-        so canonical.  Where hi ≤ lo it is the piece right of lo."""
+        so canonical, and two maps are equal on a nonempty (lo, hi) exactly
+        when their clips are.  Where hi ≤ lo it is the piece right of lo."""
         i = bisect_right(self.cuts, lo)
         j = bisect_left(self.cuts, hi, i)
         return PLMap.__new__(PLMap)._store(self.cuts[i:j], self.image_cuts[i:j],

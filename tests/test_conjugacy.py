@@ -319,15 +319,45 @@ def one_bump_witness():
     return f, conjugating_witness(f, f)
 
 
+def two_down_bumps():
+    """f moves (0, 1) and (2, 3) down and (4, 5) up; g is f conjugated by
+    a translation, so a witness exists."""
+    bumps = [make_bump(QInterval(Fraction(lo), Fraction(lo + 1)), up=lo == 4)
+             for lo in (0, 2, 4)]
+    f = functools.reduce(PLMap.compose, bumps)
+    return f, f.conjugate_by(PLMap.translation(Fraction(1, 2)))
+
+
+def counted_inverses(monkeypatch):
+    calls = []
+    real = PLMap.inverse
+    monkeypatch.setattr(PLMap, "inverse", lambda self: calls.append(self) or real(self))
+    return calls
+
+
 def test_verifier_inverts_f_and_g_only_for_an_orbital_that_f_moves_down(monkeypatch):
     f, w = one_bump_witness()
     down = f.inverse()
     w_down = conjugating_witness(down, down)
-    calls = []
-    real = PLMap.inverse
-    monkeypatch.setattr(PLMap, "inverse", lambda self: calls.append(self) or real(self))
+    f2, g2 = two_down_bumps()
+    w2 = conjugating_witness(f2, g2)
+    calls = counted_inverses(monkeypatch)
     assert verify_conjugator(w, f, f) and calls == []
     assert verify_conjugator(w_down, down, down) and calls == [down, down]
+    # two orbitals moved down: f⁻¹ and g⁻¹ once each, not once per orbital
+    calls.clear()
+    assert verify_conjugator(w2, f2, g2) and calls == [f2, g2]
+
+
+def test_construction_inverts_f_and_g_at_most_once(monkeypatch):
+    """f⁻¹ is read on every orbital and g⁻¹ on a down one; each is taken
+    once per call, however many orbitals read it."""
+    f, g = two_down_bumps()
+    up = make_bump(QInterval(Fraction(0), Fraction(1)))
+    calls = counted_inverses(monkeypatch)
+    assert conjugating_witness(f, g) is not None and calls == [f, g]
+    calls.clear()
+    assert conjugating_witness(up, up) is not None and calls == [up]
 
 
 def test_verifier_refuses_a_conjugator_that_does_not_tile():
@@ -393,14 +423,23 @@ half, two = Fraction(1, 2), Fraction(2)
 def test_verifier_accepts_a_single_window_from_a_cut_of_f():
     """f = 2x on [0, 1/3] and x/2 + 1/2 on [1/3, 1] has its one inner cut
     at 1/3.  The identity, as one window [1/3, 2/3] with top_lo = p0 = 1/3,
-    conjugates f to itself; the verifier clips f to the single point 1/3
-    there and accepts it, and refuses the window moved up by 1/9."""
+    conjugates f to itself, and so does the window bent at 1/2 ↦ 5/9: any
+    increasing map of [1/3, 2/3] onto itself extends to one that commutes
+    with f.  The range (p0, top_lo) is empty, and the verifier accepts
+    both without comparing W∘f and f∘W right of 1/3, where the bent window
+    makes them differ; it refuses the window moved up by 1/9."""
     f = PLMap(0, 0, [0, Fraction(1, 3), 1], [1, 2, half, 1])
     third, one, zero = Fraction(1, 3), Fraction(1), Fraction(0)
     seg = OrbitalSeg(zero, one, zero, one, third, third, [(third, 2 * third, one, zero)],
                      third, (two, zero), (two, zero), (half, half), (half, half))
     fixed = [FixedSeg(NEG_INF, zero, (one, zero)), FixedSeg(one, POS_INF, (one, zero))]
     assert verify_conjugator(Conjugator([fixed[0], seg, fixed[1]]), f, f)
+    bent = Conjugator([fixed[0], replace(seg, windows=[
+        (third, half, Fraction(4, 3), Fraction(-1, 9)),
+        (half, 2 * third, 2 * third, Fraction(2, 9))]), fixed[1]])
+    assert verify_conjugator(bent, f, f)
+    for x in (Fraction(1, 7), Fraction(2, 5), Fraction(1, 2), Fraction(3, 5), Fraction(9, 10)):
+        assert bent.apply(f.apply(x)) == f.apply(bent.apply(x)), x
     moved = replace(seg, windows=[(third, 2 * third, one, Fraction(1, 9))])
     assert not verify_conjugator(Conjugator([fixed[0], moved, fixed[1]]), f, f)
 

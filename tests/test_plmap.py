@@ -140,29 +140,34 @@ ext_ends = st.one_of(rationals, st.just(NEG_INF), st.just(POS_INF))
 @example(F_SHARED, Fraction(0), Fraction(1), Fraction(1), Fraction(2))
 @example(F_SHARED, NEG_INF, Fraction(0), Fraction(-1), Fraction(0))
 def test_agrees_on_sees_a_bump(f, j0, j1, i0, i1):
+    """f and f after a bump on J have equal clips to a nonempty interval
+    exactly when it lies apart from J."""
     J = QInterval(min(j0, j1), max(j0, j1))
     if J.is_empty():
         return
-    iv = QInterval(min(i0, i1), max(i0, i1))
+    lo, hi = min(i0, i1), max(i0, i1)
     moved = f.compose(make_bump(J))
-    apart = iv.is_empty() or iv.hi <= J.lo or J.hi <= iv.lo
-    assert f.agrees_on(moved, iv) == apart
-    assert moved.agrees_on(f, iv) == apart
-    assert f.agrees_on(f, iv) and f.agrees_on(moved, QInterval(NEG_INF, J.lo))
+    if lo < hi:
+        apart = hi <= J.lo or J.hi <= lo
+        assert (f.clip(lo, hi) == moved.clip(lo, hi)) == apart
+        assert (moved.clip(lo, hi) == f.clip(lo, hi)) == apart
+        assert f.clip(lo, hi) == f.clip(lo, hi)
+    if is_finite(J.lo):
+        assert f.clip(NEG_INF, J.lo) == moved.clip(NEG_INF, J.lo)
 
 
 def test_agrees_on_compares_the_slopes_after_shared_cuts():
     # same cuts and same first piece; the slopes after the cut at 0 differ
     f = PLMap(0, 0, [0, 1], [1, 2, 1])
     g = PLMap(0, 0, [0, 1], [1, 3, 1])
-    assert f.agrees_on(g, QInterval(NEG_INF, Fraction(0)))
-    for iv in (QInterval(Fraction(-1), Fraction(1, 2)), QInterval(NEG_INF, POS_INF),
-               QInterval(Fraction(0), Fraction(1))):
-        assert not f.agrees_on(g, iv) and not g.agrees_on(f, iv)
+    assert f.clip(NEG_INF, Fraction(0)) == g.clip(NEG_INF, Fraction(0))
+    for lo, hi in ((Fraction(-1), Fraction(1, 2)), (NEG_INF, POS_INF),
+                   (Fraction(0), Fraction(1))):
+        assert f.clip(lo, hi) != g.clip(lo, hi) and g.clip(lo, hi) != f.clip(lo, hi)
 
 
 def reference_agrees_on(f: PLMap, g: PLMap, iv: QInterval) -> bool:
-    """`agrees_on` through the pieces: the same cuts inside iv, the same
+    """Equality on iv through the pieces: the same cuts inside iv, the same
     piece at its left end and the same slopes after each of those cuts."""
     if iv.is_empty():
         return True
@@ -187,7 +192,8 @@ def test_agrees_on_reads_the_storage_as_the_pieces_do(f, h, q, r):
     their slopes, or are composed as the verifier composes them (h∘f and
     g∘h for g = h∘f∘h⁻¹, also with a bump after g∘h), over intervals with
     ends at ±∞, at cuts of either map and between them, with and without
-    a cut inside: `agrees_on` gives the verdict of the pieces."""
+    a cut inside: equal clips give the verdict of the pieces on a nonempty
+    interval, and where hi ≤ lo equal clips are equal pieces right of lo."""
     g = f.conjugate_by(h)
     pairs = [(f, f), (f, h), (f, PLMap.translation(1).compose(f)), (f, resloped(f)),
              (f.compose(h), h.compose(f)), (f.compose(h), f.compose(resloped(h))),
@@ -200,8 +206,13 @@ def test_agrees_on_reads_the_storage_as_the_pieces_do(f, h, q, r):
         for lo in ends:
             for hi in ends:
                 iv = QInterval(lo, hi)
-                assert g0.agrees_on(g1, iv) == reference_agrees_on(g0, g1, iv), (g0, g1, iv)
-                assert g1.agrees_on(g0, iv) == reference_agrees_on(g1, g0, iv), (g0, g1, iv)
+                same = g0.clip(lo, hi) == g1.clip(lo, hi)
+                assert same == (g1.clip(lo, hi) == g0.clip(lo, hi)), (g0, g1, iv)
+                if iv.is_empty():
+                    assert same == (g0.germ(lo) == g1.germ(lo)), (g0, g1, iv)
+                else:
+                    assert same == reference_agrees_on(g0, g1, iv), (g0, g1, iv)
+                    assert same == reference_agrees_on(g1, g0, iv), (g0, g1, iv)
 
 
 @given(plmaps)
@@ -568,7 +579,7 @@ def test_restriction_stores_what_the_pieces_build():
 @example(PLMap.identity(), Fraction(0), Fraction(1))
 def test_clip_is_the_map_on_the_interval(f, q, r):
     """Over every interval whose ends lie at ±∞, at f's cuts or at two
-    more points, some holding no cut of f: the clip agrees with f inside,
+    more points, some holding no cut of f: the clip equals f inside,
     has f's values at the finite ends, has no cut outside, and stores what
     the checked constructor builds from its cuts and slopes.  At a single
     point it is f's piece right of it."""
@@ -576,7 +587,7 @@ def test_clip_is_the_map_on_the_interval(f, q, r):
     for k, lo in enumerate(ends):
         for hi in ends[k + 1:]:
             c = f.clip(lo, hi)
-            assert c.agrees_on(f, QInterval(lo, hi)), (f, lo, hi)
+            assert reference_agrees_on(c, f, QInterval(lo, hi)), (f, lo, hi)
             assert all(c.apply(x) == f.apply(x) for x in (lo, hi) if is_finite(x))
             assert all(lo < x < hi for x in c.cuts)
             assert_canonical(c)
