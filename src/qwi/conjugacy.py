@@ -219,7 +219,12 @@ def conjugating_witness(f: PLMap, g: PLMap) -> Optional[Conjugator]:
     each region's sign and, for a fixed region, whether it is one point.
     A conjugator keeps the shape, and for a `PLMap` equal shapes are equal
     orbital patterns, since the ends at ±∞ are the outermost and every
-    other end is rational."""
+    other end is rational.
+
+    The transport on an orbital builds one window per step of F until both
+    sides reach the top germ, and raises ConjugacyError past `_MAX_WINDOWS`
+    windows: a germ near the identity, say x ↦ x + 1/120000 on [0, 1],
+    needs more than that many steps to cross the orbital."""
     regions_f, regions_g = f.regions(), g.regions()
     if [(s, lo == hi) for lo, hi, s in regions_f] != [(s, lo == hi) for lo, hi, s in regions_g]:
         return None
@@ -250,6 +255,10 @@ def _cut_span(F: PLMap, a: ExtRat, b: ExtRat) -> tuple[Fraction, Fraction]:
     return inside[0], inside[-1]
 
 
+#: The windows the transport on one orbital may build before it gives up.
+_MAX_WINDOWS = 100000
+
+
 def _orbital_seg(F: PLMap, F_inv: PLMap, G: PLMap, a, b, c, d) -> OrbitalSeg:
     t_f, s_f = _cut_span(F, a, b)
     t_g, s_g = _cut_span(G, c, d)
@@ -263,7 +272,7 @@ def _orbital_seg(F: PLMap, F_inv: PLMap, G: PLMap, a, b, c, d) -> OrbitalSeg:
     w = PLMap(p0, q0, (), ((t_g - q0) / (t_f - p0),))
     u0, u1, v0, v1 = p0, t_f, q0, t_g
     pieces: list[LocalPiece] = []
-    for _ in range(100000):
+    for _ in range(_MAX_WINDOWS):
         ends = (u0, *w.cuts_in(u0, u1), u1)  # w's cuts all lie inside
         pieces += [(lo, hi, *w.germ(lo)) for lo, hi in zip(ends, ends[1:])]
         if u0 >= s_f and v0 >= s_g:

@@ -72,35 +72,19 @@ def encode_rational(q: Fraction, side: str = "right") -> PLMap:
     raise InterpError(f"side must be left or right, got {side!r}")
 
 
-def _set_encoder(points, below: Fraction, rise: Fraction, above: Fraction,
-                 empty_shift: Fraction) -> PLMap:
-    """Positive element fixing exactly `points`: a slope-`below` ray, one
-    bump per gap with first slope `rise`, and a slope-`above` ray."""
-    pts = sorted(set(Rat(a) for a in points))
-    if not pts:
-        return PLMap.translation(empty_shift)
-    cuts = [pts[0]]
-    slopes = [below]
-    for a, b in zip(pts, pts[1:]):
-        d = b - a
-        mid = a + d / (rise + 1)          # rise * (mid - a) + fall * (b - mid) = d
-        fall = (b - a - rise * (mid - a)) / (b - mid)
-        cuts.extend([mid, b])
-        slopes.extend([rise, fall])
-    slopes.append(above)
-    return PLMap(pts[0], pts[0], cuts, slopes)
-
-
 def encode_finite_set(S) -> PLMap:
-    """Fixed set exactly S: x/2-style ray below, three-piece bumps with
-    slopes 2 then 1/2 on each gap, doubling ray above; ∅ ↦ x+1."""
-    return _set_encoder(S, Rat(1, 2), Rat(2), Rat(2), Rat(1))
-
-
-def encode_finite_set_alt(S) -> PLMap:
-    """Second, independent encoder (different germ slopes) for
-    representation-independence checks."""
-    return _set_encoder(S, Rat(1, 3), Rat(3), Rat(3), Rat(2))
+    """Positive element fixing exactly S: a slope-1/2 ray below, on each
+    gap (a, b) a bump of slope 2 up to a + (b − a)/3 and 1/2 after it, and
+    a slope-2 ray above; ∅ ↦ x+1."""
+    pts = sorted(set(Rat(a) for a in S))
+    if not pts:
+        return PLMap.translation(1)
+    cuts, slopes = [pts[0]], [Rat(1, 2)]
+    for a, b in zip(pts, pts[1:]):
+        cuts += [a + (b - a) / 3, b]
+        slopes += [Rat(2), Rat(1, 2)]
+    slopes.append(Rat(2))
+    return PLMap(pts[0], pts[0], cuts, slopes)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ the numerator and denominator and build the result in `_rat`, which sets
 Fraction's private `_numerator` and `_denominator` slots (in every CPython
 from 3.10 on) without `Fraction.__new__`'s checks.  Other operands (the
 infinities, floats) take the inherited method.  Rationals enter as `Rat`
-through `parse_rational`, `pick_fresh`, `PLMap`, `Conjugator.apply` and the
-`interp` encoders.  A support is the tuple of its open components, sorted
-and pairwise disjoint, as `PLMap.support` builds it.  `gaps_of` is the one
-walk over the open gaps between sorted points, for maps and WMSO
+through `parse_rational`, `spread`, `PLMap`, `Conjugator.apply` and the
+`interp` encoders.  A support is the tuple of its open components, each
+a `QInterval`, sorted and pairwise disjoint, as `PLMap.signed_support`
+builds it with their signs.  `gaps_of` is the one walk over the open gaps
+between sorted points, and `spread` the one rule that places fresh points
+in a gap (`pick_fresh` is its one point), for maps and WMSO
 configurations alike.
 """
 
@@ -211,9 +213,6 @@ class QInterval:
     def is_empty(self) -> bool:
         return not self.lo < self.hi
 
-    def contains(self, q: Fraction) -> bool:
-        return self.lo < q < self.hi
-
     def __repr__(self):
         return f"({format_ext(self.lo)},{format_ext(self.hi)})"
 
@@ -228,18 +227,26 @@ def gaps_of(points: Sequence[Fraction]) -> list[QInterval]:
     return [QInterval(a, b) for a, b in zip(ends, ends[1:])]
 
 
-def pick_fresh(gap: QInterval) -> Rat:
-    """A deterministic rational strictly inside a nonempty open interval.
-
-    Midpoint when bounded, lo+1 / hi-1 when half-bounded, 0 for the line.
-    """
+def spread(gap: QInterval, k: int) -> list[Rat]:
+    """k points of a nonempty open gap, increasing and evenly spaced, so
+    that each has a numerator and denominator of O(log k) bits more than
+    the gap's ends: lo + (hi − lo)·j/(k + 1) for j = 1..k in a bounded gap,
+    else lo + j, hi − (k + 1 − j) or j − 1."""
     if gap.is_empty():
         raise ValueError(f"empty gap {gap}")
     lo, hi = gap.lo, gap.hi
     if is_finite(lo) and is_finite(hi):
-        return Rat(lo + hi) / 2
+        step = Rat(hi - lo) / (k + 1)
+        return [lo + step * j for j in range(1, k + 1)]
     if is_finite(lo):
-        return Rat(lo) + 1
+        return [Rat(lo) + j for j in range(1, k + 1)]
     if is_finite(hi):
-        return Rat(hi) - 1
-    return Rat(0)
+        return [Rat(hi) - (k + 1 - j) for j in range(1, k + 1)]
+    return [Rat(j) for j in range(k)]
+
+
+def pick_fresh(gap: QInterval) -> Rat:
+    """A deterministic rational strictly inside a nonempty open interval:
+    the midpoint when bounded, lo+1 / hi-1 when half-bounded, 0 for the
+    line."""
+    return spread(gap, 1)[0]

@@ -24,9 +24,10 @@ Only this module reads the storage, so a change of storage stays inside
 this file.  What other modules read of a map is listed here and nowhere
 else.  `predicates`, `patterns` and `interp` read `identity`,
 `translation`, the group operations (`compose`, `inverse`, `conjugate_by`),
-`restrict`, equality and hashing, `apply`, `support`, `signed_support`,
-`fixed_items` and `regions`.  `conjugacy` also reads `germ`, `cuts_in` and
-`clip`.
+`restrict`, equality and hashing, `apply`, and two views of the fixed and
+moving structure: `regions`, the fixed regions and orbitals in one walk,
+and `signed_support`, its orbitals with their signs.  `conjugacy` also
+reads `germ`, `cuts_in` and `clip`.
 """
 
 from __future__ import annotations
@@ -66,8 +67,7 @@ class PLMap:
     """An order-automorphism of ℚ in breakpoint form: `len(cuts)` cuts and
     their images, `len(cuts)+1` slopes and the first piece's intercept."""
 
-    __slots__ = ("cuts", "image_cuts", "slopes", "c0", "_regions", "_signed",
-                 "_support", "_hash")
+    __slots__ = ("cuts", "image_cuts", "slopes", "c0", "_regions", "_signed", "_hash")
 
     # -- construction ------------------------------------------------------
 
@@ -117,7 +117,6 @@ class PLMap:
         self.c0 = c0
         self._regions: tuple[tuple[ExtRat, ExtRat, int], ...] | None = None
         self._signed: tuple[tuple[QInterval, int], ...] | None = None
-        self._support: tuple[QInterval, ...] | None = None
         self._hash: int | None = None
         return self
 
@@ -238,7 +237,7 @@ class PLMap:
         allowed) and the identity elsewhere, in one walk: the components'
         finite ends become fixed cuts.  Refuses any other interval, as an
         end that self moves would break the map there."""
-        support = self.support()
+        support = [iv for iv, _ in self.signed_support()]
         for iv in comps:
             if iv not in support:
                 raise PLMapError(f"{iv} is not a support component of the map")
@@ -265,11 +264,6 @@ class PLMap:
             tuple(cuts), tuple(images), tuple(slopes), c0)
 
     # -- fixed points and support ------------------------------------------
-
-    def fixed_items(self) -> list[tuple[ExtRat, ExtRat]]:
-        """All maximal closed fixed regions [lo, hi] (lo == hi for an
-        isolated fixed point), left to right."""
-        return [(lo, hi) for lo, hi, sign in self.regions() if not sign]
 
     def regions(self) -> tuple[tuple[ExtRat, ExtRat, int], ...]:
         """The line cut into fixed regions and orbitals, left to right, as
@@ -315,17 +309,11 @@ class PLMap:
         self._regions = tuple(out)
         return self._regions
 
-    def support(self) -> tuple[QInterval, ...]:
-        """{x : f(x) != x} as its open components, left to right, built once
-        per map.  The components are disjoint; two of them share an endpoint
-        only where an isolated fixed point separates them."""
-        if self._support is None:
-            self._support = tuple(iv for iv, _ in self.signed_support())
-        return self._support
-
     def signed_support(self) -> tuple[tuple[QInterval, int], ...]:
         """Open components of {x : f(x) != x}, left to right, each with its
-        displacement sign; built once per map from its regions."""
+        displacement sign; built once per map from its regions.  Two
+        components share an endpoint only where an isolated fixed point
+        separates them."""
         if self._signed is None:
             self._signed = tuple((QInterval(lo, hi), sign)
                                  for lo, hi, sign in self.regions() if sign)

@@ -41,16 +41,16 @@ def comp_sem(f: PLMap) -> bool:
 
 def apart_sem(f: PLMap, g: PLMap) -> bool:
     """The supports lie entirely on opposite sides (vacuous if one is empty)."""
-    sf, sg = f.support(), g.support()
+    sf, sg = f.signed_support(), g.signed_support()
     if not sf or not sg:
         return True
-    return sf[-1].hi <= sg[0].lo or sg[-1].hi <= sf[0].lo
+    return sf[-1][0].hi <= sg[0][0].lo or sg[-1][0].hi <= sf[0][0].lo
 
 
 def disj_sem(f: PLMap, g: PLMap) -> bool:
-    sg = g.support()
-    for u in f.support():
-        for v in sg:
+    sg = g.signed_support()
+    for u, _ in f.signed_support():
+        for v, _ in sg:
             if u.lo < v.hi and v.lo < u.hi:
                 return False
     return True
@@ -94,9 +94,9 @@ def cont_sem(x: PLMap, y: PLMap) -> bool:
     The literal schema joins supp y across y's isolated fixed points (see
     the module docstring); a cofinal y has none, so the two agree on it,
     and compiled sentences give cont only cofinal elements."""
-    sy = y.support()
-    for u in x.support():
-        for v in sy:
+    sy = y.signed_support()
+    for u, _ in x.signed_support():
+        for v, _ in sy:
             if v.lo <= u.lo and u.hi <= v.hi:
                 break
         else:
@@ -105,7 +105,7 @@ def cont_sem(x: PLMap, y: PLMap) -> bool:
 
 
 def coterm_sem(f: PLMap) -> bool:
-    return f.support() == (FULL_LINE,)
+    return [iv for iv, _ in f.signed_support()] == [FULL_LINE]
 
 
 def _cofinal_support(f: PLMap) -> Optional[QInterval]:
@@ -161,14 +161,14 @@ def finrational_sem(f: PLMap) -> bool:
     """Comparable with the identity, dense support, finitely many (hence all
     rational) fixed points.  Such an element encodes its fixed-point set,
     possibly empty."""
-    return comp_sem(f) and all(lo == hi for lo, hi in f.fixed_items())
+    return comp_sem(f) and all(lo == hi for lo, hi, sign in f.regions() if not sign)
 
 
 def fixed_point_set(f: PLMap) -> tuple[Fraction, ...]:
-    items = f.fixed_items()
-    if any(lo != hi for lo, hi in items):
+    fixed = [(lo, hi) for lo, hi, sign in f.regions() if not sign]
+    if any(lo != hi for lo, hi in fixed):
         raise ValueError("fixed set is not finite")
-    return tuple(lo for lo, _ in items)
+    return tuple(lo for lo, _ in fixed)
 
 
 def sameset_sem(f: PLMap, g: PLMap) -> bool:
@@ -245,23 +245,24 @@ class GroupEvaluator(Evaluator):
 
 def _gap_bumps(y: PLMap) -> list[PLMap]:
     """A bump on the interior of each fixed region of y."""
-    return [make_bump(QInterval(lo, hi)) for lo, hi in y.fixed_items() if lo < hi]
+    return [make_bump(QInterval(lo, hi)) for lo, hi, sign in y.regions()
+            if not sign and lo < hi]
 
 
 def _translation_past(x: PLMap) -> list[PLMap]:
     """A translation that moves a bounded support of x off itself."""
-    s = x.support()
-    if s and is_finite(s[0].lo) and is_finite(s[-1].hi):
-        return [PLMap.translation(s[-1].hi - s[0].lo + 1)]
+    s = x.signed_support()
+    if s and is_finite(s[0][0].lo) and is_finite(s[-1][0].hi):
+        return [PLMap.translation(s[-1][0].hi - s[0][0].lo + 1)]
     return []
 
 
 def _bump_between(x: PLMap, y: PLMap) -> list[PLMap]:
     """A bump on the gap between the supports, or on ℚ if one is empty."""
-    sx, sy = x.support(), y.support()
+    sx, sy = x.signed_support(), y.signed_support()
     if not sx or not sy:
         return [make_bump(FULL_LINE)]
-    gap = QInterval(min(sx[-1].hi, sy[-1].hi), max(sx[0].lo, sy[0].lo))
+    gap = QInterval(min(sx[-1][0].hi, sy[-1][0].hi), max(sx[0][0].lo, sy[0][0].lo))
     return [] if gap.is_empty() else [make_bump(gap)]
 
 

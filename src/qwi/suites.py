@@ -151,7 +151,7 @@ def _suite_predicates(seed: int, cases: int):
                 bad("component restriction is not an orbital", f"iv={iv}")
             if not P.restr_sem(x, y) or not P.cont_sem(x, y):
                 bad("orbital is not a contained restriction", f"iv={iv}")
-        if P.coterm_sem(y) != (P.bump_sem(y) and y.support() == (FULL_LINE,)):
+        if P.coterm_sem(y) != (P.bump_sem(y) and [iv for iv, _ in comps] == [FULL_LINE]):
             bad("coterm disagrees with full-line bump test")
         z = gen_plmap_rnd(rnd, 6)
         if P.apart_sem(y, z) and not P.disj_sem(y, z):
@@ -378,7 +378,7 @@ def _suite_discrepancy(seed: int, cases: int):
             notes.append(f"cont: literal diverges from oracle on "
                          f"{len(bad)}/{read} grid pairs (expected, documented)")
             odd = [b for b in bad if not (b[2] and not b[3] and any(
-                lo == hi and b[0](lo) != lo for lo, hi in b[1].fixed_items()))]
+                lo == hi and b[0](lo) != lo for lo, hi, _ in b[1].regions()))]
             if not bad or odd:
                 failures.append(f"cont: {len(bad)} divergences, {len(odd)} not a true literal "
                                 f"where x moves an isolated fixed point of y: {odd[:1]!r}")

@@ -49,7 +49,7 @@ from functools import reduce
 from itertools import chain, product
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
-from .numbers import QInterval, Rat, gaps_of, is_finite, pick_fresh
+from .numbers import gaps_of, pick_fresh, spread
 from .formulas import (
     And, EqPt, Evaluator, Exists, Forall, Formula, FormulaError, Iff, Implies,
     Less, Mem, Not, Or, free_vars, is_set_var, quantifier_rank, relation_vars,
@@ -364,7 +364,7 @@ def brute_eval(phi: Formula, a: Assignment) -> bool:
     which is complete.  A set quantifier ∃X ψ, met at n landmarks L with ψ
     of quantifier rank r, ranges over each subset of L plus up to
     k = `fresh_per_gap(r)` = 2^r − 1 fresh points per gap, evenly spaced
-    (`_spread`): 2^n · (2^r)^(n+1) sets, yielded lazily.
+    (`numbers.spread`): 2^n · (2^r)^(n+1) sets, yielded lazily.
 
     Complete for ψ without set quantifiers.  ℚ is the ordered sum of the
     landmarks and the gaps between them, and every point variable and every
@@ -387,22 +387,6 @@ def brute_eval(phi: Formula, a: Assignment) -> bool:
 def fresh_per_gap(rank: int) -> int:
     """Fresh members per gap that a set quantifier tries (see `brute_eval`)."""
     return 2 ** rank - 1
-
-
-def _spread(gap: QInterval, k: int) -> list[Rat]:
-    """k points of the open gap, increasing and evenly spaced, so that each
-    has a numerator and denominator of O(log k) bits more than the gap's
-    ends: lo + (hi − lo)·j/(k + 1) for j = 1..k in a bounded gap, else
-    lo + j, hi − (k + 1 − j) or j."""
-    lo, hi = gap.lo, gap.hi
-    if is_finite(lo) and is_finite(hi):
-        step = Rat(hi - lo) / (k + 1)
-        return [lo + step * j for j in range(1, k + 1)]
-    if is_finite(lo):
-        return [Rat(lo) + j for j in range(1, k + 1)]
-    if is_finite(hi):
-        return [Rat(hi) - (k + 1 - j) for j in range(1, k + 1)]
-    return [Rat(j) for j in range(1, k + 1)]
 
 
 #: Each relation's truth on the values of its two variables.
@@ -428,7 +412,7 @@ class _Brute(Evaluator):
         marks, k = self.a.landmarks(), fresh_per_gap(quantifier_rank(phi.body))
         slots: list[Sequence[Fraction]] = []
         for i, gap in enumerate(gaps_of(marks)):
-            slots += [_spread(gap, k), marks[i:i + 1]]
+            slots += [spread(gap, k), marks[i:i + 1]]
         sizes = product(*(range(len(slot) + 1) for slot in slots))
         return self.a.sets, (tuple(chain.from_iterable(s[:c] for s, c in zip(slots, cs)))
                              for cs in sizes)

@@ -1,5 +1,6 @@
-"""What only the tests use: a seeded map generator, the empty assignment,
-a deadline and a memory limit."""
+"""What only the tests use: a seeded map generator, a second finite-set
+encoder, interval membership, the empty assignment, a deadline and a memory
+limit."""
 
 import random
 import resource
@@ -7,6 +8,7 @@ import signal
 from contextlib import contextmanager
 
 from qwi.generators import gen_plmap_rnd
+from qwi.numbers import QInterval, Rat
 from qwi.plmap import PLMap
 from qwi.wmso import Assignment
 
@@ -17,6 +19,27 @@ def gen_plmap(seed: int, complexity: int) -> PLMap:
     """A random canonical map with at most `complexity` cuts, fixed by the
     seed and the complexity (see `gen_plmap_rnd`)."""
     return gen_plmap_rnd(random.Random(f"plmap:{seed}:{complexity}"), complexity)
+
+
+def encode_finite_set_alt(S) -> PLMap:
+    """A second code of the finite set S, with other germ slopes than
+    `interp.encode_finite_set`'s, for representation-independence checks:
+    a slope-1/3 ray below, on each gap (a, b) a bump of slope 3 up to
+    a + (b − a)/4 and 1/3 after it, and a slope-3 ray above; ∅ ↦ x+2."""
+    pts = sorted(set(Rat(a) for a in S))
+    if not pts:
+        return PLMap.translation(2)
+    cuts, slopes = [pts[0]], [Rat(1, 3)]
+    for a, b in zip(pts, pts[1:]):
+        cuts += [a + (b - a) / 4, b]
+        slopes += [Rat(3), Rat(1, 3)]
+    slopes.append(Rat(3))
+    return PLMap(pts[0], pts[0], cuts, slopes)
+
+
+def contains(iv: QInterval, q) -> bool:
+    """q lies in the open interval iv."""
+    return iv.lo < q < iv.hi
 
 
 @contextmanager

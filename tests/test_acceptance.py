@@ -12,8 +12,10 @@ from itertools import combinations, product
 from qwi import predicates as P
 from qwi.corpus import load_corpus
 from qwi.formulas import parse_wmso, quantifier_rank
-from qwi.interp import encode_finite_set, encode_finite_set_alt, encode_rational
+from qwi.interp import encode_finite_set, encode_rational
 from qwi.suites import run_suite
+
+from helpers import encode_finite_set_alt
 
 
 def _passes(name, cases=None):

@@ -770,3 +770,18 @@ def test_orbital_tails_follow_the_germ_recursion():
                     probes += 1
                 x, y = x_next, y_next
     assert probes >= 120 * 12
+
+
+@pytest.mark.parametrize("step, built", [(Fraction(1, 40), True), (Fraction(1, 60), False)])
+def test_the_transport_gives_up_past_its_window_budget(monkeypatch, step, built):
+    """f moves [0, 1] by `step`, so the transport to its conjugate by x + 3
+    takes a window per step across [0, 1]: with a budget of 50 windows it
+    builds a verified witness at 1/40 and raises ConjugacyError at 1/60."""
+    monkeypatch.setattr(conjugacy, "_MAX_WINDOWS", 50)
+    f = PLMap(0, step, [0, 1], [2, 1, 2])
+    g = f.conjugate_by(PLMap.translation(3))
+    if built:
+        assert verify_conjugator(conjugating_witness(f, g), f, g)
+    else:
+        with pytest.raises(conjugacy.ConjugacyError):
+            conjugating_witness(f, g)

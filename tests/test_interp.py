@@ -9,11 +9,12 @@ from qwi.formulas import (
     EqPt, Exists, GAtom, Mem, expand, parse_group, parse_wmso, print_group,
 )
 from qwi.interp import (
-    InterpError, _decompile, encode_finite_set, encode_finite_set_alt,
-    encode_rational, pullback_eval, roundtrip_check, translate,
+    InterpError, _decompile, encode_finite_set, encode_rational, pullback_eval,
+    roundtrip_check, translate,
 )
 from qwi.numbers import NEG_INF, POS_INF, is_finite
 
+from helpers import encode_finite_set_alt
 from test_differential import _sentences
 
 rationals = st.fractions(max_denominator=24)

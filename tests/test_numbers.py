@@ -9,10 +9,12 @@ from qwi.conjugacy import conjugating_witness
 from qwi.generators import gen_plmap_rnd, make_bump
 from qwi.numbers import (
     FULL_LINE, NEG_INF, POS_INF, QInterval, Rat, format_ext,
-    gaps_of, is_finite, parse_rational, pick_fresh,
+    gaps_of, is_finite, parse_rational, pick_fresh, spread,
 )
 from qwi.plmap import PLMap
 from qwi.predicates import apart_sem, cont_sem, coterm_sem, disj_sem
+
+from helpers import contains
 
 rationals = st.fractions(max_denominator=50)
 
@@ -76,10 +78,19 @@ def test_format_ext():
 def test_pick_fresh_in_gap(a, b):
     lo, hi = min(a, b), max(a, b)
     for gap in (QInterval(NEG_INF, lo), QInterval(hi, POS_INF), FULL_LINE):
-        assert gap.contains(pick_fresh(gap))
+        assert contains(gap, pick_fresh(gap))
     if lo < hi:
         gap = QInterval(lo, hi)
-        assert gap.contains(pick_fresh(gap))
+        assert contains(gap, pick_fresh(gap))
+
+
+def test_pick_fresh_is_the_midpoint_a_step_in_or_zero():
+    half = Fraction(1, 2)
+    assert pick_fresh(QInterval(half, 3 * half)) == 1
+    assert pick_fresh(QInterval(half, POS_INF)) == 3 * half
+    assert pick_fresh(QInterval(NEG_INF, half)) == -half
+    assert pick_fresh(FULL_LINE) == 0
+    assert spread(FULL_LINE, 3) == [0, 1, 2]
 
 
 def test_gaps_of_cuts_its_ends_at_the_points():
@@ -97,9 +108,9 @@ def test_pick_fresh_empty_gap():
 
 def test_interval_basics():
     iv = QInterval(Fraction(0), Fraction(1))
-    assert not iv.contains(Fraction(0))
-    assert not iv.contains(Fraction(1))
-    assert iv.contains(Fraction(1, 2))
+    assert not contains(iv, Fraction(0))
+    assert not contains(iv, Fraction(1))
+    assert contains(iv, Fraction(1, 2))
     assert QInterval(Fraction(2), Fraction(1)).is_empty()
 
 
@@ -113,8 +124,8 @@ def bump(lo, hi):
 def test_interval_set_keeps_shared_endpoints_apart():
     left, right = bump(Fraction(0), Fraction(1)), bump(Fraction(1), Fraction(2))
     both = left.compose(right)
-    assert both.support() == (QInterval(Fraction(0), Fraction(1)),
-                              QInterval(Fraction(1), Fraction(2)))
+    assert [iv for iv, _ in both.signed_support()] == [QInterval(Fraction(0), Fraction(1)),
+                                                      QInterval(Fraction(1), Fraction(2))]
     assert both.apply(Fraction(1)) == 1
     assert disj_sem(left, right)
     assert not disj_sem(both, left) and not disj_sem(both, right)
@@ -122,7 +133,7 @@ def test_interval_set_keeps_shared_endpoints_apart():
 
 def test_interval_set_extrema():
     ident = PLMap.identity()
-    assert ident.support() == ()
+    assert ident.signed_support() == ()
     assert apart_sem(ident, ident) and apart_sem(ident, PLMap.translation(1))
     low, high = bump(Fraction(0), Fraction(1)), bump(Fraction(2), POS_INF)
     assert apart_sem(low, high) and apart_sem(high, low)

@@ -11,7 +11,7 @@ from qwi.numbers import NEG_INF, POS_INF, QInterval, Rat, gaps_of, is_finite, pi
 from qwi.plmap import PLMap, PLMapError, format_pl, parse_pl
 from qwi.predicates import comp_sem
 
-from helpers import gen_plmap
+from helpers import contains, gen_plmap
 
 rationals = st.fractions(max_denominator=20)
 seeds = st.integers(0, 10**6)
@@ -115,19 +115,19 @@ def test_conjugate(f, g):
 
 
 def test_fixed_structure_examples():
-    assert PLMap.identity().fixed_items() == [(NEG_INF, POS_INF)]
-    assert PLMap.translation(1).fixed_items() == []
+    assert PLMap.identity().regions() == ((NEG_INF, POS_INF, 0),)
+    assert PLMap.translation(1).regions() == ((NEG_INF, POS_INF, 1),)
     d = PLMap(0, 0, (), (2,))
-    assert d.fixed_items() == [(Fraction(0), Fraction(0))]
+    assert d.regions() == ((NEG_INF, 0, -1), (0, 0, 0), (0, POS_INF, 1))
     # identity on (-inf, 0], doubling past 0
     f = PLMap(0, 0, (0,), (1, 2))
-    assert f.fixed_items() == [(NEG_INF, Fraction(0))]
+    assert f.regions() == ((NEG_INF, 0, 0), (0, POS_INF, 1))
 
 
 @given(plmaps, rationals)
 def test_support_characterizes_movement(f, q):
-    support = f.support()
-    assert any(iv.contains(q) for iv in support) == (f.apply(q) != q)
+    support = [iv for iv, _ in f.signed_support()]
+    assert any(contains(iv, q) for iv in support) == (f.apply(q) != q)
     # nonempty components, left to right, pairwise disjoint
     assert all(not iv.is_empty() for iv in support)
     assert all(u.hi <= v.lo for u, v in zip(support, support[1:]))
@@ -253,7 +253,7 @@ def displacement_signs(f: PLMap) -> set[int]:
 def test_displacement_signs(f):
     signs = displacement_signs(f)
     assert signs <= {-1, 0, 1}
-    assert (0 in signs) == bool(f.fixed_items()) or f.is_identity()
+    assert (0 in signs) == any(not s for _, _, s in f.regions()) or f.is_identity()
     assert ({1, -1} & signs) == {s for _, s in f.signed_support()}
     # comp_sem reads the cached region walk; the piece scan is independent
     assert comp_sem(f) == (not ({1, -1} <= signs))
@@ -289,15 +289,12 @@ def test_region_cache_is_invisible(f, g):
     walked = f.regions()
     assert type(walked) is tuple and walked == fresh(f).regions()
     assert f.regions() is walked  # walked once, then shared
-    signed, support = f.signed_support(), f.support()
+    signed = f.signed_support()
     assert type(signed) is tuple and signed == fresh(f).signed_support()
-    assert support == fresh(f).support()
-    assert f.signed_support() is signed and f.support() is support
+    assert f.signed_support() is signed
     f.compose(g), g.compose(f), f.inverse()  # use f
     assert f.regions() == fresh(f).regions() == walked
     assert f.signed_support() == fresh(f).signed_support() == signed
-    assert f.support() == fresh(f).support() == support
-    assert f.fixed_items() == fresh(f).fixed_items()
     assert f == fresh(f) and fresh(f) == f
     assert hash(f) == hash(fresh(f))
 
@@ -333,7 +330,6 @@ def test_regions_tile_the_line(f):
         assert (sign == 0) != (next_sign == 0)  # fixed regions and orbitals alternate
     for lo, hi, sign in regions:
         assert sign in (-1, 0, 1) and (lo < hi if sign else lo <= hi)
-    assert [(lo, hi) for lo, hi, sign in regions if not sign] == f.fixed_items()
     assert tuple((QInterval(lo, hi), sign)
                  for lo, hi, sign in regions if sign) == f.signed_support()
 
@@ -530,7 +526,7 @@ def reference_restriction(y: PLMap, comps) -> PLMap:
     checked constructor."""
     xs = sorted({b for iv in comps for b in (iv.lo, iv.hi, *y.cuts_in(iv.lo, iv.hi))
                  if is_finite(b)})
-    germs = [y.germ(x) if any(iv.contains(x) for iv in comps) else (1, 0)
+    germs = [y.germ(x) if any(contains(iv, x) for iv in comps) else (1, 0)
              for x in map(pick_fresh, gaps_of(xs))]
     return PLMap(0, germs[0][1], xs, [m for m, _ in germs])
 
@@ -543,8 +539,8 @@ DOUBLING = PLMap(0, 0, [], [2])  # moves (-inf, 0) and (0, inf)
 
 def test_restriction_stores_what_the_pieces_build():
     rnd = random.Random("restriction storage")
-    up, down = Y_MEET.support()
-    left, right = DOUBLING.support()
+    (up, _), (down, _) = Y_MEET.signed_support()
+    (left, _), (right, _) = DOUBLING.signed_support()
     cases = [
         (Y_MEET, [up, down]),                # meeting inside one piece of y
         (Y_MEET, [down, up, down, up]),      # unsorted, with repeats
@@ -555,7 +551,7 @@ def test_restriction_stores_what_the_pieces_build():
     meets = 0
     for _ in range(300):
         y = gen_plmap_rnd(rnd, 8)
-        comps = list(y.support())
+        comps = [iv for iv, _ in y.signed_support()]
         cases += [(y, []), (y, comps)]
         kept = [iv for iv in comps if rnd.random() < 0.5]
         kept += rnd.sample(kept, len(kept) // 2)
@@ -570,7 +566,7 @@ def test_restriction_stores_what_the_pieces_build():
         assert storage(x) == storage(reference_restriction(y, comps))
         if not comps:
             assert storage(x) == storage(PLMap.identity())
-        if set(comps) == set(y.support()):
+        if set(comps) == {iv for iv, _ in y.signed_support()}:
             assert storage(x) == storage(y)
 
 

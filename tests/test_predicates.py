@@ -11,7 +11,7 @@ from qwi.generators import gen_plmap_rnd, grid_maps, make_bump
 from qwi.numbers import NEG_INF, POS_INF, QInterval
 from qwi.plmap import PLMap, PLMapError
 
-from helpers import gen_plmap
+from helpers import encode_finite_set_alt, gen_plmap
 
 plmaps = st.builds(gen_plmap, st.integers(0, 10**6), st.integers(0, 6))
 
@@ -130,7 +130,7 @@ def test_codesame_schema_read_literally_decides_membership():
     at (f, g·f·g⁻¹) agrees with codesame_sem and with set membership: both
     supports are half-lines, so the literal cont is not vacuous.  Across
     point codes on either side it holds exactly for equal points."""
-    from qwi.interp import encode_finite_set, encode_finite_set_alt, encode_rational
+    from qwi.interp import encode_finite_set, encode_rational
     base = [Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 2),
             Fraction(1), Fraction(2)]
     pool = base + [Fraction(-3), Fraction(-1, 2), Fraction(1, 4),
@@ -158,7 +158,7 @@ def test_sameset_schema_read_literally_defines_sameset():
     """Read through its schema, sameset compares the fixed points of two
     finite-set codes, on every pair of codes of the subsets of {-1, 0, 1}
     under both encoders and of two point codes."""
-    from qwi.interp import encode_finite_set, encode_finite_set_alt, encode_rational
+    from qwi.interp import encode_finite_set, encode_rational
     zero, one = Fraction(0), Fraction(1)
     assert not P.literal("sameset", (encode_finite_set([zero]), encode_finite_set([one])))
     assert not P.literal("sameset", (encode_finite_set([]),
@@ -177,11 +177,12 @@ def _within_joined(x: PLMap, y: PLMap) -> bool:
     """supp x lies in supp y with its isolated fixed points added: in the
     components of supp y joined where two of them share an endpoint."""
     joined: list[QInterval] = []
-    for iv in y.support():
+    for iv, _ in y.signed_support():
         if joined and joined[-1].hi == iv.lo:
             iv = QInterval(joined.pop().lo, iv.hi)
         joined.append(iv)
-    return all(any(v.lo <= u.lo and u.hi <= v.hi for v in joined) for u in x.support())
+    return all(any(v.lo <= u.lo and u.hi <= v.hi for v in joined)
+               for u, _ in x.signed_support())
 
 
 def test_cont_literal_is_containment_in_the_joined_support():
@@ -194,7 +195,7 @@ def test_cont_literal_is_containment_in_the_joined_support():
         x, y = gen_plmap_rnd(rnd, 4), gen_plmap_rnd(rnd, 4)
         within = _within_joined(x, y)
         assert P.literal("cont", (x, y)) == within, (x, y)
-        isolated = [lo for lo, hi in y.fixed_items() if lo == hi]
+        isolated = [lo for lo, hi, _ in y.regions() if lo == hi]
         moves_one = any(x.apply(q) != q for q in isolated)
         assert (within and not P.cont_sem(x, y)) == (within and moves_one), (x, y)
         differ += within and moves_one
@@ -240,7 +241,8 @@ def _restr_by_pieces(x: PLMap, y: PLMap) -> bool:
     """restr(x, y) read piece by piece: x moves nothing outside supp y, and
     on each support component of y it agrees with y or with the identity."""
     return P.cont_sem(x, y) and all(
-        _equal_on(x, y, iv) or _equal_on(x, PLMap.identity(), iv) for iv in y.support())
+        _equal_on(x, y, iv) or _equal_on(x, PLMap.identity(), iv)
+        for iv, _ in y.signed_support())
 
 
 def _orbital_by_pieces(x: PLMap, y: PLMap) -> bool:
@@ -248,8 +250,8 @@ def _orbital_by_pieces(x: PLMap, y: PLMap) -> bool:
     support component of y, on which it agrees with y."""
     if not P.bump_sem(x):
         return False
-    (iv,) = x.support()
-    return iv in y.support() and _equal_on(x, y, iv)
+    ((iv, _),) = x.signed_support()
+    return iv in [v for v, _ in y.signed_support()] and _equal_on(x, y, iv)
 
 
 def test_restr_and_orbital_through_the_group_agree_with_the_pieces():
@@ -262,7 +264,7 @@ def test_restr_and_orbital_through_the_group_agree_with_the_pieces():
     for _ in range(600):
         y, roll = gen_plmap_rnd(rnd, 4), rnd.random()
         if roll < 0.4:
-            x = P.restrict_map(y, [iv for iv in y.support() if rnd.random() < 0.5])
+            x = P.restrict_map(y, [iv for iv, _ in y.signed_support() if rnd.random() < 0.5])
         else:
             x = y if roll < 0.6 else gen_plmap_rnd(rnd, 4)
         pairs.append((x, y))
@@ -273,7 +275,7 @@ def test_restr_and_orbital_through_the_group_agree_with_the_pieces():
         assert P.orbital_sem(x, y) == _orbital_by_pieces(x, y), (x, y)
         z = P.restr_witness(x, y)
         if want:
-            fixed = [iv for iv in y.support() if _equal_on(x, PLMap.identity(), iv)]
+            fixed = [iv for iv, _ in y.signed_support() if _equal_on(x, PLMap.identity(), iv)]
             assert z == P.restrict_map(y, fixed), (x, y)
         else:
             assert z is None, (x, y)

@@ -12,7 +12,7 @@ from qwi.formulas import (
     Less, Mem, Not, is_set_var, parse_group, parse_wmso, quantifier_rank, relation_vars,
 )
 from qwi.interp import InterpError, translate
-from qwi.numbers import NEG_INF, POS_INF, QInterval
+from qwi.numbers import NEG_INF, POS_INF, QInterval, spread
 from qwi.wmso import (
     _CONNECTIVES, Assignment, Dfa, _Brute, _complement, _explore, _pattern, _product,
     automaton, brute_eval, decide, eval as wmso_eval, gaps_of, point_candidates,
@@ -96,7 +96,7 @@ def test_brute_force_spreads_many_fresh_points_cheaply():
     (Fraction(-1, 3), Fraction(5, 7)), (Fraction(2), POS_INF), (NEG_INF, Fraction(-3)),
     (NEG_INF, POS_INF)])
 def test_spread_points_increase_inside_the_gap(lo, hi):
-    points = qwi.wmso._spread(QInterval(lo, hi), 7)
+    points = spread(QInterval(lo, hi), 7)
     assert len(points) == 7 and lo < points[0]
     assert all(p < q for p, q in zip(points, points[1:])) and points[-1] < hi
 
