@@ -21,9 +21,11 @@ syntax, so it survives `print_group` and `parse_group`.  A WMSO quantifier
 stays the quantifier it is, relativised to the guard that its variable's
 sort picks (`_coding`; Hodges, *Model Theory*, CUP 1993, interpretations).
 
-`pullback_eval` runs a `predicates.GroupEvaluator` that reads the guard of
-each quantifier to pick the candidates and decides every atom by the
-semantic oracles.  A point ranges over the landmarks plus one fresh point
+`pullback_eval` takes exactly what `translate` emits, before or after
+`print_group` and `parse_group`: ψ, if compiling the decompilation of its
+body gives ψ back.  It runs a `predicates.GroupEvaluator` that reads the
+guard of each quantifier to pick the candidates and decides every atom by
+the semantic oracles.  A point ranges over the landmarks plus one fresh point
 per gap.  A set ranges over one set per reachable end state of the
 automaton (`wmso.automaton`) of the quantifier's body, decompiled back to
 the order formula over its own names by the exact inverse of the compiler,
@@ -44,7 +46,7 @@ from .numbers import NEG_INF, POS_INF, QInterval, Rat, gaps_of, is_finite, pick_
 from .plmap import PLMap
 from .formulas import (
     _BINARY, QUANTIFIERS, And, EqPt, Exists, Forall, Formula, FormulaError,
-    GAtom, GVar, Iff, Implies, Inv, Less, Mem, Mul, Not, Or, TermEq, free_vars,
+    GAtom, GVar, Iff, Implies, Inv, Less, Mem, Mul, Not, Or, free_vars,
     instantiate, is_set_var, parse_group, rebuild, relation_vars,
 )
 from .generators import make_bump
@@ -160,59 +162,40 @@ def _rightward(p: PLMap) -> bool:
 # ---------------------------------------------------------------------------
 
 def _decompile(psi: Formula) -> Formula:
-    """The order formula that `_tr` compiles to psi, over the order names:
-    f_x becomes x, and g_X becomes X.  Every other shape raises InterpError.
-    Each atom and quantifier is accepted only if compiling it back gives psi
-    again, so `_decompile` is the exact inverse of `_tr`."""
+    """The order formula that `_tr` would compile to psi, over the order
+    names: f_x becomes x, and g_X becomes X.  Only the shape is read, so psi
+    need not be in the image of `_tr` (`pullback_eval` checks that); a shape
+    that `_tr` never emits raises InterpError."""
     match psi:
         case Not() | And() | Or() | Implies() | Iff():
             return rebuild(psi, _decompile)
-        case (Exists(v, And(GAtom(guard, (GVar(w),)), body))
-              | Forall(v, Implies(GAtom(guard, (GVar(w),)), body))) if (
-                v == w and _coding(v[2:]) == (v, guard)):
-            return type(psi)(v[2:], _decompile(body))
         case GAtom("codesame", (GVar(x), GVar(y))):
-            return _decompiled_atom(psi, EqPt, x, y)
+            return EqPt(x[2:], y[2:])
         case GAtom("codesame", (GVar(x), Mul(Mul(GVar(X), _), _))):
-            return _decompiled_atom(psi, Mem, x, X)
-        case Exists(lf, And(GAtom("codesame", (_, GVar(x))),
-                            Exists(lg, And(GAtom("codesame", (_, GVar(y))), _)))):
-            return _decompiled_atom(psi, Less, x, y, lf[3:], lg[3:])
+            return Mem(x[2:], X[2:])
+        # the order schema, before the quantifier case that its shape also fits
+        case Exists(_, And(GAtom("codesame", (_, GVar(x))),
+                           Exists(_, And(GAtom("codesame", (_, GVar(y))), _)))):
+            return Less(x[2:], y[2:])
+        case Exists(v, And(_, body)) | Forall(v, Implies(_, body)):
+            return type(psi)(v[2:], _decompile(body))
     raise InterpError(f"not a compiled order formula: {psi!r}")
-
-
-def _decompiled_atom(psi: Formula, relation, x: str, y: str, *numbers: str) -> Formula:
-    """The relation over the order names of x and y, if `_tr` compiles it to
-    psi when the bound names of the order schema carry `numbers`."""
-    atom = relation(x[2:], y[2:])
-    if _tr(atom, iter(numbers)) != psi:
-        raise InterpError(f"not a compiled order atom: {psi!r}")
-    return atom
 
 
 # ---------------------------------------------------------------------------
 # pull-back evaluation
 # ---------------------------------------------------------------------------
 
-def _guard(phi: Formula) -> Optional[GAtom]:
-    """The guard G of a quantifier ∃v(G ∧ body) or ∀v(G → body), the shape
-    `translate` emits; None for any other formula."""
-    shape = _SHAPE.get(type(phi))
-    if shape is None or not isinstance(phi.body, shape):
-        return None
-    g = phi.body.a
-    return g if isinstance(g, GAtom) and GVar(phi.var) in g.args else None
-
-
 _SIDES = ("right", "left")
 
 
 class _Pullback(P.GroupEvaluator):
-    """Evaluator of compiled sentences.  `bind` reads a quantifier's guard
-    to pick its candidates.  A coded variable is bound to the value it
-    codes, in the assignment that the candidate lists read, and is encoded
-    when an atom first needs its element; every other variable is bound to
-    its element in `env`.
+    """Evaluator of the sentences that `pullback_eval` accepts, so every
+    node is a shape the compiler emits and none is checked here.  `bind`
+    reads a quantifier's guard to pick its candidates.  A coded variable is
+    bound to the value it codes, in the assignment that the candidate lists
+    read, and is encoded when an atom first needs its element; every other
+    variable is bound to its element in `env`.
 
     Every element the evaluator builds is kept in `coded` for the length of
     the call, keyed by what it codes: a point by its side and value (the
@@ -238,38 +221,24 @@ class _Pullback(P.GroupEvaluator):
             return self.env[name]
         if name in self.a.points:
             return self.rational(self.a.points[name])
-        if name in self.a.sets:
-            s = self.a.sets[name]
-            return self.code(("set", s), encode_finite_set, s)
-        raise InterpError(f"unbound group variable {name}")
+        s = self.a.sets[name]
+        return self.code(("set", s), encode_finite_set, s)
 
     def atom(self, phi: Formula) -> bool:
-        if isinstance(phi, TermEq):
-            return self.term(phi.t) == self.term(phi.u)
-        if not isinstance(phi, GAtom):
-            raise InterpError(f"node outside the translated fragment: {phi!r}")
-        oracle = P.ORACLES.get(phi.name)
-        if oracle is None:
-            raise InterpError(f"atom {phi.name} is outside the translated fragment")
-        return oracle(*[self.term(a) for a in phi.args])
+        return P.ORACLES[phi.name](*map(self.term, phi.args))
 
     def bind(self, phi: Formula):
-        g = _guard(phi)
-        name = g.name if g is not None else None
-        if name == "cof":  # the orientation parameter: a code of 0 per side
+        g = phi.body.a
+        if g.name == "cof":  # the orientation parameter: a code of 0 per side
             sides = (self.orientation,) if self.orientation else _SIDES
             return self.env, [self.rational(Rat(0), side) for side in sides]
-        if name == "rational":
+        if g.name == "rational":
             return self.a.points, point_candidates(self.a)
-        if name == "finrational":
+        if g.name == "finrational":
             return self.a.sets, self.set_candidates(phi)
-        if name == "codesame":  # both representatives of a coded point
-            q = P.cof_endpoint(self.term(g.args[1]))
-            return self.env, [self.rational(q, "right"), self.rational(q, "left")]
-        raise InterpError(
-            f"quantifier over {phi.var} lacks a leading coding guard "
-            f"(outside the translated fragment)"
-        )
+        # codesame(l, f_x): both representatives of the point that f_x codes
+        q = self.a.points[g.args[1].name]
+        return self.env, [self.rational(q, "right"), self.rational(q, "left")]
 
     def set_candidates(self, phi: Formula) -> list[tuple[Fraction, ...]]:
         """One set per reachable end state of the body's automaton.
@@ -287,16 +256,11 @@ class _Pullback(P.GroupEvaluator):
         dfa = self.automata.get(id(phi))
         if dfa is None:
             dfa = self.automata[id(phi)] = automaton(_decompile(phi.body.b))
-        if ORIENTATION_VAR not in self.env:
-            raise InterpError(f"set quantifier over {phi.var} outside the orientation prefix")
         right = _rightward(self.env[ORIENTATION_VAR])
         # the automaton reads the order names: x for f_x, X for g_X
         a = Assignment({v[2:]: q for v, q in self.a.points.items() if v[:2] == "f_"},
                        {v[2:]: s for v, s in self.a.sets.items() if v[:2] == "g_"})
-        try:
-            marks, letters = landmark_word(dfa, a, phi.var[2:], descending=not right)
-        except FormulaError as e:  # the body reads a point or set no coding guard bound
-            raise InterpError(f"set quantifier over {phi.var}: {e}") from None
+        marks, letters = landmark_word(dfa, a, phi.var[2:], descending=not right)
         n, bit, delta = len(marks), dfa.bit(phi.var[2:]), dfa.delta
         gaps = gaps_of(sorted(marks))
         if not right:
@@ -327,6 +291,10 @@ class _Pullback(P.GroupEvaluator):
 def pullback_eval(psi: Formula, orientation: Optional[str] = None) -> bool:
     """Evaluate a compiled sentence over coded candidates.
 
+    The domain is exactly what `translate` emits: psi is ∃p(cof(p) ∧ body)
+    with `translate(_decompile(body)) == psi`.  Anything else raises
+    InterpError, and is never evaluated.
+
     The orientation parameter ranges over the right and the left code of 0,
     a point quantifier over the landmarks plus one fresh point per gap, and
     a set quantifier over one set per reachable end state of the automaton
@@ -339,9 +307,15 @@ def pullback_eval(psi: Formula, orientation: Optional[str] = None) -> bool:
     """
     if orientation not in (None, *_SIDES):
         raise InterpError(f"orientation must be None, left or right, got {orientation!r}")
-    if free_vars(psi):
-        raise InterpError(f"compiled sentence has free variables {sorted(free_vars(psi))}")
-    return _Pullback(orientation).run(psi)
+    match psi:
+        case Exists(_, And(_, body)):
+            try:
+                compiled = translate(_decompile(body)) == psi
+            except InterpError as e:
+                raise InterpError(f"{e} (outside the translated fragment)") from None
+            if compiled:
+                return _Pullback(orientation).run(psi)
+    raise InterpError(f"{psi!r} is not a compiled sentence (outside the translated fragment)")
 
 
 def roundtrip_check(phi: Formula) -> bool:

@@ -128,14 +128,6 @@ def cof_sem(f: PLMap) -> bool:
     return _cofinal_support(f) is not None
 
 
-def cof_endpoint(f: PLMap) -> Fraction:
-    """The finite support endpoint of a cofinal element."""
-    iv = _cofinal_support(f)
-    if iv is None:
-        raise ValueError("not a cofinal element")
-    return _endpoint(iv)
-
-
 def codesame_sem(f: PLMap, g: PLMap) -> bool:
     """Both cofinal, encoding the same endpoint (either side)."""
     ivf, ivg = _cofinal_support(f), _cofinal_support(g)
@@ -258,10 +250,10 @@ def _translation_past(x: PLMap) -> list[PLMap]:
 
 
 def _bump_between(x: PLMap, y: PLMap) -> list[PLMap]:
-    """A bump on the gap between the supports, or on ℚ if one is empty."""
+    """A bump on the gap between the supports of x and y, which are both
+    nonempty: the oppsupport schema reads its quantifier only after
+    cof(x) & cof(y)."""
     sx, sy = x.signed_support(), y.signed_support()
-    if not sx or not sy:
-        return [make_bump(FULL_LINE)]
     gap = QInterval(min(sx[-1][0].hi, sy[-1][0].hi), max(sx[0][0].lo, sy[0][0].lo))
     return [] if gap.is_empty() else [make_bump(gap)]
 

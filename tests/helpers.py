@@ -1,6 +1,6 @@
 """What only the tests use: a seeded map generator, a second finite-set
-encoder, interval membership, the empty assignment, a deadline and a memory
-limit."""
+encoder, the decoder of a rational's code, interval membership, the empty
+assignment, a deadline and a memory limit."""
 
 import random
 import resource
@@ -8,8 +8,9 @@ import signal
 from contextlib import contextmanager
 
 from qwi.generators import gen_plmap_rnd
-from qwi.numbers import QInterval, Rat
+from qwi.numbers import QInterval, Rat, is_finite
 from qwi.plmap import PLMap
+from qwi.predicates import cof_sem
 from qwi.wmso import Assignment
 
 EMPTY = Assignment()
@@ -35,6 +36,15 @@ def encode_finite_set_alt(S) -> PLMap:
         slopes += [Rat(3), Rat(1, 3)]
     slopes.append(Rat(3))
     return PLMap(pts[0], pts[0], cuts, slopes)
+
+
+def cof_endpoint(f: PLMap) -> Rat:
+    """The finite support endpoint of a cofinal element: the rational it
+    codes."""
+    if not cof_sem(f):
+        raise ValueError("not a cofinal element")
+    (iv, _), = f.signed_support()
+    return iv.lo if is_finite(iv.lo) else iv.hi
 
 
 def contains(iv: QInterval, q) -> bool:

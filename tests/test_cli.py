@@ -12,6 +12,8 @@ from qwi.cli import main
 from qwi.plmap import parse_pl
 from qwi import predicates as P
 
+from helpers import cof_endpoint
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -155,7 +157,7 @@ def test_translate_and_roundtrip(tmp_path, capsys):
 def test_encode_commands(capsys):
     assert main(["encode-rational", "3/2"]) == 0
     f = parse_pl(capsys.readouterr().out.strip())
-    assert P.cof_endpoint(f) == Fraction(3, 2)
+    assert cof_endpoint(f) == Fraction(3, 2)
     assert main(["encode-rational", "0", "--side", "left"]) == 0
     capsys.readouterr()
     assert main(["encode-set", "-1,0,2"]) == 0

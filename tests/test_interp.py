@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,15 +8,17 @@ from hypothesis import given, settings, strategies as st
 from qwi import predicates as P
 from qwi.corpus import load_corpus
 from qwi.formulas import (
-    EqPt, Exists, GAtom, Mem, expand, parse_group, parse_wmso, print_group,
+    And, EqPt, Exists, Forall, GAtom, GVar, Mem, One, TermEq, expand, parse_group,
+    parse_wmso, print_group,
 )
 from qwi.interp import (
     InterpError, _decompile, encode_finite_set, encode_rational, pullback_eval,
     roundtrip_check, translate,
 )
 from qwi.numbers import NEG_INF, POS_INF, is_finite
+from qwi.wmso import decide
 
-from helpers import encode_finite_set_alt
+from helpers import cof_endpoint, encode_finite_set_alt
 from test_differential import _sentences
 
 rationals = st.fractions(max_denominator=24)
@@ -26,7 +30,7 @@ def test_encode_rational_is_cofinal_and_decodes(q):
     for side in ("left", "right"):
         f = encode_rational(q, side)
         assert P.rational_sem(f)
-        assert P.cof_endpoint(f) == q
+        assert cof_endpoint(f) == q
     (iv, _), = encode_rational(q, "right").signed_support()
     assert is_finite(iv.lo) and iv.hi is POS_INF
     (iv, _), = encode_rational(q, "left").signed_support()
@@ -109,12 +113,28 @@ def test_expanded_translations_of_the_corpus_are_pinned():
     assert hashlib.sha256(out.encode()).hexdigest() == EXPANDED_CORPUS_SHA256
 
 
-def _atoms(psi):
-    if isinstance(psi, GAtom):
-        yield psi.name
-    for attr in ("a", "b", "sub", "body"):
+#: the fields of a formula node that hold subformulas
+_CHILDREN = ("a", "b", "sub", "body")
+
+
+def _subformulas(psi):
+    """psi and each formula below it, in pre-order."""
+    yield psi
+    for attr in _CHILDREN:
         if hasattr(psi, attr):
-            yield from _atoms(getattr(psi, attr))
+            yield from _subformulas(getattr(psi, attr))
+
+
+def _replaced(psi, old, new):
+    """psi with each subformula that is the object `old` replaced by `new`."""
+    if psi is old:
+        return new
+    return type(psi)(**{k: _replaced(v, old, new) if k in _CHILDREN else v
+                        for k, v in vars(psi).items()})
+
+
+def _atoms(psi):
+    return (s.name for s in _subformulas(psi) if isinstance(s, GAtom))
 
 
 def test_translate_uses_membership_schema():
@@ -145,11 +165,56 @@ def test_pullback_rejects_foreign_formulas():
         # the body reads a point that a non-coding guard bound
         "Ep (cof(p) & Ef_x (cof(f_x) & Eabx (rational(abx) & Eg_X (finrational(g_X)"
         " & codesame(f_x,(g_X*f_x)*g_X^-1)))))",
+        "Ep (cof(p) & Eq (cof(q) & ~codesame(q,p)))",  # true, but q is no coded point
+        "Ep (cof(p) & p = 1)",
     ]:
         with pytest.raises(InterpError):
             pullback_eval(parse_group(text))
+    # a cof atom of two arguments, which the parser refuses, inside a compiled <
+    less = translate(parse_wmso("Ex Ey (x < y)"))
+    cont, = (s for s in _subformulas(less) if s == GAtom("cont", (GVar("lg_1"), GVar("lf_0"))))
+    with pytest.raises(InterpError):
+        pullback_eval(_replaced(less, cont, GAtom("cof", (GVar("lf_0"), GVar("lg_1")))))
     with pytest.raises(InterpError, match="outside the translated fragment"):
         pullback_eval(parse_wmso("Ax (x = x)"))  # an order quantifier
+
+
+def test_pullback_answers_each_mutant_exactly_or_refuses_it():
+    """Mutants of compiled sentences, built as ASTs so that no parser check
+    screens them: a subformula swapped for one of another sentence, a
+    quantifier's variable renamed, an atom renamed, or `v = 1` joined to a
+    subformula.  Each is refused with InterpError, or answered with the
+    truth of the order sentence it decompiles to."""
+    rnd = random.Random("pullback-mutants:1")
+    texts = [text for _, text, _ in load_corpus()] + _sentences(0, 60)
+    compiled = [translate(parse_wmso(text)) for text in texts]
+    answered = refused = 0
+    for _ in range(1500):
+        psi = rnd.choice(compiled)
+        subs = list(_subformulas(psi))
+        quants = [s for s in subs if type(s) in (Exists, Forall)]
+        names = sorted({q.var for q in quants})
+        kind = rnd.randrange(4)
+        if kind == 0:
+            old, new = rnd.choice(subs), rnd.choice(list(_subformulas(rnd.choice(compiled))))
+        elif kind == 1:
+            old = rnd.choice(quants)
+            new = dataclasses.replace(old, var=rnd.choice(names))
+        elif kind == 2:
+            old = rnd.choice([s for s in subs if isinstance(s, GAtom)])
+            new = dataclasses.replace(old, name=rnd.choice(sorted(P.ORACLES)))
+        else:
+            old = rnd.choice(subs)
+            new = And(old, TermEq(GVar(rnd.choice(names)), One()))
+        mutant = _replaced(psi, old, new)
+        try:
+            got = pullback_eval(mutant)
+        except InterpError:
+            refused += 1
+            continue
+        assert got == decide(_decompile(mutant.body.b)), print_group(mutant)
+        answered += 1
+    assert answered > 50 and refused > 1000
 
 
 def test_decompile_inverts_translate():
@@ -179,7 +244,6 @@ def test_compiled_corpus_survives_print_and_parse():
 ])
 def test_roundtrip_examples(text, expected):
     phi = parse_wmso(text)
-    from qwi.wmso import decide
     assert decide(phi) == expected
     assert roundtrip_check(phi)
 

@@ -11,7 +11,7 @@ from qwi.generators import gen_plmap_rnd, grid_maps, make_bump
 from qwi.numbers import NEG_INF, POS_INF, QInterval
 from qwi.plmap import PLMap, PLMapError
 
-from helpers import encode_finite_set_alt, gen_plmap
+from helpers import cof_endpoint, encode_finite_set_alt, gen_plmap
 
 plmaps = st.builds(gen_plmap, st.integers(0, 10**6), st.integers(0, 6))
 
@@ -83,11 +83,11 @@ def test_coterm_cof_codesame():
     assert P.cof_sem(right) and P.cof_sem(left)
     assert not P.cof_sem(PLMap.translation(1))
     assert not P.cof_sem(bump(0, 1))
-    assert P.cof_endpoint(right) == 2 == P.cof_endpoint(left)
+    assert cof_endpoint(right) == 2 == cof_endpoint(left)
     assert P.codesame_sem(right, left)
     assert not P.codesame_sem(right, make_bump(QInterval(Fraction(3), POS_INF)))
     with pytest.raises(ValueError):
-        P.cof_endpoint(bump(0, 1))
+        cof_endpoint(bump(0, 1))
 
 
 def test_oppsupport():
